@@ -11,6 +11,12 @@ is shared between ever more window positions), and it stabilizes at the
 positive level  sum_w tau(w) * sup_s f(w, s)  on a translation action,
 which is the normal form of a dissipative action.
 
+The window maximum is computed one axis at a time along generator
+orbits: backward walks from the support group its atoms into runs (chains,
+or rings once an orbit closes), and a monotone deque slides the window
+along each run once.  A statistic costs O(size of its result) generator
+steps per axis, so atoms shared by many support points are walked once.
+
 The verdict produced here is explicitly a finite-n heuristic label
 ("consistent with"), never a proof.
 """
@@ -19,35 +25,144 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .action import CubeWindow, NsAction, iter_window_orbit
+from .action import CubeWindow, NsAction, _Budget, iter_window_orbit
 from .errors import DegenerateInputError, InvalidInputError
-from .space import L1Function, atom_key, integrate
+from .space import L1Function, atom_key
+
+
+def _slide_max(seq, width):
+    """Maxima of the length-``width`` windows of ``seq``, left to right.
+
+    A monotone deque (Lemire 2006) holds the indices of the window's
+    decreasing maxima, so each value is pushed and popped at most once.
+    """
+    dq = deque()
+    for j, v in enumerate(seq):
+        while dq and seq[dq[-1]] <= v:
+            dq.pop()
+        dq.append(j)
+        if dq[0] <= j - width:
+            dq.popleft()
+        if j >= width - 1:
+            yield seq[dq[0]]
+
+
+def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
+    """y -> max_{j in [lo, hi]} f(T_axis^j y) on its support, as a dict."""
+    span, step, limit = hi - lo, action.step, action.exploration_budget
+    heads, seen = {}, set()
+    for x in f:
+        if x in seen:
+            continue
+        seen.add(x)
+        atoms, cur, empties, link, ring = [x], x, 0, None, False
+        budget = _Budget(limit)
+        while empties < span:
+            budget.spend(axis)
+            cur = step(axis, cur, False)
+            if cur in f:
+                if cur == x:
+                    ring = True
+                    break
+                if cur in heads:
+                    link = heads.pop(cur)
+                    break
+                seen.add(cur)
+                budget.remaining, empties = limit, 0
+            else:
+                empties += 1
+            atoms.append(cur)
+        heads[x] = (atoms, link, ring)
+    out = {}
+    for run in heads.values():
+        chain, ring = [], run[2]
+        while run is not None:
+            chain += run[0]
+            run = run[1]
+        vals, period = [f.get(a, 0.0) for a in chain], len(chain)
+        if ring and span >= period - 1:
+            maxima = [max(vals)] * period
+        elif ring:
+            maxima = _slide_max([vals[k % period]
+                                 for k in range(-hi, period - lo)], span + 1)
+        else:
+            cur, budget, ahead = chain[0], _Budget(limit), []
+            for _ in range(-lo):
+                budget.spend(axis)
+                cur = step(axis, cur, True)
+                ahead.append(cur)
+            chain[:0] = ahead[::-1]
+            # no support lies within span sites ahead of the head; the last
+            # -lo sites of the run are past every window, so zip drops them
+            maxima = _slide_max([0.0] * span + vals, span + 1)
+        for a, m in zip(chain, maxima):
+            if m > 0.0:
+                out[a] = m
+    return out
+
+
+def _window_maxima(action: NsAction, g: L1Function, window: CubeWindow) -> dict:
+    """s -> max_{t in window} h(T_1^{t_1} ... T_d^{t_d} s) with h = g * mu."""
+    if g.space is not action.space:
+        raise InvalidInputError("g is defined over a different space")
+    if window.d != action.d:
+        raise InvalidInputError(
+            f"window dimension {window.d} does not match action dimension "
+            f"{action.d}")
+    weight = action.space.weight
+    f = {sp: v * weight(sp) for sp, v in g.items()}
+    lo, hi = window.axis_bounds()
+    for axis in range(action.d):
+        f = _axis_max(action, axis, f, lo, hi)
+    return f
 
 
 def max_dual_function(action: NsAction, g: L1Function,
                       window: CubeWindow) -> L1Function:
     """The pointwise maximum s -> max_{t in window} (dual_t g)(s).
 
-    Assembled support-first: every pair (t, s) with (dual_t g)(s) > 0 has
-    phi_t(s) in the support of g, so walking phi_{-t} over the window from
-    each support atom enumerates all contributions exactly once per t.  The
-    per-atom maximum is an order-independent reduction, so the result does
-    not depend on the scan order.
+    With h = g * mu and phi_t(s) = T_1^{t_1} ... T_d^{t_d} s along the
+    inverse window walk, (dual_t g)(s) = h(phi_t(s)) / mu(s), so the maximum
+    is separable: replace h by y -> max_j h(T_1^j y), then take the same
+    maximum along axis 2, and so on, and finally divide by mu(s).  Division
+    by one positive weight is monotone under rounding, so every value has
+    the bits of the direct per-term maximum.
+
+    Each axis pass walks backward from the support only.  A walk absorbs
+    the support atoms it meets and stops after n - 1 (corner) or 2n
+    (centered) empty sites; a walk that reaches the head of an earlier run
+    links to it, and one that returns to its start closes a ring, whose
+    window is reduced modulo the period.  A monotone deque then slides the
+    window along each run once.  The cost is O(size of the result)
+    generator steps per axis, plus n forward steps per run for the centered
+    window, instead of O(|supp g| * n^d).  The exploration budget is charged
+    per walk and renewed at every absorbed support atom.
     """
-    if g.space is not action.space:
-        raise InvalidInputError("g is defined over a different space")
     space = action.space
-    acc: dict = {}
-    for sp, v in g.items():
-        numer = v * space.weight(sp)
-        for _t, s in iter_window_orbit(action, sp, window, inverse=True):
-            val = numer / space.weight(s)
-            if val > acc.get(s, 0.0):
-                acc[s] = val
-    return L1Function(space, acc, truncation_error=g.truncation_error)
+    best = _window_maxima(action, g, window)
+    return L1Function(space, {s: m / space.weight(s) for s, m in best.items()},
+                      truncation_error=g.truncation_error)
+
+
+def _stat(action: NsAction, g: L1Function, window: CubeWindow
+          ) -> tuple[float, int]:
+    """``(a_n, support size)`` straight from the window maxima."""
+    weight = action.space.weight
+    terms = []
+    for s, m in _window_maxima(action, g, window).items():
+        w = weight(s)
+        v = m / w
+        if not 0.0 <= v < math.inf:
+            raise InvalidInputError(
+                f"function value at atom {s!r} is {v}; "
+                "values must be finite and nonnegative")
+        if v > 0.0:
+            terms.append(v * w)
+    return math.fsum(terms) / window.size, len(terms)
 
 
 def stat_a_n(action: NsAction, g: L1Function, n: int,
@@ -57,9 +172,7 @@ def stat_a_n(action: NsAction, g: L1Function, n: int,
     Normalization is always by the exact window cardinality: n^d for the
     corner cube, (2n+1)^d for the centered cube J_n.
     """
-    window = CubeWindow(kind, n, action.d)
-    best = max_dual_function(action, g, window)
-    return integrate(action.space, best) / window.size
+    return _stat(action, g, CubeWindow(kind, n, action.d))[0]
 
 
 def stat_bounds(action: NsAction, g: L1Function, n: int,
@@ -114,12 +227,9 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
     series = StatSeries()
     for n in ns:
         t0 = time.perf_counter()
-        window = CubeWindow(kind, n, action.d)
-        best = max_dual_function(action, g, window)
-        value = integrate(action.space, best) / window.size
+        value, support = _stat(action, g, CubeWindow(kind, n, action.d))
         ms = (time.perf_counter() - t0) * 1000.0
-        series.records.append(
-            StatRecord(n, kind, value, len(best.support), ms))
+        series.records.append(StatRecord(n, kind, value, support, ms))
     return series
 
 

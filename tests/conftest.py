@@ -12,7 +12,8 @@ import random
 import pytest
 
 from nsdyn import zoo
-from nsdyn.action import CubeWindow
+from nsdyn.action import CubeWindow, iter_window_orbit
+from nsdyn.errors import InvalidInputError
 from nsdyn.space import L1Function, atom_key
 
 FIXTURE_NAMES = ("E2", "C4", "TR1", "ST2", "OD3", "MIX")
@@ -66,3 +67,23 @@ def brute_max_stat(action, g, n, kind="corner", candidates=None):
         best = max(brute_dual_value(action, t, g, s) for t in window)
         total += best * action.space.weight(s)
     return total / window.size
+
+
+def walk_max_dual_function(action, g, window):
+    """The window maximum by a full inverse window walk from every support atom.
+
+    The straightforward support-first assembly: every pair (t, s) with
+    (dual_t g)(s) > 0 has phi_t(s) in the support of g, so walking phi_{-t}
+    over the window from each support atom enumerates every contribution.
+    """
+    if g.space is not action.space:
+        raise InvalidInputError("g is defined over a different space")
+    space = action.space
+    acc: dict = {}
+    for sp, v in g.items():
+        numer = v * space.weight(sp)
+        for _t, s in iter_window_orbit(action, sp, window, inverse=True):
+            val = numer / space.weight(s)
+            if val > acc.get(s, 0.0):
+                acc[s] = val
+    return L1Function(space, acc, truncation_error=g.truncation_error)

@@ -6,10 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_max_stat, random_nonneg_function
+from conftest import (
+    FIXTURE_NAMES,
+    brute_max_stat,
+    random_nonneg_function,
+    sample_atoms,
+    walk_max_dual_function,
+)
 from nsdyn import zoo
-from nsdyn.action import CubeWindow
-from nsdyn.errors import DegenerateInputError, InvalidInputError
+from nsdyn.action import CubeWindow, NsAction, make_action
+from nsdyn.errors import (
+    DegenerateInputError,
+    ExplorationLimitError,
+    InvalidInputError,
+)
 from nsdyn.hopf import KrengelForm
 from nsdyn.maxstat import (
     conservativity_verdict,
@@ -20,7 +30,7 @@ from nsdyn.maxstat import (
     stat_series,
     sum_dual_partial,
 )
-from nsdyn.space import L1Function, make_space, truncate_l1
+from nsdyn.space import L1Function, integrate, make_space, truncate_l1
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -322,3 +332,132 @@ class TestVerdictSequences:
         for ev in verdict.evidence:
             assert ev["stabilized"]
             assert ev["final"] == pytest.approx(1.0, rel=0.05)
+
+
+#: fixtures plus zoo actions with several axes, base weights and periods
+ORACLE_SPECS = [zoo.fixture_spec(name) for name in FIXTURE_NAMES] + [
+    zoo.ZooSpec("odometer", {"K": 3, "p": 0.3, "d": 2}),
+    zoo.ZooSpec("odometer", {"K": 2, "p": 0.45, "d": 3}),
+    zoo.ZooSpec("translation", {"d": 2}),
+    zoo.ZooSpec("translation", {"tau": [1, 0.3, 7]}),
+    zoo.ZooSpec("cyclic", {"N": [2, 7]}),
+    zoo.ZooSpec("stabilizer", {"d": 3}),
+]
+
+
+@pytest.fixture(scope="module")
+def oracle_actions():
+    return [zoo.build(spec) for spec in ORACLE_SPECS]
+
+
+def assert_same_maxima(action, g, window):
+    fast = max_dual_function(action, g, window)
+    slow = walk_max_dual_function(action, g, window)
+    assert fast.support == slow.support
+    assert fast.to_dict() == slow.to_dict()
+    assert fast.truncation_error == slow.truncation_error
+    assert stat_a_n(action, g, window.n, window.kind) == (
+        integrate(action.space, slow) / window.size)
+
+
+class TestWalkOracle:
+    """Run maxima agree bit for bit with the full per-atom window walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_window_walk(self, oracle_actions, data):
+        action = data.draw(st.sampled_from(oracle_actions), label="action")
+        space = action.space
+        pool = space.atoms if space.finite else space.exhaustion(
+            data.draw(st.sampled_from([3, 40]), label="radius"))
+        atoms = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=10, unique=True), label="support")
+        values = data.draw(st.lists(
+            st.floats(1e-3, 1e3) | st.integers(-30, 30).map(lambda e: 2.0 ** e),
+            min_size=len(atoms), max_size=len(atoms)), label="values")
+        kind = data.draw(st.sampled_from(["corner", "centered"]), label="kind")
+        n = data.draw(st.integers(1, {1: 70, 2: 8, 3: 3}[action.d]), label="n")
+        g = L1Function(space, dict(zip(atoms, values)))
+        assert_same_maxima(action, g, CubeWindow(kind, n, action.d))
+
+    @pytest.mark.parametrize("name,n", [("C4", 8), ("OD3", 64), ("ST2", 9)])
+    @pytest.mark.parametrize("kind", ["corner", "centered"])
+    def test_windows_longer_than_the_period(self, actions, name, n, kind):
+        act = actions[name]
+        rng = random.Random(n)
+        pool = sample_atoms(act, 3)
+        g = L1Function(act.space, {a: rng.uniform(0.1, 10.0)
+                                   for a in rng.sample(pool, min(3, len(pool)))})
+        assert_same_maxima(act, g, CubeWindow(kind, n, act.d))
+
+    def test_dense_support_on_shared_orbits(self):
+        od = zoo.build(zoo.ZooSpec("odometer", {"K": 3, "p": 0.3, "d": 2}))
+        tr = zoo.build_fixture("TR1")
+        for act, atoms in ((od, od.space.atoms), (tr, tr.space.exhaustion(40))):
+            g = L1Function(act.space, {a: 1.0 + (i % 7) / 3.0
+                                       for i, a in enumerate(atoms)})
+            for kind in ("corner", "centered"):
+                for n in (1, 2, 5, 9):
+                    assert_same_maxima(act, g, CubeWindow(kind, n, act.d))
+
+
+class TestWorkCounts:
+    """Generator steps of the statistic are pinned to their closed forms."""
+
+    @staticmethod
+    def steps(monkeypatch, action, g, n, kind="corner"):
+        calls = [0]
+        step = NsAction.step
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return step(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NsAction, "step", counted)
+            stat_a_n(action, g, n, kind)
+        return calls[0]
+
+    @pytest.mark.parametrize("n", [16, 256, 2048])
+    def test_odometer_ring_walked_once(self, monkeypatch, n):
+        od = zoo.build(zoo.ZooSpec("odometer", {"K": 10, "p": 0.4}))
+        g = indicator(od, od.space.atoms)
+        assert self.steps(monkeypatch, od, g, n) == 2 ** 10
+
+    def test_translation_box_is_one_run(self, monkeypatch, actions):
+        tr = actions["TR1"]
+        g = indicator(tr, tr.space.exhaustion(64))
+        # the result is supported on [-64 - 4095, 64]: one step per new atom
+        assert self.steps(monkeypatch, tr, g, 4096) == 4223
+
+    def test_single_atom_matches_window_walk(self, monkeypatch, actions):
+        tr = actions["TR1"]
+        assert self.steps(monkeypatch, tr, indicator(tr, [0]), 16384) == 16383
+        plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+        g = indicator(plane, [(0, 0)])
+        assert self.steps(monkeypatch, plane, g, 80) == 80 ** 2 - 1
+
+
+class TestExplorationBudget:
+    def test_long_empty_stretch_exhausts_budget(self, actions):
+        tr = actions["TR1"]
+        small = make_action(tr.space, [(lambda a: a + 1, lambda a: a - 1)],
+                            exploration_budget=10, validate=False)
+        with pytest.raises(ExplorationLimitError):
+            stat_a_n(small, indicator(small, [0]), 64)
+
+    def test_budget_is_charged_per_run_not_per_window(self):
+        plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+        small = make_action(plane.space, plane._gens,
+                            exploration_budget=100, validate=False)
+        # n^2 = 400 window terms, but no walk has more than n - 1 = 19 steps
+        assert stat_a_n(small, indicator(small, [(0, 0)]), 20) == 1.0
+
+    def test_budget_renews_at_every_support_atom(self, actions):
+        tr = actions["TR1"]
+        # s -> s - 1, so backward walks run upward: the walk from -40
+        # absorbs all 81 atoms in 84 steps, never 5 past a support atom
+        small = make_action(tr.space, [(lambda a: a - 1, lambda a: a + 1)],
+                            exploration_budget=10, validate=False)
+        g = indicator(small, small.space.exhaustion(40))
+        assert stat_a_n(small, g, 5) == 85 / 5
