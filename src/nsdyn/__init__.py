@@ -59,7 +59,6 @@ from .space import (
     AtomSpace,
     L1Function,
     atom_key,
-    integrate,
     make_space,
     rel_dev,
     truncate_l1,

@@ -34,7 +34,7 @@ from .errors import (
     ExplorationLimitError,
     InvalidInputError,
 )
-from .space import AtomSpace, L1Function, atom_key, rel_dev
+from .space import AtomSpace, L1Function, atom_key, atom_to_json, rel_dev
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ class CubeWindow:
         lo, hi = self.axis_bounds()
         return product(range(lo, hi + 1), repeat=self.d)
 
-    def __contains__(self, t) -> bool:
-        lo, hi = self.axis_bounds()
-        return len(t) == self.d and all(lo <= x <= hi for x in t)
-
 
 def as_vec(t, d: int) -> tuple:
     """Normalize a group element to a d-tuple of ints (plain int when d=1)."""
@@ -102,6 +98,16 @@ def as_vec(t, d: int) -> tuple:
         if isinstance(x, bool) or not isinstance(x, int):
             raise InvalidInputError(f"group element {vec} has a non-int entry")
     return vec
+
+
+def _weight_ratio(space: AtomSpace, s, log_s: float, end) -> float:
+    """mu(end) / mu(s) from log weights; beyond float range it is an input error."""
+    try:
+        return math.exp(space.log_weight(end) - log_s)
+    except OverflowError:
+        raise InvalidInputError(
+            f"weight ratio mu({end!r}) / mu({s!r}) in space {space.name!r} "
+            "overflows a float") from None
 
 
 def vec_add(t: tuple, u: tuple) -> tuple:
@@ -199,7 +205,7 @@ class NsAction:
     def rn_derivative(self, t, s) -> float:
         """w_t(s) = mu(phi_t(s)) / mu(s), computed in log space."""
         end = self.apply(t, s)
-        return math.exp(self.space.log_weight(end) - self.space.log_weight(s))
+        return _weight_ratio(self.space, s, self.space.log_weight(s), end)
 
     def dual_apply(self, t, g: L1Function) -> L1Function:
         """The dual operator image s -> g(phi_t(s)) * w_t(s).
@@ -331,7 +337,6 @@ class CocycleReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        from .jsonio import atom_to_json
         return {
             "radius": self.radius,
             "rel_tol": self.rel_tol,
@@ -370,7 +375,7 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     for s in sorted(samples, key=atom_key):
         # one incremental sweep per base atom gives w_t(s) for all t up to 2r
         log_s = action.space.log_weight(s)
-        base = {t: (atom, math.exp(action.space.log_weight(atom) - log_s))
+        base = {t: (atom, _weight_ratio(action.space, s, log_s, atom))
                 for t, atom in iter_window_orbit(action, s, doubled)}
         w_cache = {}
         for t in window:

@@ -108,14 +108,12 @@ def parse_ns(text: str) -> list[int]:
 def load_action(spec: str, params_text: str):
     """``zoo:<builder>`` (+ --params), ``fixture:<name>``, or a JSON file."""
     if spec.startswith("zoo:"):
-        name = spec[len("zoo:"):]
-        if name in zoo.FIXTURES and not params_text:
-            return zoo.build_fixture(name)
-        return zoo.build(zoo.ZooSpec(name, parse_params(params_text)))
+        return zoo.build(zoo.ZooSpec(spec[len("zoo:"):], parse_params(params_text)))
+    if params_text:
+        raise InvalidInputError(
+            f"--params applies only to zoo:<builder>, not to {spec!r}")
     if spec.startswith("fixture:"):
         return zoo.build_fixture(spec[len("fixture:"):])
-    if spec in zoo.FIXTURES:
-        return zoo.build_fixture(spec)
     with open(spec) as fh:
         return jsonio.action_from_json(json.load(fh))
 
@@ -210,6 +208,28 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _check_config(config: dict, options):
+    """Reject a config value whose JSON type does not fit its option.
+
+    ``options`` are the subcommand's argparse actions.  A flag wants a bool,
+    a ``type=int``/``float`` option a number, an appending option a list of
+    strings, and every other option a string.
+    """
+    for option in (o for o in options if o.dest in config):
+        value = config[option.dest]
+        if isinstance(option, argparse._AppendAction):
+            fits = type(value) is list and all(type(v) is str for v in value)
+        elif option.nargs == 0:
+            fits = type(value) is bool
+        else:
+            fits = type(value) in {int: (int,), float: (int, float)}.get(
+                option.type, (str,))
+        if not fits:
+            raise InvalidInputError(
+                f"config key {option.dest!r} has the wrong JSON type "
+                f"{type(value).__name__} for its option")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (exit_code, output_text)
 
@@ -286,7 +306,7 @@ def _cmd_maharam_verify(opt: _Options):
     tol_measure = _positive(opt.get("tol_measure", 1e-9), "--tol-measure")
     tol_extension = _positive(opt.get("tol_extension", 1e-12), "--tol-extension")
     report = check_measure_preservation(ext, t, rects, rel_tol=tol_measure)
-    ms = [int(x) for x in str(opt.get("m", "1,2")).split(",")]
+    ms = [int(x) for x in opt.get("m", "1,2").split(",")]
     ns = parse_ns(opt.get("n", "2,4,8,16"))
     table = []
     ext_ok = True
@@ -430,6 +450,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(getattr(args, "config", None))
+        commands = next(a for a in parser._actions if a.dest == "command")
+        _check_config(config, commands.choices[args.command]._actions)
         opt = _Options(args, config)
         code, text = _HANDLERS[args.command](opt)
         _emit(text, opt.get("out"))

@@ -37,7 +37,7 @@ from .action import (
     vec_add,
 )
 from .errors import DomainError, InvalidInputError
-from .space import AtomSpace, L1Function, atom_key, make_space
+from .space import AtomSpace, L1Function, atom_key, atom_to_json, make_space
 
 CONSERVATIVE = "conservative"
 DISSIPATIVE = "dissipative"
@@ -100,7 +100,6 @@ class HopfDecomposition:
         return "mixed"
 
     def as_dict(self) -> dict:
-        from .jsonio import atom_to_json
         return {
             "radius": self.radius,
             "summary": self.summary(),
@@ -175,7 +174,6 @@ class KrengelForm:
                           truncation_error=f.truncation_error)
 
     def as_dict(self) -> dict:
-        from .jsonio import atom_to_json
         return {
             "d": self.d,
             "radius": self.radius,
@@ -192,8 +190,7 @@ class KrengelForm:
 
 
 def krengel_normal_form(action: NsAction, region: Iterable, *,
-                        radius: int = 4,
-                        labels: HopfDecomposition = None) -> KrengelForm:
+                        radius: int = 4) -> KrengelForm:
     """Recover the translation normal form over a finite dissipative region.
 
     Orbits are merged within the centered window of the given radius; two
@@ -211,8 +208,7 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     for s in region:
         if s not in space:
             raise DomainError(f"region atom {s!r} is not in the space")
-    if labels is None:
-        labels = hopf_decompose(action, radius, atoms=region)
+    labels = hopf_decompose(action, radius, atoms=region)
     for s in region:
         lbl = labels.label(s)
         if lbl != DISSIPATIVE:
@@ -300,7 +296,6 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
 
     Failures are report entries, never exceptions.
     """
-    from .jsonio import atom_to_json
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     window = CubeWindow.centered(min(radius, form.radius), action.d)

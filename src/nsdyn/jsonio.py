@@ -20,19 +20,8 @@ from .errors import InvalidInputError
 from .hopf import KrengelForm
 from .maharam import Rect
 from .space import AtomSpace, L1Function, make_space
+from .space import atom_from_json, atom_to_json  # noqa: F401 (re-exported)
 from . import zoo
-
-
-def atom_to_json(atom):
-    if isinstance(atom, tuple):
-        return [atom_to_json(x) for x in atom]
-    return atom
-
-
-def atom_from_json(doc):
-    if isinstance(doc, list):
-        return tuple(atom_from_json(x) for x in doc)
-    return doc
 
 
 def _spec_from_doc(doc: dict) -> zoo.ZooSpec:
@@ -95,10 +84,6 @@ def l1_from_json(space: AtomSpace, docs: Sequence[dict]) -> L1Function:
         atom = atom_from_json(entry["atom"])
         values[atom] = values.get(atom, 0.0) + float(entry["value"])
     return L1Function(space, values)
-
-
-def krengel_form_to_json(form: KrengelForm) -> dict:
-    return form.as_dict()
 
 
 def krengel_form_from_json(doc: dict) -> KrengelForm:

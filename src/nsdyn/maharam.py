@@ -26,10 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .action import CubeWindow, NsAction, as_vec, check_cocycle, iter_window_orbit
+from .action import (CubeWindow, NsAction, _weight_ratio, as_vec, check_cocycle,
+                     iter_window_orbit)
 from .errors import ConstructionError, InvalidInputError
 from .maxstat import max_dual_function
-from .space import L1Function, atom_key, integrate, rel_dev
+from .space import L1Function, atom_key, atom_to_json, rel_dev
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,14 @@ class MaharamAction:
         return self.base.apply(t, s), y * self.fiber_factor(t, s)
 
 
-def extend(action: NsAction, *, radius: int = 2,
-           rel_tol: float = 1e-9) -> MaharamAction:
+def extend(action: NsAction) -> MaharamAction:
     """Wrap an action in its Maharam extension.
 
-    Precondition: the cocycle identity holds on a centered window of the
-    given radius.  A failing check aborts construction and carries the
+    Precondition: the cocycle identity holds on the centered window of
+    radius 2.  A failing check aborts construction and carries the
     violation report.
     """
-    report = check_cocycle(action, radius, rel_tol=rel_tol)
+    report = check_cocycle(action, 2)
     if not report.passed:
         t, u, atom, dev = report.violations[0]
         raise ConstructionError(
@@ -113,7 +113,6 @@ class MeasureReport:
         return self.max_rel_deviation <= self.rel_tol
 
     def as_dict(self) -> dict:
-        from .jsonio import atom_to_json
         return {
             "t": list(self.t),
             "rel_tol": self.rel_tol,
@@ -183,7 +182,7 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
         best = 0.0
         for _t, img in iter_window_orbit(base, s, window):
             if img in s_m_set:
-                w = math.exp(space.log_weight(img) - log_s)
+                w = _weight_ratio(space, s, log_s, img)
                 if w > best:
                     best = w
         lhs_terms.append(space.weight(s) * m * best)
@@ -191,6 +190,5 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
 
     # base-side assembly through the maximal statistic
     indicator = L1Function.indicator(space, s_m)
-    rhs = m * integrate(space, max_dual_function(base, indicator, window)) \
-        / window.size
+    rhs = m * max_dual_function(base, indicator, window).norm / window.size
     return lhs, rhs

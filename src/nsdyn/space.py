@@ -41,6 +41,20 @@ def atom_key(atom):
     return (3, repr(atom))
 
 
+def atom_to_json(atom):
+    """Encode an atom as JSON: tuples become arrays, recursively."""
+    if isinstance(atom, tuple):
+        return [atom_to_json(x) for x in atom]
+    return atom
+
+
+def atom_from_json(doc):
+    """Decode :func:`atom_to_json` output: arrays become tuples."""
+    if isinstance(doc, list):
+        return tuple(atom_from_json(x) for x in doc)
+    return doc
+
+
 def rel_dev(a: float, b: float) -> float:
     """Relative deviation |a-b| / max(|a|,|b|), zero when both vanish."""
     if a == b:
@@ -124,45 +138,36 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
         A mapping, a callable, a positive scalar, or (finite spaces only) a
         sequence aligned with the given atom order.
     ``exhaustion``
-        Callable ``m -> iterable of atoms``.  Finite spaces default to the
-        trivial exhaustion, every S_m being the whole universe.
+        Callable ``m -> iterable of atoms``, lazy spaces only.  A finite
+        space has the trivial exhaustion, every S_m being the whole universe.
     """
-    if atoms is not None:
-        given = list(atoms)
-        if isinstance(weights, (list, tuple)):
-            if len(weights) != len(given):
-                raise ConstructionError(
-                    f"{len(weights)} weights for {len(given)} atoms")
-            weight_map = dict(zip(given, weights))
-            weight_fn = weight_map.__getitem__
-        elif isinstance(weights, Mapping):
-            weight_fn = weights.__getitem__
-        elif callable(weights):
-            weight_fn = weights
-        elif weights is None:
-            weight_fn = lambda a: 1.0
-        else:
-            w0 = float(weights)
-            weight_fn = lambda a: w0
+    given = None if atoms is None else list(atoms)
+    if isinstance(weights, (list, tuple)):
+        if given is None or len(weights) != len(given):
+            raise ConstructionError(
+                f"{len(weights)} weights for "
+                + ("a lazy space" if given is None else f"{len(given)} atoms"))
+        weight_fn = dict(zip(given, weights)).__getitem__
+    elif isinstance(weights, Mapping):
+        weight_fn = weights.__getitem__
+    elif callable(weights):
+        weight_fn = weights
+    else:
+        w0 = 1.0 if weights is None else float(weights)
+        weight_fn = lambda a: w0
+
+    if given is not None:
+        if exhaustion is not None:
+            raise ConstructionError(
+                f"finite space {name!r} takes no exhaustion; its exhaustion "
+                "is the whole atom list")
         sorted_atoms = tuple(sorted(given, key=atom_key))
         if len(set(sorted_atoms)) != len(sorted_atoms):
             raise ConstructionError("duplicate atom ids in atom list")
-        universe = frozenset(sorted_atoms)
-        if exhaustion is None:
-            exhaustion_fn = lambda m: sorted_atoms
-        else:
-            exhaustion_fn = exhaustion
         space = AtomSpace(name, True, sorted_atoms, weight_fn,
-                          None, exhaustion_fn)
+                          None, lambda m: sorted_atoms)
         for a in sorted_atoms:
             space.weight(a)  # raises naming the offending atom
-        if exhaustion is not None:
-            _check_exhaustion(space, samples=(1, 2, len(sorted_atoms)))
-            full = set(space.exhaustion(len(sorted_atoms)))
-            if full != universe:
-                raise ConstructionError(
-                    f"exhaustion of finite space {name!r} never reaches the "
-                    "whole universe")
         return space
 
     # lazy, rule-defined space
@@ -172,16 +177,12 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
     if contains is None:
         raise ConstructionError(
             f"infinite space {name!r} requires a membership predicate")
-    if not callable(weights):
-        if weights is None:
-            weight_fn = lambda a: 1.0
-        else:
-            w0 = float(weights)
-            weight_fn = lambda a: w0
-    else:
-        weight_fn = weights
     space = AtomSpace(name, False, None, weight_fn, contains, exhaustion)
-    _check_exhaustion(space, samples=(0, 1, 2, 3))
+    for m in (1, 2, 3):
+        if not set(space.exhaustion(m - 1)) <= set(space.exhaustion(m)):
+            raise ConstructionError(
+                f"exhaustion of space {name!r} is not monotone "
+                f"between m={m - 1} and m={m}")
     for a in space.exhaustion(2):
         if a not in space:
             raise ConstructionError(
@@ -189,18 +190,6 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
                 f"of space {name!r}")
         space.weight(a)
     return space
-
-
-def _check_exhaustion(space, samples):
-    prev = None
-    prev_m = None
-    for m in samples:
-        cur = set(space.exhaustion(m))
-        if prev is not None and not prev <= cur:
-            raise ConstructionError(
-                f"exhaustion of space {space.name!r} is not monotone "
-                f"between m={prev_m} and m={m}")
-        prev, prev_m = cur, m
 
 
 class L1Function:
@@ -271,17 +260,6 @@ class L1Function:
     def __repr__(self):
         return (f"L1Function(support={len(self._items)}, norm={self.norm!r}, "
                 f"space={self.space.name!r})")
-
-
-def integrate(space: AtomSpace, f: L1Function) -> float:
-    """The integral of ``f`` over ``space``: sum of value * weight per atom.
-
-    Deterministic: atoms are visited in sorted order and accumulated with
-    exact (fsum) summation.
-    """
-    if f.space is not space:
-        raise DomainError("function is defined over a different space")
-    return math.fsum(v * space.weight(a) for a, v in f.items())
 
 
 def truncate_l1(space: AtomSpace, f, epsilon: float, *,

@@ -35,12 +35,6 @@ class GroundTruth:
     label: str                      # conservative | dissipative | mixed
     parts: tuple = None             # ((part index, label), ...) for unions
 
-    def as_dict(self) -> dict:
-        out = {"label": self.label}
-        if self.parts is not None:
-            out["parts"] = {str(i): lbl for i, lbl in self.parts}
-        return out
-
 
 @dataclass
 class ZooSpec:
@@ -48,9 +42,6 @@ class ZooSpec:
 
     builder: str
     params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"builder": self.builder, "params": self.params}
 
 
 def _is_int(x) -> bool:
@@ -60,14 +51,10 @@ def _is_int(x) -> bool:
 # ---------------------------------------------------------------------------
 # cyclic rotations
 
-def _build_cyclic(N=None, sizes=None, weights=None, name=None) -> NsAction:
-    if sizes is None:
-        sizes = N
-    if sizes is None:
+def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
+    if N is None:
         raise InvalidInputError("cyclic builder needs N (an int or int list)")
-    if _is_int(sizes):
-        sizes = [sizes]
-    sizes = list(sizes)
+    sizes = [N] if _is_int(N) else list(N)
     if not sizes or any(not _is_int(k) or k <= 0 for k in sizes):
         raise InvalidInputError(f"cyclic sizes must be positive ints: {sizes}")
     d = len(sizes)
@@ -75,18 +62,8 @@ def _build_cyclic(N=None, sizes=None, weights=None, name=None) -> NsAction:
         atoms = list(range(sizes[0]))
     else:
         atoms = [tuple(a) for a in product(*(range(k) for k in sizes))]
-    if weights is None:
-        weight_arg = 1.0
-    elif isinstance(weights, dict):
-        weight_arg = weights
-    else:
-        weights = list(weights)
-        if len(weights) != len(atoms):
-            raise InvalidInputError(
-                f"{len(weights)} weights for {len(atoms)} atoms")
-        weight_arg = dict(zip(atoms, weights))
     label = name or f"cyclic({sizes})"
-    space = make_space(atoms, weight_arg, name=f"{label}-space")
+    space = make_space(atoms, weights, name=f"{label}-space")
 
     def rotate(axis, delta):
         k = sizes[axis]
@@ -168,32 +145,32 @@ def _build_odometer(K, p, d=1, name=None) -> NsAction:
 # ---------------------------------------------------------------------------
 # translations (dissipative, free)
 
+def _integer_line(name: str):
+    """Counting measure on the integers and the unit shift (forward, inverse)."""
+    space = make_space(atoms=None, weights=1.0,
+                       exhaustion=lambda m: range(-m, m + 1),
+                       contains=_is_int, name=f"{name}-space")
+    return space, (lambda a: a + 1, lambda a: a - 1)
+
+
 def _lattice_translation(d: int, name: str) -> NsAction:
     if d == 1:
-        def contains(a):
-            return _is_int(a)
+        space, shift = _integer_line(name)
+        return make_action(space, [shift], name=name, free_orbits=True)
 
-        def exhaustion(m):
-            return range(-m, m + 1)
+    def contains(a):
+        return (isinstance(a, tuple) and len(a) == d
+                and all(_is_int(x) for x in a))
 
-        def shift(delta):
-            return lambda a: a + delta
-    else:
-        def contains(a):
-            return (isinstance(a, tuple) and len(a) == d
-                    and all(_is_int(x) for x in a))
+    def exhaustion(m):
+        return [tuple(c) for c in product(range(-m, m + 1), repeat=d)]
 
-        def exhaustion(m):
-            return [tuple(c) for c in product(range(-m, m + 1), repeat=d)]
+    def shift_axis(axis, delta):
+        return lambda a: a[:axis] + (a[axis] + delta,) + a[axis + 1:]
 
-        def shift_axis(axis, delta):
-            return lambda a: a[:axis] + (a[axis] + delta,) + a[axis + 1:]
     space = make_space(atoms=None, weights=1.0, exhaustion=exhaustion,
                        contains=contains, name=f"{name}-space")
-    if d == 1:
-        gens = [(shift(+1), shift(-1))]
-    else:
-        gens = [(shift_axis(i, +1), shift_axis(i, -1)) for i in range(d)]
+    gens = [(shift_axis(i, +1), shift_axis(i, -1)) for i in range(d)]
     return make_action(space, gens, name=name, free_orbits=True)
 
 
@@ -240,22 +217,9 @@ def _build_stabilizer(d, active=(0,), name=None) -> NsAction:
             "at least one axis must stay inactive; a fully active axis set "
             "is a translation, use the translation builder")
     label = name or f"stabilizer(d={d}, active={list(active)})"
-
-    def contains(a):
-        return _is_int(a)
-
-    def exhaustion(m):
-        return range(-m, m + 1)
-
-    space = make_space(atoms=None, weights=1.0, exhaustion=exhaustion,
-                       contains=contains, name=f"{label}-space")
-
-    def shift(delta):
-        return lambda a: a + delta
-
+    space, shift = _integer_line(label)
     identity = lambda a: a
-    gens = [(shift(+1), shift(-1)) if i in active else (identity, identity)
-            for i in range(d)]
+    gens = [shift if i in active else (identity, identity) for i in range(d)]
     return make_action(space, gens, name=label, free_orbits=False)
 
 

@@ -1,5 +1,6 @@
 """Actions, cocycles, dual operators, and their verification reports."""
 
+import math
 import random
 
 import pytest
@@ -113,6 +114,21 @@ class TestRnDerivative:
             for s in sample_atoms(act, 1):
                 for t in CubeWindow.centered(2, act.d):
                     assert act.rn_derivative(t, s) > 0.0
+
+    def test_wide_ratio_keeps_its_bits(self):
+        space = make_space([0, 1], [1e-150, 1e150])
+        swap = make_action(space, [{0: 1, 1: 0}])
+        assert swap.rn_derivative(1, 0) == math.exp(
+            math.log(1e150) - math.log(1e-150))
+
+    def test_overflowing_ratio_is_an_input_error(self):
+        space = make_space([0, 1], [1e-300, 1e300])
+        swap = make_action(space, [{0: 1, 1: 0}])
+        assert swap.rn_derivative(1, 1) == 0.0
+        with pytest.raises(InvalidInputError, match="overflows"):
+            swap.rn_derivative(1, 0)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            check_cocycle(swap, 1)
 
 
 class TestIterWindowOrbit:

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from nsdyn import cli
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -186,6 +188,34 @@ class TestConfigFile:
         assert "16,corner,0.25,4,0" in override.stdout
         assert "4,corner,1.0" not in override.stdout
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("stat", "n", [4, 8]),
+        ("stat", "g", ["atom:0"]),
+        ("stat", "timing", 1),
+        ("verdict", "g", "atom:0"),
+        ("verdict", "theta_dec", True),
+        ("hopf", "radius", "4"),
+        ("hopf", "radius", 2.5),
+        ("maharam-verify", "m", 1),
+    ])
+    def test_value_of_the_wrong_type_is_a_usage_error(
+            self, tmp_path, capsys, command, key, value):
+        doc = {"action": "fixture:C4", "g": ["atom:0"] if command == "verdict"
+               else "atom:0", "n": "4,8"}
+        doc[key] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config key {key!r}" in err
+
+    def test_float_option_takes_an_int(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": 1, "radius": 1}))
+        assert cli.main(["cocycle-check", "--action", "fixture:E2",
+                         "--config", str(cfg)]) == 0
+
 
 DETERMINISM_CASES = [
     ("stat", "--action", "fixture:C4", "--g", "atom:0", "--n", "4,8,16"),
@@ -250,6 +280,33 @@ class TestAdditionalSurfaces:
                       "--n", "4,8")
         assert out.returncode == 0
         assert out.stdout.splitlines()[1].startswith("4,corner,")
+
+    @pytest.mark.parametrize("argv", [
+        ("--action", "fixture:C4", "--params", "N=2.5"),
+        ("--action", "zoo:C4"),
+        ("--action", "C4"),
+    ])
+    def test_only_documented_action_forms(self, capsys, argv):
+        assert cli.main(["stat", *argv, "--g", "atom:0", "--n", "4"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_params_with_an_action_file_is_a_usage_error(
+            self, noncommuting_file, capsys):
+        assert cli.main(["hopf", "--action", noncommuting_file,
+                         "--params", "N=4"]) == 2
+        assert "--params" in capsys.readouterr().err
+
+    def test_weight_ratio_overflow_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"atoms": [0, 1],
+                                    "weights": [1e-300, 1e300],
+                                    "generators": [[1, 0]]}))
+        for command in ("cocycle-check", "maharam-verify"):
+            assert cli.main([command, "--action", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "overflows" in captured.err
 
     def test_missing_action_file_is_a_usage_error(self):
         out = run_cli("stat", "--action", "/nowhere/action.json",

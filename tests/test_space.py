@@ -1,5 +1,7 @@
 """Atomic spaces, integration, and certified truncation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from nsdyn.errors import (
     InvalidInputError,
     UnsupportedInputError,
 )
-from nsdyn.space import L1Function, integrate, make_space, truncate_l1
+from nsdyn.space import L1Function, make_space, truncate_l1
 
 TOL = 1e-12
 
@@ -55,6 +57,19 @@ class TestMakeSpace:
         with pytest.raises(ConstructionError, match="duplicate"):
             make_space([0, 1, 0], 1.0)
 
+    def test_finite_space_takes_no_exhaustion(self):
+        with pytest.raises(ConstructionError, match="exhaustion"):
+            make_space([0, 1], 1.0, exhaustion=lambda m: [0, 1])
+
+    def test_weight_rules_are_shared_by_finite_and_lazy_spaces(self):
+        line = dict(exhaustion=lambda m: range(-m, m + 1),
+                    contains=lambda a: isinstance(a, int))
+        weights = {a: 2.0 ** -abs(a) for a in range(-3, 4)}
+        lazy = make_space(None, weights, **line)
+        assert lazy.weight(-2) == make_space(range(-3, 4), weights).weight(-2)
+        with pytest.raises(ConstructionError, match="lazy space"):
+            make_space(None, [1.0, 2.0], **line)
+
     def test_unknown_atom_weight(self):
         space = make_space([0, 1], [1.0, 2.0])
         with pytest.raises(DomainError):
@@ -65,7 +80,7 @@ class TestL1Function:
     def test_norm_matches_integral(self):
         space = make_space([0, 1], [1.0, 2.0])
         f = L1Function(space, {0: 3.0, 1: 5.0})
-        assert f.norm == integrate(space, f)
+        assert f.norm == math.fsum(v * space.weight(a) for a, v in f.items())
         assert f.norm == 13.0
 
     def test_zero_values_dropped_from_support(self):
@@ -96,22 +111,15 @@ class TestL1Function:
 class TestIntegrate:
     def test_weighted_pair(self):
         space = make_space(["s1", "s2"], {"s1": 1.0, "s2": 2.0})
-        assert integrate(space, L1Function(space, {"s1": 3.0, "s2": 5.0})) == 13.0
+        assert L1Function(space, {"s1": 3.0, "s2": 5.0}).norm == 13.0
 
     def test_zero_function(self):
         space = make_space([0, 1], 1.0)
-        assert integrate(space, L1Function(space, {})) == 0.0
+        assert L1Function(space, {}).norm == 0.0
 
     def test_single_atom_indicator(self):
         c4 = zoo.build_fixture("C4")
-        assert integrate(c4.space, L1Function.indicator(c4.space, [0])) == 1.0
-
-    def test_function_over_other_space_rejected(self):
-        a = make_space([0], 1.0)
-        b = make_space([0], 1.0)
-        f = L1Function(a, {0: 1.0})
-        with pytest.raises(DomainError):
-            integrate(b, f)
+        assert L1Function.indicator(c4.space, [0]).norm == 1.0
 
 
 @st.composite
@@ -131,8 +139,8 @@ class TestIntegrateProperties:
         space = make_space(atoms, weights)
         f = L1Function(space, fv)
         g = L1Function(space, gv)
-        lhs = integrate(space, f.add(g))
-        rhs = integrate(space, f) + integrate(space, g)
+        lhs = f.add(g).norm
+        rhs = f.norm + g.norm
         assert lhs == pytest.approx(rhs, rel=TOL)
 
     @settings(max_examples=60, deadline=None)
@@ -142,8 +150,8 @@ class TestIntegrateProperties:
         space = make_space(atoms, weights)
         lower = {a: min(fv[a], gv[a]) for a in atoms}
         upper = {a: max(fv[a], gv[a]) for a in atoms}
-        assert (integrate(space, L1Function(space, lower))
-                <= integrate(space, L1Function(space, upper)) + 1e-15)
+        assert (L1Function(space, lower).norm
+                <= L1Function(space, upper).norm + 1e-15)
 
 
 class TestTruncate:

@@ -9,7 +9,6 @@ from nsdyn import jsonio, zoo
 from nsdyn.action import check_cocycle
 from nsdyn.errors import InvalidInputError
 from nsdyn.hopf import hopf_decompose
-from nsdyn.space import integrate
 
 EXACT = 1e-12
 
@@ -52,6 +51,18 @@ class TestBuilders:
         assert mix.apply(1, (1, 3)) == (1, 4)
         assert mix.declared_free((0, 0)) is False
         assert mix.declared_free((1, 0)) is True
+
+    def test_finite_union_of_rotation_and_odometer(self):
+        spec = zoo.ZooSpec("disjoint_union", {"parts": [
+            {"builder": "cyclic", "params": {"N": 4}},
+            {"builder": "odometer", "params": {"K": 3, "p": 0.4}}]})
+        union = zoo.build(spec)
+        assert union.space.finite
+        assert len(union.space.atoms) == 12
+        assert union.apply(1, (1, "110")) == (1, "001")
+        assert hopf_decompose(union, 8).summary() == "conservative"
+        assert check_cocycle(union, 2).passed
+        assert zoo.ground_truth(spec).label == "conservative"
 
     def test_stabilizer_fixture_moves_one_axis(self):
         st2 = zoo.build_fixture("ST2")
@@ -143,13 +154,13 @@ class TestJsonInterfaces:
         c4 = zoo.build_fixture("C4")
         f = jsonio.l1_from_json(c4.space, [{"atom": 0, "value": 2.0},
                                            {"atom": 1, "value": 1.0}])
-        assert integrate(c4.space, f) == 3.0
+        assert f.norm == 3.0
 
     def test_krengel_form_round_trip(self, actions):
         from nsdyn.hopf import krengel_normal_form, verify_equivalence
         tr = actions["TR1"]
         form = krengel_normal_form(tr, range(-2, 3), radius=4)
-        doc = json.loads(json.dumps(jsonio.krengel_form_to_json(form)))
+        doc = json.loads(json.dumps(form.as_dict()))
         loaded = jsonio.krengel_form_from_json(doc)
         assert loaded.phi == form.phi
         assert verify_equivalence(tr, loaded, 4).passed
