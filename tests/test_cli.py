@@ -200,9 +200,8 @@ class TestConfigFile:
     ])
     def test_value_of_the_wrong_type_is_a_usage_error(
             self, tmp_path, capsys, command, key, value):
-        doc = {"action": "fixture:C4", "g": ["atom:0"] if command == "verdict"
-               else "atom:0", "n": "4,8"}
-        doc[key] = value
+        g = ["atom:0"] if command == "verdict" else "atom:0"
+        doc = {"action": "fixture:C4", "g": g, "n": "4,8", key: value}
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         assert cli.main([command, "--config", str(cfg)]) == 2
@@ -210,7 +209,7 @@ class TestConfigFile:
         assert err.count("\n") == 1
         assert f"config key {key!r}" in err
 
-    def test_float_option_takes_an_int(self, tmp_path, capsys):
+    def test_float_option_takes_an_int(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"tol": 1, "radius": 1}))
         assert cli.main(["cocycle-check", "--action", "fixture:E2",
