@@ -227,8 +227,7 @@ class NsAction:
 
 
 def make_action(space: AtomSpace, generators, *, name: str = "",
-                free_orbits=None, exploration_budget: int = 10 ** 6,
-                validate: bool = True) -> NsAction:
+                free_orbits=None, exploration_budget: int = 10 ** 6) -> NsAction:
     """Build a Z^d-action from d invertible generators.
 
     Each generator is either a dict (finite permutation, with the inverse
@@ -260,14 +259,13 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
         flag = bool(free_orbits)
         free_fn = lambda atom: flag
     action = NsAction(space, d, tuple(gens), name, free_fn, exploration_budget)
-    if validate:
-        _validate_action(action)
+    _validate_action(action)
     return action
 
 
 def _validate_action(action: NsAction):
     space = action.space
-    samples = space.atoms if space.finite else space.exhaustion(2)
+    samples = space.exhaustion(2)
     for axis in range(action.d):
         for s in samples:
             try:
@@ -364,8 +362,7 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     if samples is None:
-        samples = (action.space.atoms if action.space.finite
-                   else action.space.exhaustion(2))
+        samples = action.space.exhaustion(2)
     window = CubeWindow.centered(radius, action.d)
     doubled = CubeWindow.centered(2 * radius, action.d)
     worst_dev = 0.0

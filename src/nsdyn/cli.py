@@ -231,10 +231,9 @@ def _check_config(config: dict, options):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit_code, output_text)
+# subcommand handlers: (options, action or None) -> (exit_code, output_text)
 
-def _cmd_stat(opt: _Options):
-    action = load_action(opt.require("action", "--action"), opt.get("params", ""))
+def _cmd_stat(opt: _Options, action):
     g = parse_g(action, opt.require("g", "--g"))
     ns = parse_ns(opt.require("n", "--n"))
     kind = opt.get("window", "corner")
@@ -242,8 +241,7 @@ def _cmd_stat(opt: _Options):
     return 0, series.to_csv(include_timing=bool(opt.get("timing", False)))
 
 
-def _cmd_verdict(opt: _Options):
-    action = load_action(opt.require("action", "--action"), opt.get("params", ""))
+def _cmd_verdict(opt: _Options, action):
     g_specs = opt.require("g", "--g")
     gs = [parse_g(action, spec) for spec in g_specs]
     ns = parse_ns(opt.require("n", "--n"))
@@ -255,15 +253,13 @@ def _cmd_verdict(opt: _Options):
     return 0, _dump(verdict.as_dict())
 
 
-def _cmd_cocycle_check(opt: _Options):
-    action = load_action(opt.require("action", "--action"), opt.get("params", ""))
+def _cmd_cocycle_check(opt: _Options, action):
     report = check_cocycle(action, int(opt.get("radius", 2)),
                            rel_tol=_positive(opt.get("tol", 1e-9), "--tol"))
     return (0 if report.passed else 1), _dump(report.as_dict())
 
 
-def _cmd_duality_check(opt: _Options):
-    action = load_action(opt.require("action", "--action"), opt.get("params", ""))
+def _cmd_duality_check(opt: _Options, action):
     t = parse_vec(opt.require("t", "--t"), action.d)
     g = parse_g(action, opt.require("g", "--g"))
     atoms = parse_atom_set(action, opt.require("set", "--A"))
@@ -291,8 +287,7 @@ def _default_rects(action) -> list[Rect]:
     return [Rect(atom, 0.0, 1.0) for atom in action.space.exhaustion(1)]
 
 
-def _cmd_maharam_verify(opt: _Options):
-    action = load_action(opt.require("action", "--action"), opt.get("params", ""))
+def _cmd_maharam_verify(opt: _Options, action):
     ext = extend(action)  # raises ConstructionError with report on failure
     t = parse_vec(opt.get("t", "1" if action.d == 1 else
                           ",".join(["1"] * action.d)), action.d)
@@ -327,14 +322,12 @@ def _cmd_maharam_verify(opt: _Options):
     return (0 if passed else 1), _dump(doc)
 
 
-def _cmd_hopf(opt: _Options):
-    action = load_action(opt.require("action", "--action"), opt.get("params", ""))
+def _cmd_hopf(opt: _Options, action):
     decomposition = hopf_decompose(action, int(opt.get("radius", 4)))
     return 0, _dump(decomposition.as_dict())
 
 
-def _cmd_krengel(opt: _Options):
-    action = load_action(opt.require("action", "--action"), opt.get("params", ""))
+def _cmd_krengel(opt: _Options, action):
     radius = int(opt.get("radius", 4))
     form_path = opt.get("verify_form")
     if form_path:
@@ -351,7 +344,7 @@ def _cmd_krengel(opt: _Options):
     return (0 if report.passed else 1), _dump(doc)
 
 
-def _cmd_zoo(opt: _Options):
+def _cmd_zoo(opt: _Options, _action):
     what = opt.get("what") or "list"
     if what != "list":
         raise InvalidInputError(f"unknown zoo action {what!r}; try 'list'")
@@ -453,7 +446,9 @@ def main(argv=None) -> int:
         commands = next(a for a in parser._actions if a.dest == "command")
         _check_config(config, commands.choices[args.command]._actions)
         opt = _Options(args, config)
-        code, text = _HANDLERS[args.command](opt)
+        action = None if args.command == "zoo" else load_action(
+            opt.require("action", "--action"), opt.get("params", ""))
+        code, text = _HANDLERS[args.command](opt, action)
         _emit(text, opt.get("out"))
         return code
     except ConstructionError as exc:

@@ -116,8 +116,7 @@ def hopf_decompose(action: NsAction, radius: int,
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     if atoms is None:
-        atoms = (action.space.atoms if action.space.finite
-                 else action.space.exhaustion(radius))
+        atoms = action.space.exhaustion(radius)
     result = HopfDecomposition(radius)
     for s in sorted(atoms, key=atom_key):
         record = orbit_explore(action, s, radius)
@@ -242,8 +241,6 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
 
     w_space = make_space(atoms=reps, weights={r: space.weight(r) for r in reps},
                          name=f"{action.name}-orbit-base")
-    if not reps:
-        return KrengelForm(W=w_space, d=action.d, radius=radius, phi={})
     phi = {}
     seen = {}
     for w in reps:

@@ -3,7 +3,7 @@
 Atoms travel as JSON scalars, with tuples encoded as arrays (and decoded
 back to tuples, recursively).  Documents:
 
-* action / space: ``{"builder": name, "params": {...}}`` for a zoo builder,
+* actions: ``{"builder": name, "params": {...}}`` for a zoo builder,
   or ``{"atoms": [...], "weights": [...], "generators": [[images aligned
   with atoms], ...]}`` for an explicit finite action.
 * rectangle lists: ``[{"atom": ..., "a": 0.0, "b": 1.0}, ...]``.
@@ -53,17 +53,6 @@ def action_from_json(doc: dict) -> NsAction:
         gens.append({a: atom_from_json(img)
                      for a, img in zip(atoms, images)})
     return make_action(space, gens, name=doc.get("name", "explicit"))
-
-
-def space_from_json(doc: dict) -> AtomSpace:
-    """A space document: explicit arrays, or a builder spec's space."""
-    if "builder" in doc:
-        return zoo.build(_spec_from_doc(doc)).space
-    if "atoms" not in doc or "weights" not in doc:
-        raise InvalidInputError(
-            "space document needs 'atoms' and 'weights' (or a 'builder')")
-    atoms = [atom_from_json(a) for a in doc["atoms"]]
-    return make_space(atoms, doc["weights"], name=doc.get("name", "explicit"))
 
 
 def rects_from_json(docs: Sequence[dict]) -> list[Rect]:

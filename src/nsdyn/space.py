@@ -110,9 +110,11 @@ class AtomSpace:
         return math.log(self.weight(atom))
 
     def exhaustion(self, m: int) -> tuple:
-        """The finite set S_m of the exhaustion, sorted; monotone in m."""
+        """The finite set S_m, sorted, monotone in m; all atoms if finite."""
         if not isinstance(m, int) or m < 0:
             raise InvalidInputError(f"exhaustion index must be an int >= 0, got {m!r}")
+        if self.finite:
+            return self._atoms
         if m not in self._exh_cache:
             atoms = tuple(sorted(self._exhaustion_fn(m), key=atom_key))
             self._exh_cache[m] = atoms
@@ -164,8 +166,7 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
         sorted_atoms = tuple(sorted(given, key=atom_key))
         if len(set(sorted_atoms)) != len(sorted_atoms):
             raise ConstructionError("duplicate atom ids in atom list")
-        space = AtomSpace(name, True, sorted_atoms, weight_fn,
-                          None, lambda m: sorted_atoms)
+        space = AtomSpace(name, True, sorted_atoms, weight_fn, None, None)
         for a in sorted_atoms:
             space.weight(a)  # raises naming the offending atom
         return space

@@ -19,6 +19,7 @@ Canonical fixtures, used throughout the tests and available by name:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -48,6 +49,25 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _power(axes) -> list:
+    """Product atoms: the factor's own for one axis, else tuples in lex order."""
+    if len(axes) == 1:
+        return list(axes[0])
+    return [tuple(a) for a in product(*axes)]
+
+
+def _lift(maps) -> list:
+    """One rank-1 ``(forward, inverse)`` pair per axis, as product generators:
+    unchanged for one axis, else acting on one tuple coordinate."""
+    if len(maps) == 1:
+        return list(maps)
+
+    def on(axis, fn):
+        return lambda a: a[:axis] + (fn(a[axis]),) + a[axis + 1:]
+
+    return [(on(i, fwd), on(i, inv)) for i, (fwd, inv) in enumerate(maps)]
+
+
 # ---------------------------------------------------------------------------
 # cyclic rotations
 
@@ -57,22 +77,12 @@ def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
     sizes = [N] if _is_int(N) else list(N)
     if not sizes or any(not _is_int(k) or k <= 0 for k in sizes):
         raise InvalidInputError(f"cyclic sizes must be positive ints: {sizes}")
-    d = len(sizes)
-    if d == 1:
-        atoms = list(range(sizes[0]))
-    else:
-        atoms = [tuple(a) for a in product(*(range(k) for k in sizes))]
     label = name or f"cyclic({sizes})"
-    space = make_space(atoms, weights, name=f"{label}-space")
-
-    def rotate(axis, delta):
-        k = sizes[axis]
-        if d == 1:
-            return lambda a: (a + delta) % k
-        return lambda a: a[:axis] + ((a[axis] + delta) % k,) + a[axis + 1:]
-
-    gens = [(rotate(i, +1), rotate(i, -1)) for i in range(d)]
-    return make_action(space, gens, name=label, free_orbits=False)
+    space = make_space(_power([range(k) for k in sizes]), weights,
+                       name=f"{label}-space")
+    rotations = [(lambda a, k=k: (a + 1) % k, lambda a, k=k: (a - 1) % k)
+                 for k in sizes]
+    return make_action(space, _lift(rotations), name=label, free_orbits=False)
 
 
 # ---------------------------------------------------------------------------
@@ -113,65 +123,42 @@ def _build_odometer(K, p, d=1, name=None) -> NsAction:
     if not _is_int(d) or d < 1:
         raise InvalidInputError(f"dimension must be a positive int: {d!r}")
     words = ["".join(b) for b in product("01", repeat=K)]
-
-    def word_weight(w: str) -> float:
-        out = 1.0
-        for b in w:
-            out *= p if b == "1" else 1.0 - p
-        return out
-
+    word_weights = [math.prod(p if b == "1" else 1.0 - p for b in w)
+                    for w in words]
     label = name or f"odometer(K={K}, p={p}, d={d})"
-    if d == 1:
-        atoms = words
-        weight = {w: word_weight(w) for w in words}
-        gens = [(_od_inc, _od_dec)]
-    else:
-        atoms = [tuple(t) for t in product(words, repeat=d)]
-        weight = {}
-        for a in atoms:
-            mass = 1.0
-            for w in a:
-                mass *= word_weight(w)
-            weight[a] = mass
-
-        def turn(axis, fn):
-            return lambda a: a[:axis] + (fn(a[axis]),) + a[axis + 1:]
-
-        gens = [(turn(i, _od_inc), turn(i, _od_dec)) for i in range(d)]
+    atoms = _power([words] * d)
+    weight = dict(zip(atoms, map(math.prod, product(word_weights, repeat=d))))
     space = make_space(atoms, weight, name=f"{label}-space")
-    return make_action(space, gens, name=label, free_orbits=False)
+    return make_action(space, _lift([(_od_inc, _od_dec)] * d), name=label,
+                       free_orbits=False)
 
 
 # ---------------------------------------------------------------------------
 # translations (dissipative, free)
 
+_UNIT_SHIFT = (lambda a: a + 1, lambda a: a - 1)
+
+
 def _integer_line(name: str):
-    """Counting measure on the integers and the unit shift (forward, inverse)."""
-    space = make_space(atoms=None, weights=1.0,
-                       exhaustion=lambda m: range(-m, m + 1),
-                       contains=_is_int, name=f"{name}-space")
-    return space, (lambda a: a + 1, lambda a: a - 1)
+    """Counting measure on the integers."""
+    return make_space(atoms=None, weights=1.0,
+                      exhaustion=lambda m: range(-m, m + 1),
+                      contains=_is_int, name=f"{name}-space")
 
 
 def _lattice_translation(d: int, name: str) -> NsAction:
     if d == 1:
-        space, shift = _integer_line(name)
-        return make_action(space, [shift], name=name, free_orbits=True)
+        space = _integer_line(name)
+    else:
+        def contains(a):
+            return (isinstance(a, tuple) and len(a) == d
+                    and all(_is_int(x) for x in a))
 
-    def contains(a):
-        return (isinstance(a, tuple) and len(a) == d
-                and all(_is_int(x) for x in a))
-
-    def exhaustion(m):
-        return [tuple(c) for c in product(range(-m, m + 1), repeat=d)]
-
-    def shift_axis(axis, delta):
-        return lambda a: a[:axis] + (a[axis] + delta,) + a[axis + 1:]
-
-    space = make_space(atoms=None, weights=1.0, exhaustion=exhaustion,
-                       contains=contains, name=f"{name}-space")
-    gens = [(shift_axis(i, +1), shift_axis(i, -1)) for i in range(d)]
-    return make_action(space, gens, name=name, free_orbits=True)
+        space = make_space(atoms=None, weights=1.0,
+                           exhaustion=lambda m: _power([range(-m, m + 1)] * d),
+                           contains=contains, name=f"{name}-space")
+    return make_action(space, _lift([_UNIT_SHIFT] * d), name=name,
+                       free_orbits=True)
 
 
 def _build_translation(tau=None, d=1, name=None) -> NsAction:
@@ -217,9 +204,10 @@ def _build_stabilizer(d, active=(0,), name=None) -> NsAction:
             "at least one axis must stay inactive; a fully active axis set "
             "is a translation, use the translation builder")
     label = name or f"stabilizer(d={d}, active={list(active)})"
-    space, shift = _integer_line(label)
+    space = _integer_line(label)
     identity = lambda a: a
-    gens = [shift if i in active else (identity, identity) for i in range(d)]
+    gens = [_UNIT_SHIFT if i in active else (identity, identity)
+            for i in range(d)]
     return make_action(space, gens, name=label, free_orbits=False)
 
 
@@ -332,13 +320,18 @@ _BUILDERS = {
 }
 
 
-def build(spec: ZooSpec) -> NsAction:
-    """Instantiate a builder spec."""
+def _entry(spec: ZooSpec) -> dict:
     if spec.builder not in _BUILDERS:
         raise InvalidInputError(
             f"unknown builder {spec.builder!r}; known: {sorted(_BUILDERS)}")
+    return _BUILDERS[spec.builder]
+
+
+def build(spec: ZooSpec) -> NsAction:
+    """Instantiate a builder spec."""
+    entry = _entry(spec)
     try:
-        return _BUILDERS[spec.builder]["build"](**spec.params)
+        return entry["build"](**spec.params)
     except TypeError as exc:
         raise InvalidInputError(
             f"bad parameters for builder {spec.builder!r}: {exc}") from exc
@@ -346,10 +339,7 @@ def build(spec: ZooSpec) -> NsAction:
 
 def ground_truth(spec: ZooSpec) -> GroundTruth:
     """The declared conservativity of a builder spec's output."""
-    if spec.builder not in _BUILDERS:
-        raise InvalidInputError(
-            f"unknown builder {spec.builder!r}; known: {sorted(_BUILDERS)}")
-    return _BUILDERS[spec.builder]["truth"](**spec.params)
+    return _entry(spec)["truth"](**spec.params)
 
 
 def zoo_list() -> list:

@@ -82,7 +82,7 @@ class TestApply:
     def test_exploration_budget(self):
         act = zoo.build_fixture("TR1")
         small = make_action(act.space, [(lambda a: a + 1, lambda a: a - 1)],
-                            exploration_budget=10, validate=False)
+                            exploration_budget=10)
         with pytest.raises(ExplorationLimitError):
             small.apply(100, 0)
 

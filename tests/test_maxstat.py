@@ -442,14 +442,14 @@ class TestExplorationBudget:
     def test_long_empty_stretch_exhausts_budget(self, actions):
         tr = actions["TR1"]
         small = make_action(tr.space, [(lambda a: a + 1, lambda a: a - 1)],
-                            exploration_budget=10, validate=False)
+                            exploration_budget=10)
         with pytest.raises(ExplorationLimitError):
             stat_a_n(small, indicator(small, [0]), 64)
 
     def test_budget_is_charged_per_run_not_per_window(self):
         plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
         small = make_action(plane.space, plane._gens,
-                            exploration_budget=100, validate=False)
+                            exploration_budget=100)
         # n^2 = 400 window terms, but no walk has more than n - 1 = 19 steps
         assert stat_a_n(small, indicator(small, [(0, 0)]), 20) == 1.0
 
@@ -458,6 +458,6 @@ class TestExplorationBudget:
         # s -> s - 1, so backward walks run upward: the walk from -40
         # absorbs all 81 atoms in 84 steps, never 5 past a support atom
         small = make_action(tr.space, [(lambda a: a - 1, lambda a: a + 1)],
-                            exploration_budget=10, validate=False)
+                            exploration_budget=10)
         g = indicator(small, small.space.exhaustion(40))
         assert stat_a_n(small, g, 5) == 85 / 5

@@ -140,11 +140,6 @@ class TestJsonInterfaces:
         atom = (1, ("a", 2))
         assert jsonio.atom_from_json(jsonio.atom_to_json(atom)) == atom
 
-    def test_space_document(self):
-        space = jsonio.space_from_json(
-            {"atoms": [0, 1], "weights": [1.0, 2.0]})
-        assert space.total_mass() == 3.0
-
     def test_rects_document(self):
         rects = jsonio.rects_from_json(
             [{"atom": 0, "a": 0.0, "b": 1.0}, {"atom": [1, 2], "a": 1, "b": 2}])
