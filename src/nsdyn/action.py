@@ -36,6 +36,10 @@ from .errors import (
 )
 from .space import AtomSpace, L1Function, atom_key, atom_to_json, rel_dev
 
+#: generator steps one operation may take by default, and the most atoms a
+#: zoo builder allocates for a finite space
+EXPLORATION_BUDGET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class CubeWindow:
@@ -227,7 +231,8 @@ class NsAction:
 
 
 def make_action(space: AtomSpace, generators, *, name: str = "",
-                free_orbits=None, exploration_budget: int = 10 ** 6) -> NsAction:
+                free_orbits=None,
+                exploration_budget: int = EXPLORATION_BUDGET) -> NsAction:
     """Build a Z^d-action from d invertible generators.
 
     Each generator is either a dict (finite permutation, with the inverse

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -150,8 +151,9 @@ def parse_atom_set(action, text: str) -> list:
 
 def _positive(value, flag: str) -> float:
     value = float(value)
-    if value <= 0.0:
-        raise InvalidInputError(f"{flag} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(
+            f"{flag} must be positive and finite, got {value}")
     return value
 
 

@@ -198,9 +198,11 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     any other choice gives an equivalent form).  The weight of each
     representative is its own atom mass.
 
-    Raises when a region atom is not labeled dissipative, or when explored
+    Raises when a region atom is not labeled dissipative, when explored
     orbit patches of two representatives collide (the radius is then too
-    small to separate or merge the orbits involved).
+    small to separate or merge the orbits involved), or when a region atom
+    joined its representative only through a chain of other atoms and lies
+    outside the representative's window.
     """
     region = sorted(set(region), key=atom_key)
     space = action.space
@@ -254,6 +256,11 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
                     "merge, or shrink the region")
             seen[img] = (w, t)
             phi[(w, t)] = img
+    for s in region:
+        if s not in seen:
+            raise InvalidInputError(
+                f"region atom {s!r} lies outside the explored window of its "
+                f"representative {find(s)!r}; increase the radius")
     return KrengelForm(W=w_space, d=action.d, radius=radius, phi=phi)
 
 

@@ -24,28 +24,56 @@ from .space import atom_from_json, atom_to_json  # noqa: F401 (re-exported)
 from . import zoo
 
 
+_JSON_KINDS = {dict: "object", list: "array", str: "string"}
+
+
+def _expect(doc, kind: type, what: str):
+    """``doc`` itself when it has the JSON type ``kind``; else an input error."""
+    if not isinstance(doc, kind):
+        raise InvalidInputError(
+            f"{what} must be a JSON {_JSON_KINDS[kind]}, got {doc!r}")
+    return doc
+
+
+def _fields(entry, what: str, *names) -> list:
+    """The named fields of a JSON object, in the order given."""
+    _expect(entry, dict, what)
+    for name in names:
+        if name not in entry:
+            raise InvalidInputError(
+                f"{what} {entry!r} is missing field {name!r}")
+    return [entry[name] for name in names]
+
+
+def _number(value, what: str, kind: type = float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"{what} must be a number, got {value!r}") from None
+
+
 def _spec_from_doc(doc: dict) -> zoo.ZooSpec:
-    return zoo.ZooSpec(doc["builder"], dict(doc.get("params", {})))
+    return zoo.ZooSpec(_expect(doc["builder"], str, "builder"),
+                       dict(_expect(doc.get("params", {}), dict, "params")))
 
 
 def action_from_json(doc: dict) -> NsAction:
     """Build an action from a JSON document (builder spec or explicit)."""
-    if not isinstance(doc, dict):
-        raise InvalidInputError("action document must be a JSON object")
+    _expect(doc, dict, "action document")
     if "builder" in doc:
         return zoo.build(_spec_from_doc(doc))
-    for key in ("atoms", "weights", "generators"):
-        if key not in doc:
-            raise InvalidInputError(
-                f"explicit action document is missing the field {key!r}")
-    atoms = [atom_from_json(a) for a in doc["atoms"]]
-    weights = doc["weights"]
-    if len(weights) != len(atoms):
+    atoms, weights, generators = _fields(
+        doc, "explicit action document", "atoms", "weights", "generators")
+    atoms = [atom_from_json(a) for a in _expect(atoms, list, "atoms")]
+    if len(_expect(weights, list, "weights")) != len(atoms):
         raise InvalidInputError(
             f"{len(weights)} weights for {len(atoms)} atoms")
+    weights = [_number(w, "weight") for w in weights]
     space = make_space(atoms, weights, name=doc.get("name", "explicit"))
     gens = []
-    for idx, images in enumerate(doc["generators"]):
+    for idx, images in enumerate(_expect(generators, list, "generators")):
+        _expect(images, list, f"generator {idx}")
         if len(images) != len(atoms):
             raise InvalidInputError(
                 f"generator {idx} lists {len(images)} images for "
@@ -57,33 +85,36 @@ def action_from_json(doc: dict) -> NsAction:
 
 def rects_from_json(docs: Sequence[dict]) -> list[Rect]:
     out = []
-    for entry in docs:
-        try:
-            out.append(Rect(atom_from_json(entry["atom"]),
-                            float(entry["a"]), float(entry["b"])))
-        except KeyError as exc:
-            raise InvalidInputError(
-                f"rectangle entry {entry!r} is missing field {exc}") from exc
+    for entry in _expect(docs, list, "rectangle list"):
+        atom, a, b = _fields(entry, "rectangle entry", "atom", "a", "b")
+        out.append(Rect(atom_from_json(atom), _number(a, "rectangle bound"),
+                        _number(b, "rectangle bound")))
     return out
 
 
 def l1_from_json(space: AtomSpace, docs: Sequence[dict]) -> L1Function:
     values = {}
-    for entry in docs:
-        atom = atom_from_json(entry["atom"])
-        values[atom] = values.get(atom, 0.0) + float(entry["value"])
+    for entry in _expect(docs, list, "function document"):
+        atom, value = _fields(entry, "function entry", "atom", "value")
+        atom = atom_from_json(atom)
+        values[atom] = values.get(atom, 0.0) + _number(value, "function value")
     return L1Function(space, values)
 
 
 def krengel_form_from_json(doc: dict) -> KrengelForm:
-    reps = [atom_from_json(e["atom"]) for e in doc["representatives"]]
-    taus = {atom_from_json(e["atom"]): float(e["tau"])
-            for e in doc["representatives"]}
+    representatives, table, d, radius = _fields(
+        doc, "Krengel form", "representatives", "table", "d", "radius")
+    reps = []
+    taus = {}
+    for entry in _expect(representatives, list, "representatives"):
+        atom, tau = _fields(entry, "representative", "atom", "tau")
+        reps.append(atom_from_json(atom))
+        taus[reps[-1]] = _number(tau, "tau")
     W = make_space(reps, taus, name="loaded-krengel-base")
     phi = {}
-    for entry in doc["table"]:
-        w = atom_from_json(entry["w"])
-        t = tuple(int(x) for x in entry["t"])
-        phi[(w, t)] = atom_from_json(entry["atom"])
-    return KrengelForm(W=W, d=int(doc["d"]), radius=int(doc["radius"]),
-                       phi=phi)
+    for entry in _expect(table, list, "table"):
+        w, t, atom = _fields(entry, "table entry", "w", "t", "atom")
+        t = tuple(_number(x, "t entry", int) for x in _expect(t, list, "t"))
+        phi[(atom_from_json(w), t)] = atom_from_json(atom)
+    return KrengelForm(W=W, d=_number(d, "d", int),
+                       radius=_number(radius, "radius", int), phi=phi)

@@ -52,6 +52,8 @@ def atom_from_json(doc):
     """Decode :func:`atom_to_json` output: arrays become tuples."""
     if isinstance(doc, list):
         return tuple(atom_from_json(x) for x in doc)
+    if isinstance(doc, dict):
+        raise InvalidInputError(f"a JSON object is not an atom: {doc!r}")
     return doc
 
 

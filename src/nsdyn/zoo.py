@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .action import NsAction, make_action
+from .action import EXPLORATION_BUDGET, NsAction, make_action
 from .errors import InvalidInputError
 from .hopf import build_translation_action
 from .space import make_space
@@ -47,6 +47,12 @@ class ZooSpec:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _too_large(label: str, atoms: str) -> InvalidInputError:
+    return InvalidInputError(
+        f"{label} would have {atoms} atoms, more than the limit "
+        f"{EXPLORATION_BUDGET}")
 
 
 def _power(axes) -> list:
@@ -78,6 +84,8 @@ def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
     if not sizes or any(not _is_int(k) or k <= 0 for k in sizes):
         raise InvalidInputError(f"cyclic sizes must be positive ints: {sizes}")
     label = name or f"cyclic({sizes})"
+    if math.prod(sizes) > EXPLORATION_BUDGET:
+        raise _too_large(label, str(math.prod(sizes)))
     space = make_space(_power([range(k) for k in sizes]), weights,
                        name=f"{label}-space")
     rotations = [(lambda a, k=k: (a + 1) % k, lambda a, k=k: (a - 1) % k)
@@ -122,10 +130,13 @@ def _build_odometer(K, p, d=1, name=None) -> NsAction:
             f"odometer parameter p={p} is invalid; need 0 < p < 1")
     if not _is_int(d) or d < 1:
         raise InvalidInputError(f"dimension must be a positive int: {d!r}")
+    label = name or f"odometer(K={K}, p={p}, d={d})"
+    # 2**(K*d) > budget, decided without building the power itself
+    if K * d >= EXPLORATION_BUDGET.bit_length():
+        raise _too_large(label, f"2**{K * d}")
     words = ["".join(b) for b in product("01", repeat=K)]
     word_weights = [math.prod(p if b == "1" else 1.0 - p for b in w)
                     for w in words]
-    label = name or f"odometer(K={K}, p={p}, d={d})"
     atoms = _power([words] * d)
     weight = dict(zip(atoms, map(math.prod, product(word_weights, repeat=d))))
     space = make_space(atoms, weight, name=f"{label}-space")

@@ -196,7 +196,7 @@ def test_criterion_09_hopf_and_krengel(actions):
                 assert label == parts[atom[0]], (name, atom)
 
     tr = actions["TR1"]
-    form = krengel_normal_form(tr, range(-5, 6), radius=8)
+    form = krengel_normal_form(tr, range(-5, 6), radius=10)
     assert verify_equivalence(tr, form, 8).passed
     f = indicator(tr, [0])
     level = dissipative_limit(form, form.map_to_form(f))

@@ -1,11 +1,17 @@
 """CLI behaviour: outputs, determinism, exit-code mapping, configuration."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsdyn import cli
 
@@ -311,3 +317,161 @@ class TestAdditionalSurfaces:
         out = run_cli("stat", "--action", "/nowhere/action.json",
                       "--g", "atom:0", "--n", "4")
         assert out.returncode == 2
+
+
+def _main(*argv):
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("doc", [
+        {"atoms": [0, 1], "weights": [1.0, 1.0], "generators": 5},
+        {"atoms": [0, 1], "weights": [1.0, None], "generators": [[1, 0]]},
+        {"atoms": [0, 1], "weights": [1.0, 1.0], "generators": [5]},
+        {"builder": "cyclic", "params": [1]},
+        {"builder": ["cyclic"]},
+    ], ids=["generators-number", "weight-null", "generator-number",
+            "params-array", "builder-array"])
+    def test_action_document_of_the_wrong_shape(self, tmp_path, doc):
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        _assert_usage_error(*_main("hopf", "--action", str(path)))
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"representatives": [1], "table": [], "d": 1, "radius": 2},
+        {"representatives": [], "table": [{"w": 0, "t": 3, "atom": 0}],
+         "d": 1, "radius": 2},
+        {"representatives": [], "table": [], "d": None, "radius": 2},
+    ], ids=["array", "representative-number", "t-number", "d-null"])
+    def test_krengel_form_of_the_wrong_shape(self, tmp_path, doc):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        _assert_usage_error(*_main("krengel", "--action", "fixture:TR1",
+                                   "--verify-form", str(path)))
+
+    @pytest.mark.parametrize("argv", [
+        ("stat", "--action", "fixture:C4", "--g", "atom:{}", "--n", "4"),
+        ("stat", "--action", "fixture:MIX", "--g", 'atom:[0, {"a": 1}]',
+         "--n", "4"),
+        ("duality-check", "--action", "fixture:C4", "--t", "1",
+         "--g", "atom:0", "--A", "[{}]"),
+        ("krengel", "--action", "fixture:TR1", "--region", "[{}]"),
+    ], ids=["g", "g-nested", "A", "region"])
+    def test_json_object_is_not_an_atom(self, argv):
+        _assert_usage_error(*_main(*argv))
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"atom": 0, "value": 1.0},
+                                     [{"atom": 0, "value": [1]}]],
+                             ids=["numbers", "object", "value-array"])
+    def test_function_file_of_the_wrong_shape(self, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        _assert_usage_error(*_main("stat", "--action", "fixture:C4",
+                                   "--g", f"@{path}", "--n", "4"))
+
+    @pytest.mark.parametrize("doc", [[1, 2], [{"atom": 0, "a": None,
+                                               "b": 1.0}]],
+                             ids=["numbers", "bound-null"])
+    def test_rectangle_file_of_the_wrong_shape(self, tmp_path, doc):
+        path = tmp_path / "rects.json"
+        path.write_text(json.dumps(doc))
+        _assert_usage_error(*_main("maharam-verify", "--action", "fixture:C4",
+                                   "--rects", str(path)))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_tolerance_flag_must_be_finite(self, value):
+        _assert_usage_error(*_main("cocycle-check", "--action", "fixture:C4",
+                                   f"--tol={value}"))
+
+    @pytest.mark.parametrize("key,value", [("tol", float("nan")),
+                                           ("tol", float("inf")),
+                                           ("theta_dec", float("nan"))])
+    def test_tolerance_config_value_must_be_finite(self, tmp_path, key, value):
+        command = "verdict" if key == "theta_dec" else "cocycle-check"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value, "g": ["atom:0"], "n": "4,8"}))
+        _assert_usage_error(*_main(command, "--action", "fixture:C4",
+                                   "--config", str(cfg)))
+
+    @pytest.mark.parametrize("params", ["K=40,p=0.3", "K=10,p=0.3,d=2",
+                                        "N=1000000000", "N=1000x1001"])
+    def test_builder_refuses_more_atoms_than_the_budget(self, params):
+        builder = "odometer" if params.startswith("K") else "cyclic"
+        start = time.perf_counter()
+        code, out, err = _main("hopf", "--action", f"zoo:{builder}",
+                               "--params", params)
+        assert time.perf_counter() - start < 5.0
+        _assert_usage_error(code, out, err)
+        assert "more than the limit 1000000" in err
+
+    def test_krengel_region_outside_its_representative_window(self):
+        code, out, err = _main("krengel", "--action", "fixture:TR1",
+                               "--region", "[0,5,10]", "--radius", "5")
+        _assert_usage_error(code, out, err)
+        assert "region atom 10" in err and "increase the radius" in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+_PARAM_KEYS = ("N", "K", "p", "d", "tau", "weights", "active", "parts",
+               "name", "x")
+
+_ACTION_DOCS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {}, optional={"atoms": _JSON, "weights": _JSON, "generators": _JSON,
+                      "name": _JSON}),
+    st.fixed_dictionaries(
+        {"builder": st.sampled_from(
+            ["cyclic", "odometer", "translation", "stabilizer",
+             "disjoint_union", "nope"]) | _JSON},
+        optional={"params": st.dictionaries(
+            st.sampled_from(_PARAM_KEYS), _JSON, max_size=4) | _JSON}),
+)
+
+
+class TestFuzzedDocuments:
+    """Every document or atom literal ends in exit 0, 1 or 2, never a
+    traceback, and exit 2 writes exactly one ``error:`` line."""
+
+    @staticmethod
+    def check(*argv):
+        code, out, err = _main(*argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            _assert_usage_error(code, out, err)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_ACTION_DOCS)
+    def test_action_document(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "action.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            self.check("hopf", "--action", path, "--radius", "1")
+
+    @settings(max_examples=120, deadline=None)
+    @given(_JSON.map(json.dumps) | st.text(max_size=6))
+    def test_atom_literal(self, literal):
+        self.check("stat", "--action", "fixture:MIX", "--g",
+                   f"atom:{literal}", "--n", "2")
+        self.check("duality-check", "--action", "fixture:MIX", "--t", "1",
+                   "--g", "atom:[0, 1]", "--A", f"[{literal}]")
+        self.check("krengel", "--action", "fixture:TR1", "--region",
+                   f"[{literal}]", "--radius", "2")

@@ -91,11 +91,17 @@ class TestHopfDecompose:
 class TestKrengelNormalForm:
     def test_translation_single_orbit(self, actions):
         tr = actions["TR1"]
-        form = krengel_normal_form(tr, range(-5, 6), radius=8)
+        form = krengel_normal_form(tr, range(-5, 6), radius=10)
         assert form.representatives == (-5,)
         assert form.tau(-5) == 1.0
         for t in range(-8, 9):
             assert form.phi[(-5, (t,))] == -5 + t
+
+    def test_region_atom_outside_its_representative_window(self, actions):
+        # -5 ~ 3 ~ 5 chain into one orbit, but 4 and 5 lie beyond radius 8
+        # of the representative -5, so its table cannot cover the region
+        with pytest.raises(InvalidInputError, match="increase the radius"):
+            krengel_normal_form(actions["TR1"], range(-5, 6), radius=8)
 
     def test_two_orbit_weighted_translation(self):
         two = zoo.build(zoo.ZooSpec(
@@ -128,7 +134,7 @@ class TestKrengelNormalForm:
 class TestVerifyEquivalence:
     def test_translation_round_trip(self, actions):
         tr = actions["TR1"]
-        form = krengel_normal_form(tr, range(-5, 6), radius=8)
+        form = krengel_normal_form(tr, range(-5, 6), radius=10)
         report = verify_equivalence(tr, form, 8)
         assert report.passed
         assert report.equivariance_checked > 0
@@ -183,7 +189,7 @@ class TestRoundTripIdentity:
 
     def test_limit_of_recovered_form_matches_stabilized_statistic(self, actions):
         tr = actions["TR1"]
-        form = krengel_normal_form(tr, range(-5, 6), radius=8)
+        form = krengel_normal_form(tr, range(-5, 6), radius=10)
         f = L1Function.indicator(tr.space, [0])
         level = dissipative_limit(form, form.map_to_form(f))
         assert level == 1.0
