@@ -49,7 +49,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _too_large(label: str, atoms: str) -> InvalidInputError:
+def _too_large(label: str, atoms) -> InvalidInputError:
     return InvalidInputError(
         f"{label} would have {atoms} atoms, more than the limit "
         f"{EXPLORATION_BUDGET}")
@@ -85,7 +85,7 @@ def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
         raise InvalidInputError(f"cyclic sizes must be positive ints: {sizes}")
     label = name or f"cyclic({sizes})"
     if math.prod(sizes) > EXPLORATION_BUDGET:
-        raise _too_large(label, str(math.prod(sizes)))
+        raise _too_large(label, math.prod(sizes))
     space = make_space(_power([range(k) for k in sizes]), weights,
                        name=f"{label}-space")
     rotations = [(lambda a, k=k: (a + 1) % k, lambda a, k=k: (a - 1) % k)
