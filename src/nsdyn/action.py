@@ -248,9 +248,7 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
     """
     gens = []
     for g in generators:
-        if isinstance(g, _Generator):
-            gens.append(g)
-        elif isinstance(g, dict):
+        if isinstance(g, dict):
             gens.append(_Generator.from_permutation(g))
         else:
             fwd, inv = g
@@ -368,26 +366,28 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
         raise InvalidInputError("radius must be >= 1")
     if samples is None:
         samples = action.space.exhaustion(2)
+    space = action.space
     window = CubeWindow.centered(radius, action.d)
     doubled = CubeWindow.centered(2 * radius, action.d)
+    ratios = {}  # x -> [w_u(x) for u in window], from one walk per atom x
     worst_dev = 0.0
     worst = None
     violations = []
     checked = 0
     for s in sorted(samples, key=atom_key):
         # one incremental sweep per base atom gives w_t(s) for all t up to 2r
-        log_s = action.space.log_weight(s)
-        base = {t: (atom, _weight_ratio(action.space, s, log_s, atom))
+        log_s = space.log_weight(s)
+        base = {t: (atom, _weight_ratio(space, s, log_s, atom))
                 for t, atom in iter_window_orbit(action, s, doubled)}
-        w_cache = {}
         for t in window:
             st, wt = base[t]
-            for u in window:
-                key = (st, u)
-                if key not in w_cache:
-                    w_cache[key] = action.rn_derivative(u, st)
+            if st not in ratios:
+                log_st = space.log_weight(st)
+                ratios[st] = [_weight_ratio(space, st, log_st, end) for _u, end
+                              in iter_window_orbit(action, st, window)]
+            for u, wu in zip(window, ratios[st]):
                 lhs = base[vec_add(t, u)][1]
-                rhs = wt * w_cache[key]
+                rhs = wt * wu
                 dev = rel_dev(lhs, rhs)
                 checked += 1
                 if dev > worst_dev:

@@ -31,7 +31,6 @@ from typing import Iterable
 from .action import (
     CubeWindow,
     NsAction,
-    as_vec,
     iter_window_orbit,
     make_action,
     vec_add,
@@ -86,9 +85,6 @@ class HopfDecomposition:
     radius: int
     labels: dict = field(default_factory=dict)
 
-    def label(self, atom) -> str:
-        return self.labels[atom]
-
     def summary(self) -> str:
         kinds = set(self.labels.values())
         if kinds == {CONSERVATIVE}:
@@ -110,6 +106,14 @@ class HopfDecomposition:
         }
 
 
+def _label(action: NsAction, record: OrbitRecord) -> str:
+    if record.stabilizer:
+        return CONSERVATIVE
+    if record.free_in_window and action.declared_free(record.seed) is True:
+        return DISSIPATIVE
+    return UNDETERMINED
+
+
 def hopf_decompose(action: NsAction, radius: int,
                    atoms: Iterable = None) -> HopfDecomposition:
     """Label atoms (all of a finite space, S_radius of a lazy one)."""
@@ -119,13 +123,7 @@ def hopf_decompose(action: NsAction, radius: int,
         atoms = action.space.exhaustion(radius)
     result = HopfDecomposition(radius)
     for s in sorted(atoms, key=atom_key):
-        record = orbit_explore(action, s, radius)
-        if record.stabilizer:
-            result.labels[s] = CONSERVATIVE
-        elif record.free_in_window and action.declared_free(s) is True:
-            result.labels[s] = DISSIPATIVE
-        else:
-            result.labels[s] = UNDETERMINED
+        result.labels[s] = _label(action, orbit_explore(action, s, radius))
     return result
 
 
@@ -209,17 +207,13 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     for s in region:
         if s not in space:
             raise DomainError(f"region atom {s!r} is not in the space")
-    labels = hopf_decompose(action, radius, atoms=region)
-    for s in region:
-        lbl = labels.label(s)
-        if lbl != DISSIPATIVE:
-            raise InvalidInputError(
-                f"region atom {s!r} is labeled {lbl}; the normal form only "
-                "exists over dissipative atoms")
-    window = CubeWindow.centered(radius, action.d)
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
 
-    # union-find over the region: same orbit within the radius collapses
+    # union-find over the region: same orbit within the radius collapses;
+    # each root keeps its one exploration as its table until merged away
     parent = {s: s for s in region}
+    tables = {}
 
     def find(x):
         while parent[x] != x:
@@ -233,20 +227,27 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
             return
         lo, hi = sorted((rx, ry), key=atom_key)
         parent[hi] = lo
+        tables.pop(hi, None)
 
-    region_set = set(region)
     for s in region:
-        for _t, img in iter_window_orbit(action, s, window):
-            if img in region_set and img != s:
+        record = orbit_explore(action, s, radius)
+        lbl = _label(action, record)
+        if lbl != DISSIPATIVE:
+            raise InvalidInputError(
+                f"region atom {s!r} is labeled {lbl}; the normal form only "
+                "exists over dissipative atoms")
+        for img in record.visits.values():
+            if img in parent and img != s:
                 union(s, img)
-    reps = sorted({find(s) for s in region}, key=atom_key)
+        if find(s) == s:
+            tables[s] = record.visits
 
-    w_space = make_space(atoms=reps, weights={r: space.weight(r) for r in reps},
+    w_space = make_space(list(tables), {r: space.weight(r) for r in tables},
                          name=f"{action.name}-orbit-base")
     phi = {}
     seen = {}
-    for w in reps:
-        for t, img in iter_window_orbit(action, w, window):
+    for w, visits in tables.items():  # inserted in region order, so sorted
+        for t, img in visits.items():
             if img in seen:
                 other = seen[img]
                 raise InvalidInputError(
@@ -313,18 +314,20 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
         table = by_rep[w]
         coords = [t for t in window if t in table]
         for s in coords:
-            for t in window:
+            try:
+                images = list(iter_window_orbit(action, table[s], window))
+            except DomainError as exc:  # table[s] lies outside the space
+                images = [(t, exc) for t in window]
+            for t, got in images:
                 st = vec_add(s, t)
                 if st not in table:
                     continue
                 eq_checked += 1
                 expected = table[st]
-                try:
-                    got = action.apply(t, table[s])
-                except DomainError as exc:
+                if isinstance(got, DomainError):
                     failures.append({
                         "kind": "equivariance", "w": atom_to_json(w),
-                        "s": list(s), "t": list(t), "error": str(exc)})
+                        "s": list(s), "t": list(t), "error": str(got)})
                     continue
                 if got != expected:
                     failures.append({

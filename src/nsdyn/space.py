@@ -24,9 +24,6 @@ from .errors import (
     UnsupportedInputError,
 )
 
-#: default relative tolerance for numerical identity checks
-REL_TOL = 1e-9
-
 
 def atom_key(atom):
     """Total-order sort key covering ints, strings, and nested tuples."""

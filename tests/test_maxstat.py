@@ -448,7 +448,8 @@ class TestExplorationBudget:
 
     def test_budget_is_charged_per_run_not_per_window(self):
         plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
-        small = make_action(plane.space, plane._gens,
+        small = make_action(plane.space,
+                            [(g.fwd, g.inv) for g in plane._gens],
                             exploration_budget=100)
         # n^2 = 400 window terms, but no walk has more than n - 1 = 19 steps
         assert stat_a_n(small, indicator(small, [(0, 0)]), 20) == 1.0
