@@ -34,11 +34,14 @@ from .errors import (
     ExplorationLimitError,
     InvalidInputError,
 )
-from .space import AtomSpace, L1Function, atom_key, atom_to_json, rel_dev
-
-#: generator steps one operation may take by default, and the most atoms a
-#: zoo builder allocates for a finite space
-EXPLORATION_BUDGET = 10 ** 6
+from .space import (
+    EXPLORATION_BUDGET,
+    AtomSpace,
+    L1Function,
+    atom_key,
+    atom_to_json,
+    rel_dev,
+)
 
 
 @dataclass(frozen=True)

@@ -380,9 +380,8 @@ def build_translation_action(W: AtomSpace, d: int, *,
         return W.weight(atom[0])
 
     def exhaustion(m):
-        box = product(range(-m, m + 1), repeat=d)
-        cells = [tuple(c) for c in box]
-        return [(w, c) for w in W.exhaustion(m) for c in cells]
+        return ((w, c) for w in W.exhaustion(m)
+                for c in product(range(-m, m + 1), repeat=d))
 
     space = make_space(atoms=None, weights=weight, exhaustion=exhaustion,
                        contains=contains, name=f"{name}-space")

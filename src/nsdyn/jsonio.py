@@ -45,12 +45,19 @@ def _fields(entry, what: str, *names) -> list:
     return [entry[name] for name in names]
 
 
-def _number(value, what: str, kind: type = float):
+def _number(value, what: str) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(
             f"{what} must be a number, got {value!r}") from None
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer as is; a float, bool or string is an input error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _spec_from_doc(doc: dict) -> zoo.ZooSpec:
@@ -114,7 +121,7 @@ def krengel_form_from_json(doc: dict) -> KrengelForm:
     phi = {}
     for entry in _expect(table, list, "table"):
         w, t, atom = _fields(entry, "table entry", "w", "t", "atom")
-        t = tuple(_number(x, "t entry", int) for x in _expect(t, list, "t"))
+        t = tuple(_integer(x, "t entry") for x in _expect(t, list, "t"))
         phi[(atom_from_json(w), t)] = atom_from_json(atom)
-    return KrengelForm(W=W, d=_number(d, "d", int),
-                       radius=_number(radius, "radius", int), phi=phi)
+    return KrengelForm(W=W, d=_integer(d, "d"),
+                       radius=_integer(radius, "radius"), phi=phi)

@@ -15,14 +15,21 @@ tail bound.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import (
     ConstructionError,
     DomainError,
+    ExplorationLimitError,
     InvalidInputError,
     UnsupportedInputError,
 )
+
+#: generator steps one operation may take by default, the most atoms a zoo
+#: builder allocates for a finite space, and the most atoms an exhaustion
+#: set S_m may hold
+EXPLORATION_BUDGET = 10 ** 6
 
 
 def atom_key(atom):
@@ -109,14 +116,23 @@ class AtomSpace:
         return math.log(self.weight(atom))
 
     def exhaustion(self, m: int) -> tuple:
-        """The finite set S_m, sorted, monotone in m; all atoms if finite."""
+        """The finite set S_m, sorted, monotone in m; all atoms if finite.
+
+        A rule that yields more than ``EXPLORATION_BUDGET`` atoms raises
+        :class:`ExplorationLimitError`; at most one atom past the limit is
+        drawn from it.
+        """
         if not isinstance(m, int) or m < 0:
             raise InvalidInputError(f"exhaustion index must be an int >= 0, got {m!r}")
         if self.finite:
             return self._atoms
         if m not in self._exh_cache:
-            atoms = tuple(sorted(self._exhaustion_fn(m), key=atom_key))
-            self._exh_cache[m] = atoms
+            atoms = list(islice(self._exhaustion_fn(m), EXPLORATION_BUDGET + 1))
+            if len(atoms) > EXPLORATION_BUDGET:
+                raise ExplorationLimitError(
+                    f"exhaustion set S_{m} of space {self.name!r} has more "
+                    f"than {EXPLORATION_BUDGET} atoms")
+            self._exh_cache[m] = tuple(sorted(atoms, key=atom_key))
         return self._exh_cache[m]
 
     def total_mass(self) -> float:
@@ -178,6 +194,8 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
         raise ConstructionError(
             f"infinite space {name!r} requires a membership predicate")
     space = AtomSpace(name, False, None, weight_fn, contains, exhaustion)
+    # the largest set first, so an oversized rule fails before any sorting
+    space.exhaustion(3)
     for m in (1, 2, 3):
         if not set(space.exhaustion(m - 1)) <= set(space.exhaustion(m)):
             raise ConstructionError(

@@ -165,9 +165,10 @@ def _lattice_translation(d: int, name: str) -> NsAction:
             return (isinstance(a, tuple) and len(a) == d
                     and all(_is_int(x) for x in a))
 
-        space = make_space(atoms=None, weights=1.0,
-                           exhaustion=lambda m: _power([range(-m, m + 1)] * d),
-                           contains=contains, name=f"{name}-space")
+        space = make_space(
+            atoms=None, weights=1.0,
+            exhaustion=lambda m: product(range(-m, m + 1), repeat=d),
+            contains=contains, name=f"{name}-space")
     return make_action(space, _lift([_UNIT_SHIFT] * d), name=name,
                        free_orbits=True)
 

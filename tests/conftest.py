@@ -3,6 +3,8 @@
 The brute helpers deliberately avoid the operator machinery under test:
 they only use ``apply``, ``rn_derivative``, and raw atom weights, so the
 values they produce are an independent assembly of the same finite sums.
+The ``walk_``/``pairwise_`` helpers keep earlier, slower implementations of
+a checked routine as references for its current one.
 """
 
 import contextlib
@@ -12,9 +14,23 @@ import random
 import pytest
 
 from nsdyn import zoo
-from nsdyn.action import CubeWindow, iter_window_orbit
-from nsdyn.errors import InvalidInputError
-from nsdyn.space import L1Function, atom_key
+from nsdyn.action import (
+    CocycleReport,
+    CubeWindow,
+    _weight_ratio,
+    iter_window_orbit,
+    make_action,
+    vec_add,
+)
+from nsdyn.errors import DomainError, InvalidInputError
+from nsdyn.hopf import EquivalenceReport
+from nsdyn.space import (
+    L1Function,
+    atom_key,
+    atom_to_json,
+    make_space,
+    rel_dev,
+)
 
 FIXTURE_NAMES = ("E2", "C4", "TR1", "ST2", "OD3", "MIX")
 
@@ -28,6 +44,17 @@ def sample_atoms(action, m=2):
     """A finite deterministic atom sample: everything, or S_m when lazy."""
     space = action.space
     return space.atoms if space.finite else space.exhaustion(m)
+
+
+def noncommuting_action():
+    """Two generators that do not commute, with nonuniform weights.
+
+    phi_t evaluated along different composition orders then disagrees, which
+    is exactly what the cocycle and duality checks must detect.
+    """
+    space = make_space([0, 1, 2], [1.0, 2.0, 4.0], name="noncommuting")
+    return make_action(space, [{0: 1, 1: 2, 2: 0}, {0: 1, 1: 0, 2: 2}],
+                       name="noncommuting")
 
 
 def random_nonneg_function(action, rng: random.Random, max_support=4):
@@ -87,3 +114,94 @@ def walk_max_dual_function(action, g, window):
             if val > acc.get(s, 0.0):
                 acc[s] = val
     return L1Function(space, acc, truncation_error=g.truncation_error)
+
+
+def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9):
+    """``check_cocycle`` with one ``rn_derivative`` per (phi_t(s), u) pair.
+
+    The per-pair assembly: w_u(phi_t(s)) comes from its own ``apply`` walk,
+    cached only within one sample atom.
+    """
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
+    if samples is None:
+        samples = action.space.exhaustion(2)
+    window = CubeWindow.centered(radius, action.d)
+    doubled = CubeWindow.centered(2 * radius, action.d)
+    worst_dev = 0.0
+    worst = None
+    violations = []
+    checked = 0
+    for s in sorted(samples, key=atom_key):
+        # one incremental sweep per base atom gives w_t(s) for all t up to 2r
+        log_s = action.space.log_weight(s)
+        base = {t: (atom, _weight_ratio(action.space, s, log_s, atom))
+                for t, atom in iter_window_orbit(action, s, doubled)}
+        w_cache = {}
+        for t in window:
+            st, wt = base[t]
+            for u in window:
+                key = (st, u)
+                if key not in w_cache:
+                    w_cache[key] = action.rn_derivative(u, st)
+                lhs = base[vec_add(t, u)][1]
+                rhs = wt * w_cache[key]
+                dev = rel_dev(lhs, rhs)
+                checked += 1
+                if dev > worst_dev:
+                    worst_dev = dev
+                    worst = (t, u, s)
+                if dev > rel_tol:
+                    violations.append((t, u, s, dev))
+    return CocycleReport(radius, rel_tol, checked, worst_dev, worst, violations)
+
+
+def pairwise_verify_equivalence(action, form, radius):
+    """``verify_equivalence`` with one ``apply`` per (s, t) pair."""
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
+    window = CubeWindow.centered(min(radius, form.radius), action.d)
+    failures = []
+    eq_checked = 0
+    sup_checked = 0
+    by_rep: dict = {}
+    for (w, t), img in form.phi.items():
+        by_rep.setdefault(w, {})[t] = img
+    for w in sorted(by_rep, key=atom_key):
+        table = by_rep[w]
+        coords = [t for t in window if t in table]
+        for s in coords:
+            for t in window:
+                st = vec_add(s, t)
+                if st not in table:
+                    continue
+                eq_checked += 1
+                expected = table[st]
+                try:
+                    got = action.apply(t, table[s])
+                except DomainError as exc:
+                    failures.append({
+                        "kind": "equivariance", "w": atom_to_json(w),
+                        "s": list(s), "t": list(t), "error": str(exc)})
+                    continue
+                if got != expected:
+                    failures.append({
+                        "kind": "equivariance", "w": atom_to_json(w),
+                        "s": list(s), "t": list(t),
+                        "expected": atom_to_json(expected),
+                        "got": atom_to_json(got)})
+        for s in coords:
+            sup_checked += 1
+            try:
+                mu = action.space.weight(table[s])
+                tau = form.W.weight(w)
+            except DomainError as exc:
+                failures.append({
+                    "kind": "support", "w": atom_to_json(w), "s": list(s),
+                    "error": str(exc)})
+                continue
+            if not (mu > 0.0 and tau > 0.0):
+                failures.append({
+                    "kind": "support", "w": atom_to_json(w), "s": list(s),
+                    "mu": mu, "tau": tau})
+    return EquivalenceReport(window.n, eq_checked, sup_checked, failures)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_dual_value, random_nonneg_function, sample_atoms
+from conftest import (
+    brute_dual_value,
+    noncommuting_action,
+    random_nonneg_function,
+    sample_atoms,
+)
 from nsdyn import zoo
 from nsdyn.action import (
     CubeWindow,
@@ -26,17 +31,6 @@ from nsdyn.errors import (
 from nsdyn.space import L1Function, make_space, rel_dev
 
 TOL = 1e-9
-
-
-def noncommuting_action():
-    """Two generators that do not commute, with nonuniform weights.
-
-    phi_t evaluated along different composition orders then disagrees, which
-    is exactly what the cocycle and duality checks must detect.
-    """
-    space = make_space([0, 1, 2], [1.0, 2.0, 4.0], name="noncommuting")
-    return make_action(space, [{0: 1, 1: 2, 2: 0}, {0: 1, 1: 0, 2: 2}],
-                       name="noncommuting")
 
 
 class TestCubeWindow:

@@ -415,6 +415,37 @@ class TestMalformedInput:
         _assert_usage_error(code, out, err)
         assert "more than the limit 1000000" in err
 
+    @pytest.mark.parametrize("params", ["d=12", "tau=1x2,d=9"])
+    def test_lazy_exhaustion_refuses_more_atoms_than_the_budget(self, params):
+        start = time.perf_counter()
+        code, out, err = _main("hopf", "--action", "zoo:translation",
+                               "--params", params, "--radius", "1")
+        assert time.perf_counter() - start < 5.0
+        _assert_usage_error(code, out, err)
+        assert "more than 1000000 atoms" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("t", [1.7]), ("t", [True]), ("d", 1.0), ("radius", 2.5),
+    ], ids=["t-float", "t-bool", "d-float", "radius-float"])
+    def test_krengel_form_integers_are_not_truncated(self, tmp_path, field,
+                                                     value):
+        code, out, _err = _main("krengel", "--action", "fixture:TR1",
+                                "--region", "exhaustion:1", "--radius", "2")
+        assert code == 0
+        doc = json.loads(out)["form"]
+        if field == "t":
+            # int() of the bad value is the entry's own t, so truncation
+            # would load a form that passes
+            next(e for e in doc["table"] if e["t"] == [1])["t"] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _main("krengel", "--action", "fixture:TR1",
+                               "--verify-form", str(path), "--radius", "2")
+        _assert_usage_error(code, out, err)
+        assert field in err and "must be an integer" in err
+
     def test_krengel_region_outside_its_representative_window(self):
         code, out, err = _main("krengel", "--action", "fixture:TR1",
                                "--region", "[0,5,10]", "--radius", "5")

@@ -1,5 +1,6 @@
 """Atomic spaces, integration, and certified truncation."""
 
+import itertools
 import math
 
 import pytest
@@ -10,10 +11,11 @@ from nsdyn import zoo
 from nsdyn.errors import (
     ConstructionError,
     DomainError,
+    ExplorationLimitError,
     InvalidInputError,
     UnsupportedInputError,
 )
-from nsdyn.space import L1Function, make_space, truncate_l1
+from nsdyn.space import EXPLORATION_BUDGET, L1Function, make_space, truncate_l1
 
 TOL = 1e-12
 
@@ -52,6 +54,26 @@ class TestMakeSpace:
             make_space(atoms=None, weights=1.0,
                        exhaustion=lambda m: range(-m, m + 1) if m != 2 else [7],
                        contains=lambda a: isinstance(a, int))
+
+    def test_unbounded_exhaustion_is_refused_after_one_atom_past_the_budget(
+            self):
+        drawn = [0]
+
+        def rule(m):
+            for a in itertools.count():
+                drawn[0] += 1
+                yield a
+
+        with pytest.raises(ExplorationLimitError,
+                           match="S_3 .* more than 1000000 atoms"):
+            make_space(atoms=None, weights=1.0, exhaustion=rule,
+                       contains=lambda a: isinstance(a, int))
+        assert drawn[0] == EXPLORATION_BUDGET + 1
+
+    def test_oversized_exhaustion_set_is_refused(self):
+        line = zoo.build_fixture("TR1").space
+        with pytest.raises(ExplorationLimitError, match="S_500000"):
+            line.exhaustion(EXPLORATION_BUDGET // 2)
 
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(ConstructionError, match="duplicate"):
