@@ -93,15 +93,6 @@ def test_verify_equivalence_matches_pairwise_on_krengel_tables(edit):
     assert got["passed"] is (edit in (None, _sparse))
 
 
-def test_out_of_space_table_atom_fails_every_pair_it_starts():
-    tr, form = _tr1_form(_ghost)
-    errors = [f for f in verify_equivalence(tr, form, 4).failures
-              if f["kind"] == "equivariance" and "error" in f]
-    # s = (0,): every t with s + t in the tabulated window [-4, 4]
-    assert len(errors) == 9
-    assert {f["s"][0] for f in errors} == {0}
-
-
 @pytest.fixture
 def step_counter(monkeypatch):
     calls = [0]
