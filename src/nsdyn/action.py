@@ -4,8 +4,16 @@ An action is given by d invertible generator maps T_1..T_d that are meant to
 commute.  phi_t for a lattice vector t is always evaluated along the
 canonical axis-ordered path: t_1 steps of T_1, then t_2 steps of T_2, and so
 on.  Commutativity (hence path independence) is a testable property rather
-than an assumption; :func:`check_cocycle` detects violations because the
-cocycle identity fails exactly where composition order matters.
+than an assumption: :func:`check_cocycle` compares the atoms phi_{t+u}(s)
+and phi_u(phi_t(s)) as well as the cocycle values, so two paths that end at
+different atoms are a violation even where their weights agree.
+
+On a finite space, validation compiles the action.  It evaluates each
+generator and each inverse once per atom and keeps the images as
+permutation tables of atom indices, so a single step is a table lookup.
+``apply`` reads each generator's cycle decomposition, built on first use:
+phi_t(s) costs d lookups whatever the size of t.  An action on a lazy space
+steps through its generator maps.
 
 On a purely atomic space the Radon-Nikodym derivative w_t = d(mu o phi_t)/dmu
 at an atom s is the weight ratio mu(phi_t(s)) / mu(s).  It is evaluated in
@@ -152,8 +160,8 @@ class _Budget:
     def __init__(self, limit: int):
         self.remaining = limit
 
-    def spend(self, axis: int, t=None):
-        self.remaining -= 1
+    def spend(self, axis: int, t=None, steps: int = 1):
+        self.remaining -= steps
         if self.remaining < 0:
             raise ExplorationLimitError(
                 f"exploration budget exhausted while stepping axis {axis}"
@@ -169,7 +177,7 @@ class NsAction:
     """
 
     __slots__ = ("space", "d", "name", "exploration_budget", "_gens",
-                 "_free_orbit_fn")
+                 "_free_orbit_fn", "_tables", "_cycles")
 
     def __init__(self, space, d, gens, name, free_orbit_fn, exploration_budget):
         self.space = space
@@ -178,6 +186,10 @@ class NsAction:
         self._gens = gens
         self._free_orbit_fn = free_orbit_fn
         self.exploration_budget = exploration_budget
+        # (atoms, atom -> index, per axis (forward, inverse) index lists),
+        # set by validation on a finite space
+        self._tables = None
+        self._cycles = None   # per axis (cycle of each index, its position)
 
     def declared_free(self, atom):
         """Builder-declared orbit freeness: True, False, or None (unknown)."""
@@ -187,20 +199,38 @@ class NsAction:
 
     def step(self, axis: int, atom, forward: bool = True):
         """Apply a single generator (or its inverse) once."""
-        gen = self._gens[axis]
-        return gen.fwd(atom) if forward else gen.inv(atom)
+        if self._tables is None:
+            gen = self._gens[axis]
+            return gen.fwd(atom) if forward else gen.inv(atom)
+        atoms, index, perms = self._tables
+        fwd, inv = perms[axis]
+        return atoms[(fwd if forward else inv)[index[atom]]]
 
     def apply(self, t, s):
-        """phi_t(s) along the canonical axis-ordered composition path."""
+        """phi_t(s) along the canonical axis-ordered composition path.
+
+        The budget is charged one unit per generator step, |t_1|+...+|t_d|
+        in all, also where the tables jump a whole axis in one lookup.
+        """
         if s not in self.space:
             raise DomainError(
                 f"atom {s!r} is not in the space of action {self.name!r}")
         vec = as_vec(t, self.d)
         budget = _Budget(self.exploration_budget)
-        atom = s
-        for axis, steps in enumerate(vec):
-            atom = self._walk_axis(axis, atom, steps, budget, vec)
-        return atom
+        if self._tables is None:
+            atom = s
+            for axis, steps in enumerate(vec):
+                atom = self._walk_axis(axis, atom, steps, budget, vec)
+            return atom
+        atoms, index, perms = self._tables
+        if self._cycles is None:
+            self._cycles = tuple(_cycle_tables(fwd) for fwd, _inv in perms)
+        i = index[s]
+        for axis, ((cycle_of, pos), steps) in enumerate(zip(self._cycles, vec)):
+            budget.spend(axis, vec, abs(steps))
+            cycle = cycle_of[i]
+            i = cycle[(pos[i] + steps) % len(cycle)]
+        return atoms[i]
 
     def _walk_axis(self, axis, atom, steps, budget, t=None):
         forward = steps >= 0
@@ -233,6 +263,20 @@ class NsAction:
         return f"NsAction({self.name!r}, d={self.d}, space={self.space.name!r})"
 
 
+def _cycle_tables(perm: list) -> tuple[list, list]:
+    """The cycle of each index under ``perm``, and the index's place in it."""
+    cycle_of, pos = [None] * len(perm), [0] * len(perm)
+    for start in range(len(perm)):
+        if cycle_of[start] is None:
+            cycle, i = [start], perm[start]
+            while i != start:
+                cycle.append(i)
+                i = perm[i]
+            for k, i in enumerate(cycle):
+                cycle_of[i], pos[i] = cycle, k
+    return cycle_of, pos
+
+
 def make_action(space: AtomSpace, generators, *, name: str = "",
                 free_orbits=None,
                 exploration_budget: int = EXPLORATION_BUDGET) -> NsAction:
@@ -247,7 +291,8 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
     Validation samples every atom of a finite space (the exhaustion set S_2
     of a lazy one) and checks that each generator is a bijection with the
     declared inverse and that images stay inside the space with positive
-    weight (nonsingularity).
+    weight (nonsingularity).  On a finite space the images it computes
+    become the action's step tables.
     """
     gens = []
     for g in generators:
@@ -272,13 +317,21 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
 def _validate_action(action: NsAction):
     space = action.space
     samples = space.exhaustion(2)
+    step = action.step
+    perms = []
     for axis in range(action.d):
+        # argument atom -> image: each map runs once per argument, in the
+        # order of the four steps below
+        fwd, inv = {}, {}
         for s in samples:
             try:
-                img = action.step(axis, s)
-                back = action.step(axis, img, forward=False)
-                pre = action.step(axis, s, forward=False)
-                again = action.step(axis, pre)
+                img = fwd[s] if s in fwd else fwd.setdefault(s, step(axis, s))
+                back = (inv[img] if img in inv
+                        else inv.setdefault(img, step(axis, img, False)))
+                pre = (inv[s] if s in inv
+                       else inv.setdefault(s, step(axis, s, False)))
+                again = (fwd[pre] if pre in fwd
+                         else fwd.setdefault(pre, step(axis, pre)))
                 space.weight(img)  # nonsingularity: images carry positive mass
                 space.weight(pre)
             except (KeyError, DomainError) as exc:
@@ -289,6 +342,12 @@ def _validate_action(action: NsAction):
                 raise ConstructionError(
                     f"generator {axis} of action {action.name!r} is not "
                     f"inverted by its declared inverse at atom {s!r}")
+        if space.finite:
+            index = space.index
+            perms.append(([index[fwd[a]] for a in samples],
+                          [index[inv[a]] for a in samples]))
+    if space.finite:
+        action._tables = (space.atoms, space.index, tuple(perms))
 
 
 def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
@@ -334,7 +393,9 @@ class CocycleReport:
     checked: int
     max_rel_deviation: float
     worst: tuple | None          # (t, u, atom) achieving the max deviation
-    violations: list             # (t, u, atom, deviation) above rel_tol
+    # (t, u, atom, deviation, images): deviation above rel_tol, or images =
+    # (phi_{t+u}(atom), phi_u(phi_t(atom))) when only the two atoms differ
+    violations: list
 
     @property
     def passed(self) -> bool:
@@ -349,12 +410,18 @@ class CocycleReport:
             "worst": None if self.worst is None else {
                 "t": list(self.worst[0]), "u": list(self.worst[1]),
                 "atom": atom_to_json(self.worst[2])},
-            "violations": [
-                {"t": list(t), "u": list(u), "atom": atom_to_json(a),
-                 "deviation": dev}
-                for t, u, a, dev in self.violations],
+            "violations": [_violation_dict(*v) for v in self.violations],
             "passed": self.passed,
         }
+
+
+def _violation_dict(t, u, atom, dev, images) -> dict:
+    entry = {"t": list(t), "u": list(u), "atom": atom_to_json(atom),
+             "deviation": dev}
+    if images is not None:
+        entry["images"] = {"phi_t+u": atom_to_json(images[0]),
+                           "phi_u.phi_t": atom_to_json(images[1])}
+    return entry
 
 
 def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
@@ -362,8 +429,10 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     """Verify w_{t+u}(s) = w_t(s) * w_u(phi_t(s)) over a centered window.
 
     Runs over all pairs t, u in centered(radius) and over ``samples`` (all
-    atoms of a finite space by default, S_2 of a lazy one).  Violations are
-    report entries, not errors.
+    atoms of a finite space by default, S_2 of a lazy one).  A pair also
+    fails when phi_{t+u}(s) and phi_u(phi_t(s)) are different atoms, since
+    the generators then do not commute there, whatever the weights say.  A
+    NaN deviation fails.  Violations are report entries, not errors.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -372,7 +441,7 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     space = action.space
     window = CubeWindow.centered(radius, action.d)
     doubled = CubeWindow.centered(2 * radius, action.d)
-    ratios = {}  # x -> [w_u(x) for u in window], from one walk per atom x
+    ratios = {}  # x -> [(phi_u(x), w_u(x)) for u in window], one walk per x
     worst_dev = 0.0
     worst = None
     violations = []
@@ -386,24 +455,25 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
             st, wt = base[t]
             if st not in ratios:
                 log_st = space.log_weight(st)
-                ratios[st] = [_weight_ratio(space, st, log_st, end) for _u, end
-                              in iter_window_orbit(action, st, window)]
-            for u, wu in zip(window, ratios[st]):
-                lhs = base[vec_add(t, u)][1]
-                rhs = wt * wu
-                dev = rel_dev(lhs, rhs)
+                ratios[st] = [(end, _weight_ratio(space, st, log_st, end))
+                              for _u, end in iter_window_orbit(action, st, window)]
+            for u, (end, wu) in zip(window, ratios[st]):
+                joint, lhs = base[vec_add(t, u)]
+                dev = rel_dev(lhs, wt * wu)
                 checked += 1
                 if dev > worst_dev:
                     worst_dev = dev
                     worst = (t, u, s)
-                if dev > rel_tol:
-                    violations.append((t, u, s, dev))
+                if not dev <= rel_tol:
+                    violations.append((t, u, s, dev, None))
+                elif joint != end:
+                    violations.append((t, u, s, dev, (joint, end)))
     return CocycleReport(radius, rel_tol, checked, worst_dev, worst, violations)
 
 
 def check_duality(action: NsAction, t, g: L1Function, A: Iterable
-                  ) -> tuple[float, float]:
-    """Return the duality pair for a finite atom set A.
+                  ) -> tuple[float, float, L1Function]:
+    """Return the duality pair for a finite atom set A, and the dual image.
 
     The left number integrates the dual image over A; the right one
     integrates g over {s : phi_t^{-1}(s) in A}, which is the forward image
@@ -411,7 +481,8 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
     (the dual image is assembled along inverse paths, the set on the right
     along forward paths), so they agree up to rounding exactly when the
     declared inverses and the composition order are consistent; a broken
-    action surfaces as disagreement.
+    action surfaces as disagreement.  The third value is ``dual_t g``
+    itself, whose norm the caller can compare with that of g.
     """
     atoms = sorted(set(A), key=atom_key)
     for a in atoms:
@@ -422,4 +493,4 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
     lhs = math.fsum(image(a) * action.space.weight(a) for a in atoms)
     forward = sorted({action.apply(tvec, a) for a in atoms}, key=atom_key)
     rhs = math.fsum(g(b) * action.space.weight(b) for b in forward)
-    return lhs, rhs
+    return lhs, rhs, image

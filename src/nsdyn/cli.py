@@ -266,8 +266,7 @@ def _cmd_duality_check(opt: _Options, action):
     g = parse_g(action, opt.require("g", "--g"))
     atoms = parse_atom_set(action, opt.require("set", "--A"))
     tol = _positive(opt.get("tol", 1e-9), "--tol")
-    lhs, rhs = check_duality(action, t, g, atoms)
-    image = action.dual_apply(t, g)
+    lhs, rhs, image = check_duality(action, t, g, atoms)
     dev = rel_dev(lhs, rhs)
     norm_dev = rel_dev(image.norm, g.norm)
     passed = dev <= tol and norm_dev <= tol

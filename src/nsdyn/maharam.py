@@ -84,10 +84,13 @@ def extend(action: NsAction) -> MaharamAction:
     """
     report = check_cocycle(action, 2)
     if not report.passed:
-        t, u, atom, dev = report.violations[0]
+        t, u, atom, dev, images = report.violations[0]
+        why = (f"relative deviation {dev:.3e}" if images is None else
+               f"phi_(t+u) gives {images[0]!r}, phi_u phi_t gives "
+               f"{images[1]!r}")
         raise ConstructionError(
             f"cocycle identity fails for action {action.name!r} at "
-            f"t={t}, u={u}, atom={atom!r} (relative deviation {dev:.3e}); "
+            f"t={t}, u={u}, atom={atom!r} ({why}); "
             "the skew product is only defined over a consistent cocycle",
             report=report)
     return MaharamAction(action)
@@ -144,7 +147,8 @@ def check_measure_preservation(ext: MaharamAction, t, rects: Sequence[Rect],
         before = r.measure(space)
         after = image.measure(space)
         dev = rel_dev(before, after)
-        worst = max(worst, dev)
+        if dev > worst or math.isnan(dev):  # max() would drop a NaN
+            worst = dev
         entries.append((r, before, after, dev))
     return MeasureReport(tvec, rel_tol, entries, worst)
 

@@ -41,7 +41,7 @@ def atom_key(atom):
     if isinstance(atom, str):
         return (1, atom)
     if isinstance(atom, tuple):
-        return (2, tuple(atom_key(x) for x in atom))
+        return (2, tuple(map(atom_key, atom)))
     return (3, repr(atom))
 
 
@@ -75,22 +75,23 @@ class AtomSpace:
     :func:`make_space` instead of calling the constructor directly.
     """
 
-    __slots__ = ("name", "finite", "_atoms", "_atom_set", "_weight_fn",
+    __slots__ = ("name", "finite", "_atoms", "_index", "_weight_fn",
                  "_contains_fn", "_exhaustion_fn", "_exh_cache")
 
     def __init__(self, name, finite, atoms, weight_fn, contains_fn, exhaustion_fn):
         self.name = name
         self.finite = finite
         self._atoms = atoms
-        self._atom_set = frozenset(atoms) if atoms is not None else None
+        self._index = ({a: i for i, a in enumerate(atoms)}
+                       if atoms is not None else None)
         self._weight_fn = weight_fn
         self._contains_fn = contains_fn
         self._exhaustion_fn = exhaustion_fn
         self._exh_cache = {}
 
     def __contains__(self, atom) -> bool:
-        if self._atom_set is not None:
-            return atom in self._atom_set
+        if self._index is not None:
+            return atom in self._index
         return bool(self._contains_fn(atom))
 
     @property
@@ -100,6 +101,14 @@ class AtomSpace:
             raise UnsupportedInputError(
                 f"space {self.name!r} is infinite; use exhaustion(m)")
         return self._atoms
+
+    @property
+    def index(self) -> dict:
+        """Atom -> its position in :attr:`atoms`, for a finite space."""
+        if self._index is None:
+            raise UnsupportedInputError(
+                f"space {self.name!r} is infinite; its atoms are not indexed")
+        return self._index
 
     def weight(self, atom) -> float:
         """The measure of a single atom (strictly positive)."""
@@ -179,9 +188,9 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
                 f"finite space {name!r} takes no exhaustion; its exhaustion "
                 "is the whole atom list")
         sorted_atoms = tuple(sorted(given, key=atom_key))
-        if len(set(sorted_atoms)) != len(sorted_atoms):
-            raise ConstructionError("duplicate atom ids in atom list")
         space = AtomSpace(name, True, sorted_atoms, weight_fn, None, None)
+        if len(space.index) != len(sorted_atoms):
+            raise ConstructionError("duplicate atom ids in atom list")
         for a in sorted_atoms:
             space.weight(a)  # raises naming the offending atom
         return space

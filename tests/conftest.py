@@ -17,6 +17,7 @@ from nsdyn import zoo
 from nsdyn.action import (
     CocycleReport,
     CubeWindow,
+    NsAction,
     _weight_ratio,
     iter_window_orbit,
     make_action,
@@ -40,19 +41,34 @@ def actions():
     return {name: zoo.build_fixture(name) for name in FIXTURE_NAMES}
 
 
+@pytest.fixture
+def step_counter(monkeypatch):
+    """A one-element list counting ``NsAction.step`` calls from here on."""
+    calls = [0]
+    step = NsAction.step
+
+    def counting(self, axis, atom, forward=True):
+        calls[0] += 1
+        return step(self, axis, atom, forward)
+
+    monkeypatch.setattr(NsAction, "step", counting)
+    return calls
+
+
 def sample_atoms(action, m=2):
     """A finite deterministic atom sample: everything, or S_m when lazy."""
     space = action.space
     return space.atoms if space.finite else space.exhaustion(m)
 
 
-def noncommuting_action():
-    """Two generators that do not commute, with nonuniform weights.
+def noncommuting_action(weights=(1.0, 2.0, 4.0)):
+    """Two generators that do not commute, by default with nonuniform weights.
 
     phi_t evaluated along different composition orders then disagrees, which
-    is exactly what the cocycle and duality checks must detect.
+    is exactly what the cocycle and duality checks must detect.  With equal
+    weights only the endpoint atoms of the two orders tell them apart.
     """
-    space = make_space([0, 1, 2], [1.0, 2.0, 4.0], name="noncommuting")
+    space = make_space([0, 1, 2], list(weights), name="noncommuting")
     return make_action(space, [{0: 1, 1: 2, 2: 0}, {0: 1, 1: 0, 2: 2}],
                        name="noncommuting")
 
@@ -119,8 +135,10 @@ def walk_max_dual_function(action, g, window):
 def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9):
     """``check_cocycle`` with one ``rn_derivative`` per (phi_t(s), u) pair.
 
-    The per-pair assembly: w_u(phi_t(s)) comes from its own ``apply`` walk,
-    cached only within one sample atom.
+    The per-pair assembly: w_u(phi_t(s)) and phi_u(phi_t(s)) come from their
+    own ``apply`` walks, cached only within one sample atom.  A pair whose
+    weights agree but whose endpoints phi_{t+u}(s) and phi_u(phi_t(s))
+    differ is a violation with its two images.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -143,16 +161,19 @@ def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9):
             for u in window:
                 key = (st, u)
                 if key not in w_cache:
-                    w_cache[key] = action.rn_derivative(u, st)
-                lhs = base[vec_add(t, u)][1]
-                rhs = wt * w_cache[key]
-                dev = rel_dev(lhs, rhs)
+                    w_cache[key] = (action.apply(u, st),
+                                    action.rn_derivative(u, st))
+                end, wu = w_cache[key]
+                joint, lhs = base[vec_add(t, u)]
+                dev = rel_dev(lhs, wt * wu)
                 checked += 1
                 if dev > worst_dev:
                     worst_dev = dev
                     worst = (t, u, s)
-                if dev > rel_tol:
-                    violations.append((t, u, s, dev))
+                if not dev <= rel_tol:
+                    violations.append((t, u, s, dev, None))
+                elif joint != end:
+                    violations.append((t, u, s, dev, (joint, end)))
     return CocycleReport(radius, rel_tol, checked, worst_dev, worst, violations)
 
 

@@ -13,6 +13,7 @@ from conftest import (
     random_nonneg_function,
     sample_atoms,
 )
+from nsdyn import action as action_module
 from nsdyn import zoo
 from nsdyn.action import (
     CubeWindow,
@@ -163,6 +164,28 @@ class TestCocycle:
         assert report.max_rel_deviation > 0.1
         # the report carries a usable violation triple
         assert report.violations[0][3] > 0.0
+        # distinct weights: every mismatch shows in the cocycle values
+        assert all("images" not in v
+                   for v in report.as_dict()["violations"])
+
+    def test_endpoints_that_differ_fail_where_weights_agree(self):
+        flat = noncommuting_action((1.0, 1.0, 1.0))
+        report = check_cocycle(flat, 1)
+        assert not report.passed
+        assert report.max_rel_deviation == 0.0
+        for t, u, s, dev, (joint, composed) in report.violations:
+            assert dev == 0.0
+            assert joint == flat.apply(vec_add(t, u), s)
+            assert composed == flat.apply(u, flat.apply(t, s)) != joint
+        entry = report.as_dict()["violations"][0]
+        assert entry["images"] == {"phi_t+u": report.violations[0][4][0],
+                                   "phi_u.phi_t": report.violations[0][4][1]}
+
+    def test_nan_deviation_fails(self, actions, monkeypatch):
+        monkeypatch.setattr(action_module, "rel_dev", lambda a, b: math.nan)
+        report = check_cocycle(actions["C4"], 1)
+        assert not report.passed
+        assert len(report.violations) == report.checked
 
     def test_report_serializes(self, actions):
         doc = check_cocycle(actions["E2"], 2).as_dict()
@@ -224,27 +247,28 @@ class TestDuality:
     def test_two_atom_pair(self, actions):
         e2 = actions["E2"]
         g = L1Function(e2.space, {0: 3.0, 1: 5.0})
-        lhs, rhs = check_duality(e2, 1, g, [0])
+        lhs, rhs, image = check_duality(e2, 1, g, [0])
         assert lhs == pytest.approx(10.0, rel=TOL)
         assert rhs == pytest.approx(10.0, rel=TOL)
+        assert image.to_dict() == e2.dual_apply(1, g).to_dict()
 
     def test_zero_element(self, actions):
         c4 = actions["C4"]
         g = L1Function(c4.space, {0: 2.0, 2: 1.0})
-        lhs, rhs = check_duality(c4, 0, g, [0, 2])
+        lhs, rhs, _image = check_duality(c4, 0, g, [0, 2])
         expected = 2.0 * 1.0 + 1.0 * 1.0
         assert lhs == rhs == pytest.approx(expected, rel=TOL)
 
     def test_rotation_pair(self, actions):
         c4 = actions["C4"]
-        lhs, rhs = check_duality(
+        lhs, rhs, _image = check_duality(
             c4, 2, L1Function.indicator(c4.space, [0]), [2])
         assert (lhs, rhs) == (1.0, 1.0)
 
     def test_noncommuting_generators_detected(self):
         bad = noncommuting_action()
         g = L1Function.indicator(bad.space, [2])
-        lhs, rhs = check_duality(bad, (1, 1), g, [0])
+        lhs, rhs, _image = check_duality(bad, (1, 1), g, [0])
         assert rel_dev(lhs, rhs) > 0.1
 
 
@@ -280,7 +304,6 @@ class TestRandomWeightedRotations:
         assert check_cocycle(act, 3).passed
         g = L1Function(act.space, {0: 1.0, size - 1: 2.5})
         for t in (-2, 1, 3):
-            assert act.dual_apply(t, g).norm == pytest.approx(g.norm,
-                                                              rel=1e-12)
-            lhs, rhs = check_duality(act, t, g, act.space.atoms)
+            lhs, rhs, image = check_duality(act, t, g, act.space.atoms)
+            assert image.norm == pytest.approx(g.norm, rel=1e-12)
             assert lhs == pytest.approx(rhs, rel=1e-12)

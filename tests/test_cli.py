@@ -42,6 +42,17 @@ def noncommuting_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def equal_weight_noncommuting_file(tmp_path_factory):
+    # T_0 T_1 != T_1 T_0 at every atom, but every weight ratio is 1, so only
+    # the endpoint atoms of the two composition orders can tell
+    doc = {"atoms": [0, 1, 2], "weights": [1, 1, 1],
+           "generators": [[1, 2, 0], [1, 0, 2]]}
+    path = tmp_path_factory.mktemp("cli") / "equal-weights.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestStat:
     def test_rotation_closed_form(self):
         out = run_cli("stat", "--action", "zoo:cyclic", "--params", "N=4",
@@ -100,6 +111,17 @@ class TestCocycleCheck:
         assert doc["violations"]
 
 
+    def test_noncommuting_with_equal_weights_exits_one(
+            self, equal_weight_noncommuting_file):
+        out = run_cli("cocycle-check", "--action",
+                      equal_weight_noncommuting_file, "--radius", "3")
+        assert out.returncode == 1
+        doc = json.loads(out.stdout)
+        assert doc["passed"] is False
+        assert doc["max_rel_deviation"] == 0.0
+        assert all("images" in v for v in doc["violations"])
+
+
 class TestDualityCheck:
     def test_two_atom_pair(self):
         out = run_cli("duality-check", "--action", "fixture:E2", "--t", "1",
@@ -130,6 +152,14 @@ class TestMaharamVerify:
         assert out.returncode == 1
         doc = json.loads(out.stdout)
         assert doc["passed"] is False
+
+
+    def test_noncommuting_with_equal_weights_exits_one(
+            self, equal_weight_noncommuting_file):
+        out = run_cli("maharam-verify", "--action",
+                      equal_weight_noncommuting_file, "--t", "1,1")
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["passed"] is False
 
 
 class TestHopf:

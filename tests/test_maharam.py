@@ -1,11 +1,12 @@
 """Skew product construction, measure preservation, extension statistic."""
 
+import math
 import random
 
 import pytest
 
-from conftest import sample_atoms
-from nsdyn import zoo
+from conftest import noncommuting_action, sample_atoms
+from nsdyn import maharam, zoo
 from nsdyn.action import CubeWindow, make_action, vec_add
 from nsdyn.errors import ConstructionError, InvalidInputError
 from nsdyn.maharam import (
@@ -57,6 +58,13 @@ class TestExtend:
         with pytest.raises(ConstructionError) as excinfo:
             extend(bad)
         assert excinfo.value.report is not None
+        assert not excinfo.value.report.passed
+
+    def test_noncommuting_generators_with_equal_weights(self):
+        flat = noncommuting_action((1.0, 1.0, 1.0))
+        with pytest.raises(ConstructionError,
+                           match="phi_u phi_t gives") as excinfo:
+            extend(flat)
         assert not excinfo.value.report.passed
 
 
@@ -130,6 +138,14 @@ class TestMeasurePreservation:
             for t in CubeWindow.centered(2, ext.base.d):
                 report = check_measure_preservation(ext, t, rects)
                 assert report.passed, (name, t, report.max_rel_deviation)
+
+    def test_nan_deviation_fails(self, extensions, monkeypatch):
+        devs = iter([math.nan, 0.0])
+        monkeypatch.setattr(maharam, "rel_dev", lambda a, b: next(devs))
+        report = check_measure_preservation(
+            extensions["C4"], (1,), [Rect(0, 0.0, 1.0), Rect(1, 0.0, 1.0)])
+        assert math.isnan(report.max_rel_deviation)
+        assert not report.passed
 
     def test_overlapping_rects_rejected(self, extensions):
         with pytest.raises(InvalidInputError, match="overlap"):

@@ -15,7 +15,13 @@ from nsdyn.errors import (
     InvalidInputError,
     UnsupportedInputError,
 )
-from nsdyn.space import EXPLORATION_BUDGET, L1Function, make_space, truncate_l1
+from nsdyn.space import (
+    EXPLORATION_BUDGET,
+    L1Function,
+    atom_key,
+    make_space,
+    truncate_l1,
+)
 
 TOL = 1e-12
 
@@ -96,6 +102,30 @@ class TestMakeSpace:
         space = make_space([0, 1], [1.0, 2.0])
         with pytest.raises(DomainError):
             space.weight(5)
+
+
+def recursive_atom_key(atom):
+    """The sort key as first written: a generator expression per tuple."""
+    if isinstance(atom, bool):
+        return (0, int(atom))
+    if isinstance(atom, (int, float)):
+        return (0, atom)
+    if isinstance(atom, str):
+        return (1, atom)
+    if isinstance(atom, tuple):
+        return (2, tuple(recursive_atom_key(x) for x in atom))
+    return (3, repr(atom))
+
+
+NESTED_ATOMS = st.recursive(
+    st.integers() | st.text(max_size=3) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NESTED_ATOMS)
+def test_atom_key_equals_its_recursive_form(atom):
+    assert atom_key(atom) == recursive_atom_key(atom)
 
 
 class TestL1Function:

@@ -1,0 +1,153 @@
+"""Compiled finite actions: table lookups against the generator maps.
+
+On a finite space validation keeps every generator image as a permutation
+table, and ``apply`` reads each generator's cycle decomposition.  The
+references here walk the original generator maps one step at a time, so
+atoms, cocycle values and dual images must agree bit for bit, and the
+exploration budget must fail at the same axis with the same message.
+"""
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import run_cli_inprocess
+from nsdyn import jsonio, zoo
+from nsdyn.action import make_action
+from nsdyn.errors import ExplorationLimitError
+from nsdyn.space import L1Function, make_space
+
+WEIGHTS = st.floats(0.05, 20.0)
+
+
+def _walk(action, t, s):
+    """phi_t(s) by single steps of the generator maps, axis by axis."""
+    for gen, steps in zip(action._gens, t):
+        move = gen.fwd if steps >= 0 else gen.inv
+        for _ in range(abs(steps)):
+            s = move(s)
+    return s
+
+
+@st.composite
+def cyclic_actions(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    weights = draw(st.lists(WEIGHTS, min_size=math.prod(sizes),
+                            max_size=math.prod(sizes)))
+    return zoo.build(zoo.ZooSpec("cyclic", {"N": sizes, "weights": weights}))
+
+
+@st.composite
+def odometer_actions(draw):
+    d = draw(st.integers(1, 2))
+    params = {"K": draw(st.integers(1, 6 // d)), "d": d,
+              "p": draw(st.floats(0.05, 0.95))}
+    return zoo.build(zoo.ZooSpec("odometer", params))
+
+
+@st.composite
+def permutation_documents(draw):
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 2))
+    return {"atoms": [f"a{i}" for i in range(n)],
+            "weights": draw(st.lists(WEIGHTS, min_size=n, max_size=n)),
+            "generators": [[f"a{i}" for i in draw(st.permutations(range(n)))]
+                           for _ in range(d)]}
+
+
+# fixed points a0 and a6, cycles of length 2 and 3; a second axis that does
+# not commute with the first
+MANY_CYCLES = {
+    "atoms": [f"a{i}" for i in range(7)],
+    "weights": [1.0, 2.0, 0.5, 3.0, 0.25, 7.0, 1.5],
+    "generators": [[f"a{i}" for i in (0, 2, 1, 4, 5, 3, 6)],
+                   [f"a{i}" for i in (1, 0, 2, 3, 4, 6, 5)]],
+}
+
+FINITE_ACTIONS = (cyclic_actions() | odometer_actions()
+                  | permutation_documents().map(jsonio.action_from_json))
+
+
+@settings(max_examples=100, deadline=None)
+@given(FINITE_ACTIONS, st.data())
+@example(jsonio.action_from_json(MANY_CYCLES), None)
+def test_tables_match_the_generator_maps(action, data):
+    space = action.space
+    n = len(space.atoms)
+    if data is None:  # the explicit example: every atom, a fixed t set
+        cases = [(s, t) for s in space.atoms
+                 for t in ((-8, 3), (0, -15), (22, 9), (-1, -1))]
+        support = space.atoms
+    else:
+        # |t_i| up to three times the longest possible cycle
+        scalar = st.integers(-3 * n - 1, 3 * n + 1)
+        cases = [(data.draw(st.sampled_from(space.atoms)),
+                  tuple(data.draw(scalar) for _ in range(action.d)))
+                 for _ in range(4)]
+        support = data.draw(st.lists(st.sampled_from(space.atoms),
+                                     min_size=1, max_size=3, unique=True))
+    g = L1Function(space, {a: 1.0 + i for i, a in enumerate(support)})
+    for s, t in cases:
+        for axis, gen in enumerate(action._gens):
+            assert action.step(axis, s) == gen.fwd(s)
+            assert action.step(axis, s, forward=False) == gen.inv(s)
+        end = _walk(action, t, s)
+        assert action.apply(t, s) == end
+        assert action.rn_derivative(t, s) == math.exp(
+            space.log_weight(end) - space.log_weight(s))
+        minus = tuple(-x for x in t)
+        expected = {}
+        for sp, v in g.items():
+            x = _walk(action, minus, sp)
+            expected[x] = v * (space.weight(sp) / space.weight(x))
+        assert action.dual_apply(t, g).to_dict() == expected
+
+
+def _stepping_twin(action):
+    """The same generators on a lazy space with the same atoms: no tables."""
+    atoms = action.space.atoms
+    lazy = make_space(None, action.space.weight,
+                      contains=set(atoms).__contains__,
+                      exhaustion=lambda m: atoms, name="lazy twin")
+    return make_action(lazy, [(g.fwd, g.inv) for g in action._gens],
+                       exploration_budget=action.exploration_budget)
+
+
+def _outcome(action, t, s):
+    try:
+        return action.apply(t, s)
+    except ExplorationLimitError as exc:
+        return (str(exc), exc.axis, exc.t)
+
+
+def test_budget_matches_the_stepping_walk():
+    space = make_space(range(12), [1.0 + i for i in range(12)])
+    table = make_action(space, [{i: (i + 1) % 12 for i in range(12)},
+                                {i: (i + 5) % 12 for i in range(12)}],
+                        exploration_budget=5)
+    twin = _stepping_twin(table)
+    outcomes = set()
+    for t in ((5, 0), (0, -5), (6, 0), (3, 3), (-2, -4), (0, 6), (-9, 1)):
+        got = _outcome(table, t, 4)
+        assert got == _outcome(twin, t, 4)
+        outcomes.add(type(got))
+    assert outcomes == {int, tuple}
+    assert _outcome(table, (3, 3), 4) == (
+        "exploration budget exhausted while stepping axis 1 near t=(3, 3)",
+        1, (3, 3))
+
+
+def test_validation_runs_each_map_once_per_atom(step_counter):
+    zoo.build(zoo.ZooSpec("odometer", {"K": 10, "p": 0.4}))
+    # one forward and one inverse image per atom: 2 * 1024
+    assert step_counter[0] == 2048
+
+
+def test_duality_check_takes_no_steps_after_the_build(step_counter):
+    code, _out, _err = run_cli_inprocess(
+        "duality-check", "--action", "zoo:odometer", "--params", "K=10,p=0.4",
+        "--t", "100", "--g", "ones", "--A", "exhaustion:1")
+    assert code == 0
+    # all 2048 are the build's; stepping took 311296 before tabulation
+    assert step_counter[0] == 2048

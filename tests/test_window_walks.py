@@ -17,7 +17,7 @@ from conftest import (
     sample_atoms,
 )
 from nsdyn import zoo
-from nsdyn.action import CubeWindow, NsAction, check_cocycle
+from nsdyn.action import CubeWindow, check_cocycle
 from nsdyn.hopf import KrengelForm, krengel_normal_form, verify_equivalence
 from nsdyn.space import make_space
 
@@ -25,7 +25,8 @@ BUILT = {
     "odometer K=3,d=2": ("odometer", {"K": 3, "p": 0.3, "d": 2}),
     "translation tau=1x2,d=2": ("translation", {"tau": [1.0, 2.0], "d": 2}),
 }
-CASES = FIXTURE_NAMES + tuple(BUILT) + ("noncommuting",)
+CASES = FIXTURE_NAMES + tuple(BUILT) + ("noncommuting",
+                                        "noncommuting-flat")
 
 
 def _action(case):
@@ -33,6 +34,8 @@ def _action(case):
         return zoo.build_fixture(case)
     if case == "noncommuting":
         return noncommuting_action()
+    if case == "noncommuting-flat":
+        return noncommuting_action((1.0, 1.0, 1.0))
     return zoo.build(zoo.ZooSpec(*BUILT[case]))
 
 
@@ -91,19 +94,6 @@ def test_verify_equivalence_matches_pairwise_on_krengel_tables(edit):
     got = verify_equivalence(tr, form, 4).as_dict()
     assert got == pairwise_verify_equivalence(tr, form, 4).as_dict()
     assert got["passed"] is (edit in (None, _sparse))
-
-
-@pytest.fixture
-def step_counter(monkeypatch):
-    calls = [0]
-    step = NsAction.step
-
-    def counting(self, axis, atom, forward=True):
-        calls[0] += 1
-        return step(self, axis, atom, forward)
-
-    monkeypatch.setattr(NsAction, "step", counting)
-    return calls
 
 
 def _walk_steps(r, d):
