@@ -95,6 +95,15 @@ class CubeWindow:
         lo, hi = self.axis_bounds()
         return product(range(lo, hi + 1), repeat=self.d)
 
+    def vector(self, k: int) -> tuple:
+        """The k-th vector of the window in lex order."""
+        lo, hi = self.axis_bounds()
+        digits = []
+        for _ in range(self.d):
+            k, r = divmod(k, hi - lo + 1)
+            digits.append(lo + r)
+        return tuple(reversed(digits))
+
 
 def as_vec(t, d: int) -> tuple:
     """Normalize a group element to a d-tuple of ints (plain int when d=1)."""
@@ -351,12 +360,18 @@ def _validate_action(action: NsAction):
 
 
 def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
-                      inverse: bool = False):
-    """Yield ``(t, phi_t(s))`` for every t in the window, in lex order.
+                      inverse: bool = False) -> Iterator:
+    """Iterate phi_t(s) over the t of the window, in the window's lex order.
 
-    With ``inverse=True`` the second component is phi_{-t}(s) instead.  The
-    walk is incremental, one generator application per step, so a whole
-    window costs O(|window|) applications instead of O(|window| * n).
+    Only the atoms are produced; ``zip(window, ...)`` pairs each with its t.
+    With ``inverse=True`` they are phi_{-t}(s) instead.  The walk is
+    depth-first and incremental, one generator application per step, so a
+    whole window costs O(|window|) applications instead of O(|window| * n).
+    It recurses over the axes and runs the innermost axis as one row.
+
+    An exhausted budget raises :class:`ExplorationLimitError` naming the
+    axis being stepped, the window vector t the walk was heading for (also
+    set as ``.t``) and how many of the window's atoms it had reached.
     """
     if s not in action.space:
         raise DomainError(
@@ -366,22 +381,39 @@ def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
             f"window dimension {window.d} does not match action dimension "
             f"{action.d}")
     lo, hi = window.axis_bounds()
+    last = action.d - 1
+    step, walk = action.step, action._walk_axis
+    forward = not inverse
+    sign = 1 if forward else -1
     budget = _Budget(action.exploration_budget)
-    sign = -1 if inverse else 1
+    spend = budget.spend
+    out = []
+    append = out.append
 
-    def rec(axis, atom):
-        if axis == action.d:
-            yield (), atom
+    def sweep(axis, atom):
+        # each axis run walks to lo, then moves one place at a time
+        atom = walk(axis, atom, sign * lo, budget)
+        if axis == last:
+            append(atom)
+            for _ in range(hi - lo):
+                spend(axis)
+                atom = step(axis, atom, forward)
+                append(atom)
             return
-        cur = action._walk_axis(axis, atom, sign * lo, budget)
-        for v in range(lo, hi + 1):
-            for rest, leaf in rec(axis + 1, cur):
-                yield (v,) + rest, leaf
-            if v < hi:
-                budget.spend(axis)
-                cur = action.step(axis, cur, forward=(sign > 0))
+        sweep(axis + 1, atom)
+        for _ in range(hi - lo):
+            atom = walk(axis, atom, sign, budget)
+            sweep(axis + 1, atom)
 
-    yield from rec(0, s)
+    try:
+        sweep(0, s)
+    except ExplorationLimitError as exc:
+        # the walk is heading for the next window vector in lex order
+        t = window.vector(len(out))
+        raise ExplorationLimitError(
+            f"{exc} toward t={t}, {len(out)} of {window.size} window atoms "
+            "reached", axis=exc.axis, t=t) from None
+    return iter(out)
 
 
 @dataclass
@@ -441,6 +473,13 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     space = action.space
     window = CubeWindow.centered(radius, action.d)
     doubled = CubeWindow.centered(2 * radius, action.d)
+    vecs = list(window)
+    # mixed-radix positions in the doubled window: pos(t + u) = pos(t) +
+    # off(u) for t and u in the window, and pos(t) = pos(0) + off(t)
+    side = 4 * radius + 1
+    strides = [side ** k for k in reversed(range(action.d))]
+    offs = [sum(c * k for c, k in zip(u, strides)) for u in vecs]
+    center = 2 * radius * sum(strides)
     ratios = {}  # x -> [(phi_u(x), w_u(x)) for u in window], one walk per x
     worst_dev = 0.0
     worst = None
@@ -449,25 +488,26 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     for s in sorted(samples, key=atom_key):
         # one incremental sweep per base atom gives w_t(s) for all t up to 2r
         log_s = space.log_weight(s)
-        base = {t: (atom, _weight_ratio(space, s, log_s, atom))
-                for t, atom in iter_window_orbit(action, s, doubled)}
-        for t in window:
-            st, wt = base[t]
+        atoms = list(iter_window_orbit(action, s, doubled))
+        ws = [_weight_ratio(space, s, log_s, atom) for atom in atoms]
+        for t, off_t in zip(vecs, offs):
+            pos_t = center + off_t
+            st, wt = atoms[pos_t], ws[pos_t]
             if st not in ratios:
                 log_st = space.log_weight(st)
                 ratios[st] = [(end, _weight_ratio(space, st, log_st, end))
-                              for _u, end in iter_window_orbit(action, st, window)]
-            for u, (end, wu) in zip(window, ratios[st]):
-                joint, lhs = base[vec_add(t, u)]
-                dev = rel_dev(lhs, wt * wu)
+                              for end in iter_window_orbit(action, st, window)]
+            for u, off_u, (end, wu) in zip(vecs, offs, ratios[st]):
+                pos = pos_t + off_u
+                dev = rel_dev(ws[pos], wt * wu)
                 checked += 1
                 if dev > worst_dev:
                     worst_dev = dev
                     worst = (t, u, s)
                 if not dev <= rel_tol:
                     violations.append((t, u, s, dev, None))
-                elif joint != end:
-                    violations.append((t, u, s, dev, (joint, end)))
+                elif atoms[pos] != end:
+                    violations.append((t, u, s, dev, (atoms[pos], end)))
     return CocycleReport(radius, rel_tol, checked, worst_dev, worst, violations)
 
 

@@ -65,7 +65,7 @@ def orbit_explore(action: NsAction, s, radius: int) -> OrbitRecord:
     zero = (0,) * action.d
     visits = {}
     stab = []
-    for t, atom in iter_window_orbit(action, s, window):
+    for t, atom in zip(window, iter_window_orbit(action, s, window)):
         visits[t] = atom
         if atom == s and t != zero:
             stab.append(t)
@@ -317,8 +317,8 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
             try:
                 images = list(iter_window_orbit(action, table[s], window))
             except DomainError as exc:  # table[s] lies outside the space
-                images = [(t, exc) for t in window]
-            for t, got in images:
+                images = [exc] * window.size
+            for t, got in zip(window, images):
                 st = vec_add(s, t)
                 if st not in table:
                     continue

@@ -178,13 +178,12 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
     # product-side assembly: fiber integral per base atom
     candidates = set()
     for a in s_m:
-        for _t, s in iter_window_orbit(base, a, window, inverse=True):
-            candidates.add(s)
+        candidates.update(iter_window_orbit(base, a, window, inverse=True))
     lhs_terms = []
     for s in sorted(candidates, key=atom_key):
         log_s = space.log_weight(s)
         best = 0.0
-        for _t, img in iter_window_orbit(base, s, window):
+        for img in iter_window_orbit(base, s, window):
             if img in s_m_set:
                 w = _weight_ratio(space, s, log_s, img)
                 if w > best:

@@ -243,7 +243,7 @@ def sum_dual_partial(action: NsAction, g: L1Function, s, n: int) -> float:
     space = action.space
     inv_w = space.weight(s)
     terms = [g(atom) * space.weight(atom) / inv_w
-             for _t, atom in iter_window_orbit(action, s, window)
+             for atom in iter_window_orbit(action, s, window)
              if g(atom) > 0.0]
     return math.fsum(terms)
 

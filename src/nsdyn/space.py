@@ -72,11 +72,13 @@ class AtomSpace:
     """A sigma-finite purely atomic measure space.
 
     Immutable after construction; safe to share between workers.  Use
-    :func:`make_space` instead of calling the constructor directly.
+    :func:`make_space` instead of calling the constructor directly.  A
+    finite space keeps every weight and its log, so both are lookups.
     """
 
     __slots__ = ("name", "finite", "_atoms", "_index", "_weight_fn",
-                 "_contains_fn", "_exhaustion_fn", "_exh_cache")
+                 "_contains_fn", "_exhaustion_fn", "_exh_cache", "_weights",
+                 "_log_weights")
 
     def __init__(self, name, finite, atoms, weight_fn, contains_fn, exhaustion_fn):
         self.name = name
@@ -88,6 +90,9 @@ class AtomSpace:
         self._contains_fn = contains_fn
         self._exhaustion_fn = exhaustion_fn
         self._exh_cache = {}
+        # atom -> weight and atom -> log weight, set by make_space when finite
+        self._weights = None
+        self._log_weights = None
 
     def __contains__(self, atom) -> bool:
         if self._index is not None:
@@ -112,8 +117,13 @@ class AtomSpace:
 
     def weight(self, atom) -> float:
         """The measure of a single atom (strictly positive)."""
+        if self._weights is not None:
+            w = self._weights.get(atom)
+            if w is None:
+                raise self._foreign(atom)
+            return w
         if atom not in self:
-            raise DomainError(f"atom {atom!r} is not in space {self.name!r}")
+            raise self._foreign(atom)
         w = float(self._weight_fn(atom))
         if not (w > 0.0 and math.isfinite(w)):
             raise ConstructionError(
@@ -122,7 +132,15 @@ class AtomSpace:
         return w
 
     def log_weight(self, atom) -> float:
+        if self._log_weights is not None:
+            log_w = self._log_weights.get(atom)
+            if log_w is None:
+                raise self._foreign(atom)
+            return log_w
         return math.log(self.weight(atom))
+
+    def _foreign(self, atom) -> DomainError:
+        return DomainError(f"atom {atom!r} is not in space {self.name!r}")
 
     def exhaustion(self, m: int) -> tuple:
         """The finite set S_m, sorted, monotone in m; all atoms if finite.
@@ -191,8 +209,10 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
         space = AtomSpace(name, True, sorted_atoms, weight_fn, None, None)
         if len(space.index) != len(sorted_atoms):
             raise ConstructionError("duplicate atom ids in atom list")
-        for a in sorted_atoms:
-            space.weight(a)  # raises naming the offending atom
+        # each weight is evaluated and checked once, here, naming a bad atom
+        masses = [space.weight(a) for a in sorted_atoms]
+        space._weights = dict(zip(sorted_atoms, masses))
+        space._log_weights = dict(zip(sorted_atoms, map(math.log, masses)))
         return space
 
     # lazy, rule-defined space

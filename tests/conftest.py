@@ -3,8 +3,8 @@
 The brute helpers deliberately avoid the operator machinery under test:
 they only use ``apply``, ``rn_derivative``, and raw atom weights, so the
 values they produce are an independent assembly of the same finite sums.
-The ``walk_``/``pairwise_`` helpers keep earlier, slower implementations of
-a checked routine as references for its current one.
+The ``walk_``/``pairwise_``/``recursive_`` helpers keep earlier, slower
+implementations of a checked routine as references for its current one.
 """
 
 import contextlib
@@ -18,8 +18,8 @@ from nsdyn.action import (
     CocycleReport,
     CubeWindow,
     NsAction,
+    _Budget,
     _weight_ratio,
-    iter_window_orbit,
     make_action,
     vec_add,
 )
@@ -96,6 +96,40 @@ def run_cli_inprocess(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def recursive_window_orbit(action, s, window, *, inverse=False):
+    """Yield ``(t, phi_t(s))`` for every t in the window, in lex order.
+
+    The per-leaf recursive walk that ``iter_window_orbit`` replaced: one
+    generator frame per axis and a fresh ``t`` tuple per leaf, with the
+    budget charged before every single step.  With ``inverse=True`` the
+    second component is phi_{-t}(s) instead.
+    """
+    if s not in action.space:
+        raise DomainError(
+            f"atom {s!r} is not in the space of action {action.name!r}")
+    if window.d != action.d:
+        raise InvalidInputError(
+            f"window dimension {window.d} does not match action dimension "
+            f"{action.d}")
+    lo, hi = window.axis_bounds()
+    budget = _Budget(action.exploration_budget)
+    sign = -1 if inverse else 1
+
+    def rec(axis, atom):
+        if axis == action.d:
+            yield (), atom
+            return
+        cur = action._walk_axis(axis, atom, sign * lo, budget)
+        for v in range(lo, hi + 1):
+            for rest, leaf in rec(axis + 1, cur):
+                yield (v,) + rest, leaf
+            if v < hi:
+                budget.spend(axis)
+                cur = action.step(axis, cur, forward=(sign > 0))
+
+    yield from rec(0, s)
+
+
 def brute_max_stat(action, g, n, kind="corner", candidates=None):
     """a_n assembled atom by atom from the definition.
 
@@ -125,7 +159,7 @@ def walk_max_dual_function(action, g, window):
     acc: dict = {}
     for sp, v in g.items():
         numer = v * space.weight(sp)
-        for _t, s in iter_window_orbit(action, sp, window, inverse=True):
+        for _t, s in recursive_window_orbit(action, sp, window, inverse=True):
             val = numer / space.weight(s)
             if val > acc.get(s, 0.0):
                 acc[s] = val
@@ -154,7 +188,7 @@ def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9):
         # one incremental sweep per base atom gives w_t(s) for all t up to 2r
         log_s = action.space.log_weight(s)
         base = {t: (atom, _weight_ratio(action.space, s, log_s, atom))
-                for t, atom in iter_window_orbit(action, s, doubled)}
+                for t, atom in recursive_window_orbit(action, s, doubled)}
         w_cache = {}
         for t in window:
             st, wt = base[t]

@@ -131,8 +131,9 @@ class TestIterWindowOrbit:
         for act in actions.values():
             s = sample_atoms(act, 1)[0]
             window = CubeWindow.centered(2, act.d)
-            forward = dict(iter_window_orbit(act, s, window))
-            backward = dict(iter_window_orbit(act, s, window, inverse=True))
+            forward = dict(zip(window, iter_window_orbit(act, s, window)))
+            backward = dict(zip(window, iter_window_orbit(act, s, window,
+                                                          inverse=True)))
             assert set(forward) == set(window)
             for t in window:
                 assert forward[t] == act.apply(t, s)

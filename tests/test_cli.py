@@ -471,6 +471,16 @@ class TestMalformedInput:
         _assert_usage_error(code, out, err)
         assert "region atom 10" in err and "increase the radius" in err
 
+    def test_window_walk_budget_names_how_far_it_got(self):
+        # the doubled window centered(800000) walks 800000 steps down to
+        # t = -800000, then 200000 up before the 10^6-step budget runs out
+        code, out, err = _main("cocycle-check", "--action", "fixture:TR1",
+                               "--radius", "400000")
+        _assert_usage_error(code, out, err)
+        assert err == (
+            "error: exploration budget exhausted while stepping axis 0 "
+            "toward t=(-599999,), 200001 of 1600001 window atoms reached\n")
+
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.floats()

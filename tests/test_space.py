@@ -99,9 +99,14 @@ class TestMakeSpace:
             make_space(None, [1.0, 2.0], **line)
 
     def test_unknown_atom_weight(self):
-        space = make_space([0, 1], [1.0, 2.0])
-        with pytest.raises(DomainError):
-            space.weight(5)
+        finite = make_space([0, 1], [1.0, 2.0], name="pair")
+        lazy = make_space(None, 1.0, contains=lambda a: a in (0, 1),
+                          exhaustion=lambda m: (0, 1), name="pair")
+        for space in (finite, lazy):
+            for weight in (space.weight, space.log_weight):
+                with pytest.raises(DomainError) as info:
+                    weight(5)
+                assert str(info.value) == "atom 5 is not in space 'pair'"
 
 
 def recursive_atom_key(atom):

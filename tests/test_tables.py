@@ -4,7 +4,8 @@ On a finite space validation keeps every generator image as a permutation
 table, and ``apply`` reads each generator's cycle decomposition.  The
 references here walk the original generator maps one step at a time, so
 atoms, cocycle values and dual images must agree bit for bit, and the
-exploration budget must fail at the same axis with the same message.
+exploration budget must fail at the same axis with the same message.  A
+finite space likewise keeps every weight, evaluated once per atom.
 """
 
 import math
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import run_cli_inprocess
 from nsdyn import jsonio, zoo
-from nsdyn.action import make_action
+from nsdyn.action import check_cocycle, make_action
+from nsdyn.maharam import extend, extension_stat
 from nsdyn.errors import ExplorationLimitError
 from nsdyn.space import L1Function, make_space
 
@@ -151,3 +153,23 @@ def test_duality_check_takes_no_steps_after_the_build(step_counter):
     assert code == 0
     # all 2048 are the build's; stepping took 311296 before tabulation
     assert step_counter[0] == 2048
+
+
+def test_finite_weights_are_evaluated_once_per_atom():
+    calls = []
+
+    def weight(atom):
+        calls.append(atom)
+        return 1.0 + atom[0] + 0.5 * atom[1]
+
+    atoms = [(i, j) for i in range(3) for j in range(4)]
+    space = make_space(atoms, weight, name="counted")
+    assert sorted(calls) == atoms
+    action = make_action(space, [{(i, j): ((i + 1) % 3, j) for i, j in atoms},
+                                 {(i, j): (i, (j + 1) % 4) for i, j in atoms}])
+    assert check_cocycle(action, 2).passed
+    g = L1Function(space, {(0, 0): 1.0, (2, 3): 2.0})
+    action.dual_apply((1, -2), g)
+    lhs, rhs = extension_stat(extend(action), 1, 3)
+    assert math.isclose(lhs, rhs, rel_tol=1e-12)
+    assert len(calls) == len(atoms)

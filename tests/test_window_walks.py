@@ -1,32 +1,59 @@
-"""One window walk per atom: the identity checks against their per-pair forms.
+"""One window walk per atom: the walker and the identity checks against
+their earlier forms.
 
-``check_cocycle`` and ``verify_equivalence`` take every image phi_u(x) of a
-window from one incremental walk per atom x.  The per-pair references in
-``conftest`` call ``apply`` once per pair instead; both assemble the same
-atoms and the same floats in the same order, so the reports must agree
-exactly.  The step counts pin the walk sizes in closed form.
+``iter_window_orbit`` walks a window row by row; the recursive per-leaf
+walker in ``conftest`` must give the same atoms, and run out of budget on
+the same axis after the same generator steps.  ``check_cocycle`` and
+``verify_equivalence`` take every image phi_u(x) of a window from one
+incremental walk per atom x.  The per-pair references in ``conftest`` call
+``apply`` once per pair instead; both assemble the same atoms and the same
+floats in the same order, so the reports must agree exactly.  The step
+counts pin the walk sizes in closed form.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_NAMES,
     noncommuting_action,
     pairwise_check_cocycle,
     pairwise_verify_equivalence,
+    recursive_window_orbit,
     sample_atoms,
 )
-from nsdyn import zoo
-from nsdyn.action import CubeWindow, check_cocycle
+from nsdyn import jsonio, zoo
+from nsdyn.action import (
+    CubeWindow,
+    NsAction,
+    check_cocycle,
+    iter_window_orbit,
+    make_action,
+)
+from nsdyn.errors import ExplorationLimitError
 from nsdyn.hopf import KrengelForm, krengel_normal_form, verify_equivalence
 from nsdyn.space import make_space
 
 BUILT = {
     "odometer K=3,d=2": ("odometer", {"K": 3, "p": 0.3, "d": 2}),
     "translation tau=1x2,d=2": ("translation", {"tau": [1.0, 2.0], "d": 2}),
+    "cyclic N=2x3x2": ("cyclic", {"N": [2, 3, 2]}),
+    "odometer K=2,d=3": ("odometer", {"K": 2, "p": 0.3, "d": 3}),
+}
+# two generators that do not commute on six atoms, all of weight 1 but
+# one: the two composition orders then end at different atoms, and where
+# one of them is atom 3 the weights disagree as well
+PERTURBED = {
+    "name": "perturbed",
+    "atoms": [0, 1, 2, 3, 4, 5],
+    "weights": [1.0, 1.0, 1.0, 1.5, 1.0, 1.0],
+    "generators": [[1, 2, 3, 4, 5, 0], [1, 0, 3, 2, 5, 4]],
 }
 CASES = FIXTURE_NAMES + tuple(BUILT) + ("noncommuting",
-                                        "noncommuting-flat")
+                                        "noncommuting-flat", "perturbed-json")
 
 
 def _action(case):
@@ -36,7 +63,87 @@ def _action(case):
         return noncommuting_action()
     if case == "noncommuting-flat":
         return noncommuting_action((1.0, 1.0, 1.0))
+    if case == "perturbed-json":
+        return jsonio.action_from_json(PERTURBED)
     return zoo.build(zoo.ZooSpec(*BUILT[case]))
+
+
+WALK_CASES = {
+    "cyclic N=5": ("cyclic", {"N": 5}),
+    "cyclic N=2x3": ("cyclic", {"N": [2, 3]}),
+    "cyclic N=2x3x2": ("cyclic", {"N": [2, 3, 2]}),
+    "odometer K=2,d=3": ("odometer", {"K": 2, "p": 0.3, "d": 3}),
+    "translation d=1": ("translation", {"d": 1}),
+    "translation d=2": ("translation", {"d": 2}),
+    "translation tau=1x2,d=3": ("translation", {"tau": [1.0, 2.0], "d": 3}),
+}
+_BUILT_WALK_CASES = {}
+
+
+def _walk_action(case, budget):
+    """The case's action, stepping its generator maps under ``budget``."""
+    if case not in _BUILT_WALK_CASES:
+        _BUILT_WALK_CASES[case] = zoo.build(zoo.ZooSpec(*WALK_CASES[case]))
+    action = _BUILT_WALK_CASES[case]
+    return make_action(action.space, [(g.fwd, g.inv) for g in action._gens],
+                       name=action.name, exploration_budget=budget)
+
+
+def _until_exhausted(walk):
+    """(atoms produced, NsAction.step calls, the budget error or None)."""
+    calls = [0]
+    step = NsAction.step
+
+    def counting(self, axis, atom, forward=True):
+        calls[0] += 1
+        return step(self, axis, atom, forward)
+
+    atoms = []
+    with mock.patch.object(NsAction, "step", counting):
+        try:
+            for atom in walk():
+                atoms.append(atom)
+        except ExplorationLimitError as exc:
+            return atoms, calls[0], exc
+    return atoms, calls[0], None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(sorted(WALK_CASES)),
+       kind=st.sampled_from(["corner", "centered"]), n=st.integers(1, 3),
+       inverse=st.booleans(), pick=st.integers(0, 63),
+       budget=st.integers(0, 400))
+def test_walker_matches_the_recursive_reference(case, kind, n, inverse, pick,
+                                                budget):
+    action = _walk_action(case, budget)
+    atoms = sample_atoms(action, 1)
+    s = atoms[pick % len(atoms)]
+    window = CubeWindow(kind, n, action.d)
+    want, want_steps, want_exc = _until_exhausted(
+        lambda: (atom for _t, atom in recursive_window_orbit(
+            action, s, window, inverse=inverse)))
+    got, got_steps, got_exc = _until_exhausted(
+        lambda: iter_window_orbit(action, s, window, inverse=inverse))
+    assert got_steps == want_steps
+    if want_exc is None:
+        assert got_exc is None
+        assert got == want
+        return
+    # the reference yields atoms until it runs out; the walker names how
+    # many it reached and the window vector it was heading for
+    reached = len(want)
+    assert got == []
+    assert got_exc.axis == want_exc.axis
+    assert got_exc.t == window.vector(reached)
+    assert str(got_exc) == (
+        f"exploration budget exhausted while stepping axis {want_exc.axis} "
+        f"toward t={window.vector(reached)}, {reached} of {window.size} "
+        "window atoms reached")
+
+
+def test_window_vector_follows_lex_order():
+    for window in (CubeWindow.corner(3, 2), CubeWindow.centered(2, 3)):
+        assert [window.vector(k) for k in range(window.size)] == list(window)
 
 
 def _apply_form(action, radius):
@@ -57,12 +164,20 @@ def _tr1_form(edit=None):
     return tr, KrengelForm(W=form.W, d=form.d, radius=form.radius, phi=phi)
 
 
-@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("radius", [1, 2, 3])
 @pytest.mark.parametrize("case", CASES)
 def test_check_cocycle_matches_pairwise(case, radius):
     action = _action(case)
-    assert (check_cocycle(action, radius).as_dict()
-            == pairwise_check_cocycle(action, radius).as_dict())
+    samples = None
+    if radius == 3 or action.d == 3:
+        # every t and u of the window still pair up at each base atom, so
+        # three atoms cover each radix digit at a cost the reference bears
+        samples = sample_atoms(action)[:3]
+    got = check_cocycle(action, radius, samples).as_dict()
+    assert got == pairwise_check_cocycle(action, radius, samples).as_dict()
+    if case == "perturbed-json":
+        deviations = [v for v in got["violations"] if "images" not in v]
+        assert len(deviations) > 10 and got["max_rel_deviation"] > 0.3
 
 
 @pytest.mark.parametrize("case", CASES)
