@@ -442,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    opt = _Options(args, {})
     try:
         config = _load_config(getattr(args, "config", None))
         commands = next(a for a in parser._actions if a.dest == "command")
@@ -453,13 +454,16 @@ def main(argv=None) -> int:
         _emit(text, opt.get("out"))
         return code
     except ConstructionError as exc:
-        if exc.report is not None:
-            _emit(_dump(exc.report.as_dict()),
-                  getattr(args, "out", None))
+        if exc.report is None:
             print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return 2
+        try:
+            _emit(_dump(exc.report.as_dict()), opt.get("out"))
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,16 @@ so the atom is dissipative.  Freeness of an infinite orbit is not decidable
 from a finite window, so it must be declared by the builder of the action;
 absent a declaration the label stays undetermined at the given radius.
 
+The labels at radius r come from one walk per seed atom s over the doubled
+cube C = centered(2r), giving atoms a_p = phi_p(s).  The walk is accepted
+only as a lattice image: T_i a_p == a_{p+e_i} and T_i^{-1} a_{p+e_i} == a_p
+for every p and p + e_i in C.  Then phi_t(a_p) = a_{p+t} along any
+axis-ordered path inside C, so for x = a_v with v in centered(r) the radius-r
+window of x is {a_{v+t}}, its stabilizer there is that of s, and it is
+collision-free exactly when no nonzero u in C has a_u == s.  Atoms a_v with
+|v| > r would need paths out to 4r, which no check covers, so each cube
+labels only the requested atoms within r of its seed.
+
 A dissipative action is equivalent to the translation action
 
     psi_t(w, s) = (w, t + s)
@@ -31,11 +41,12 @@ from typing import Iterable
 from .action import (
     CubeWindow,
     NsAction,
+    _Budget,
     iter_window_orbit,
     make_action,
     vec_add,
 )
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, ExplorationLimitError, InvalidInputError
 from .space import AtomSpace, L1Function, atom_key, atom_to_json, make_space
 
 CONSERVATIVE = "conservative"
@@ -116,15 +127,109 @@ def _label(action: NsAction, record: OrbitRecord) -> str:
 
 def hopf_decompose(action: NsAction, radius: int,
                    atoms: Iterable = None) -> HopfDecomposition:
-    """Label atoms (all of a finite space, S_radius of a lazy one)."""
+    """Label atoms (all of a finite space, S_radius of a lazy one).
+
+    Each still-unlabeled atom, in sorted order, seeds one verified
+    centered(2 radius) cube (see the module docstring), which labels every
+    requested atom phi_v(seed) with |v| <= radius: conservative when the
+    seed recurs at a nonzero t in centered(radius); dissipative when it
+    recurs nowhere in the cube and the atom is declared free; undetermined
+    otherwise.  These are exactly the labels of one :func:`orbit_explore`
+    per atom.  The first cube that cannot be walked, fails its check, or
+    costs more than the per-atom windows of the atoms it labels hands the
+    rest of the call to one exploration per atom.  So budget and domain
+    errors are those of the per-atom rule, and the work exceeds the
+    per-atom rule's by at most about one cube.
+    """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     if atoms is None:
         atoms = action.space.exhaustion(radius)
-    result = HopfDecomposition(radius)
-    for s in sorted(atoms, key=atom_key):
-        result.labels[s] = _label(action, orbit_explore(action, s, radius))
-    return result
+    order = sorted(atoms, key=atom_key)
+    wanted = set(order)
+    found = {}
+    cubes = True
+    for s in order:
+        if s in found:
+            continue
+        if cubes:
+            cubes = _label_cube(action, s, radius, wanted, found)
+        if s not in found:
+            found[s] = _label(action, orbit_explore(action, s, radius))
+    return HopfDecomposition(radius, {s: found[s] for s in order})
+
+
+def _label_cube(action: NsAction, s, radius: int, wanted: set,
+                found: dict) -> bool:
+    """Label the wanted atoms within ``radius`` of s from one verified cube.
+
+    Labels nothing when the centered(2 radius) cube from s cannot be walked
+    or is not a lattice image.  Returns whether further cubes are worth
+    trying: the cube was built, and its points plus its check steps were at
+    most the window points of the atoms it labelled.
+    """
+    d = action.d
+    cube = CubeWindow.centered(2 * radius, d)
+    side = 4 * radius + 1
+    try:
+        atoms = list(iter_window_orbit(action, s, cube))
+        checked = _lattice_check_steps(action, atoms, side)
+    except (ExplorationLimitError, DomainError, KeyError):
+        return False
+    if checked is None:
+        return False
+    center = len(atoms) // 2
+    near = far = False
+    for k, atom in enumerate(atoms):
+        if atom == s and k != center:
+            if all(abs(x) <= radius for x in cube.vector(k)):
+                near = True
+            else:
+                far = True
+    strides = [side ** (d - 1 - axis) for axis in range(d)]
+    rows = [range(radius * st, 3 * radius * st + 1, st) for st in strides]
+    space = action.space
+    labelled = 0
+    for k in map(sum, product(*rows)):
+        x = atoms[k]
+        if x in found or x not in wanted or x not in space:
+            continue
+        if near:
+            found[x] = CONSERVATIVE
+        elif not far and action.declared_free(x) is True:
+            found[x] = DISSIPATIVE
+        else:
+            found[x] = UNDETERMINED
+        labelled += 1
+    return labelled * (2 * radius + 1) ** d >= len(atoms) + checked
+
+
+def _lattice_check_steps(action: NsAction, atoms: list, side: int):
+    """Check that a cube walk of the given side is a lattice image.
+
+    ``atoms`` lists a_p in lex order; the check is T_i a_p == a_{p+e_i} and
+    T_i^{-1} a_{p+e_i} == a_p for every p and axis i with p + e_i in the
+    cube.  Unit images are memoised per distinct atom, so the check costs at
+    most 2d generator steps per atom, charged to one exploration budget.
+    Returns the steps taken, or None when a pair fails.
+    """
+    budget = _Budget(action.exploration_budget)
+    step = action.step
+    for axis in range(action.d):
+        stride = side ** (action.d - 1 - axis)
+        fwd, inv = {}, {}
+        for base in range(0, len(atoms), stride * side):
+            for k in range(base, base + stride * (side - 1)):
+                a, b = atoms[k], atoms[k + stride]
+                if a not in fwd:
+                    budget.spend(axis)
+                    fwd[a] = step(axis, a)
+                if b not in inv:
+                    budget.spend(axis)
+                    inv[b] = step(axis, b, False)
+                if fwd[a] != b or inv[b] != a:
+                    return None
+    return action.exploration_budget - budget.remaining
 
 
 @dataclass

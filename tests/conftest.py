@@ -24,7 +24,12 @@ from nsdyn.action import (
     vec_add,
 )
 from nsdyn.errors import DomainError, InvalidInputError
-from nsdyn.hopf import EquivalenceReport
+from nsdyn.hopf import (
+    EquivalenceReport,
+    HopfDecomposition,
+    _label,
+    orbit_explore,
+)
 from nsdyn.space import (
     L1Function,
     atom_key,
@@ -59,6 +64,11 @@ def sample_atoms(action, m=2):
     """A finite deterministic atom sample: everything, or S_m when lazy."""
     space = action.space
     return space.atoms if space.finite else space.exhaustion(m)
+
+
+def walk_steps(r, d):
+    """Generator steps of one centered(r) walk: r + 2r along every axis run."""
+    return sum(3 * r * (2 * r + 1) ** k for k in range(d))
 
 
 def noncommuting_action(weights=(1.0, 2.0, 4.0)):
@@ -128,6 +138,23 @@ def recursive_window_orbit(action, s, window, *, inverse=False):
                 cur = action.step(axis, cur, forward=(sign > 0))
 
     yield from rec(0, s)
+
+
+def per_atom_hopf_decompose(action, radius, atoms=None):
+    """``hopf_decompose`` with one ``orbit_explore`` per atom.
+
+    The per-atom loop that the verified cubes replaced: every atom walks its
+    own centered(radius) window and is labelled from its own stabilizer and
+    collisions, in sorted order.
+    """
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
+    if atoms is None:
+        atoms = action.space.exhaustion(radius)
+    result = HopfDecomposition(radius)
+    for s in sorted(atoms, key=atom_key):
+        result.labels[s] = _label(action, orbit_explore(action, s, radius))
+    return result
 
 
 def brute_max_stat(action, g, n, kind="corner", candidates=None):

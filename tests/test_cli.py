@@ -161,6 +161,31 @@ class TestMaharamVerify:
         assert out.returncode == 1
         assert json.loads(out.stdout)["passed"] is False
 
+    def test_failed_report_goes_to_the_configured_out(
+            self, noncommuting_file, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"action": noncommuting_file,
+                                   "out": str(tmp_path / "report.json")}))
+        assert cli.main(["maharam-verify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out == ""
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is False
+        # a flag still wins over the config file
+        flag = tmp_path / "flag.json"
+        assert cli.main(["maharam-verify", "--config", str(cfg),
+                         "--out", str(flag)]) == 1
+        assert capsys.readouterr().out == ""
+        assert json.loads(flag.read_text()) == report
+
+    def test_unwritable_out_of_a_failed_report_is_a_usage_error(
+            self, noncommuting_file, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "report.json")
+        assert cli.main(["maharam-verify", "--action", noncommuting_file,
+                         "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and out in captured.err
+
 
 class TestHopf:
     def test_union_labels(self):

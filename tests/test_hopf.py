@@ -1,10 +1,21 @@
 """Orbit exploration, Hopf labels, Krengel normal form, equivalence checks."""
 
-import pytest
+from unittest import mock
 
-from nsdyn import zoo
-from nsdyn.action import CubeWindow
-from nsdyn.errors import DomainError, InvalidInputError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    FIXTURE_NAMES,
+    noncommuting_action,
+    per_atom_hopf_decompose,
+    sample_atoms,
+    walk_steps,
+)
+from nsdyn import hopf, zoo
+from nsdyn.action import CubeWindow, make_action
+from nsdyn.errors import DomainError, ExplorationLimitError, InvalidInputError
 from nsdyn.hopf import (
     CONSERVATIVE,
     DISSIPATIVE,
@@ -223,3 +234,162 @@ class TestMixedActionWorkflow:
     def test_region_crossing_into_the_conservative_part_rejected(self, actions):
         with pytest.raises(InvalidInputError, match="conservative"):
             krengel_normal_form(actions["MIX"], [(0, 0), (1, 0)], radius=8)
+
+
+CUBE_CASES = {
+    "cyclic N=5": ("cyclic", {"N": 5}),
+    "cyclic N=2x3": ("cyclic", {"N": [2, 3]}),
+    "odometer K=3": ("odometer", {"K": 3, "p": 0.3}),
+    "odometer K=2,d=2": ("odometer", {"K": 2, "p": 0.3, "d": 2}),
+    "translation tau=1x2,d=1": ("translation", {"tau": [1.0, 2.0], "d": 1}),
+    "translation d=2": ("translation", {"d": 2}),
+    "translation tau=1x2,d=3": ("translation", {"tau": [1.0, 2.0], "d": 3}),
+    "stabilizer d=3": ("stabilizer", {"d": 3, "active": [0, 2]}),
+}
+_BUILT_CUBE_CASES = {}
+
+
+def _cube_action(case):
+    if case not in _BUILT_CUBE_CASES:
+        if case in FIXTURE_NAMES:
+            action = zoo.build_fixture(case)
+        elif case == "noncommuting":
+            action = noncommuting_action()
+        elif case == "misdeclared N=5":
+            # a 5-cycle declared free: collisions alone keep it undetermined
+            c5 = zoo.build(zoo.ZooSpec("cyclic", {"N": 5}))
+            action = make_action(c5.space, [(g.fwd, g.inv) for g in c5._gens],
+                                 name="misdeclared", free_orbits=True)
+        else:
+            action = zoo.build(zoo.ZooSpec(*CUBE_CASES[case]))
+        _BUILT_CUBE_CASES[case] = action
+    return _BUILT_CUBE_CASES[case]
+
+
+def _labels(dec):
+    """Labels in the order the decomposition holds them."""
+    return list(dec.labels.items())
+
+
+def _outcome(decompose, action, radius, atoms=None):
+    """The labels, or the type, text, axis and t of an exploration error."""
+    try:
+        return _labels(decompose(action, radius, atoms))
+    except ExplorationLimitError as exc:
+        return type(exc), str(exc), exc.axis, exc.t
+
+
+class TestCubeLabels:
+    """One verified centered(2r) cube per seed gives the per-atom labels."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(sorted(CUBE_CASES) + list(FIXTURE_NAMES)
+                                + ["noncommuting", "misdeclared N=5"]),
+           radius=st.integers(1, 6), data=st.data())
+    def test_labels_match_the_per_atom_reference(self, case, radius, data):
+        action = _cube_action(case)
+        if action.d == 3:
+            radius = min(radius, 3)
+        atoms = None
+        if action.d == 3 or data.draw(st.booleans(), label="explicit"):
+            # atoms of S_1 moved up to 2r + 2 away, so some lie off S_r
+            base = sample_atoms(action, 1)
+            reach = 2 * radius + 2
+            atoms = [action.apply(data.draw(st.tuples(
+                         *[st.integers(-reach, reach)] * action.d)),
+                         base[data.draw(st.integers(0, len(base) - 1))])
+                     for _ in range(data.draw(st.integers(1, 6),
+                                              label="atoms"))]
+        got = hopf_decompose(action, radius, atoms)
+        assert _labels(got) == _labels(
+            per_atom_hopf_decompose(action, radius, atoms))
+
+    def test_a_collision_beyond_the_radius_is_undetermined(self):
+        action = _cube_action("misdeclared N=5")
+        for radius in range(1, 7):
+            got = hopf_decompose(action, radius)
+            assert _labels(got) == _labels(
+                per_atom_hopf_decompose(action, radius))
+            # period 5 shows in centered(2r) from r = 3, in centered(r) from 5
+            assert got.summary() == (DISSIPATIVE if radius < 3 else
+                                     UNDETERMINED if radius < 5 else
+                                     CONSERVATIVE)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_a_twist_beyond_the_cube_is_left_to_later_seeds(self, radius):
+        # on the plane, T_1 moves only the columns x <= 2r, so the actions
+        # commute inside the cube of the seed (0, 0) but not around x = 2r;
+        # atoms (v, 0) with r < v <= 2r lie in that cube, yet their windows
+        # cross the twist and collide
+        plane = _cube_action("translation d=2")
+        edge = 2 * radius
+
+        def up(step):
+            return lambda a: (a[0], a[1] + step) if a[0] <= edge else a
+
+        twisted = make_action(
+            plane.space, [(plane._gens[0].fwd, plane._gens[0].inv),
+                          (up(1), up(-1))],
+            name="twisted", free_orbits=True)
+        atoms = [(v, 0) for v in range(edge + 1)]
+        want = per_atom_hopf_decompose(twisted, radius, atoms)
+        assert want.labels[(edge, 0)] == UNDETERMINED
+        assert _labels(hopf_decompose(twisted, radius, atoms)) == _labels(want)
+
+    @pytest.mark.parametrize("radius", [2, 3, 4])
+    def test_a_tampered_cube_falls_back_to_the_per_atom_rule(self, radius):
+        # the unit shift of the integer line, except that one atom between
+        # r and 2r above the seed 10 steps back one place: the cube of the
+        # seed fails its check, windows through that atom collide, and the
+        # atom itself recurs after two steps
+        bad = 10 + radius + 1
+        line = zoo.build_fixture("TR1")
+        tampered = make_action(
+            line.space,
+            [(lambda x: x - 1 if x == bad else x + 1, lambda x: x - 1)],
+            name="tampered", free_orbits=True)
+        atoms = range(10, 10 + 2 * radius + 2)
+        want = per_atom_hopf_decompose(tampered, radius, atoms)
+        assert set(want.labels.values()) == {
+            CONSERVATIVE, DISSIPATIVE, UNDETERMINED}
+        with mock.patch.object(hopf, "orbit_explore",
+                               wraps=hopf.orbit_explore) as explore:
+            got = hopf_decompose(tampered, radius, atoms)
+        assert _labels(got) == _labels(want)
+        assert explore.call_count == len(atoms)
+
+    @pytest.mark.parametrize("radius", [1, 3])
+    @pytest.mark.parametrize("case", ["translation d=2", "odometer K=3",
+                                      "ST2", "cyclic N=2x3"])
+    def test_every_budget_gives_the_reference_outcome(self, case, radius):
+        action = _cube_action(case)
+        walk_r = walk_steps(radius, action.d)
+        walk_2r = walk_steps(2 * radius, action.d)
+        checks = 2 * action.d * (4 * radius + 1) ** action.d
+        for budget in (0, 1, walk_r - 1, walk_r, (walk_r + walk_2r) // 2,
+                       walk_2r - 1, walk_2r, walk_2r + checks):
+            limited = make_action(
+                action.space, [(g.fwd, g.inv) for g in action._gens],
+                name=action.name, free_orbits=action._free_orbit_fn,
+                exploration_budget=budget)
+            got = _outcome(hopf_decompose, limited, radius)
+            assert got == _outcome(per_atom_hopf_decompose, limited, radius)
+            # the per-atom walk fits exactly when the budget covers it;
+            # a cube that does not fit only hands over to that walk
+            assert isinstance(got, list) is (budget >= walk_r)
+
+    @pytest.mark.parametrize("atoms", [[0, 1, "ghost"], [-0.5, 0, 3],
+                                       [98, 101]],
+                             ids=["after", "before", "reached"])
+    def test_a_foreign_atom_raises_the_reference_error(self, atoms):
+        # the unit shift on [-100, 100], whose cube from 98 reaches 101
+        box = make_space(atoms=None, weights=lambda a: 1.0,
+                         exhaustion=lambda m: range(-m, m + 1),
+                         contains=lambda a: type(a) is int and abs(a) <= 100)
+        line = make_action(box, [(lambda x: x + 1, lambda x: x - 1)],
+                           name="box", free_orbits=True)
+        with pytest.raises(DomainError) as want:
+            per_atom_hopf_decompose(line, 3, atoms)
+        with pytest.raises(DomainError) as got:
+            hopf_decompose(line, 3, atoms)
+        assert str(got.value) == str(want.value)

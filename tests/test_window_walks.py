@@ -24,6 +24,7 @@ from conftest import (
     pairwise_verify_equivalence,
     recursive_window_orbit,
     sample_atoms,
+    walk_steps,
 )
 from nsdyn import jsonio, zoo
 from nsdyn.action import (
@@ -34,7 +35,12 @@ from nsdyn.action import (
     make_action,
 )
 from nsdyn.errors import ExplorationLimitError
-from nsdyn.hopf import KrengelForm, krengel_normal_form, verify_equivalence
+from nsdyn.hopf import (
+    KrengelForm,
+    hopf_decompose,
+    krengel_normal_form,
+    verify_equivalence,
+)
 from nsdyn.space import make_space
 
 BUILT = {
@@ -211,18 +217,13 @@ def test_verify_equivalence_matches_pairwise_on_krengel_tables(edit):
     assert got["passed"] is (edit in (None, _sparse))
 
 
-def _walk_steps(r, d):
-    """Generator steps of one centered(r) walk: r + 2r along every axis run."""
-    return sum(3 * r * (2 * r + 1) ** k for k in range(d))
-
-
 def test_check_cocycle_walks_each_atom_once(step_counter):
     od = zoo.build(zoo.ZooSpec("odometer", {"K": 4, "p": 0.4, "d": 2}))
     step_counter[0] = 0
     check_cocycle(od, 2)
     # 256 samples walk centered(4); each of the 256 atoms phi_t(s) walks
     # centered(2) once, however many (s, t) reach it
-    assert step_counter[0] == 256 * (_walk_steps(4, 2) + _walk_steps(2, 2))
+    assert step_counter[0] == 256 * (walk_steps(4, 2) + walk_steps(2, 2))
     assert step_counter[0] == 39936
 
 
@@ -231,8 +232,38 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
     step_counter[0] = 0
     form = krengel_normal_form(tr, tr.space.exhaustion(32), radius=128)
     # one exploration per region atom, 65 atoms of 3 * 128 steps each
-    assert step_counter[0] == 65 * _walk_steps(128, 1) == 24960
+    assert step_counter[0] == 65 * walk_steps(128, 1) == 24960
     step_counter[0] = 0
     verify_equivalence(tr, form, 128)
     # one walk per tabulated coordinate: 257 of them
-    assert step_counter[0] == 257 * _walk_steps(128, 1) == 98688
+    assert step_counter[0] == 257 * walk_steps(128, 1) == 98688
+
+
+def test_hopf_walks_one_cube_per_seed(step_counter):
+    od = zoo.build(zoo.ZooSpec("odometer", {"K": 7, "p": 0.4}))
+    step_counter[0] = 0
+    hopf_decompose(od, 256)
+    # the 128-cycle fits inside centered(256) of the first atom, so one seed
+    # labels all: a centered(512) walk plus one forward and one inverse unit
+    # image per distinct atom (one walk per atom took 128 * 3 * 256 = 98304)
+    assert step_counter[0] == walk_steps(512, 1) + 2 * 128 == 1792
+    tr = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+    step_counter[0] = 0
+    hopf_decompose(tr, 10)
+    # S_10 = [-10, 10]^2 takes four seeds, one per quadrant in sorted
+    # order; each walks centered(20) and checks, on each of the 2 axes,
+    # 40 * 41 neighbour pairs of distinct atoms with a fresh forward and
+    # inverse image (one walk per atom took 441 * 660 = 291060)
+    assert step_counter[0] == 4 * (walk_steps(20, 2) + 2 * 2 * 40 * 41)
+    assert step_counter[0] == 36320
+
+
+def test_hopf_stops_at_a_cube_that_does_not_pay(step_counter):
+    tr = zoo.build(zoo.ZooSpec("translation", {"tau": [1.0] * 20, "d": 1}))
+    step_counter[0] = 0
+    hopf_decompose(tr, 10, [(w, (0,)) for w in range(20)])
+    # every orbit holds one requested atom: the first cube labels only its
+    # seed, and its 41 points plus 2 * 40 check steps exceed one window of
+    # 21 points, so the other 19 atoms walk their own windows
+    assert step_counter[0] == walk_steps(20, 1) + 80 + 19 * walk_steps(10, 1)
+    assert step_counter[0] == 710
