@@ -18,6 +18,13 @@ statistic.  The two assemblies agree because the fiber integral of the
 pushed indicator collapses to m * max_t [w_t(s) * 1_{S_m}(phi_t(s))]; that
 collapse is what ties conservativity of the skew product to conservativity
 of the base, so the pair is returned rather than one number computed twice.
+
+The product side enumerates its pairs (s, phi_t(s)) with phi_t(s) in S_m
+from S_m itself: they are the pairs (phi_{-t}(a), a) for a in S_m, so one
+inverse window walk per atom of S_m, |S_m| * (n^d - 1) generator steps,
+reaches every term of the fiber integral.  phi_{-t} inverts phi_t only when
+the generators commute; ``extend`` checks that, with the cocycle, on the
+centered window of radius 2 before any statistic is taken.
 """
 
 from __future__ import annotations
@@ -130,8 +137,13 @@ class MeasureReport:
 
 def check_measure_preservation(ext: MaharamAction, t, rects: Sequence[Rect],
                                rel_tol: float = 1e-9) -> MeasureReport:
-    """Compare the product mass of each rectangle with that of its image."""
+    """Compare the product mass of each rectangle with that of its image.
+
+    An empty list is an input error: it would pass having checked nothing.
+    """
     rects = list(rects)
+    if not rects:
+        raise InvalidInputError("rectangle list is empty")
     ordered = sorted(rects, key=lambda r: (atom_key(r.atom), r.a))
     for r1, r2 in zip(ordered, ordered[1:]):
         if r1.overlaps(r2):
@@ -160,7 +172,10 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
 
     * ``lhs`` integrates the product side directly: for each base atom s the
       fiber contribution is m * max_t [w_t(s) * 1_{S_m}(phi_t(s))] over the
-      corner window, summed against mu and divided by n^d;
+      corner window, summed against mu and divided by n^d.  The atoms s
+      with a nonzero term are the phi_{-t}(a) for a in S_m, so the maxima
+      come from one inverse window walk per a, |S_m| * (n^d - 1) generator
+      steps (exact when the generators commute, which ``extend`` checks);
     * ``rhs`` is (m / n^d) times the integral of the base window maximum of
       the dual images of 1_{S_m}.
 
@@ -172,24 +187,22 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
     base = ext.base
     space = base.space
     s_m = space.exhaustion(m)
-    s_m_set = set(s_m)
     window = CubeWindow.corner(n, base.d)
 
-    # product-side assembly: fiber integral per base atom
-    candidates = set()
+    # product-side assembly: best[s] = max w_t(s) over the pairs
+    # (s, phi_t(s) = a) with a in S_m, each reached once from its a
+    best = {}
+    log_w = {}
     for a in s_m:
-        candidates.update(iter_window_orbit(base, a, window, inverse=True))
-    lhs_terms = []
-    for s in sorted(candidates, key=atom_key):
-        log_s = space.log_weight(s)
-        best = 0.0
-        for img in iter_window_orbit(base, s, window):
-            if img in s_m_set:
-                w = _weight_ratio(space, s, log_s, img)
-                if w > best:
-                    best = w
-        lhs_terms.append(space.weight(s) * m * best)
-    lhs = math.fsum(lhs_terms) / window.size
+        for s in iter_window_orbit(base, a, window, inverse=True):
+            log_s = log_w.get(s)
+            if log_s is None:
+                log_s = log_w[s] = space.log_weight(s)
+            w = _weight_ratio(space, s, log_s, a)
+            if w > best.get(s, 0.0):
+                best[s] = w
+    lhs = math.fsum(space.weight(s) * m * best[s]
+                    for s in sorted(best, key=atom_key)) / window.size
 
     # base-side assembly through the maximal statistic
     indicator = L1Function.indicator(space, s_m)

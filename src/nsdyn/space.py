@@ -89,7 +89,7 @@ class AtomSpace:
         self._weight_fn = weight_fn
         self._contains_fn = contains_fn
         self._exhaustion_fn = exhaustion_fn
-        self._exh_cache = {}
+        self._exh_cache = None   # (m, S_m) of the last m asked, lazy only
         # atom -> weight and atom -> log weight, set by make_space when finite
         self._weights = None
         self._log_weights = None
@@ -147,20 +147,24 @@ class AtomSpace:
 
         A rule that yields more than ``EXPLORATION_BUDGET`` atoms raises
         :class:`ExplorationLimitError`; at most one atom past the limit is
-        drawn from it.
+        drawn from it.  A lazy space keeps only the set of the last m asked,
+        which serves every caller: each works through one m at a time.
         """
         if not isinstance(m, int) or m < 0:
             raise InvalidInputError(f"exhaustion index must be an int >= 0, got {m!r}")
         if self.finite:
             return self._atoms
-        if m not in self._exh_cache:
-            atoms = list(islice(self._exhaustion_fn(m), EXPLORATION_BUDGET + 1))
-            if len(atoms) > EXPLORATION_BUDGET:
-                raise ExplorationLimitError(
-                    f"exhaustion set S_{m} of space {self.name!r} has more "
-                    f"than {EXPLORATION_BUDGET} atoms")
-            self._exh_cache[m] = tuple(sorted(atoms, key=atom_key))
-        return self._exh_cache[m]
+        cached = self._exh_cache
+        if cached is not None and cached[0] == m:
+            return cached[1]
+        atoms = list(islice(self._exhaustion_fn(m), EXPLORATION_BUDGET + 1))
+        if len(atoms) > EXPLORATION_BUDGET:
+            raise ExplorationLimitError(
+                f"exhaustion set S_{m} of space {self.name!r} has more "
+                f"than {EXPLORATION_BUDGET} atoms")
+        s_m = tuple(sorted(atoms, key=atom_key))
+        self._exh_cache = (m, s_m)
+        return s_m
 
     def total_mass(self) -> float:
         """Total measure of a finite space."""
@@ -224,13 +228,15 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
             f"infinite space {name!r} requires a membership predicate")
     space = AtomSpace(name, False, None, weight_fn, contains, exhaustion)
     # the largest set first, so an oversized rule fails before any sorting
-    space.exhaustion(3)
+    levels = {3: space.exhaustion(3)}
+    for m in (0, 1, 2):
+        levels[m] = space.exhaustion(m)
     for m in (1, 2, 3):
-        if not set(space.exhaustion(m - 1)) <= set(space.exhaustion(m)):
+        if not set(levels[m - 1]) <= set(levels[m]):
             raise ConstructionError(
                 f"exhaustion of space {name!r} is not monotone "
                 f"between m={m - 1} and m={m}")
-    for a in space.exhaustion(2):
+    for a in levels[2]:
         if a not in space:
             raise ConstructionError(
                 f"exhaustion atom {a!r} fails the membership predicate "

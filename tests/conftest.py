@@ -9,6 +9,7 @@ implementations of a checked routine as references for its current one.
 
 import contextlib
 import io
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from nsdyn.action import (
     NsAction,
     _Budget,
     _weight_ratio,
+    iter_window_orbit,
     make_action,
     vec_add,
 )
@@ -191,6 +193,36 @@ def walk_max_dual_function(action, g, window):
             if val > acc.get(s, 0.0):
                 acc[s] = val
     return L1Function(space, acc, truncation_error=g.truncation_error)
+
+
+def gather_extension_lhs(ext, m, n):
+    """The product side of ``extension_stat`` from forward window walks.
+
+    The candidate-set assembly that one inverse walk per S_m atom replaced:
+    inverse walks from S_m only collect the candidate atoms s, and each
+    candidate then walks its own forward window for the images phi_t(s)
+    that land in S_m.  The terms, their maxima and the sorted ``fsum`` are
+    the same, so the two must agree bit for bit.
+    """
+    base = ext.base
+    space = base.space
+    s_m = space.exhaustion(m)
+    s_m_set = set(s_m)
+    window = CubeWindow.corner(n, base.d)
+    candidates = set()
+    for a in s_m:
+        candidates.update(iter_window_orbit(base, a, window, inverse=True))
+    lhs_terms = []
+    for s in sorted(candidates, key=atom_key):
+        log_s = space.log_weight(s)
+        best = 0.0
+        for img in iter_window_orbit(base, s, window):
+            if img in s_m_set:
+                w = _weight_ratio(space, s, log_s, img)
+                if w > best:
+                    best = w
+        lhs_terms.append(space.weight(s) * m * best)
+    return math.fsum(lhs_terms) / window.size
 
 
 def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9):

@@ -161,6 +161,15 @@ class TestMaharamVerify:
         assert out.returncode == 1
         assert json.loads(out.stdout)["passed"] is False
 
+    def test_empty_rectangle_list_is_a_usage_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        assert cli.main(["maharam-verify", "--action", "fixture:TR1",
+                         "--rects", f"@{empty}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rectangle list is empty\n"
+
     def test_failed_report_goes_to_the_configured_out(
             self, noncommuting_file, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -4,8 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import noncommuting_action, sample_atoms
+from conftest import (
+    FIXTURE_NAMES,
+    gather_extension_lhs,
+    noncommuting_action,
+    sample_atoms,
+)
 from nsdyn import maharam, zoo
 from nsdyn.action import CubeWindow, make_action, vec_add
 from nsdyn.errors import ConstructionError, InvalidInputError
@@ -147,6 +154,11 @@ class TestMeasurePreservation:
         assert math.isnan(report.max_rel_deviation)
         assert not report.passed
 
+    def test_empty_rect_list_rejected(self, extensions):
+        # an empty list would pass having checked nothing
+        with pytest.raises(InvalidInputError, match="rectangle list is empty"):
+            check_measure_preservation(extensions["TR1"], (1,), [])
+
     def test_overlapping_rects_rejected(self, extensions):
         with pytest.raises(InvalidInputError, match="overlap"):
             check_measure_preservation(
@@ -191,6 +203,47 @@ class TestExtensionStat:
             extension_stat(extensions["E2"], 0, 4)
         with pytest.raises(InvalidInputError):
             extension_stat(extensions["E2"], 1, 0)
+
+
+def _lhs_spec(case, data):
+    """A zoo spec for ``case``, its free parameters drawn from ``data``."""
+    floats = st.floats(0.1, 10.0)
+    if case == "cyclic":
+        sizes = data.draw(st.one_of(
+            st.integers(1, 6), st.lists(st.integers(1, 3), min_size=2,
+                                        max_size=2)), label="N")
+        count = sizes if isinstance(sizes, int) else math.prod(sizes)
+        return "cyclic", {"N": sizes, "weights": data.draw(
+            st.lists(floats, min_size=count, max_size=count), label="weights")}
+    d = data.draw(st.integers(1, 2), label="d")
+    if case == "odometer":
+        return "odometer", {"K": data.draw(st.integers(1, 4 // d), label="K"),
+                            "p": data.draw(st.floats(0.05, 0.95), label="p"),
+                            "d": d}
+    if case == "translation":
+        return "translation", {"tau": data.draw(
+            st.lists(floats, min_size=1, max_size=3), label="tau"), "d": d}
+    return "stabilizer", {"d": 2, "active": data.draw(st.integers(0, 1),
+                                                      label="active")}
+
+
+class TestExtensionStatInverseWalks:
+    """One inverse walk per S_m atom gives the gathered ``lhs`` exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(("cyclic", "odometer", "translation",
+                                 "stabilizer") + FIXTURE_NAMES),
+           m=st.integers(1, 3), n=st.integers(1, 16), data=st.data())
+    def test_lhs_matches_the_gathered_reference(self, actions, case, m, n,
+                                                data):
+        if case in FIXTURE_NAMES:
+            action = actions[case]
+        else:
+            action = zoo.build(zoo.ZooSpec(*_lhs_spec(case, data)))
+        if action.d == 2:
+            n = min(n, 6)
+        ext = extend(action)
+        assert extension_stat(ext, m, n)[0] == gather_extension_lhs(ext, m, n)
 
 
 class TestExtensionLimits:
@@ -266,3 +319,12 @@ class TestExtensionBruteForce:
                 brute = brute_extension_value(act, m, n)
                 assert lhs == pytest.approx(brute, rel=EXACT)
                 assert rhs == pytest.approx(brute, rel=EXACT)
+
+    @pytest.mark.parametrize("name", ["TR1", "OD3"])
+    def test_three_assemblies_agree_on_fixtures(self, extensions, name):
+        ext = extensions[name]
+        for m, n in ((1, 3), (1, 7), (2, 5), (3, 16)):
+            lhs, rhs = extension_stat(ext, m, n)
+            brute = brute_extension_value(ext.base, m, n)
+            assert lhs == pytest.approx(brute, rel=EXACT)
+            assert rhs == pytest.approx(brute, rel=EXACT)

@@ -42,6 +42,27 @@ class TestMakeSpace:
         assert space.weight(1234) == 1.0
         assert space.exhaustion(2) == (-2, -1, 0, 1, 2)
 
+    def test_lazy_exhaustion_keeps_only_the_last_set(self):
+        asked = []
+
+        def rule(m):
+            asked.append(m)
+            return range(m, -m - 1, -1)
+
+        space = make_space(atoms=None, weights=1.0, exhaustion=rule,
+                           contains=lambda a: isinstance(a, int))
+        # validation draws each of S_0 .. S_3 once
+        assert sorted(asked) == [0, 1, 2, 3]
+        for m in range(4, 54):
+            assert space.exhaustion(m) == tuple(range(-m, m + 1))
+        assert space._exh_cache == (53, tuple(range(-53, 54)))
+        asked.clear()
+        assert space.exhaustion(53) == tuple(range(-53, 54))
+        assert asked == []
+        assert space.exhaustion(7) == tuple(range(-7, 8))
+        assert asked == [7]
+        assert space._exh_cache == (7, tuple(range(-7, 8)))
+
     def test_zero_weight_names_the_atom(self):
         with pytest.raises(ConstructionError, match="'bad'"):
             make_space(["ok", "bad"], {"ok": 1.0, "bad": 0.0})

@@ -41,6 +41,7 @@ from nsdyn.hopf import (
     krengel_normal_form,
     verify_equivalence,
 )
+from nsdyn.maharam import extend, extension_stat
 from nsdyn.space import make_space
 
 BUILT = {
@@ -267,3 +268,14 @@ def test_hopf_stops_at_a_cube_that_does_not_pay(step_counter):
     # 21 points, so the other 19 atoms walk their own windows
     assert step_counter[0] == walk_steps(20, 1) + 80 + 19 * walk_steps(10, 1)
     assert step_counter[0] == 710
+
+
+def test_extension_stat_walks_each_end_once(step_counter):
+    ext = extend(zoo.build_fixture("TR1"))
+    step_counter[0] = 0
+    extension_stat(ext, 8, 256)
+    # lhs walks corner(256) backward once from each of the 17 atoms of
+    # S_8 = [-8, 8], 255 steps each; rhs (max_dual_function) walks one run
+    # from 8 back to -8 - 255, 2m + n - 1 = 271 steps.  The forward walk
+    # from every candidate as well took 73966
+    assert step_counter[0] == 17 * 255 + (2 * 8 + 256 - 1) == 4606
