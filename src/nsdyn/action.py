@@ -58,6 +58,10 @@ class CubeWindow:
 
     ``corner``: {t : 0 <= t_i <= n-1}, cardinality n^d.
     ``centered``: {t : -n <= t_i <= n}, cardinality (2n+1)^d.
+
+    The k-th vector in lex order sits at position k, which is where a window
+    walk (:func:`iter_window_orbit`) lists phi_t(s).  Moving one unit along
+    axis i moves the position by ``strides[i]``.
     """
 
     kind: str
@@ -87,9 +91,17 @@ class CubeWindow:
         return -self.n, self.n
 
     @property
-    def size(self) -> int:
+    def side(self) -> int:
         lo, hi = self.axis_bounds()
-        return (hi - lo + 1) ** self.d
+        return hi - lo + 1
+
+    @property
+    def strides(self) -> tuple:
+        return tuple(self.side ** k for k in reversed(range(self.d)))
+
+    @property
+    def size(self) -> int:
+        return self.side ** self.d
 
     def __iter__(self) -> Iterator[tuple]:
         lo, hi = self.axis_bounds()
@@ -97,12 +109,42 @@ class CubeWindow:
 
     def vector(self, k: int) -> tuple:
         """The k-th vector of the window in lex order."""
-        lo, hi = self.axis_bounds()
+        lo, side = self.axis_bounds()[0], self.side
         digits = []
         for _ in range(self.d):
-            k, r = divmod(k, hi - lo + 1)
+            k, r = divmod(k, side)
             digits.append(lo + r)
         return tuple(reversed(digits))
+
+    def position(self, t) -> int:
+        """The lex position of the vector t: the inverse of :meth:`vector`."""
+        lo = self.axis_bounds()[0]
+        return sum((x - lo) * st for x, st in zip(t, self.strides))
+
+    def positions(self, sub: "CubeWindow") -> Iterator[int]:
+        """The positions of the vectors of ``sub``, in sub's lex order.
+
+        ``sub`` lies inside this window, as centered(r) inside centered(2r).
+        """
+        (lo, hi), (sub_lo, sub_hi) = self.axis_bounds(), sub.axis_bounds()
+        if sub.d != self.d or not lo <= sub_lo <= sub_hi <= hi:
+            raise InvalidInputError(f"{sub} does not lie inside {self}")
+        rows = [range((sub_lo - lo) * st, (sub_hi - lo) * st + 1, st)
+                for st in self.strides]
+        return map(sum, product(*rows))
+
+    def unit_steps(self, axis: int) -> tuple[int, Iterator[range]]:
+        """``(st, runs)``: the positions k in ``runs`` are those of the p
+        with p + e_axis in the window, and p + e_axis sits at k + st."""
+        st = self.strides[axis]
+        block = st * self.side
+        return st, (range(k, k + block - st) for k in range(0, self.size, block))
+
+    def check_dimension(self, d: int):
+        """Refuse a window whose dimension is not the action's d."""
+        if self.d != d:
+            raise InvalidInputError(f"window dimension {self.d} does not "
+                                    f"match action dimension {d}")
 
 
 def as_vec(t, d: int) -> tuple:
@@ -124,10 +166,13 @@ def as_vec(t, d: int) -> tuple:
     return vec
 
 
-def _weight_ratio(space: AtomSpace, s, log_s: float, end) -> float:
+def _weight_ratio(space: AtomSpace, s, log_s: float, end,
+                  log_end: float = None) -> float:
     """mu(end) / mu(s) from log weights; beyond float range it is an input error."""
+    if log_end is None:
+        log_end = space.log_weight(end)
     try:
-        return math.exp(space.log_weight(end) - log_s)
+        return math.exp(log_end - log_s)
     except OverflowError:
         raise InvalidInputError(
             f"weight ratio mu({end!r}) / mu({s!r}) in space {space.name!r} "
@@ -136,10 +181,6 @@ def _weight_ratio(space: AtomSpace, s, log_s: float, end) -> float:
 
 def vec_add(t: tuple, u: tuple) -> tuple:
     return tuple(a + b for a, b in zip(t, u))
-
-
-def vec_neg(t: tuple) -> tuple:
-    return tuple(-a for a in t)
 
 
 class _Generator:
@@ -202,9 +243,8 @@ class NsAction:
 
     def declared_free(self, atom):
         """Builder-declared orbit freeness: True, False, or None (unknown)."""
-        if self._free_orbit_fn is None:
-            return None
-        return self._free_orbit_fn(atom)
+        fn = self._free_orbit_fn
+        return None if fn is None else fn(atom)
 
     def step(self, axis: int, atom, forward: bool = True):
         """Apply a single generator (or its inverse) once."""
@@ -261,7 +301,7 @@ class NsAction:
         """
         if g.space is not self.space:
             raise DomainError("function is defined over a different space")
-        minus = vec_neg(as_vec(t, self.d))
+        minus = tuple(-x for x in as_vec(t, self.d))
         out = {}
         for sp, v in g.items():
             s = self.apply(minus, sp)
@@ -303,13 +343,8 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
     weight (nonsingularity).  On a finite space the images it computes
     become the action's step tables.
     """
-    gens = []
-    for g in generators:
-        if isinstance(g, dict):
-            gens.append(_Generator.from_permutation(g))
-        else:
-            fwd, inv = g
-            gens.append(_Generator(fwd, inv))
+    gens = [_Generator.from_permutation(g) if isinstance(g, dict)
+            else _Generator(*g) for g in generators]
     if not gens:
         raise ConstructionError("an action needs at least one generator")
     d = len(gens)
@@ -364,10 +399,9 @@ def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
     """Iterate phi_t(s) over the t of the window, in the window's lex order.
 
     Only the atoms are produced; ``zip(window, ...)`` pairs each with its t.
-    With ``inverse=True`` they are phi_{-t}(s) instead.  The walk is
-    depth-first and incremental, one generator application per step, so a
-    whole window costs O(|window|) applications instead of O(|window| * n).
-    It recurses over the axes and runs the innermost axis as one row.
+    With ``inverse=True`` they are phi_{-t}(s) instead.  The walk recurses
+    over the axes and runs the innermost axis as one row, one generator
+    application per step: O(|window|) applications in all.
 
     An exhausted budget raises :class:`ExplorationLimitError` naming the
     axis being stepped, the window vector t the walk was heading for (also
@@ -376,10 +410,7 @@ def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
     if s not in action.space:
         raise DomainError(
             f"atom {s!r} is not in the space of action {action.name!r}")
-    if window.d != action.d:
-        raise InvalidInputError(
-            f"window dimension {window.d} does not match action dimension "
-            f"{action.d}")
+    window.check_dimension(action.d)
     lo, hi = window.axis_bounds()
     last = action.d - 1
     step, walk = action.step, action._walk_axis
@@ -474,17 +505,12 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     window = CubeWindow.centered(radius, action.d)
     doubled = CubeWindow.centered(2 * radius, action.d)
     vecs = list(window)
-    # mixed-radix positions in the doubled window: pos(t + u) = pos(t) +
-    # off(u) for t and u in the window, and pos(t) = pos(0) + off(t)
-    side = 4 * radius + 1
-    strides = [side ** k for k in reversed(range(action.d))]
-    offs = [sum(c * k for c, k in zip(u, strides)) for u in vecs]
-    center = 2 * radius * sum(strides)
+    # positions in the doubled window: pos(t + u) = pos(t) + off(u) for t
+    # and u in the window, with off(u) = pos(u) - pos(0)
+    center = doubled.position((0,) * action.d)
+    offs = [pos - center for pos in doubled.positions(window)]
     ratios = {}  # x -> [(phi_u(x), w_u(x)) for u in window], one walk per x
-    worst_dev = 0.0
-    worst = None
-    violations = []
-    checked = 0
+    worst_dev, worst, violations, checked = 0.0, None, [], 0
     for s in sorted(samples, key=atom_key):
         # one incremental sweep per base atom gives w_t(s) for all t up to 2r
         log_s = space.log_weight(s)
@@ -515,14 +541,11 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
                   ) -> tuple[float, float, L1Function]:
     """Return the duality pair for a finite atom set A, and the dual image.
 
-    The left number integrates the dual image over A; the right one
-    integrates g over {s : phi_t^{-1}(s) in A}, which is the forward image
-    of A.  The two sides take genuinely different routes through the action
-    (the dual image is assembled along inverse paths, the set on the right
-    along forward paths), so they agree up to rounding exactly when the
-    declared inverses and the composition order are consistent; a broken
-    action surfaces as disagreement.  The third value is ``dual_t g``
-    itself, whose norm the caller can compare with that of g.
+    The left number integrates the dual image over A (inverse paths), the
+    right one integrates g over the forward image {s : phi_t^{-1}(s) in A}
+    (forward paths), so they agree up to rounding exactly when the declared
+    inverses and the composition order are consistent.  The third value is
+    ``dual_t g`` itself, whose norm the caller can compare with that of g.
     """
     atoms = sorted(set(A), key=atom_key)
     for a in atoms:

@@ -74,13 +74,9 @@ def orbit_explore(action: NsAction, s, radius: int) -> OrbitRecord:
         raise InvalidInputError("radius must be >= 1")
     window = CubeWindow.centered(radius, action.d)
     zero = (0,) * action.d
-    visits = {}
-    stab = []
-    for t, atom in zip(window, iter_window_orbit(action, s, window)):
-        visits[t] = atom
-        if atom == s and t != zero:
-            stab.append(t)
-    return OrbitRecord(s, radius, visits, tuple(stab))
+    visits = dict(zip(window, iter_window_orbit(action, s, window)))
+    stab = tuple(t for t, atom in visits.items() if atom == s and t != zero)
+    return OrbitRecord(s, radius, visits, stab)
 
 
 @dataclass
@@ -98,13 +94,9 @@ class HopfDecomposition:
 
     def summary(self) -> str:
         kinds = set(self.labels.values())
-        if kinds == {CONSERVATIVE}:
-            return CONSERVATIVE
-        if kinds == {DISSIPATIVE}:
-            return DISSIPATIVE
         if not kinds or UNDETERMINED in kinds:
             return UNDETERMINED
-        return "mixed"
+        return kinds.pop() if len(kinds) == 1 else "mixed"
 
     def as_dict(self) -> dict:
         return {
@@ -165,34 +157,26 @@ def _label_cube(action: NsAction, s, radius: int, wanted: set,
 
     Labels nothing when the centered(2 radius) cube from s cannot be walked
     or is not a lattice image.  Returns whether further cubes are worth
-    trying: the cube was built, and its points plus its check steps were at
-    most the window points of the atoms it labelled.
+    trying: the cube's points plus its check steps were at most the window
+    points of the atoms it labelled.
     """
-    d = action.d
-    cube = CubeWindow.centered(2 * radius, d)
-    side = 4 * radius + 1
+    cube = CubeWindow.centered(2 * radius, action.d)
     try:
         atoms = list(iter_window_orbit(action, s, cube))
-        checked = _lattice_check_steps(action, atoms, side)
+        checked = _lattice_check_steps(action, atoms, cube)
     except (ExplorationLimitError, DomainError, KeyError):
         return False
     if checked is None:
         return False
-    center = len(atoms) // 2
-    near = far = False
-    for k, atom in enumerate(atoms):
-        if atom == s and k != center:
-            if all(abs(x) <= radius for x in cube.vector(k)):
-                near = True
-            else:
-                far = True
-    strides = [side ** (d - 1 - axis) for axis in range(d)]
-    rows = [range(radius * st, 3 * radius * st + 1, st) for st in strides]
-    space = action.space
+    inner = list(cube.positions(CubeWindow.centered(radius, action.d)))
+    recur = {k for k, atom in enumerate(atoms) if atom == s}
+    recur.discard(cube.position((0,) * action.d))
+    near = recur.intersection(inner)  # the recurrences within radius of s
+    far = len(recur) > len(near)
     labelled = 0
-    for k in map(sum, product(*rows)):
+    for k in inner:
         x = atoms[k]
-        if x in found or x not in wanted or x not in space:
+        if x in found or x not in wanted or x not in action.space:
             continue
         if near:
             found[x] = CONSERVATIVE
@@ -201,25 +185,25 @@ def _label_cube(action: NsAction, s, radius: int, wanted: set,
         else:
             found[x] = UNDETERMINED
         labelled += 1
-    return labelled * (2 * radius + 1) ** d >= len(atoms) + checked
+    return labelled * len(inner) >= len(atoms) + checked
 
 
-def _lattice_check_steps(action: NsAction, atoms: list, side: int):
-    """Check that a cube walk of the given side is a lattice image.
+def _lattice_check_steps(action: NsAction, atoms: list, cube: CubeWindow):
+    """Check that a walk over the cube is a lattice image.
 
-    ``atoms`` lists a_p in lex order; the check is T_i a_p == a_{p+e_i} and
-    T_i^{-1} a_{p+e_i} == a_p for every p and axis i with p + e_i in the
-    cube.  Unit images are memoised per distinct atom, so the check costs at
-    most 2d generator steps per atom, charged to one exploration budget.
-    Returns the steps taken, or None when a pair fails.
+    ``atoms`` lists a_p in the cube's lex order; the check is
+    T_i a_p == a_{p+e_i} and T_i^{-1} a_{p+e_i} == a_p for every p and axis
+    i with p + e_i in the cube.  Unit images are memoised per distinct atom,
+    so the check costs at most 2d generator steps per atom, charged to one
+    exploration budget.  Returns the steps taken, or None when a pair fails.
     """
     budget = _Budget(action.exploration_budget)
     step = action.step
     for axis in range(action.d):
-        stride = side ** (action.d - 1 - axis)
+        stride, runs = cube.unit_steps(axis)
         fwd, inv = {}, {}
-        for base in range(0, len(atoms), stride * side):
-            for k in range(base, base + stride * (side - 1)):
+        for run in runs:
+            for k in run:
                 a, b = atoms[k], atoms[k + stride]
                 if a not in fwd:
                     budget.spend(axis)
@@ -404,14 +388,13 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     explored region, that is both weights are strictly positive wherever the
     table is defined.
 
-    Failures are report entries, never exceptions.
+    Failures are report entries, never exceptions; a form with no table
+    entry in the window is an input error, since it would pass unchecked.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     window = CubeWindow.centered(min(radius, form.radius), action.d)
-    failures = []
-    eq_checked = 0
-    sup_checked = 0
+    failures, eq_checked, sup_checked = [], 0, 0
     by_rep: dict = {}
     for (w, t), img in form.phi.items():
         by_rep.setdefault(w, {})[t] = img
@@ -454,6 +437,9 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
                 failures.append({
                     "kind": "support", "w": atom_to_json(w), "s": list(s),
                     "mu": mu, "tau": tau})
+    if not sup_checked:
+        raise InvalidInputError(
+            f"no table entry of the form lies within radius {window.n}")
     return EquivalenceReport(window.n, eq_checked, sup_checked, failures)
 
 

@@ -190,15 +190,17 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
     window = CubeWindow.corner(n, base.d)
 
     # product-side assembly: best[s] = max w_t(s) over the pairs
-    # (s, phi_t(s) = a) with a in S_m, each reached once from its a
+    # (s, phi_t(s) = a) with a in S_m, each reached once from its a; each
+    # log weight is looked up once
     best = {}
     log_w = {}
     for a in s_m:
+        log_a = space.log_weight(a)
         for s in iter_window_orbit(base, a, window, inverse=True):
             log_s = log_w.get(s)
             if log_s is None:
                 log_s = log_w[s] = space.log_weight(s)
-            w = _weight_ratio(space, s, log_s, a)
+            w = _weight_ratio(space, s, log_s, a, log_a)
             if w > best.get(s, 0.0):
                 best[s] = w
     lhs = math.fsum(space.weight(s) * m * best[s]

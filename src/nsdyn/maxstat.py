@@ -109,10 +109,7 @@ def _window_maxima(action: NsAction, g: L1Function, window: CubeWindow) -> dict:
     """s -> max_{t in window} h(T_1^{t_1} ... T_d^{t_d} s) with h = g * mu."""
     if g.space is not action.space:
         raise InvalidInputError("g is defined over a different space")
-    if window.d != action.d:
-        raise InvalidInputError(
-            f"window dimension {window.d} does not match action dimension "
-            f"{action.d}")
+    window.check_dimension(action.d)
     weight = action.space.weight
     f = {sp: v * weight(sp) for sp, v in g.items()}
     lo, hi = window.axis_bounds()
@@ -132,37 +129,16 @@ def max_dual_function(action: NsAction, g: L1Function,
     by one positive weight is monotone under rounding, so every value has
     the bits of the direct per-term maximum.
 
-    Each axis pass walks backward from the support only.  A walk absorbs
-    the support atoms it meets and stops after n - 1 (corner) or 2n
-    (centered) empty sites; a walk that reaches the head of an earlier run
-    links to it, and one that returns to its start closes a ring, whose
-    window is reduced modulo the period.  A monotone deque then slides the
-    window along each run once.  The cost is O(size of the result)
-    generator steps per axis, plus n forward steps per run for the centered
-    window, instead of O(|supp g| * n^d).  The exploration budget is charged
-    per walk and renewed at every absorbed support atom.
+    Each axis pass walks backward from the support only (see the module
+    docstring), stopping after n - 1 (corner) or 2n (centered) empty sites,
+    so it costs O(size of the result) generator steps, plus n forward steps
+    per run for the centered window.  The exploration budget is charged per
+    walk and renewed at every absorbed support atom.
     """
     space = action.space
     best = _window_maxima(action, g, window)
     return L1Function(space, {s: m / space.weight(s) for s, m in best.items()},
                       truncation_error=g.truncation_error)
-
-
-def _stat(action: NsAction, g: L1Function, window: CubeWindow
-          ) -> tuple[float, int]:
-    """``(a_n, support size)`` straight from the window maxima."""
-    weight = action.space.weight
-    terms = []
-    for s, m in _window_maxima(action, g, window).items():
-        w = weight(s)
-        v = m / w
-        if not 0.0 <= v < math.inf:
-            raise InvalidInputError(
-                f"function value at atom {s!r} is {v}; "
-                "values must be finite and nonnegative")
-        if v > 0.0:
-            terms.append(v * w)
-    return math.fsum(terms) / window.size, len(terms)
 
 
 def stat_a_n(action: NsAction, g: L1Function, n: int,
@@ -172,7 +148,7 @@ def stat_a_n(action: NsAction, g: L1Function, n: int,
     Normalization is always by the exact window cardinality: n^d for the
     corner cube, (2n+1)^d for the centered cube J_n.
     """
-    return _stat(action, g, CubeWindow(kind, n, action.d))[0]
+    return stat_series(action, g, [n], kind).records[0].a_n
 
 
 def stat_bounds(action: NsAction, g: L1Function, n: int,
@@ -218,18 +194,33 @@ class StatSeries:
 
 def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
                 kind: str = "corner") -> StatSeries:
-    """Sweep the statistic over an increasing list of window sizes."""
+    """Sweep the statistic over an increasing list of window sizes.
+
+    This is the one assembly of a_n, straight from the window maxima.
+    """
     ns = list(ns)
     if not ns:
         raise InvalidInputError("the list of window sizes is empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidInputError(f"window sizes must be strictly increasing: {ns}")
+    weight = action.space.weight
     series = StatSeries()
     for n in ns:
         t0 = time.perf_counter()
-        value, support = _stat(action, g, CubeWindow(kind, n, action.d))
+        window = CubeWindow(kind, n, action.d)
+        terms = []
+        for s, m in _window_maxima(action, g, window).items():
+            w = weight(s)
+            v = m / w
+            if not 0.0 <= v < math.inf:
+                raise InvalidInputError(
+                    f"function value at atom {s!r} is {v}; "
+                    "values must be finite and nonnegative")
+            if v > 0.0:
+                terms.append(v * w)
         ms = (time.perf_counter() - t0) * 1000.0
-        series.records.append(StatRecord(n, kind, value, support, ms))
+        series.records.append(StatRecord(
+            n, kind, math.fsum(terms) / window.size, len(terms), ms))
     return series
 
 
@@ -318,8 +309,7 @@ def conservativity_verdict(action: NsAction, g_sequence: Sequence[L1Function],
             raise InvalidInputError(
                 "supports of the g sequence must be nested increasing")
     evidence = []
-    all_decayed = True
-    any_stabilized = False
+    all_decayed, any_stabilized = True, False
     for idx, g in enumerate(gs):
         series = stat_series(action, g, ns, kind)
         vals = series.values()

@@ -53,6 +53,54 @@ class TestCubeWindow:
         with pytest.raises(InvalidInputError):
             CubeWindow.corner(0, 1)
 
+    @pytest.mark.parametrize("kind", ["corner", "centered"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_position_inverts_vector(self, kind, d):
+        w = CubeWindow(kind, 3, d)
+        assert [w.position(w.vector(k)) for k in range(w.size)] == list(
+            range(w.size))
+        assert [w.position(t) for t in w] == list(range(w.size))
+        assert w.size == w.side ** d and w.strides[-1] == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sub_window_positions(self, d):
+        pairs = [(CubeWindow.centered(2 * r, d), CubeWindow.centered(r, d))
+                 for r in (1, 2)]
+        pairs += [(CubeWindow.corner(4, d), CubeWindow.corner(2, d)),
+                  (CubeWindow.centered(2, d), CubeWindow.corner(3, d)),
+                  (CubeWindow.centered(2, d), CubeWindow.centered(2, d))]
+        for outer, sub in pairs:
+            assert list(outer.positions(sub)) == [outer.position(v)
+                                                  for v in sub]
+
+    @pytest.mark.parametrize("outer,sub", [
+        (CubeWindow.corner(3, 1), CubeWindow.centered(1, 1)),
+        (CubeWindow.centered(1, 2), CubeWindow.centered(2, 2)),
+        (CubeWindow.centered(2, 2), CubeWindow.centered(1, 1)),
+    ])
+    def test_sub_window_must_lie_inside(self, outer, sub):
+        with pytest.raises(InvalidInputError, match="does not lie inside"):
+            outer.positions(sub)
+
+    @pytest.mark.parametrize("kind", ["corner", "centered"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unit_steps_pair_each_vector_with_its_neighbour(self, kind, d):
+        w = CubeWindow(kind, 2, d)
+        inside = set(w)
+        for axis in range(d):
+            e = tuple(int(i == axis) for i in range(d))
+            want = [(w.position(p), w.position(tuple(map(sum, zip(p, e)))))
+                    for p in w if tuple(map(sum, zip(p, e))) in inside]
+            stride, runs = w.unit_steps(axis)
+            assert [(k, k + stride) for run in runs for k in run] == want
+
+    def test_dimension_mismatch_names_both_dimensions(self):
+        window = CubeWindow.corner(2, 2)
+        with pytest.raises(InvalidInputError, match=(
+                "^window dimension 2 does not match action dimension 1$")):
+            window.check_dimension(1)
+        window.check_dimension(2)
+
 
 class TestApply:
     def test_translation(self, actions):

@@ -232,6 +232,24 @@ class TestKrengel:
         assert out.returncode == 1
         assert json.loads(out.stdout)["equivalence"]["passed"] is False
 
+    @pytest.mark.parametrize("args,form", [
+        (("--region", "[]", "--radius", "2"), None),
+        (("--radius", "4"),
+         {"d": 1, "radius": 4, "representatives": [], "table": []}),
+        (("--radius", "4"),
+         {"d": 1, "radius": 9, "representatives": [{"atom": 0, "tau": 1.0}],
+          "table": [{"w": 0, "t": [9], "atom": 9}]}),
+    ], ids=["empty-region", "empty-form", "entry-beyond-the-radius"])
+    def test_nothing_to_verify_is_a_usage_error(self, tmp_path, args, form):
+        # each of these exited 0 with "passed": true and both counts 0
+        if form is not None:
+            path = tmp_path / "form.json"
+            path.write_text(json.dumps(form))
+            args += ("--verify-form", str(path))
+        code, out, err = _main("krengel", "--action", "fixture:TR1", *args)
+        _assert_usage_error(code, out, err)
+        assert "no table entry of the form lies within radius" in err
+
 
 class TestZooCommand:
     def test_list(self):
@@ -384,10 +402,14 @@ class TestAdditionalSurfaces:
 
 
 def _main(*argv):
-    """Run the CLI in process: (exit code, stdout, stderr)."""
+    """Run the CLI in process: (exit code, stdout, stderr), with argparse's
+    own exit taken as the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -540,16 +562,103 @@ _ACTION_DOCS = st.one_of(
 )
 
 
+# small grammars for flag values: ints around 0, comma lists, JSON
+# fragments, non-finite floats; sizes stay at radius <= 6, n <= 64 and
+# exhaustion <= 8, so every example runs well under a second
+_SCALARS = st.integers(-2, 4).map(str) | st.sampled_from(
+    ["nan", "inf", "-inf", "", "x", "0.5", "1e-9", "[]", "{}", "null"])
+_NS = st.lists(st.integers(-1, 64), min_size=1, max_size=3).map(
+    lambda ns: ",".join(map(str, ns)))
+_LISTS = st.lists(st.integers(-2, 8), min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, xs)))
+_FRAGMENTS = _JSON.map(json.dumps)
+_VALUES = _SCALARS | _LISTS | _FRAGMENTS
+_FUNCTIONS = (st.sampled_from(["ones", "atom:0", "atom:[1, 0]", "atom:",
+                               "@nowhere.json", "zeros"])
+              | st.integers(-1, 8).map("exhaustion:{}".format)
+              | _FRAGMENTS.map("atom:{}".format))
+_ATOM_SETS = (st.integers(-1, 8).map("exhaustion:{}".format) | _FRAGMENTS
+              | st.lists(st.integers(-3, 3), max_size=4).map(json.dumps))
+_ACTIONS = st.sampled_from([
+    ("fixture:E2",), ("fixture:C4",), ("fixture:TR1",), ("fixture:ST2",),
+    ("fixture:OD3",), ("fixture:MIX",), ("fixture:NOPE",),
+    ("zoo:cyclic", "--params", "N=3"), ("zoo:cyclic", "--params", "N=2x2"),
+    ("zoo:odometer", "--params", "K=2,p=0.4,d=2"),
+    ("zoo:translation", "--params", "d=2"),
+    ("zoo:translation", "--params", "tau=1x2"),
+    ("zoo:stabilizer", "--params", "d=2,active=1"),
+    ("zoo:cyclic", "--params", "N=0"), ("zoo:nope",), ("nowhere.json",),
+])
+_RADII = st.integers(1, 6).map(str) | _SCALARS
+_TOLS = st.sampled_from(["1e-9", "1e-12", "0.5", "2"]) | _VALUES
+_INCREASING = st.lists(st.integers(1, 64), min_size=1, max_size=3,
+                       unique=True).map(lambda ns: ",".join(map(str, sorted(ns))))
+
+# per subcommand: flag -> value grammar (omitted flags take their defaults)
+_FLAGS = {
+    "stat": {"--g": _FUNCTIONS, "--n": _INCREASING | _NS | _VALUES,
+             "--window": st.sampled_from(["corner", "centered", "ring"])},
+    "verdict": {"--g": _FUNCTIONS, "--n": _INCREASING | _NS | _VALUES,
+                "--window": st.sampled_from(["corner", "centered"]),
+                "--theta-dec": _TOLS, "--theta-stab": _TOLS},
+    "cocycle-check": {"--radius": st.integers(-1, 3).map(str) | _SCALARS,
+                      "--tol": _TOLS},
+    "duality-check": {"--t": _LISTS | _VALUES, "--g": _FUNCTIONS,
+                      "--A": _ATOM_SETS, "--tol": _TOLS},
+    "maharam-verify": {"--t": _LISTS | _VALUES,
+                       "--rects": st.sampled_from(["auto", "@nowhere.json"]),
+                       "--m": st.lists(st.integers(-1, 8), min_size=1,
+                                       max_size=2).map(
+                           lambda xs: ",".join(map(str, xs))) | _VALUES,
+                       "--n": _INCREASING.filter(lambda t: max(
+                           map(int, t.split(","))) <= 16) | _VALUES,
+                       "--tol-measure": _TOLS, "--tol-extension": _TOLS},
+    "hopf": {"--radius": _RADII},
+    "krengel": {"--region": _ATOM_SETS, "--radius": _RADII,
+                "--verify-form": st.sampled_from(["nowhere.json"])},
+    "zoo": {},
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """``(subcommand, action args, flags)`` with a random subset of the
+    subcommand's flags."""
+    command = draw(st.sampled_from(sorted(_FLAGS)), label="command")
+    action = ["--action", *draw(_ACTIONS, label="action")]
+    every = draw(st.booleans(), label="every flag given")
+    argv = [f"{flag}={draw(values, label=flag)}"
+            for flag, values in sorted(_FLAGS[command].items())
+            if every or draw(st.booleans(), label=f"{flag} given")]
+    if command == "stat" and draw(st.booleans(), label="--timing"):
+        argv.append("--timing")
+    return command, action, argv
+
+
+def _config_keys(command):
+    """The option keys a config file may set for ``command``, but --out,
+    whose random path would be written to."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return sorted(a.dest for a in commands.choices[command]._actions
+                  if a.dest not in ("help", "config", "out"))
+
+
 class TestFuzzedDocuments:
-    """Every document or atom literal ends in exit 0, 1 or 2, never a
-    traceback, and exit 2 writes exactly one ``error:`` line."""
+    """Every document, atom literal, command line or config file ends in
+    exit 0, 1 or 2, never a traceback, and exit 2 writes exactly one
+    ``error:`` line."""
 
     @staticmethod
     def check(*argv):
         code, out, err = _main(*argv)
         assert code in (0, 1, 2)
         if code == 2:
-            _assert_usage_error(code, out, err)
+            assert out == ""
+            lines = err.splitlines()
+            assert [line for line in lines if "error:" in line] == lines[-1:]
+            if not err.startswith("usage:"):  # argparse prints usage first
+                _assert_usage_error(code, out, err)
 
     @settings(max_examples=120, deadline=None)
     @given(_ACTION_DOCS)
@@ -569,3 +678,27 @@ class TestFuzzedDocuments:
                    "--g", "atom:[0, 1]", "--A", f"[{literal}]")
         self.check("krengel", "--action", "fixture:TR1", "--region",
                    f"[{literal}]", "--radius", "2")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_command_lines())
+    def test_command_line(self, parts):
+        command, action, flags = parts
+        self.check(command, *action, *flags)
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=_command_lines(), data=st.data())
+    def test_config_file(self, parts, data):
+        # values are any small JSON; the flags drawn alongside still win
+        # over the file, and the action may come from the file alone
+        command, action, flags = parts
+        config = data.draw(st.dictionaries(
+            st.sampled_from(_config_keys(command)),
+            _JSON | _VALUES | st.lists(_FUNCTIONS, max_size=2),
+            max_size=4), label="config")
+        if data.draw(st.booleans(), label="action from the file"):
+            action = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            self.check(command, *action, *flags, "--config", path)

@@ -168,6 +168,25 @@ class TestVerifyEquivalence:
         form = krengel_normal_form(two, two.space.exhaustion(1), radius=5)
         assert verify_equivalence(two, form, 5).passed
 
+    def test_a_form_with_nothing_in_its_window_is_an_input_error(
+            self, actions):
+        # each of these passed with both counts 0, having checked nothing
+        tr = actions["TR1"]
+        base = make_space([0], {0: 1.0}, name="base")
+        empty = krengel_normal_form(tr, [], radius=4)
+        far = KrengelForm(W=base, d=1, radius=9, phi={(0, (9,)): 9})
+        for form, radius in ((empty, 2), (far, 4)):
+            with pytest.raises(InvalidInputError, match=(
+                    f"^no table entry of the form lies within radius "
+                    f"{radius}$")):
+                verify_equivalence(tr, form, radius)
+        # one entry inside the window is something to check
+        near = KrengelForm(W=base, d=1, radius=9,
+                           phi={(0, (9,)): 9, (0, (4,)): 4})
+        report = verify_equivalence(tr, near, 4)
+        assert report.passed
+        assert (report.equivariance_checked, report.support_checked) == (1, 1)
+
 
 class TestBuildTranslationAction:
     def test_single_point_base_behaves_like_the_integer_line(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from nsdyn.maharam import (
     extension_stat,
     push_rect,
 )
-from nsdyn.space import L1Function, make_space, rel_dev
+from nsdyn.space import AtomSpace, L1Function, make_space, rel_dev
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -244,6 +245,21 @@ class TestExtensionStatInverseWalks:
             n = min(n, 6)
         ext = extend(action)
         assert extension_stat(ext, m, n)[0] == gather_extension_lhs(ext, m, n)
+
+    def test_each_log_weight_is_looked_up_once(self, extensions):
+        # S_8 of TR1 has 17 atoms a, and their inverse walks reach 272
+        # distinct s; a lookup of log mu(a) per pair made 17 * 256 + 272
+        calls = [0]
+        log_weight = AtomSpace.log_weight
+
+        def counting(self, atom):
+            calls[0] += 1
+            return log_weight(self, atom)
+
+        with mock.patch.object(AtomSpace, "log_weight", counting):
+            lhs, rhs = extension_stat(extensions["TR1"], 8, 256)
+        assert calls[0] == 17 + 272 == 289
+        assert lhs == rhs == 8.5
 
 
 class TestExtensionLimits:
