@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -445,6 +445,41 @@ def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
             f"{exc} toward t={t}, {len(out)} of {window.size} window atoms "
             "reached", axis=exc.axis, t=t) from None
     return iter(out)
+
+
+def lattice_walk(action: NsAction, s, cube: CubeWindow):
+    """``(atoms, check_steps)``: the walk of the cube from s, as
+    :func:`iter_window_orbit` lists it, certified a lattice image.
+
+    The certificate is T_i a_p == a_{p+e_i} and T_i^{-1} a_{p+e_i} == a_p
+    for each unit pair p, p + e_i of the cube.  The walk's rows took the
+    last axis's forward steps; the other images are asked once per distinct
+    atom, on one budget: at most 2d - 1 steps per atom.  None when a pair
+    fails or a step cannot be taken (budget, domain, KeyError).
+    """
+    budget = _Budget(action.exploration_budget)
+    step, last = action.step, action.d - 1
+    try:
+        atoms = list(iter_window_orbit(action, s, cube))
+        for axis in range(action.d):
+            stride, runs = cube.unit_steps(axis)
+            fwd, inv = {}, {}
+            for k in chain.from_iterable(runs):
+                a, b = atoms[k], atoms[k + stride]
+                if axis != last:
+                    if a not in fwd:
+                        budget.spend(axis)
+                        fwd[a] = step(axis, a)
+                    if fwd[a] != b:
+                        return None
+                if b not in inv:
+                    budget.spend(axis)
+                    inv[b] = step(axis, b, False)
+                if inv[b] != a:
+                    return None
+    except (ExplorationLimitError, DomainError, KeyError):
+        return None
+    return atoms, action.exploration_budget - budget.remaining
 
 
 @dataclass

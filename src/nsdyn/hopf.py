@@ -41,12 +41,12 @@ from typing import Iterable
 from .action import (
     CubeWindow,
     NsAction,
-    _Budget,
     iter_window_orbit,
+    lattice_walk,
     make_action,
     vec_add,
 )
-from .errors import DomainError, ExplorationLimitError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .space import AtomSpace, L1Function, atom_key, atom_to_json, make_space
 
 CONSERVATIVE = "conservative"
@@ -109,12 +109,17 @@ class HopfDecomposition:
         }
 
 
-def _label(action: NsAction, record: OrbitRecord) -> str:
-    if record.stabilizer:
+def _rule(action: NsAction, atom, recurs, collision_free: bool) -> str:
+    """The label rule of :class:`HopfDecomposition`; ``recurs`` is truthy."""
+    if recurs:
         return CONSERVATIVE
-    if record.free_in_window and action.declared_free(record.seed) is True:
+    if collision_free and action.declared_free(atom) is True:
         return DISSIPATIVE
     return UNDETERMINED
+
+
+def _label(action: NsAction, record: OrbitRecord) -> str:
+    return _rule(action, record.seed, record.stabilizer, record.free_in_window)
 
 
 def hopf_decompose(action: NsAction, radius: int,
@@ -155,65 +160,25 @@ def _label_cube(action: NsAction, s, radius: int, wanted: set,
                 found: dict) -> bool:
     """Label the wanted atoms within ``radius`` of s from one verified cube.
 
-    Labels nothing when the centered(2 radius) cube from s cannot be walked
-    or is not a lattice image.  Returns whether further cubes are worth
-    trying: the cube's points plus its check steps were at most the window
-    points of the atoms it labelled.
+    Labels nothing without a ``lattice_walk`` of the centered(2 radius)
+    cube from s.  Returns whether further cubes are worth trying: its points
+    and check steps were at most the window points of the atoms it labelled.
     """
     cube = CubeWindow.centered(2 * radius, action.d)
-    try:
-        atoms = list(iter_window_orbit(action, s, cube))
-        checked = _lattice_check_steps(action, atoms, cube)
-    except (ExplorationLimitError, DomainError, KeyError):
+    walked = lattice_walk(action, s, cube)
+    if walked is None:
         return False
-    if checked is None:
-        return False
+    atoms, checked = walked
     inner = list(cube.positions(CubeWindow.centered(radius, action.d)))
     recur = {k for k, atom in enumerate(atoms) if atom == s}
     recur.discard(cube.position((0,) * action.d))
-    near = recur.intersection(inner)  # the recurrences within radius of s
-    far = len(recur) > len(near)
+    near = not recur.isdisjoint(inner)  # s recurs within radius
     labelled = 0
-    for k in inner:
-        x = atoms[k]
-        if x in found or x not in wanted or x not in action.space:
-            continue
-        if near:
-            found[x] = CONSERVATIVE
-        elif not far and action.declared_free(x) is True:
-            found[x] = DISSIPATIVE
-        else:
-            found[x] = UNDETERMINED
-        labelled += 1
+    for x in map(atoms.__getitem__, inner):
+        if x not in found and x in wanted and x in action.space:
+            found[x] = _rule(action, x, near, not recur)
+            labelled += 1
     return labelled * len(inner) >= len(atoms) + checked
-
-
-def _lattice_check_steps(action: NsAction, atoms: list, cube: CubeWindow):
-    """Check that a walk over the cube is a lattice image.
-
-    ``atoms`` lists a_p in the cube's lex order; the check is
-    T_i a_p == a_{p+e_i} and T_i^{-1} a_{p+e_i} == a_p for every p and axis
-    i with p + e_i in the cube.  Unit images are memoised per distinct atom,
-    so the check costs at most 2d generator steps per atom, charged to one
-    exploration budget.  Returns the steps taken, or None when a pair fails.
-    """
-    budget = _Budget(action.exploration_budget)
-    step = action.step
-    for axis in range(action.d):
-        stride, runs = cube.unit_steps(axis)
-        fwd, inv = {}, {}
-        for run in runs:
-            for k in run:
-                a, b = atoms[k], atoms[k + stride]
-                if a not in fwd:
-                    budget.spend(axis)
-                    fwd[a] = step(axis, a)
-                if b not in inv:
-                    budget.spend(axis)
-                    inv[b] = step(axis, b, False)
-                if fwd[a] != b or inv[b] != a:
-                    return None
-    return action.exploration_budget - budget.remaining
 
 
 @dataclass

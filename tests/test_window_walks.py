@@ -245,18 +245,20 @@ def test_hopf_walks_one_cube_per_seed(step_counter):
     step_counter[0] = 0
     hopf_decompose(od, 256)
     # the 128-cycle fits inside centered(256) of the first atom, so one seed
-    # labels all: a centered(512) walk plus one forward and one inverse unit
-    # image per distinct atom (one walk per atom took 128 * 3 * 256 = 98304)
-    assert step_counter[0] == walk_steps(512, 1) + 2 * 128 == 1792
+    # labels all: a centered(512) walk plus one inverse unit image per
+    # distinct atom, since the walk's row took every forward image (one walk
+    # per atom took 128 * 3 * 256 = 98304)
+    assert step_counter[0] == walk_steps(512, 1) + 128 == 1664
     tr = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
     step_counter[0] = 0
     hopf_decompose(tr, 10)
     # S_10 = [-10, 10]^2 takes four seeds, one per quadrant in sorted
-    # order; each walks centered(20) and checks, on each of the 2 axes,
-    # 40 * 41 neighbour pairs of distinct atoms with a fresh forward and
-    # inverse image (one walk per atom took 441 * 660 = 291060)
-    assert step_counter[0] == 4 * (walk_steps(20, 2) + 2 * 2 * 40 * 41)
-    assert step_counter[0] == 36320
+    # order; each walks centered(20) and checks 40 * 41 neighbour pairs of
+    # distinct atoms per axis: a fresh forward and inverse image on axis 0,
+    # and only the inverse on axis 1, whose forward images are the walk's
+    # rows (one walk per atom took 441 * 660 = 291060)
+    assert step_counter[0] == 4 * (walk_steps(20, 2) + 3 * 40 * 41)
+    assert step_counter[0] == 29760
 
 
 def test_hopf_stops_at_a_cube_that_does_not_pay(step_counter):
@@ -264,10 +266,10 @@ def test_hopf_stops_at_a_cube_that_does_not_pay(step_counter):
     step_counter[0] = 0
     hopf_decompose(tr, 10, [(w, (0,)) for w in range(20)])
     # every orbit holds one requested atom: the first cube labels only its
-    # seed, and its 41 points plus 2 * 40 check steps exceed one window of
-    # 21 points, so the other 19 atoms walk their own windows
-    assert step_counter[0] == walk_steps(20, 1) + 80 + 19 * walk_steps(10, 1)
-    assert step_counter[0] == 710
+    # seed, and its 41 points plus 40 inverse check steps exceed one window
+    # of 21 points, so the other 19 atoms walk their own windows
+    assert step_counter[0] == walk_steps(20, 1) + 40 + 19 * walk_steps(10, 1)
+    assert step_counter[0] == 670
 
 
 def test_extension_stat_walks_each_end_once(step_counter):
