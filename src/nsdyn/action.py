@@ -530,7 +530,9 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     atoms of a finite space by default, S_2 of a lazy one).  A pair also
     fails when phi_{t+u}(s) and phi_u(phi_t(s)) are different atoms, since
     the generators then do not commute there, whatever the weights say.  A
-    NaN deviation fails.  Violations are report entries, not errors.
+    NaN deviation fails.  Violations are report entries, not errors.  A
+    window of more pairs per sample atom, (2 radius + 1)^(2d), than the
+    exploration budget is refused once the first sample's walk is taken.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -539,17 +541,27 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     space = action.space
     window = CubeWindow.centered(radius, action.d)
     doubled = CubeWindow.centered(2 * radius, action.d)
-    vecs = list(window)
-    # positions in the doubled window: pos(t + u) = pos(t) + off(u) for t
-    # and u in the window, with off(u) = pos(u) - pos(0)
     center = doubled.position((0,) * action.d)
-    offs = [pos - center for pos in doubled.positions(window)]
+    vecs = offs = None
     ratios = {}  # x -> [(phi_u(x), w_u(x)) for u in window], one walk per x
     worst_dev, worst, violations, checked = 0.0, None, [], 0
     for s in sorted(samples, key=atom_key):
         # one incremental sweep per base atom gives w_t(s) for all t up to 2r
         log_s = space.log_weight(s)
         atoms = list(iter_window_orbit(action, s, doubled))
+        if vecs is None:
+            # after the first walk, whose own budget error names how far it
+            # got; then before any pair is built
+            pairs = window.size ** 2
+            if pairs > action.exploration_budget:
+                raise ExplorationLimitError(
+                    f"cocycle check at radius {radius} takes {pairs} pairs "
+                    "per sample atom, more than the exploration budget "
+                    f"{action.exploration_budget}")
+            vecs = list(window)
+            # positions in the doubled window: pos(t + u) = pos(t) + off(u)
+            # for t and u in the window, with off(u) = pos(u) - pos(0)
+            offs = [pos - center for pos in doubled.positions(window)]
         ws = [_weight_ratio(space, s, log_s, atom) for atom in atoms]
         for t, off_t in zip(vecs, offs):
             pos_t = center + off_t

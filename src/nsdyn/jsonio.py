@@ -109,8 +109,12 @@ def l1_from_json(space: AtomSpace, docs: Sequence[dict]) -> L1Function:
 
 
 def krengel_form_from_json(doc: dict) -> KrengelForm:
+    """A Krengel form; a table entry off the representatives, with a ``t``
+    of the wrong length, or repeating an earlier ``(w, t)`` is an input
+    error."""
     representatives, table, d, radius = _fields(
         doc, "Krengel form", "representatives", "table", "d", "radius")
+    d = _integer(d, "d")
     reps = []
     taus = {}
     for entry in _expect(representatives, list, "representatives"):
@@ -121,7 +125,18 @@ def krengel_form_from_json(doc: dict) -> KrengelForm:
     phi = {}
     for entry in _expect(table, list, "table"):
         w, t, atom = _fields(entry, "table entry", "w", "t", "atom")
+        w = atom_from_json(w)
         t = tuple(_integer(x, "t entry") for x in _expect(t, list, "t"))
-        phi[(atom_from_json(w), t)] = atom_from_json(atom)
-    return KrengelForm(W=W, d=_integer(d, "d"),
-                       radius=_integer(radius, "radius"), phi=phi)
+        if w not in W:
+            raise InvalidInputError(
+                f"table entry {entry!r} names w={w!r}, which is not among "
+                "the representatives")
+        if len(t) != d:
+            raise InvalidInputError(
+                f"table entry {entry!r} has a t of length {len(t)}, "
+                f"expected d={d}")
+        if (w, t) in phi:
+            raise InvalidInputError(
+                f"table entry {entry!r} repeats (w, t) = ({w!r}, {list(t)})")
+        phi[(w, t)] = atom_from_json(atom)
+    return KrengelForm(W=W, d=d, radius=_integer(radius, "radius"), phi=phi)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,18 @@ class TestIterWindowOrbit:
 
 
 class TestCocycle:
+    def test_pairs_are_built_only_after_the_first_walk(self, actions):
+        # the doubled window centered(1200) runs out of budget; the
+        # 1201^2-long pair lists are not built before that
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExplorationLimitError, match="window atoms"):
+                check_cocycle(actions["ST2"], 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
     def test_exhaustive_on_two_atoms(self, actions):
         report = check_cocycle(actions["E2"], 2)
         assert report.passed

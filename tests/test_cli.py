@@ -449,8 +449,17 @@ class TestMalformedInput:
         _TR1_FORM | {"table": [{"w": 0, "t": [True], "atom": 1}]},
         _TR1_FORM | {"d": 1.0},
         _TR1_FORM | {"radius": 2.5},
+        # a table that does not match the rest of its document
+        {"d": 1, "radius": 2, "representatives": [{"atom": 5, "tau": 1.0}],
+         "table": [{"w": 0, "t": [0], "atom": 0},
+                   {"w": 0, "t": [1], "atom": 1}]},
+        _TR1_FORM | {"table": _TR1_FORM["table"]
+                     + [{"w": 0, "t": [5, 7], "atom": 99}]},
+        _TR1_FORM | {"table": _TR1_FORM["table"]
+                     + [{"w": 0, "t": [1], "atom": 2}]},
     ], ids=["array", "representative-number", "t-number", "d-null",
-            "t-float", "t-bool", "d-float", "radius-float"])
+            "t-float", "t-bool", "d-float", "radius-float",
+            "w-not-a-representative", "t-length", "t-repeated"])
     def test_krengel_form_of_the_wrong_shape(self, tmp_path, doc):
         path = tmp_path / "form.json"
         path.write_text(json.dumps(doc))
@@ -536,6 +545,19 @@ class TestMalformedInput:
         assert err == (
             "error: exploration budget exhausted while stepping axis 0 "
             "toward t=(-599999,), 200001 of 1600001 window atoms reached\n")
+
+    @pytest.mark.parametrize("action,radius,pairs", [
+        ("fixture:ST2", 100, 201 ** 4), ("fixture:TR1", 500, 1001 ** 2)])
+    def test_cocycle_pairs_beyond_the_budget_are_refused(self, action,
+                                                         radius, pairs):
+        # the doubled window walks within the budget, but (2r+1)^(2d) pairs
+        # per sample atom do not fit in it
+        code, out, err = _main("cocycle-check", "--action", action,
+                               "--radius", str(radius))
+        _assert_usage_error(code, out, err)
+        assert err == (
+            f"error: cocycle check at radius {radius} takes {pairs} pairs "
+            "per sample atom, more than the exploration budget 1000000\n")
 
 
 _JSON = st.recursive(

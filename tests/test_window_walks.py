@@ -32,9 +32,11 @@ from nsdyn.action import (
     NsAction,
     check_cocycle,
     iter_window_orbit,
+    lattice_walk,
     make_action,
+    vec_add,
 )
-from nsdyn.errors import ExplorationLimitError
+from nsdyn.errors import DomainError, ExplorationLimitError
 from nsdyn.hopf import (
     KrengelForm,
     hopf_decompose,
@@ -151,6 +153,128 @@ def test_walker_matches_the_recursive_reference(case, kind, n, inverse, pick,
 def test_window_vector_follows_lex_order():
     for window in (CubeWindow.corner(3, 2), CubeWindow.centered(2, 3)):
         assert [window.vector(k) for k in range(window.size)] == list(window)
+
+
+LATTICE_CASES = {
+    "cyclic N=5": ("cyclic", {"N": 5}),
+    "cyclic N=2x3": ("cyclic", {"N": [2, 3]}),
+    "odometer K=3": ("odometer", {"K": 3, "p": 0.3}),
+    "odometer K=2,d=2": ("odometer", {"K": 2, "p": 0.3, "d": 2}),
+    "translation d=1": ("translation", {"d": 1}),
+    "translation d=2": ("translation", {"d": 2}),
+}
+# a 3-cycle and a commuting 2-cycle pair, given as JSON documents
+CYCLE_JSON = {"atoms": [0, 1, 2], "weights": [1.0, 2.0, 3.0],
+              "generators": [[1, 2, 0]]}
+PAIR_JSON = {"atoms": [0, 1, 2, 3], "weights": [1.0, 1.0, 2.0, 2.0],
+             "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]}
+
+
+def _twisted_plane(edge):
+    """The plane translation whose second generator moves only the columns
+    x <= edge: the generators commute in a cube that stays off x = edge."""
+    plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+
+    def up(step):
+        return lambda a: (a[0], a[1] + step) if a[0] <= edge else a
+
+    return make_action(plane.space, [(plane._gens[0].fwd, plane._gens[0].inv),
+                                     (up(1), up(-1))],
+                       name="twisted", free_orbits=True)
+
+
+def _tampered_line(bad):
+    """The unit shift of the line, except that atom ``bad`` (off S_2, where
+    validation looks) steps back: only the inverse images show it."""
+    line = zoo.build_fixture("TR1")
+    return make_action(line.space,
+                       [(lambda x: x - 1 if x == bad else x + 1,
+                         lambda x: x - 1)],
+                       name="tampered", free_orbits=True)
+
+
+def _skewed_plane(row):
+    """The plane translation, except that the first generator jumps two
+    columns on ``row`` (off S_2): only its forward images show it."""
+    plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+
+    def right(a):
+        return (a[0] + (2 if a[1] == row else 1), a[1])
+
+    return make_action(plane.space, [(right, plane._gens[0].inv),
+                                     (plane._gens[1].fwd, plane._gens[1].inv)],
+                       name="skewed", free_orbits=True)
+
+
+def _lattice_action(case, edge):
+    if case in LATTICE_CASES:
+        return zoo.build(zoo.ZooSpec(*LATTICE_CASES[case]))
+    if case == "twisted plane":
+        return _twisted_plane(edge)
+    if case == "tampered line":
+        return _tampered_line(3 + edge % 2)
+    if case == "skewed plane":
+        return _skewed_plane(3 + edge % 2)
+    if case == "noncommuting":
+        return noncommuting_action()
+    doc = {"cycle-json": CYCLE_JSON, "pair-json": PAIR_JSON,
+           "perturbed-json": PERTURBED}[case]
+    return jsonio.action_from_json(doc)
+
+
+def brute_lattice_walk(action, s, cube):
+    """Whether the cube walk from s is a lattice image, unbudgeted.
+
+    Every unit pair p, p + e_i asks the generator afresh for both its
+    forward and its inverse image: no memo and no skipped half.
+    """
+    grid = dict(zip(cube, iter_window_orbit(action, s, cube)))
+    try:
+        for p, a in grid.items():
+            for axis in range(action.d):
+                q = vec_add(p, tuple(int(i == axis) for i in range(action.d)))
+                if q in grid and (action.step(axis, a) != grid[q]
+                                  or action.step(axis, grid[q], False) != a):
+                    return False
+    except (DomainError, KeyError):
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(LATTICE_CASES) + [
+           "twisted plane", "tampered line", "skewed plane", "noncommuting",
+           "cycle-json", "pair-json", "perturbed-json"]),
+       kind=st.sampled_from(["corner", "centered"]), n=st.integers(1, 4),
+       edge=st.integers(-3, 6), pick=st.integers(0, 63))
+def test_lattice_walk_matches_the_brute_certificate(case, kind, n, edge,
+                                                    pick):
+    action = _lattice_action(case, edge)
+    atoms = sample_atoms(action, 1)
+    s = atoms[pick % len(atoms)]
+    cube = CubeWindow(kind, n, action.d)
+    got = lattice_walk(action, s, cube)
+    accepted = brute_lattice_walk(action, s, cube)
+    assert (got is not None) is accepted
+    if accepted:
+        walked, steps = got
+        assert walked == list(iter_window_orbit(action, s, cube))
+        assert steps <= (2 * action.d - 1) * len(set(walked))
+
+
+@pytest.mark.parametrize("budget,accepted", [(11, False), (12, False),
+                                             (17, False), (18, True)])
+def test_lattice_walk_fails_closed_on_a_small_budget(budget, accepted):
+    # centered(1) on the plane: the walk takes walk_steps(1, 2) = 12 steps,
+    # then the certificate 18 of its own, on a budget of the same size: 6
+    # forward and 6 inverse images on axis 0, 6 inverse images on axis 1
+    plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+    limited = make_action(plane.space, [(g.fwd, g.inv) for g in plane._gens],
+                          name="plane", exploration_budget=budget)
+    got = lattice_walk(limited, (0, 0), CubeWindow.centered(1, 2))
+    assert (got is not None) is accepted
+    if accepted:
+        assert got[1] == 18
 
 
 def _apply_form(action, radius):
