@@ -29,7 +29,12 @@ A dissipative action is equivalent to the translation action
 on W x Z^d with a product measure tau (x) counting measure.  The normal
 form recovered here picks one representative per explored orbit and tabulates
 the conjugacy Phi(w, t) = phi_t(w); :func:`verify_equivalence` then checks
-equivariance and measure equivalence exactly on the explored region.
+equivariance and measure equivalence exactly on the explored region.  A
+full table is checked by the same lattice-image certificate: one walk of
+centered(min(2n, radius)) from Phi(w, 0) that reads the table in lex order
+proves Phi(w, s + t) == phi_t Phi(w, s) for all s, t in the radius-n
+window, since phi_t's axis-ordered path stays inside that cube.  Any other
+table falls back to one window walk per entry.
 """
 
 from __future__ import annotations
@@ -353,12 +358,24 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     explored region, that is both weights are strictly positive wherever the
     table is defined.
 
+    Equivariance is certified per representative w when its table is
+    exactly centered(form.radius): one :func:`lattice_walk` of the cube
+    C = centered(min(2n, form.radius)) from Phi(w, 0), n the window radius,
+    whose atoms equal the table read in lex order, proves every pair.  Each
+    checked s + t lies in C, and phi_t's axis-ordered path from s stays in
+    the box between s and s + t, so inside C.  Any other representative (a
+    sparse table, extra keys, a walk that cannot be taken or certified, an
+    atom that differs or lies outside the space) falls back to one window
+    walk per table entry, so every failure and error is the pairwise one.
+
     Failures are report entries, never exceptions; a form with no table
     entry in the window is an input error, since it would pass unchecked.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     window = CubeWindow.centered(min(radius, form.radius), action.d)
+    cube = CubeWindow.centered(min(2 * window.n, form.radius), action.d)
+    k = 2 * window.n - cube.n  # per axis, k(k+1) pairs end beyond the cube
     failures, eq_checked, sup_checked = [], 0, 0
     by_rep: dict = {}
     for (w, t), img in form.phi.items():
@@ -366,7 +383,12 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     for w in sorted(by_rep, key=atom_key):
         table = by_rep[w]
         coords = [t for t in window if t in table]
-        for s in coords:
+        if _certified(action, table, form.radius, cube):
+            eq_checked += ((2 * window.n + 1) ** 2 - k * (k + 1)) ** action.d
+            pairwise = ()
+        else:  # one window walk per table entry
+            pairwise = coords
+        for s in pairwise:
             try:
                 images = list(iter_window_orbit(action, table[s], window))
             except DomainError as exc:  # table[s] lies outside the space
@@ -406,6 +428,19 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
         raise InvalidInputError(
             f"no table entry of the form lies within radius {window.n}")
     return EquivalenceReport(window.n, eq_checked, sup_checked, failures)
+
+
+def _certified(action: NsAction, table: dict, radius: int,
+               cube: CubeWindow) -> bool:
+    """Whether ``table`` is exactly centered(radius) and, read in lex order
+    over ``cube``, a certified lattice walk from table[0] inside the space."""
+    full = CubeWindow.centered(radius, action.d)
+    if len(table) != full.size or not all(map(table.__contains__, full)):
+        return False
+    walked = lattice_walk(action, table[(0,) * action.d], cube)
+    return (walked is not None
+            and walked[0] == [table[t] for t in cube]
+            and all(map(action.space.__contains__, walked[0])))
 
 
 def build_translation_action(W: AtomSpace, d: int, *,

@@ -14,7 +14,7 @@ counts pin the walk sizes in closed form.
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -44,7 +44,7 @@ from nsdyn.hopf import (
     verify_equivalence,
 )
 from nsdyn.maharam import extend, extension_stat
-from nsdyn.space import make_space
+from nsdyn.space import atom_key, make_space
 
 BUILT = {
     "odometer K=3,d=2": ("odometer", {"K": 3, "p": 0.3, "d": 2}),
@@ -342,6 +342,152 @@ def test_verify_equivalence_matches_pairwise_on_krengel_tables(edit):
     assert got["passed"] is (edit in (None, _sparse))
 
 
+def _twisted_line(edge):
+    """The unit shift of the line below ``edge``; from it the orbit runs
+    edge, edge + 2, edge + 1, edge + 4, edge + 3, ...  Still one free orbit
+    with a true inverse, but no translation beyond the edge."""
+    def place(x):  # the place of x >= edge on the orbit from the edge
+        j = x - edge
+        return 0 if j == 0 else j - 1 if j % 2 == 0 else j + 1
+
+    def atom(i):
+        return edge if i == 0 else edge + (i + 1 if i % 2 else i - 1)
+
+    line = zoo.build_fixture("TR1")
+    return make_action(line.space,
+                       [(lambda x: x + 1 if x < edge else atom(place(x) + 1),
+                         lambda x: x - 1 if x <= edge else atom(place(x) - 1))],
+                       name="twisted line", free_orbits=True)
+
+
+def _leaky_line():
+    """The unit shift of the line, except that it passes 3 -> 3.5 -> 5: an
+    atom outside the space, off S_2 where validation looks."""
+    line = zoo.build_fixture("TR1")
+    return make_action(line.space,
+                       [(lambda x: {3: 3.5, 3.5: 5}.get(x, x + 1),
+                         lambda x: {5: 3.5, 3.5: 3}.get(x, x - 1))],
+                       name="leaky line", free_orbits=True)
+
+
+# lazy translations (d = 1 to 3, one or two representatives), a twisted
+# line and a leaky one: (action, the form's representatives, the largest
+# form radius)
+FORM_CASES = {
+    "translation d=1": (("translation", {"d": 1}), [0], 4),
+    "translation tau=1x2,d=1": (("translation", {"tau": [1.0, 2.0], "d": 1}),
+                                [(0, (0,)), (1, (0,))], 3),
+    "translation d=2": (("translation", {"d": 2}), [(0, 0)], 2),
+    "translation tau=1x2,d=2": (("translation", {"tau": [1.0, 2.0], "d": 2}),
+                                [(0, (0, 0)), (1, (0, 0))], 2),
+    "translation d=3": (("translation", {"d": 3}), [(0, 0, 0)], 1),
+    "twisted line": (None, [0], 4),
+    # a form of the straight line checked against the twisted one
+    "straight form, twisted line": (None, [0], 4),
+    "leaky line": (None, [0], 4),
+}
+
+
+def _swap(phi, keys, pick):
+    a, b = keys[pick % len(keys)], keys[(pick + 1) % len(keys)]
+    phi[a], phi[b] = phi[b], phi[a]
+
+
+def _outside(phi, keys, pick):
+    phi[keys[pick % len(keys)]] = "ghost"
+
+
+def _drop(phi, keys, pick):
+    del phi[keys[pick % len(keys)]]
+
+
+def _move(phi, keys, pick):
+    # as many keys as the cube, but one of them beyond the radius
+    _extra(phi, keys, pick)
+    _drop(phi, keys, pick + 1)
+
+
+def _extra(phi, keys, pick):
+    # one place beyond the radius, where the walks of the pairwise check
+    # still reach
+    w, t = keys[pick % len(keys)]
+    beyond = max(abs(u[0]) for _w, u in keys) + 1
+    phi[(w, (beyond,) + t[1:])] = phi[(w, t)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(sorted(FORM_CASES)), form_radius=st.integers(1, 4),
+       offset=st.sampled_from([-1, 0, 1]), edge=st.integers(-6, 6),
+       edit=st.sampled_from([None, _swap, _outside, _drop, _extra, _move]),
+       pick=st.integers(0, 999))
+@example(case="leaky line", form_radius=4, offset=0, edge=0, edit=None,
+         pick=0)
+@example(case="translation d=1", form_radius=2, offset=0, edge=0,
+         edit=_move, pick=0)
+def test_certified_tables_match_pairwise(case, form_radius, offset, edge,
+                                         edit, pick):
+    spec, region, largest = FORM_CASES[case]
+    form_radius = min(form_radius, largest)
+    radius = max(1, form_radius + offset)  # below, at and above the form's
+    if spec is not None:
+        action = built = zoo.build(zoo.ZooSpec(*spec))
+    elif case == "leaky line":
+        action = built = _leaky_line()
+    else:
+        action = _twisted_line(edge)
+        built = zoo.build_fixture("TR1") if case.startswith("straight") \
+            else action
+    form = krengel_normal_form(built, region, radius=form_radius)
+    phi = dict(form.phi)
+    if edit is not None:
+        edit(phi, sorted(phi, key=lambda k: (atom_key(k[0]), k[1])), pick)
+    form = KrengelForm(W=form.W, d=form.d, radius=form.radius, phi=phi)
+    got = verify_equivalence(action, form, radius).as_dict()
+    assert got == pairwise_verify_equivalence(action, form, radius).as_dict()
+    if edit is None:  # a full table, whatever it holds
+        n = got["radius"]
+        k = 2 * n - min(2 * n, form_radius)
+        assert got["equivariance_checked"] == len(region) * (
+            (2 * n + 1) ** 2 - k * (k + 1)) ** action.d
+    if edit in (_swap, _outside):
+        assert not got["passed"]
+
+
+def _outcome(check):
+    """The report of ``check()``, or the text of its budget error."""
+    try:
+        return check().as_dict()
+    except ExplorationLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case,form_radius,radius", [
+    ("translation d=1", 3, 1), ("translation d=1", 3, 3),
+    ("translation d=1", 3, 4), ("translation d=2", 2, 1),
+    ("translation d=2", 2, 2)])
+def test_certified_budget_outcome_is_the_pairwise_one(case, form_radius,
+                                                      radius):
+    # from a budget of 0 to past the certificate's walk and its check steps
+    (spec, region, _largest) = FORM_CASES[case]
+    action = zoo.build(zoo.ZooSpec(*spec))
+    form = krengel_normal_form(action, region, radius=form_radius)
+    d = action.d
+    cube = min(2 * radius, form_radius)
+    past = walk_steps(cube, d) + (2 * d - 1) * (2 * cube + 1) ** d + 2
+    outcomes = set()
+    for budget in range(past):
+        limited = make_action(action.space,
+                              [(g.fwd, g.inv) for g in action._gens],
+                              name=action.name, free_orbits=True,
+                              exploration_budget=budget)
+        got = _outcome(lambda: verify_equivalence(limited, form, radius))
+        with mock.patch("nsdyn.hopf.lattice_walk", return_value=None):
+            want = _outcome(lambda: verify_equivalence(limited, form, radius))
+        assert got == want
+        outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}
+
+
 def test_check_cocycle_walks_each_atom_once(step_counter):
     od = zoo.build(zoo.ZooSpec("odometer", {"K": 4, "p": 0.4, "d": 2}))
     step_counter[0] = 0
@@ -360,8 +506,10 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
     assert step_counter[0] == 65 * walk_steps(128, 1) == 24960
     step_counter[0] = 0
     verify_equivalence(tr, form, 128)
-    # one walk per tabulated coordinate: 257 of them
-    assert step_counter[0] == 257 * walk_steps(128, 1) == 98688
+    # the full table is certified by one lattice walk of centered(128) from
+    # Phi(0, 0): the walk, then one inverse unit image per distinct atom
+    # (one walk per tabulated coordinate took 257 * 384 = 98688)
+    assert step_counter[0] == walk_steps(128, 1) + 256 == 640
 
 
 def test_hopf_walks_one_cube_per_seed(step_counter):
