@@ -161,6 +161,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# every character str.splitlines breaks on, written as its escape
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1]
+                              for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _error(exc: Exception):
+    """Write ``exc`` to stderr as exactly one ``error:`` line."""
+    print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+
+
 def _resolve_out(path: str) -> str:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -455,20 +465,20 @@ def main(argv=None) -> int:
         return code
     except ConstructionError as exc:
         if exc.report is None:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(exc)
             return 2
         try:
             _emit(_dump(exc.report.as_dict()), opt.get("out"))
         except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
+            _error(err)
             return 2
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
 
 

@@ -110,11 +110,13 @@ def l1_from_json(space: AtomSpace, docs: Sequence[dict]) -> L1Function:
 
 def krengel_form_from_json(doc: dict) -> KrengelForm:
     """A Krengel form; a table entry off the representatives, with a ``t``
-    of the wrong length, or repeating an earlier ``(w, t)`` is an input
-    error."""
+    of the wrong length or beyond the radius, or repeating an earlier
+    ``(w, t)`` is an input error.  So the table's keys lie in
+    centered(radius)."""
     representatives, table, d, radius = _fields(
         doc, "Krengel form", "representatives", "table", "d", "radius")
     d = _integer(d, "d")
+    radius = _integer(radius, "radius")
     reps = []
     taus = {}
     for entry in _expect(representatives, list, "representatives"):
@@ -135,8 +137,11 @@ def krengel_form_from_json(doc: dict) -> KrengelForm:
             raise InvalidInputError(
                 f"table entry {entry!r} has a t of length {len(t)}, "
                 f"expected d={d}")
+        if any(abs(x) > radius for x in t):
+            raise InvalidInputError(
+                f"table entry {entry!r} has a t beyond the radius {radius}")
         if (w, t) in phi:
             raise InvalidInputError(
                 f"table entry {entry!r} repeats (w, t) = ({w!r}, {list(t)})")
         phi[(w, t)] = atom_from_json(atom)
-    return KrengelForm(W=W, d=d, radius=_integer(radius, "radius"), phi=phi)
+    return KrengelForm(W=W, d=d, radius=radius, phi=phi)

@@ -457,14 +457,33 @@ class TestMalformedInput:
                      + [{"w": 0, "t": [5, 7], "atom": 99}]},
         _TR1_FORM | {"table": _TR1_FORM["table"]
                      + [{"w": 0, "t": [1], "atom": 2}]},
+        # an entry no window of the form reaches would pass unchecked
+        _TR1_FORM | {"table": _TR1_FORM["table"]
+                     + [{"w": 0, "t": [50], "atom": 12345}]},
     ], ids=["array", "representative-number", "t-number", "d-null",
             "t-float", "t-bool", "d-float", "radius-float",
-            "w-not-a-representative", "t-length", "t-repeated"])
+            "w-not-a-representative", "t-length", "t-repeated",
+            "t-beyond-radius"])
     def test_krengel_form_of_the_wrong_shape(self, tmp_path, doc):
         path = tmp_path / "form.json"
         path.write_text(json.dumps(doc))
         _assert_usage_error(*_main("krengel", "--action", "fixture:TR1",
                                    "--verify-form", str(path)))
+
+    @pytest.mark.parametrize("key", ["\x1e", "\n", "\u2028"],
+                             ids=["record-separator", "newline",
+                                  "line-separator"])
+    def test_line_break_in_a_param_name_stays_on_one_line(self, tmp_path,
+                                                          key):
+        # the builder's TypeError names the key raw; str.splitlines breaks
+        # on each of these characters
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps({"builder": "cyclic",
+                                    "params": {key: None}}))
+        code, out, err = _main("hopf", "--action", str(path))
+        _assert_usage_error(code, out, err)
+        assert len(err.splitlines()) == 1
+        assert repr(key)[1:-1] in err
 
     @pytest.mark.parametrize("argv", [
         ("stat", "--action", "fixture:C4", "--g", "atom:{}", "--n", "4"),
