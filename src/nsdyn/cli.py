@@ -1,8 +1,8 @@
 """Experiment runner: convergence tables and verification reports.
 
 Series go out as CSV (header ``n,window,a_n,support,ms``), structured
-reports as JSON with sorted keys, so identical configurations produce byte
-identical output.  Wall times are real measurements only under ``--timing``;
+reports as one line of JSON with sorted keys, so identical configurations
+produce byte identical output.  Wall times are real measurements only under ``--timing``;
 by default the ms column is written as 0 to keep the determinism contract.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed (the
@@ -158,7 +158,7 @@ def _positive(value, flag: str) -> float:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 # every character str.splitlines breaks on, written as its escape

@@ -71,67 +71,67 @@ CASES.update({
 # case -> (sha256 of stdout, exit code, stderr)
 GOLDEN = {
     'cocycle-check fixture:C4': (
-        'dfc619181fca53dd3ec52872a3a2276cef13db37ee94376f4f10da2d0ef5aea7',
+        '3f1b85aca8f915f20c1d1e4e328e9a2313457f9a3feacc01729ed3b9cad64f4d',
         0, ''),
     'cocycle-check fixture:E2': (
-        '45257cdfa6609f51f3fc9398915decc9352bcd8d9c186612c7041d68ad4360d0',
+        'f3b5d7afc79ff0c87370749d2ffab041549808bd693ef862940c502cb6897267',
         0, ''),
     'cocycle-check fixture:MIX': (
-        '592eeaa3698a7c85adbfc47c9266ca046752417c4d2a2dfa48ebaf73406d36c1',
+        'd13eb0cae485c82eb8698b1c3d328719778d49486c009833a46a82112151fdf0',
         0, ''),
     'cocycle-check fixture:OD3': (
-        '4f9d9130c2c199b84a8c1cb7312f086867d95e00d683cc25a6e63796bc27b638',
+        '598ad1397dcf222c501e2e0f42bc10b36d3b6591a1d230715fa157501902783d',
         0, ''),
     'cocycle-check fixture:ST2': (
-        '7a556ce14cfeebcdaaad3a5110bcd94ff11c0be052aa48306610195941a0ee49',
+        '3b460bef3314e2dec97653dec07aa31de69cee3e19a1a4b4ee4697a4f2bcea22',
         0, ''),
     'cocycle-check fixture:TR1': (
-        '8a2ecc45c19d91401903be4f6f93919a36f1a4a7a0d1b8fd0d82959374fd5fc9',
+        '6c64e4881f584395716d443f876e1d21a7fb96e615af34c840a4bf772e7d5894',
         0, ''),
     'cocycle-check zoo:cyclic N=2x3x2': (
-        '06a9f1b97e12e22ba811e8dc36aa8dab5e8a3da701fd527c2053091b762a92a2',
+        'da59674f5e6d746c5ea6002b35130120e0e9fd3ba5fda8c721278394b8c5cf30',
         0, ''),
     'duality-check fixture:C4': (
-        '14f263bf4dede630bcd47cc70ac274dbb8d94ef8d95a9a41592697019f77f3f9',
+        '882f262592ff5a1b8a1d6adecb4e865cc7df6a400dfcffe24443310dd0239914',
         0, ''),
     'duality-check fixture:E2': (
-        'ac22add4bba2c1fbdec71dee8a8677948804b939fdbf8f15a66fe1255fbc9731',
+        'f2c67854579cf669d35b29dea2a937fd8a05309e9778eaea26d53f4de0411ab4',
         0, ''),
     'duality-check fixture:MIX': (
-        'c40116158a0ea75b68dd20703c8b51df45c9d8eba577ff6d4b7183bd8d9b99f9',
+        '90605a66f70ba3f36be2e301f88c23bc50b7346f4a2a9ae59f617fed956a68cd',
         0, ''),
     'duality-check fixture:OD3': (
-        '39e5aa4c15e3f357090ff9a5d2b236c1cfa0094858658fa21a3c6033790400f0',
+        '61c9d2dc03872c9a99627fffad37bdb8366d120c45b22cd7f63f39e70f874405',
         0, ''),
     'duality-check fixture:ST2': (
-        '1ea509dd8c63c3b3fcf361fccd59e3bd953effac7eb9d3cf463acfffc9e56e01',
+        '62fbd199c547100fb742fb4a6cf36e6bbcf5e9f390cd2e27c9245d5c4b2364ad',
         0, ''),
     'duality-check fixture:TR1': (
-        '218fb79f5fc76722dd0e0bef18918d0dfae73c11761e543b60ccdc7c292be15f',
+        '01018a2325ea03805686d2d3e24341081728c31a62639fe699449d8bb2aee19e',
         0, ''),
     'hopf fixture:C4': (
-        '8c6c82bfb8e0d212ab1469bd165749c28e058af972e4115054ac878a72f87aa8',
+        '47f061848c8a39eeed12cc057704029ca39c1a0bddb93a1426c156e9c7a76ff4',
         0, ''),
     'hopf fixture:E2': (
-        '81ef723e28348013605cf5c80a9f5f737925b5fc3bffafd760db028359f1dec6',
+        'a5920674265c969a2906afeee3fa535c93db72f770aaf58b0afaaf7e48280af4',
         0, ''),
     'hopf fixture:MIX': (
-        '329a0885594e538a146d497d6fc7fc98bd3bf098429bcd5d374368a4bdac8bd9',
+        'a4eaa1692f3f35123a6591de836ec5a40d2ae59a7025ba2956a314af8a283c73',
         0, ''),
     'hopf fixture:OD3': (
-        '0b92e3324a506889b736b8ddc656b49d7ac1123d8df02de377c42c998c4396ed',
+        '85afd2703d63742ae837e2bad9dbbf6bc28c6b4f61a6bbf2a07be45deaa4c8b5',
         0, ''),
     'hopf fixture:ST2': (
-        'e216344c3958d9f2090b5de98025f36fe3a492449812e5ba3069fd1c72ad2058',
+        'b6604e6541489f8f0c6b82ef86f9f7debcb772950831a29b5f14aded47e9da4c',
         0, ''),
     'hopf fixture:TR1': (
-        '2e70e2256c5c401094ae4cafcee12c2db379c8a4c7b772500429870f083a7d1b',
+        'bb85237ab39bbb5f13847b4b1d1850121c9c3762e2eaeab0d24c3946c4f19a82',
         0, ''),
     'hopf zoo:stabilizer d=3,active=0x2': (
-        '46b47f740f3286a2262f38ca5d186bdff47ebe9f6bdf4df327afaad184505086',
+        'cd40720e7141059b1089b35ebda54fe279ad9e9ea00a9eebb180b854ba14690c',
         0, ''),
     'hopf zoo:translation d=3': (
-        'c4254d010e4553fcdf719f03400b705f43e4e2c2f0cc67b2aea734a369590fe7',
+        'f58e50b1ff5684ea214e8ed7da1836673cd53de32f9b8afbfc8024d58555cd58',
         0, ''),
     'krengel fixture:C4': (
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -154,28 +154,28 @@ GOLDEN = {
         2, ('error: region atom -1 is labeled conservative; the normal '
          'form only exists over dissipative atoms\n')),
     'krengel fixture:TR1': (
-        'e3eed5fee94ecbfdafb9b46490fc1fe11d0c981ad2bd01b32e958db8927017cd',
+        '28c99d99e8353bc47d3a0b4662a9b18f172ea317676a768ede27c61db6b4c37c',
         0, ''),
     'krengel zoo:translation tau=1x2,d=1': (
-        '3a515266bf47c910998283012fbd4a787f71dc1faff7b93ff1c5963a1e8d9f53',
+        'fbd2d6c0772c181bbcf5f6f80189d0b2802adcc45b8da754b2ffe46f31b0fe34',
         0, ''),
     'maharam-verify fixture:C4': (
-        '61a77d4681c74528159fd24bfe19f259093bf6301db2aebd2a342ebcde3ca5d2',
+        'd53642e231ff075d85238c723415e411afba191bedbf2629941d2170893f9386',
         0, ''),
     'maharam-verify fixture:E2': (
-        '8a534a27a93f6888179180c0ac37b4b940e236d68fbdc5b65f520885ff1eb387',
+        '8830d090c91f557b9cee9abc3c1e93f31bbed597002c869191cd6627f4fab1e6',
         0, ''),
     'maharam-verify fixture:MIX': (
-        '3ac44b2c949dc59b579fffa15dc09a6c5d9576e51457914301d25fd1ca1b2851',
+        '4e90ff09340e4c45f2fca688369611c79b26f06a1f4a3d97a33f28dc020dd106',
         0, ''),
     'maharam-verify fixture:OD3': (
-        '5281404efa0aa4cf264ddcefc069fd239dda3f6d24f2776df55f25bf74475ca8',
+        'b92aa942e78410963c6288d13fc5a7b8f266246171d39d216177f6be3898ee07',
         0, ''),
     'maharam-verify fixture:ST2': (
-        '95d151707d8c0037180303d743b89a62e0116476b7f404ac50a123ae30e13e04',
+        '9f5c432c95a8acc5b6140643e9b2602b7cda66fc9b796f8c61895977e54b31d6',
         0, ''),
     'maharam-verify fixture:TR1': (
-        '392fa740ad2ddd0c2b555d6642955f30796961950e08992e436da8c6d42a0db1',
+        'b2be95fc4c9ab3dcde7028ab3eb3c58227e1cdc42c35c6f998df44d65641d20f',
         0, ''),
     'stat fixture:C4': (
         '041a36dfeca1b88d19f51274cd38bf09f96b86271a9d6e1229d1cdbdb888af94',
@@ -210,25 +210,25 @@ GOLDEN = {
         2, ('error: function references atom (0, 0, 0) outside space '
          "'translation(d=2)-space'\n")),
     'verdict fixture:C4': (
-        '5a81ca5a1e0db62618460db31190336ebe48e196ea9f1848611f42bd01b55b93',
+        '9269b551935b6d78482cb832b784a8e55a4f9d9c2dbe18580b4dc0b65500544b',
         0, ''),
     'verdict fixture:E2': (
-        '49b26dd6e92217e20489d758eb920534063d9e5503638f67c3509df60570a016',
+        '764712f0f591415dd32322560a49f9bef96c8b037addf72a654ad54064a2f925',
         0, ''),
     'verdict fixture:MIX': (
-        '6e282868b22bcfa4b3e76d36b4ca2ae5cfc92a42f2ffae9ed18f1374c874ed68',
+        'fb8b04919ba435fd20eb264fa15af7da46d4f1803602277dd568b2bf56c51c29',
         0, ''),
     'verdict fixture:OD3': (
-        '6c085159f29a5e6665850ba0132f656778ea6ade7d00cae5062fd3af32f8aa22',
+        '6f6fb6f4583db898b075f9b91add82a09eb95e9207fbf54db4a5d4cbbe634b8f',
         0, ''),
     'verdict fixture:ST2': (
-        '4b4c1d95f8b53571690c45346986bed05146d491ae2e6d248a58805aaa4366d2',
+        'aa5d8cfe41a8772033c2c5b68a88f9bf3c1bb02b354f8e7c8b5c16a10ba6de12',
         0, ''),
     'verdict fixture:TR1': (
-        'f04fa8958d9b927fdc42f4972000b9df99d99b4ee3d8534e9ccf47bdcde65d66',
+        '85e6505ef838fdd366ba5bf9033086707b8f625ec0570c18cab3769782b5cf9d',
         0, ''),
     'zoo list': (
-        'fac81ef429aae996a92868d3e5cdf697b8f66dc19a078a8b5cc6a286a007df05',
+        'eb045f6e045116aed0d1818657a39c87c6a44a16f2d2f4da7e326683fac0a344',
         0, ''),
 }
 
