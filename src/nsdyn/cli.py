@@ -2,8 +2,9 @@
 
 Series go out as CSV (header ``n,window,a_n,support,ms``), structured
 reports as one line of JSON with sorted keys, so identical configurations
-produce byte identical output.  Wall times are real measurements only under ``--timing``;
-by default the ms column is written as 0 to keep the determinism contract.
+produce byte identical output.  Wall times are real measurements only under
+``--timing``; by default the ms column is written as 0 to keep the
+determinism contract.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed (the
 report is still written), 2 input or usage error.

@@ -453,6 +453,22 @@ def test_certified_tables_match_pairwise(case, form_radius, offset, edge,
         assert not got["passed"]
 
 
+def test_certificate_follows_phi_t_beyond_the_table():
+    # the line whose declared inverse is wrong only at -3, off S_2 where
+    # validation looks: a form of radius 2 checked at radius 2 never needs
+    # T^{-1}(-3) on phi_t's own paths, but a walk of centered(2) from
+    # Phi(0, -2) steps down to -4 and back up, and reported 3 failures
+    line = zoo.build_fixture("TR1")
+    bent = make_action(line.space,
+                       [(lambda x: x + 1,
+                         lambda x: -100 if x == -3 else x - 1)],
+                       name="bent line", free_orbits=True)
+    form = krengel_normal_form(line, [0], radius=2)
+    got = verify_equivalence(bent, form, 2).as_dict()
+    assert got == pairwise_verify_equivalence(bent, form, 2).as_dict()
+    assert got["passed"]
+
+
 def _outcome(check):
     """The report of ``check()``, or the text of its budget error."""
     try:
