@@ -401,18 +401,18 @@ def _drop(phi, keys, pick):
     del phi[keys[pick % len(keys)]]
 
 
-def _move(phi, keys, pick):
-    # as many keys as the cube, but one of them beyond the radius
-    _extra(phi, keys, pick)
-    _drop(phi, keys, pick + 1)
-
-
 def _extra(phi, keys, pick):
     # one place beyond the radius, where the walks of the pairwise check
     # still reach
     w, t = keys[pick % len(keys)]
     beyond = max(abs(u[0]) for _w, u in keys) + 1
     phi[(w, (beyond,) + t[1:])] = phi[(w, t)]
+
+
+def _move(phi, keys, pick):
+    # as many keys as the cube, but one of them beyond the radius
+    _extra(phi, keys, pick)
+    _drop(phi, keys, pick + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -433,10 +433,10 @@ def test_certified_tables_match_pairwise(case, form_radius, offset, edge,
         action = built = zoo.build(zoo.ZooSpec(*spec))
     elif case == "leaky line":
         action = built = _leaky_line()
+    elif case == "twisted line":
+        action = built = _twisted_line(edge)
     else:
-        action = _twisted_line(edge)
-        built = zoo.build_fixture("TR1") if case.startswith("straight") \
-            else action
+        action, built = _twisted_line(edge), zoo.build_fixture("TR1")
     form = krengel_normal_form(built, region, radius=form_radius)
     phi = dict(form.phi)
     if edit is not None:
