@@ -27,14 +27,16 @@ A dissipative action is equivalent to the translation action
     psi_t(w, s) = (w, t + s)
 
 on W x Z^d with a product measure tau (x) counting measure.  The normal
-form recovered here picks one representative per explored orbit and tabulates
-the conjugacy Phi(w, t) = phi_t(w); :func:`verify_equivalence` then checks
-equivariance and measure equivalence exactly on the explored region.  A
-full table is checked by the same lattice-image certificate: one walk of
-centered(min(2n, radius)) from Phi(w, 0) that reads the table in lex order
-proves Phi(w, s + t) == phi_t Phi(w, s) for all s, t in the radius-n
-window, since phi_t's axis-ordered path stays inside that cube.  Any other
-table falls back to one window walk per entry.
+form recovered here takes the Hopf labels of its region, makes each region
+atom that no earlier window reaches a representative, and tabulates the
+conjugacy Phi(w, t) = phi_t(w) over that one window per representative;
+:func:`verify_equivalence` then checks equivariance and measure
+equivalence exactly on the explored region.  A full table is checked by
+the same lattice-image certificate: one walk of centered(min(2n, radius))
+from Phi(w, 0) that reads the table in lex order proves
+Phi(w, s + t) == phi_t Phi(w, s) for all s, t in the radius-n window, since
+phi_t's axis-ordered path stays inside that cube.  Any other table falls
+back to one window walk per entry.
 """
 
 from __future__ import annotations
@@ -249,64 +251,35 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
                         radius: int = 4) -> KrengelForm:
     """Recover the translation normal form over a finite dissipative region.
 
-    Orbits are merged within the centered window of the given radius; two
-    region atoms on the same orbit collapse to one representative, chosen as
-    the minimal region atom in the space's total order (a normalization;
-    any other choice gives an equivalent form).  The weight of each
-    representative is its own atom mass.
+    The labels are those of :func:`hopf_decompose` on the region.  Then the
+    region is read once in the space's total order: each atom that no
+    earlier table reaches becomes a representative, and its table is its
+    own centered window of the given radius.  So region atoms within the
+    radius of a representative collapse onto it, and the representative is
+    the minimal such atom (a normalization; any other choice gives an
+    equivalent form).  The weight of each representative is its own atom
+    mass.
 
-    Raises when a region atom is not labeled dissipative, when explored
-    orbit patches of two representatives collide (the radius is then too
-    small to separate or merge the orbits involved), or when a region atom
-    joined its representative only through a chain of other atoms and lies
-    outside the representative's window.
+    Raises when a region atom is not labeled dissipative (the first one in
+    order), or when the windows of two representatives meet: the radius is
+    then too small to separate or merge the orbits involved.
     """
     region = sorted(set(region), key=atom_key)
     space = action.space
     for s in region:
         if s not in space:
             raise DomainError(f"region atom {s!r} is not in the space")
-    if radius < 1:
-        raise InvalidInputError("radius must be >= 1")
-
-    # union-find over the region: same orbit within the radius collapses;
-    # each root keeps its one exploration as its table until merged away
-    parent = {s: s for s in region}
-    tables = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        lo, hi = sorted((rx, ry), key=atom_key)
-        parent[hi] = lo
-        tables.pop(hi, None)
-
-    for s in region:
-        record = orbit_explore(action, s, radius)
-        lbl = _label(action, record)
+    for s, lbl in hopf_decompose(action, radius, region).labels.items():
         if lbl != DISSIPATIVE:
             raise InvalidInputError(
                 f"region atom {s!r} is labeled {lbl}; the normal form only "
                 "exists over dissipative atoms")
-        for img in record.visits.values():
-            if img in parent and img != s:
-                union(s, img)
-        if find(s) == s:
-            tables[s] = record.visits
-
-    w_space = make_space(list(tables), {r: space.weight(r) for r in tables},
-                         name=f"{action.name}-orbit-base")
-    phi = {}
-    seen = {}
-    for w, visits in tables.items():  # inserted in region order, so sorted
-        for t, img in visits.items():
+    reps, phi, seen = [], {}, {}
+    for w in region:
+        if w in seen:
+            continue
+        reps.append(w)
+        for t, img in orbit_explore(action, w, radius).visits.items():
             if img in seen:
                 other = seen[img]
                 raise InvalidInputError(
@@ -316,11 +289,8 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
                     "merge, or shrink the region")
             seen[img] = (w, t)
             phi[(w, t)] = img
-    for s in region:
-        if s not in seen:
-            raise InvalidInputError(
-                f"region atom {s!r} lies outside the explored window of its "
-                f"representative {find(s)!r}; increase the radius")
+    w_space = make_space(reps, {w: space.weight(w) for w in reps},
+                         name=f"{action.name}-orbit-base")
     return KrengelForm(W=w_space, d=action.d, radius=radius, phi=phi)
 
 

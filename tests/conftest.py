@@ -27,8 +27,10 @@ from nsdyn.action import (
 )
 from nsdyn.errors import DomainError, InvalidInputError
 from nsdyn.hopf import (
+    DISSIPATIVE,
     EquivalenceReport,
     HopfDecomposition,
+    KrengelForm,
     _label,
     orbit_explore,
 )
@@ -157,6 +159,76 @@ def per_atom_hopf_decompose(action, radius, atoms=None):
     for s in sorted(atoms, key=atom_key):
         result.labels[s] = _label(action, orbit_explore(action, s, radius))
     return result
+
+
+def union_find_krengel_normal_form(action, region, *, radius=4):
+    """``krengel_normal_form`` with one exploration per region atom.
+
+    The union-find that the Hopf labels replaced: every region atom walks
+    its own window, is labelled from it, and merges with the region atoms
+    it reaches; each class's least atom keeps its window as the table.
+    """
+    region = sorted(set(region), key=atom_key)
+    space = action.space
+    for s in region:
+        if s not in space:
+            raise DomainError(f"region atom {s!r} is not in the space")
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
+
+    # union-find over the region: same orbit within the radius collapses;
+    # each root keeps its one exploration as its table until merged away
+    parent = {s: s for s in region}
+    tables = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return
+        lo, hi = sorted((rx, ry), key=atom_key)
+        parent[hi] = lo
+        tables.pop(hi, None)
+
+    for s in region:
+        record = orbit_explore(action, s, radius)
+        lbl = _label(action, record)
+        if lbl != DISSIPATIVE:
+            raise InvalidInputError(
+                f"region atom {s!r} is labeled {lbl}; the normal form only "
+                "exists over dissipative atoms")
+        for img in record.visits.values():
+            if img in parent and img != s:
+                union(s, img)
+        if find(s) == s:
+            tables[s] = record.visits
+
+    w_space = make_space(list(tables), {r: space.weight(r) for r in tables},
+                         name=f"{action.name}-orbit-base")
+    phi = {}
+    seen = {}
+    for w, visits in tables.items():  # inserted in region order, so sorted
+        for t, img in visits.items():
+            if img in seen:
+                other = seen[img]
+                raise InvalidInputError(
+                    f"explored orbit patches overlap: atom {img!r} is "
+                    f"reached from {other[0]!r} at t={other[1]} and from "
+                    f"{w!r} at t={t}; increase the radius so the orbits "
+                    "merge, or shrink the region")
+            seen[img] = (w, t)
+            phi[(w, t)] = img
+    for s in region:
+        if s not in seen:
+            raise InvalidInputError(
+                f"region atom {s!r} lies outside the explored window of its "
+                f"representative {find(s)!r}; increase the radius")
+    return KrengelForm(W=w_space, d=action.d, radius=radius, phi=phi)
 
 
 def brute_max_stat(action, g, n, kind="corner", candidates=None):

@@ -550,10 +550,13 @@ class TestMalformedInput:
         assert "more than 1000000 atoms" in err
 
     def test_krengel_region_outside_its_representative_window(self):
+        # 10 reaches the representative 0 only through 5, so it becomes a
+        # representative itself, and its window meets 0's at 5
         code, out, err = _main("krengel", "--action", "fixture:TR1",
                                "--region", "[0,5,10]", "--radius", "5")
         _assert_usage_error(code, out, err)
-        assert "region atom 10" in err and "increase the radius" in err
+        assert ("patches overlap: atom 5 is reached from 0 at t=(5,) and "
+                "from 10 at t=(-5,)") in err and "increase the radius" in err
 
     def test_window_walk_budget_names_how_far_it_got(self):
         # the doubled window centered(800000) walks 800000 steps down to

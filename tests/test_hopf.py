@@ -1,9 +1,10 @@
 """Orbit exploration, Hopf labels, Krengel normal form, equivalence checks."""
 
+from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -11,11 +12,17 @@ from conftest import (
     noncommuting_action,
     per_atom_hopf_decompose,
     sample_atoms,
+    union_find_krengel_normal_form,
     walk_steps,
 )
 from nsdyn import hopf, zoo
 from nsdyn.action import CubeWindow, make_action
-from nsdyn.errors import DomainError, ExplorationLimitError, InvalidInputError
+from nsdyn.errors import (
+    DomainError,
+    ExplorationLimitError,
+    InvalidInputError,
+    ToolkitError,
+)
 from nsdyn.hopf import (
     CONSERVATIVE,
     DISSIPATIVE,
@@ -99,6 +106,40 @@ class TestHopfDecompose:
                     assert large == small
 
 
+def _box(data, *sides):
+    """A box of lattice points drawn by ``data``, side i at most sides[i]."""
+    ranges = []
+    for most in sides:
+        lo = data.draw(st.integers(-4, 4), label="corner")
+        ranges.append(range(lo, lo + data.draw(st.integers(1, most),
+                                                label="side")))
+    return list(product(*ranges))
+
+
+# the action and the box its region is drawn from
+KRENGEL_BOXES = {
+    "TR1": (zoo.build_fixture("TR1"),
+            lambda data: [s for (s,) in _box(data, 14)]),
+    "translation d=2": (zoo.build(zoo.ZooSpec("translation", {"d": 2})),
+                        lambda data: _box(data, 4, 4)),
+    "translation tau=[1,2,3]": (
+        zoo.build(zoo.ZooSpec("translation", {"tau": [1.0, 2.0, 3.0],
+                                               "d": 1})),
+        lambda data: [(w, (s,)) for w in range(3) for (s,) in _box(data, 5)]),
+    # the conservative C4 atoms (0, c) beside the line (1, s)
+    "MIX": (zoo.build_fixture("MIX"),
+            lambda data: [(0, c) for c in range(4)]
+            + [(1, s) for (s,) in _box(data, 8)]),
+}
+
+
+def _form_or_error(make, action, region, radius):
+    try:
+        return make(action, region, radius=radius)
+    except ToolkitError as exc:
+        return exc
+
+
 class TestKrengelNormalForm:
     def test_translation_single_orbit(self, actions):
         tr = actions["TR1"]
@@ -109,8 +150,8 @@ class TestKrengelNormalForm:
             assert form.phi[(-5, (t,))] == -5 + t
 
     def test_region_atom_outside_its_representative_window(self, actions):
-        # -5 ~ 3 ~ 5 chain into one orbit, but 4 and 5 lie beyond radius 8
-        # of the representative -5, so its table cannot cover the region
+        # 4 and 5 lie beyond radius 8 of the representative -5, so 4
+        # becomes a representative too, and its window meets that of -5
         with pytest.raises(InvalidInputError, match="increase the radius"):
             krengel_normal_form(actions["TR1"], range(-5, 6), radius=8)
 
@@ -140,6 +181,46 @@ class TestKrengelNormalForm:
         # their explored patches then collide at atom 1
         with pytest.raises(InvalidInputError, match="overlap"):
             krengel_normal_form(actions["TR1"], [0, 2], radius=1)
+
+    def test_a_chain_between_disjoint_windows_is_not_followed(self):
+        # (0, 0) reaches (1, 1) and (0, 3) reaches (1, 2): two disjoint
+        # windows, so two representatives, although (1, 1) and (1, 2) are
+        # neighbours.  The union-find also walked the window of (1, 1),
+        # merged the two and refused the region.
+        plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+        region = [(0, 0), (0, 3), (1, 1), (1, 2)]
+        with pytest.raises(InvalidInputError, match="lies outside"):
+            union_find_krengel_normal_form(plane, region, radius=1)
+        form = krengel_normal_form(plane, region, radius=1)
+        assert form.representatives == ((0, 0), (0, 3))
+        assert verify_equivalence(plane, form, 1).passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(sorted(KRENGEL_BOXES)),
+           radius=st.integers(1, 6), data=st.data())
+    @example(case="translation d=2", radius=1, data=None)
+    def test_matches_the_union_find_reference(self, case, radius, data):
+        action, box = KRENGEL_BOXES[case]
+        if data is None:  # the chain above
+            region = [(0, 0), (0, 3), (1, 1), (1, 2)]
+        else:
+            region = data.draw(st.sets(st.sampled_from(box(data))),
+                               label="region")
+        want, got = (_form_or_error(make, action, region, radius)
+                     for make in (union_find_krengel_normal_form,
+                                  krengel_normal_form))
+        if isinstance(want, KrengelForm):
+            assert isinstance(got, KrengelForm)
+            assert got.as_dict() == want.as_dict()
+        elif isinstance(got, KrengelForm):
+            # only a chain through a walked window can tell them apart;
+            # without it the reference agrees with the representatives
+            assert "lies outside the explored window" in str(want)
+            assert set(region) <= set(got.phi.values())
+            assert got.as_dict() == union_find_krengel_normal_form(
+                action, got.representatives, radius=radius).as_dict()
+        else:
+            assert type(got) is type(want)
 
 
 class TestVerifyEquivalence:

@@ -518,8 +518,11 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
     tr = zoo.build_fixture("TR1")
     step_counter[0] = 0
     form = krengel_normal_form(tr, tr.space.exhaustion(32), radius=128)
-    # one exploration per region atom, 65 atoms of 3 * 128 steps each
-    assert step_counter[0] == 65 * walk_steps(128, 1) == 24960
+    # the Hopf labels: one centered(256) cube from -32 and its 512 inverse
+    # checks; then one window for the one representative -32, which
+    # reaches the whole region (one window per region atom took 24960)
+    assert step_counter[0] == walk_steps(256, 1) + 512 + walk_steps(128, 1)
+    assert step_counter[0] == 1664
     step_counter[0] = 0
     verify_equivalence(tr, form, 128)
     # the full table is certified by one lattice walk of centered(128) from
