@@ -338,11 +338,15 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     atom that differs or lies outside the space) falls back to one window
     walk per table entry, so every failure and error is the pairwise one.
 
-    Failures are report entries, never exceptions; a form with no table
-    entry in the window is an input error, since it would pass unchecked.
+    Failures are report entries, never exceptions; a form of another
+    dimension than the action, or with no table entry in the window, is an
+    input error, since it would pass unchecked.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
+    if form.d != action.d:
+        raise InvalidInputError(
+            f"the form has dimension d={form.d}, the action d={action.d}")
     window = CubeWindow.centered(min(radius, form.radius), action.d)
     cube = CubeWindow.centered(min(2 * window.n, form.radius), action.d)
     k = 2 * window.n - cube.n  # per axis, k(k+1) pairs end beyond the cube

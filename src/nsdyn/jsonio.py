@@ -53,10 +53,13 @@ def _number(value, what: str) -> float:
             f"{what} must be a number, got {value!r}") from None
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer as is; a float, bool or string is an input error."""
+def _integer(value, what: str, least: int = None) -> int:
+    """A JSON integer as is; a float, bool or string, or an integer below
+    ``least``, is an input error."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInputError(f"{what} must be >= {least}, got {value!r}")
     return value
 
 
@@ -109,14 +112,14 @@ def l1_from_json(space: AtomSpace, docs: Sequence[dict]) -> L1Function:
 
 
 def krengel_form_from_json(doc: dict) -> KrengelForm:
-    """A Krengel form; a table entry off the representatives, with a ``t``
-    of the wrong length or beyond the radius, or repeating an earlier
-    ``(w, t)`` is an input error.  So the table's keys lie in
-    centered(radius)."""
+    """A Krengel form; a ``d`` or ``radius`` below 1, or a table entry off
+    the representatives, with a ``t`` of the wrong length or beyond the
+    radius, or repeating an earlier ``(w, t)`` is an input error.  So the
+    table's keys lie in centered(radius)."""
     representatives, table, d, radius = _fields(
         doc, "Krengel form", "representatives", "table", "d", "radius")
-    d = _integer(d, "d")
-    radius = _integer(radius, "radius")
+    d = _integer(d, "d", least=1)
+    radius = _integer(radius, "radius", least=1)
     reps = []
     taus = {}
     for entry in _expect(representatives, list, "representatives"):

@@ -19,6 +19,7 @@ Canonical fixtures, used throughout the tests and available by name:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -340,8 +341,19 @@ def _entry(spec: ZooSpec) -> dict:
 
 
 def build(spec: ZooSpec) -> NsAction:
-    """Instantiate a builder spec."""
+    """Instantiate a builder spec; unknown or missing keys are refused by
+    name, with the parameters the builder accepts."""
     entry = _entry(spec)
+    accepted = inspect.signature(entry["build"]).parameters
+    unknown = [k for k in spec.params if k not in accepted]
+    missing = [k for k, p in accepted.items()
+               if p.default is p.empty and k not in spec.params]
+    if unknown or missing:
+        fault = (f"unknown parameter {unknown[0]!r}" if unknown
+                 else f"missing parameter {missing[0]!r}")
+        raise InvalidInputError(
+            f"bad parameters for builder {spec.builder!r}: {fault}; it "
+            f"accepts {', '.join(map(repr, accepted))}")
     try:
         return entry["build"](**spec.params)
     except TypeError as exc:

@@ -460,23 +460,45 @@ class TestMalformedInput:
         # an entry no window of the form reaches would pass unchecked
         _TR1_FORM | {"table": _TR1_FORM["table"]
                      + [{"w": 0, "t": [50], "atom": 12345}]},
+        # no window, or another lattice than the action's
+        _TR1_FORM | {"radius": 0},
+        _TR1_FORM | {"radius": -1},
+        _TR1_FORM | {"d": 0},
+        _TR1_FORM | {"d": 2, "table": [{"w": 0, "t": [1, 0], "atom": 1}]},
     ], ids=["array", "representative-number", "t-number", "d-null",
             "t-float", "t-bool", "d-float", "radius-float",
             "w-not-a-representative", "t-length", "t-repeated",
-            "t-beyond-radius"])
+            "t-beyond-radius", "radius-0", "radius-negative", "d-0",
+            "d-of-another-action"])
     def test_krengel_form_of_the_wrong_shape(self, tmp_path, doc):
         path = tmp_path / "form.json"
         path.write_text(json.dumps(doc))
         _assert_usage_error(*_main("krengel", "--action", "fixture:TR1",
                                    "--verify-form", str(path)))
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"radius": 0}, "radius must be >= 1, got 0"),
+        ({"radius": -1}, "radius must be >= 1, got -1"),
+        ({"d": 0}, "d must be >= 1, got 0"),
+        ({"d": 2, "table": [{"w": 0, "t": [1, 0], "atom": 1}]},
+         "the form has dimension d=2, the action d=1"),
+    ], ids=["radius-0", "radius-negative", "d-0", "d-of-another-action"])
+    def test_krengel_form_shape_error_names_the_field(self, tmp_path, edit,
+                                                      message):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(_TR1_FORM | edit))
+        code, out, err = _main("krengel", "--action", "fixture:TR1",
+                               "--verify-form", str(path))
+        _assert_usage_error(code, out, err)
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("key", ["\x1e", "\n", "\u2028"],
                              ids=["record-separator", "newline",
                                   "line-separator"])
     def test_line_break_in_a_param_name_stays_on_one_line(self, tmp_path,
                                                           key):
-        # the builder's TypeError names the key raw; str.splitlines breaks
-        # on each of these characters
+        # the parameter check names the key with repr; str.splitlines
+        # breaks on each of these characters
         path = tmp_path / "action.json"
         path.write_text(json.dumps({"builder": "cyclic",
                                     "params": {key: None}}))
@@ -484,6 +506,29 @@ class TestMalformedInput:
         _assert_usage_error(code, out, err)
         assert len(err.splitlines()) == 1
         assert repr(key)[1:-1] in err
+
+    @pytest.mark.parametrize("doc,fault", [
+        ({"builder": "cyclic", "params": {"x": 1}},
+         "unknown parameter 'x'; it accepts 'N', 'weights', 'name'"),
+        ({"builder": "odometer"},
+         "missing parameter 'K'; it accepts 'K', 'p', 'd', 'name'"),
+        ({"builder": "odometer", "params": {"K": 3}},
+         "missing parameter 'p'; it accepts 'K', 'p', 'd', 'name'"),
+    ], ids=["unknown", "none", "one-missing"])
+    def test_builder_parameter_error_names_the_key(self, tmp_path, doc,
+                                                   fault):
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _main("hopf", "--action", str(path))
+        _assert_usage_error(code, out, err)
+        assert err == (f"error: bad parameters for builder "
+                       f"{doc['builder']!r}: {fault}\n")
+
+    def test_builder_parameter_flag_error_names_the_key(self):
+        code, out, err = _main("hopf", "--action", "zoo:odometer",
+                               "--params", "K=3,q=1")
+        _assert_usage_error(code, out, err)
+        assert "unknown parameter 'q'; it accepts 'K', 'p', 'd', 'name'" in err
 
     @pytest.mark.parametrize("argv", [
         ("stat", "--action", "fixture:C4", "--g", "atom:{}", "--n", "4"),
