@@ -338,9 +338,9 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     atom that differs or lies outside the space) falls back to one window
     walk per table entry, so every failure and error is the pairwise one.
 
-    Failures are report entries, never exceptions; a form of another
-    dimension than the action, or with no table entry in the window, is an
-    input error, since it would pass unchecked.
+    Failures are report entries, never exceptions.  A form of another
+    dimension than the action is an input error, and so is one with no
+    table entry in the window, since it would pass unchecked.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
