@@ -29,14 +29,15 @@ A dissipative action is equivalent to the translation action
 on W x Z^d with a product measure tau (x) counting measure.  The normal
 form recovered here takes the Hopf labels of its region, makes each region
 atom that no earlier window reaches a representative, and tabulates the
-conjugacy Phi(w, t) = phi_t(w) over that one window per representative;
-:func:`verify_equivalence` then checks equivariance and measure
-equivalence exactly on the explored region.  A full table is checked by
-the same lattice-image certificate: one walk of centered(min(2n, radius))
-from Phi(w, 0) that reads the table in lex order proves
-Phi(w, s + t) == phi_t Phi(w, s) for all s, t in the radius-n window, since
-phi_t's axis-ordered path stays inside that cube.  Any other table falls
-back to one window walk per entry.
+conjugacy Phi(w, t) = phi_t(w) over that one window per representative.
+A region atom whose own window (read off its representative's Hopf cube)
+meets the region atoms of another table is refused.
+:func:`verify_equivalence` checks the form exactly on the explored region,
+a full table by the same lattice-image certificate: one walk of
+centered(min(2n, radius)) from Phi(w, 0) that reads the table in lex order
+proves Phi(w, s + t) == phi_t Phi(w, s) for all s, t in the radius-n
+window, since phi_t's axis-ordered path stays inside that cube.  Any other
+table falls back to one window walk per entry.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ def orbit_explore(action: NsAction, s, radius: int) -> OrbitRecord:
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     window = CubeWindow.centered(radius, action.d)
-    zero = (0,) * action.d
     visits = dict(zip(window, iter_window_orbit(action, s, window)))
-    stab = tuple(t for t, atom in visits.items() if atom == s and t != zero)
+    stab = tuple(t for t, atom in visits.items() if atom == s and any(t))
     return OrbitRecord(s, radius, visits, stab)
 
 
@@ -98,6 +98,8 @@ class HopfDecomposition:
 
     radius: int
     labels: dict = field(default_factory=dict)
+    # seed -> {requested atom: offset} over its certified, recurrence-free cube
+    reach: dict = field(default_factory=dict, repr=False, compare=False)
 
     def summary(self) -> str:
         kinds = set(self.labels.values())
@@ -125,10 +127,6 @@ def _rule(action: NsAction, atom, recurs, collision_free: bool) -> str:
     return UNDETERMINED
 
 
-def _label(action: NsAction, record: OrbitRecord) -> str:
-    return _rule(action, record.seed, record.stabilizer, record.free_in_window)
-
-
 def hopf_decompose(action: NsAction, radius: int,
                    atoms: Iterable = None) -> HopfDecomposition:
     """Label atoms (all of a finite space, S_radius of a lazy one).
@@ -151,20 +149,21 @@ def hopf_decompose(action: NsAction, radius: int,
         atoms = action.space.exhaustion(radius)
     order = sorted(atoms, key=atom_key)
     wanted = set(order)
-    found = {}
+    found, reach = {}, {}
     cubes = True
     for s in order:
         if s in found:
             continue
         if cubes:
-            cubes = _label_cube(action, s, radius, wanted, found)
+            cubes = _label_cube(action, s, radius, wanted, found, reach)
         if s not in found:
-            found[s] = _label(action, orbit_explore(action, s, radius))
-    return HopfDecomposition(radius, {s: found[s] for s in order})
+            rec = orbit_explore(action, s, radius)
+            found[s] = _rule(action, s, rec.stabilizer, rec.free_in_window)
+    return HopfDecomposition(radius, {s: found[s] for s in order}, reach)
 
 
 def _label_cube(action: NsAction, s, radius: int, wanted: set,
-                found: dict) -> bool:
+                found: dict, reach: dict) -> bool:
     """Label the wanted atoms within ``radius`` of s from one verified cube.
 
     Labels nothing without a ``lattice_walk`` of the centered(2 radius)
@@ -179,6 +178,8 @@ def _label_cube(action: NsAction, s, radius: int, wanted: set,
     inner = list(cube.positions(CubeWindow.centered(radius, action.d)))
     recur = {k for k, atom in enumerate(atoms) if atom == s}
     recur.discard(cube.position((0,) * action.d))
+    if not recur:  # s recurs nowhere in the cube: keep its reach
+        reach[s] = {x: t for t, x in zip(cube, atoms) if x in wanted}
     near = not recur.isdisjoint(inner)  # s recurs within radius
     labelled = 0
     for x in map(atoms.__getitem__, inner):
@@ -226,8 +227,7 @@ class KrengelForm:
                 raise InvalidInputError(
                     f"support atom {atom!r} lies outside the explored "
                     f"conjugacy table (radius {self.radius})")
-            w, t = inverse[atom]
-            values[(w, t)] = v
+            values[inverse[atom]] = v
         return L1Function(self.translation_action().space, values,
                           truncation_error=f.truncation_error)
 
@@ -257,19 +257,20 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     own centered window of the given radius.  So region atoms within the
     radius of a representative collapse onto it, and the representative is
     the minimal such atom (a normalization; any other choice gives an
-    equivalent form).  The weight of each representative is its own atom
-    mass.
+    equivalent form), weighted by its own atom mass.
 
     Raises when a region atom is not labeled dissipative (the first one in
-    order), or when the windows of two representatives meet: the radius is
-    then too small to separate or merge the orbits involved.
+    order), when the windows of two representatives meet, or when a region
+    atom of one table lies within the radius of a region atom of another:
+    the radius is then too small to separate or merge the orbits involved.
     """
     region = sorted(set(region), key=atom_key)
     space = action.space
     for s in region:
         if s not in space:
             raise DomainError(f"region atom {s!r} is not in the space")
-    for s, lbl in hopf_decompose(action, radius, region).labels.items():
+    hopf = hopf_decompose(action, radius, region)
+    for s, lbl in hopf.labels.items():
         if lbl != DISSIPATIVE:
             raise InvalidInputError(
                 f"region atom {s!r} is labeled {lbl}; the normal form only "
@@ -289,6 +290,24 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
                     "merge, or shrink the region")
             seen[img] = (w, t)
             phi[(w, t)] = img
+    rep_of = {x: seen[x][0] for x in region}
+    others = {w: [(y, v) for y, v in offsets.items() if rep_of[y] != w]
+              for w, offsets in hopf.reach.items()}
+    for x in region:  # x's own window may hold no other table's region atom
+        w, t = seen[x]
+        if w in others:  # w's certified cube holds x's window
+            near = (y for y, v in others[w]
+                    if all(abs(a - b) <= radius for a, b in zip(v, t)))
+        elif x == w:  # w's window is its table
+            continue
+        else:
+            near = orbit_explore(action, x, radius).visits.values()
+        for y in near:
+            if rep_of.get(y, w) != w:
+                raise InvalidInputError(
+                    f"region atoms {x!r} and {y!r} lie within radius {radius}"
+                    f" of each other but in the tables of {w!r} and "
+                    f"{rep_of[y]!r}; increase the radius so the orbits merge")
     w_space = make_space(reps, {w: space.weight(w) for w in reps},
                          name=f"{action.name}-orbit-base")
     return KrengelForm(W=w_space, d=action.d, radius=radius, phi=phi)
@@ -372,32 +391,24 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
                 if st not in table:
                     continue
                 eq_checked += 1
-                expected = table[st]
-                if isinstance(got, DomainError):
-                    failures.append({
-                        "kind": "equivariance", "w": atom_to_json(w),
-                        "s": list(s), "t": list(t), "error": str(got)})
-                    continue
-                if got != expected:
+                if got != table[st]:  # always so for a DomainError
                     failures.append({
                         "kind": "equivariance", "w": atom_to_json(w),
                         "s": list(s), "t": list(t),
-                        "expected": atom_to_json(expected),
-                        "got": atom_to_json(got)})
+                        **({"error": str(got)} if isinstance(got, DomainError)
+                           else {"expected": atom_to_json(table[st]),
+                                 "got": atom_to_json(got)})})
         for s in coords:
             sup_checked += 1
             try:
-                mu = action.space.weight(table[s])
-                tau = form.W.weight(w)
+                mu, tau = action.space.weight(table[s]), form.W.weight(w)
+                fault = ({} if mu > 0.0 and tau > 0.0
+                         else {"mu": mu, "tau": tau})
             except DomainError as exc:
-                failures.append({
-                    "kind": "support", "w": atom_to_json(w), "s": list(s),
-                    "error": str(exc)})
-                continue
-            if not (mu > 0.0 and tau > 0.0):
-                failures.append({
-                    "kind": "support", "w": atom_to_json(w), "s": list(s),
-                    "mu": mu, "tau": tau})
+                fault = {"error": str(exc)}
+            if fault:
+                failures.append({"kind": "support", "w": atom_to_json(w),
+                                 "s": list(s), **fault})
     if not sup_checked:
         raise InvalidInputError(
             f"no table entry of the form lies within radius {window.n}")

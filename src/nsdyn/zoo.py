@@ -345,14 +345,13 @@ def build(spec: ZooSpec) -> NsAction:
     name, with the parameters the builder accepts."""
     entry = _entry(spec)
     accepted = inspect.signature(entry["build"]).parameters
-    unknown = [k for k in spec.params if k not in accepted]
-    missing = [k for k, p in accepted.items()
-               if p.default is p.empty and k not in spec.params]
-    if unknown or missing:
-        fault = (f"unknown parameter {unknown[0]!r}" if unknown
-                 else f"missing parameter {missing[0]!r}")
+    faults = [f"unknown parameter {k!r}" for k in spec.params
+              if k not in accepted] + [
+        f"missing parameter {k!r}" for k, p in accepted.items()
+        if p.default is p.empty and k not in spec.params]
+    if faults:
         raise InvalidInputError(
-            f"bad parameters for builder {spec.builder!r}: {fault}; it "
+            f"bad parameters for builder {spec.builder!r}: {faults[0]}; it "
             f"accepts {', '.join(map(repr, accepted))}")
     try:
         return entry["build"](**spec.params)

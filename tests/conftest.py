@@ -31,7 +31,7 @@ from nsdyn.hopf import (
     EquivalenceReport,
     HopfDecomposition,
     KrengelForm,
-    _label,
+    _rule,
     orbit_explore,
 )
 from nsdyn.space import (
@@ -157,7 +157,9 @@ def per_atom_hopf_decompose(action, radius, atoms=None):
         atoms = action.space.exhaustion(radius)
     result = HopfDecomposition(radius)
     for s in sorted(atoms, key=atom_key):
-        result.labels[s] = _label(action, orbit_explore(action, s, radius))
+        rec = orbit_explore(action, s, radius)
+        result.labels[s] = _rule(action, s, rec.stabilizer,
+                                 rec.free_in_window)
     return result
 
 
@@ -197,7 +199,7 @@ def union_find_krengel_normal_form(action, region, *, radius=4):
 
     for s in region:
         record = orbit_explore(action, s, radius)
-        lbl = _label(action, record)
+        lbl = _rule(action, s, record.stabilizer, record.free_in_window)
         if lbl != DISSIPATIVE:
             raise InvalidInputError(
                 f"region atom {s!r} is labeled {lbl}; the normal form only "

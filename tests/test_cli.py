@@ -603,6 +603,16 @@ class TestMalformedInput:
         assert ("patches overlap: atom 5 is reached from 0 at t=(5,) and "
                 "from 10 at t=(-5,)") in err and "increase the radius" in err
 
+    def test_krengel_region_chained_between_disjoint_windows(self):
+        # (1, 1) lies in the window of (0, 0) and (1, 2) in that of (0, 3);
+        # the two windows are disjoint, but (1, 1) and (1, 2) are neighbours
+        code, out, err = _main("krengel", "--action", "zoo:translation",
+                               "--params", "d=2", "--region",
+                               "[[0,0],[0,3],[1,1],[1,2]]", "--radius", "1")
+        _assert_usage_error(code, out, err)
+        assert ("region atoms (1, 1) and (1, 2) lie within radius 1"
+                in err) and "increase the radius" in err
+
     def test_window_walk_budget_names_how_far_it_got(self):
         # the doubled window centered(800000) walks 800000 steps down to
         # t = -800000, then 200000 up before the 10^6-step budget runs out

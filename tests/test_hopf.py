@@ -1,5 +1,6 @@
 """Orbit exploration, Hopf labels, Krengel normal form, equivalence checks."""
 
+from contextlib import nullcontext
 from itertools import product
 from unittest import mock
 
@@ -133,6 +134,14 @@ KRENGEL_BOXES = {
 }
 
 
+def _cubes(on):
+    """Leave the Hopf cubes on, or make every lattice walk fail so that
+    labels and chain checks take one window per atom."""
+    if on:
+        return nullcontext()
+    return mock.patch.object(hopf, "lattice_walk", return_value=None)
+
+
 def _form_or_error(make, action, region, radius):
     try:
         return make(action, region, radius=radius)
@@ -182,41 +191,38 @@ class TestKrengelNormalForm:
         with pytest.raises(InvalidInputError, match="overlap"):
             krengel_normal_form(actions["TR1"], [0, 2], radius=1)
 
-    def test_a_chain_between_disjoint_windows_is_not_followed(self):
+    @pytest.mark.parametrize("cubes", [True, False],
+                             ids=["cubes", "per-atom"])
+    def test_a_chain_between_disjoint_windows_is_refused(self, cubes):
         # (0, 0) reaches (1, 1) and (0, 3) reaches (1, 2): two disjoint
-        # windows, so two representatives, although (1, 1) and (1, 2) are
-        # neighbours.  The union-find also walked the window of (1, 1),
-        # merged the two and refused the region.
+        # windows, but (1, 1) and (1, 2) are neighbours, so the two tables
+        # lie on one orbit patch that neither window covers
         plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
         region = [(0, 0), (0, 3), (1, 1), (1, 2)]
         with pytest.raises(InvalidInputError, match="lies outside"):
             union_find_krengel_normal_form(plane, region, radius=1)
-        form = krengel_normal_form(plane, region, radius=1)
-        assert form.representatives == ((0, 0), (0, 3))
-        assert form.as_dict() == union_find_krengel_normal_form(
-            plane, form.representatives, radius=1).as_dict()
-        assert verify_equivalence(plane, form, 1).passed
+        with _cubes(cubes), pytest.raises(
+                InvalidInputError,
+                match=r"region atoms \(1, 1\) and \(1, 2\) lie within "
+                      r"radius 1 of each other but in the tables of "
+                      r"\(0, 0\) and \(0, 3\); increase the radius"):
+            krengel_normal_form(plane, region, radius=1)
 
     @settings(max_examples=200, deadline=None)
     @given(case=st.sampled_from(sorted(KRENGEL_BOXES)),
-           radius=st.integers(1, 6), data=st.data())
-    def test_matches_the_union_find_reference(self, case, radius, data):
+           radius=st.integers(1, 6), cubes=st.booleans(), data=st.data())
+    def test_matches_the_union_find_reference(self, case, radius, cubes,
+                                              data):
         action, box = KRENGEL_BOXES[case]
         region = data.draw(st.sets(st.sampled_from(box(data))),
                            label="region")
-        want, got = (_form_or_error(make, action, region, radius)
-                     for make in (union_find_krengel_normal_form,
-                                  krengel_normal_form))
+        want = _form_or_error(union_find_krengel_normal_form, action, region,
+                              radius)
+        with _cubes(cubes):
+            got = _form_or_error(krengel_normal_form, action, region, radius)
         if isinstance(want, KrengelForm):
             assert isinstance(got, KrengelForm)
             assert got.as_dict() == want.as_dict()
-        elif isinstance(got, KrengelForm):
-            # only a chain through a walked window can tell them apart;
-            # without it the reference agrees with the representatives
-            assert "lies outside the explored window" in str(want)
-            assert set(region) <= set(got.phi.values())
-            assert got.as_dict() == union_find_krengel_normal_form(
-                action, got.representatives, radius=radius).as_dict()
         else:
             assert type(got) is type(want)
 
