@@ -10,10 +10,10 @@ different atoms are a violation even where their weights agree.
 
 On a finite space, validation compiles the action.  It evaluates each
 generator and each inverse once per atom and keeps the images as
-permutation tables of atom indices, so a single step is a table lookup.
-``apply`` reads each generator's cycle decomposition, built on first use:
-phi_t(s) costs d lookups whatever the size of t.  An action on a lazy space
-steps through its generator maps.
+atom-keyed image maps, so a single step is a dict lookup.  ``apply`` reads
+each generator's cycle decomposition, built on first use: phi_t(s) costs d
+lookups whatever the size of t.  An action on a lazy space steps through
+its generator maps.
 
 On a purely atomic space the Radon-Nikodym derivative w_t = d(mu o phi_t)/dmu
 at an atom s is the weight ratio mu(phi_t(s)) / mu(s).  It is evaluated in
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     ConstructionError,
@@ -183,12 +183,11 @@ def vec_add(t: tuple, u: tuple) -> tuple:
     return tuple(a + b for a, b in zip(t, u))
 
 
-class _Generator:
-    __slots__ = ("fwd", "inv")
+class _Generator(NamedTuple):
+    """One axis: the forward map and its inverse."""
 
-    def __init__(self, fwd: Callable, inv: Callable):
-        self.fwd = fwd
-        self.inv = inv
+    fwd: Callable
+    inv: Callable
 
     @classmethod
     def from_permutation(cls, perm: dict) -> "_Generator":
@@ -227,19 +226,18 @@ class NsAction:
     """
 
     __slots__ = ("space", "d", "name", "exploration_budget", "_gens",
-                 "_free_orbit_fn", "_tables", "_cycles")
+                 "_free_orbit_fn", "_cycles")
 
     def __init__(self, space, d, gens, name, free_orbit_fn, exploration_budget):
         self.space = space
         self.d = d
         self.name = name
+        # per axis (forward, inverse): the generator maps, replaced by
+        # validation on a finite space with lookups into atom-keyed image maps
         self._gens = gens
         self._free_orbit_fn = free_orbit_fn
         self.exploration_budget = exploration_budget
-        # (atoms, atom -> index, per axis (forward, inverse) index lists),
-        # set by validation on a finite space
-        self._tables = None
-        self._cycles = None   # per axis (cycle of each index, its position)
+        self._cycles = None   # per axis (cycle of each atom, its position)
 
     def declared_free(self, atom):
         """Builder-declared orbit freeness: True, False, or None (unknown)."""
@@ -248,12 +246,8 @@ class NsAction:
 
     def step(self, axis: int, atom, forward: bool = True):
         """Apply a single generator (or its inverse) once."""
-        if self._tables is None:
-            gen = self._gens[axis]
-            return gen.fwd(atom) if forward else gen.inv(atom)
-        atoms, index, perms = self._tables
-        fwd, inv = perms[axis]
-        return atoms[(fwd if forward else inv)[index[atom]]]
+        gen = self._gens[axis]
+        return gen.fwd(atom) if forward else gen.inv(atom)
 
     def apply(self, t, s):
         """phi_t(s) along the canonical axis-ordered composition path.
@@ -266,20 +260,19 @@ class NsAction:
                 f"atom {s!r} is not in the space of action {self.name!r}")
         vec = as_vec(t, self.d)
         budget = _Budget(self.exploration_budget)
-        if self._tables is None:
-            atom = s
+        atom = s
+        if not self.space.finite:
             for axis, steps in enumerate(vec):
                 atom = self._walk_axis(axis, atom, steps, budget, vec)
             return atom
-        atoms, index, perms = self._tables
         if self._cycles is None:
-            self._cycles = tuple(_cycle_tables(fwd) for fwd, _inv in perms)
-        i = index[s]
+            self._cycles = tuple(_cycle_tables(gen.fwd, self.space.atoms)
+                                 for gen in self._gens)
         for axis, ((cycle_of, pos), steps) in enumerate(zip(self._cycles, vec)):
             budget.spend(axis, vec, abs(steps))
-            cycle = cycle_of[i]
-            i = cycle[(pos[i] + steps) % len(cycle)]
-        return atoms[i]
+            cycle = cycle_of[atom]
+            atom = cycle[(pos[atom] + steps) % len(cycle)]
+        return atom
 
     def _walk_axis(self, axis, atom, steps, budget, t=None):
         forward = steps >= 0
@@ -312,17 +305,17 @@ class NsAction:
         return f"NsAction({self.name!r}, d={self.d}, space={self.space.name!r})"
 
 
-def _cycle_tables(perm: list) -> tuple[list, list]:
-    """The cycle of each index under ``perm``, and the index's place in it."""
-    cycle_of, pos = [None] * len(perm), [0] * len(perm)
-    for start in range(len(perm)):
-        if cycle_of[start] is None:
-            cycle, i = [start], perm[start]
-            while i != start:
-                cycle.append(i)
-                i = perm[i]
-            for k, i in enumerate(cycle):
-                cycle_of[i], pos[i] = cycle, k
+def _cycle_tables(fwd: Callable, atoms) -> tuple[dict, dict]:
+    """The cycle of each atom under ``fwd``, and the atom's place in it."""
+    cycle_of, pos = {}, {}
+    for start in atoms:
+        if start not in cycle_of:
+            cycle, a = [start], fwd(start)
+            while a != start:
+                cycle.append(a)
+                a = fwd(a)
+            for k, a in enumerate(cycle):
+                cycle_of[a], pos[a] = cycle, k
     return cycle_of, pos
 
 
@@ -341,7 +334,7 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
     of a lazy one) and checks that each generator is a bijection with the
     declared inverse and that images stay inside the space with positive
     weight (nonsingularity).  On a finite space the images it computes
-    become the action's step tables.
+    become the action's step maps.
     """
     gens = [_Generator.from_permutation(g) if isinstance(g, dict)
             else _Generator(*g) for g in generators]
@@ -362,7 +355,7 @@ def _validate_action(action: NsAction):
     space = action.space
     samples = space.exhaustion(2)
     step = action.step
-    perms = []
+    maps = []
     for axis in range(action.d):
         # argument atom -> image: each map runs once per argument, in the
         # order of the four steps below
@@ -386,12 +379,11 @@ def _validate_action(action: NsAction):
                 raise ConstructionError(
                     f"generator {axis} of action {action.name!r} is not "
                     f"inverted by its declared inverse at atom {s!r}")
-        if space.finite:
-            index = space.index
-            perms.append(([index[fwd[a]] for a in samples],
-                          [index[inv[a]] for a in samples]))
+            fwd[pre] = inv[img] = s   # the image is the sample's own object
+        maps.append(_Generator(fwd.__getitem__, inv.__getitem__))
     if space.finite:
-        action._tables = (space.atoms, space.index, tuple(perms))
+        # every atom is a sample, so the maps' keys are the space's atoms
+        action._gens = tuple(maps)
 
 
 def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,

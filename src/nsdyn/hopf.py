@@ -256,8 +256,11 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     earlier table reaches becomes a representative, and its table is its
     own centered window of the given radius.  So region atoms within the
     radius of a representative collapse onto it, and the representative is
-    the minimal such atom (a normalization; any other choice gives an
-    equivalent form), weighted by its own atom mass.
+    the minimal such atom, weighted by its own atom mass.  There is one
+    representative per explored patch, not per orbit: region atoms of one
+    orbit that lie more than the radius apart can give two representatives,
+    and the form's limit then counts that orbit twice.  The limit depends
+    on the choice of representatives.
 
     Raises when a region atom is not labeled dissipative (the first one in
     order), when the windows of two representatives meet, or when a region

@@ -76,16 +76,13 @@ class AtomSpace:
     finite space keeps every weight and its log, so both are lookups.
     """
 
-    __slots__ = ("name", "finite", "_atoms", "_index", "_weight_fn",
-                 "_contains_fn", "_exhaustion_fn", "_exh_cache", "_weights",
-                 "_log_weights")
+    __slots__ = ("name", "finite", "_atoms", "_weight_fn", "_contains_fn",
+                 "_exhaustion_fn", "_exh_cache", "_weights", "_log_weights")
 
     def __init__(self, name, finite, atoms, weight_fn, contains_fn, exhaustion_fn):
         self.name = name
         self.finite = finite
         self._atoms = atoms
-        self._index = ({a: i for i, a in enumerate(atoms)}
-                       if atoms is not None else None)
         self._weight_fn = weight_fn
         self._contains_fn = contains_fn
         self._exhaustion_fn = exhaustion_fn
@@ -95,8 +92,8 @@ class AtomSpace:
         self._log_weights = None
 
     def __contains__(self, atom) -> bool:
-        if self._index is not None:
-            return atom in self._index
+        if self._weights is not None:
+            return atom in self._weights
         return bool(self._contains_fn(atom))
 
     @property
@@ -107,14 +104,6 @@ class AtomSpace:
                 f"space {self.name!r} is infinite; use exhaustion(m)")
         return self._atoms
 
-    @property
-    def index(self) -> dict:
-        """Atom -> its position in :attr:`atoms`, for a finite space."""
-        if self._index is None:
-            raise UnsupportedInputError(
-                f"space {self.name!r} is infinite; its atoms are not indexed")
-        return self._index
-
     def weight(self, atom) -> float:
         """The measure of a single atom (strictly positive)."""
         if self._weights is not None:
@@ -122,7 +111,8 @@ class AtomSpace:
             if w is None:
                 raise self._foreign(atom)
             return w
-        if atom not in self:
+        # a finite space gets here only while make_space fills its weights
+        if not (self.finite or self._contains_fn(atom)):
             raise self._foreign(atom)
         w = float(self._weight_fn(atom))
         if not (w > 0.0 and math.isfinite(w)):
@@ -210,9 +200,9 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
                 f"finite space {name!r} takes no exhaustion; its exhaustion "
                 "is the whole atom list")
         sorted_atoms = tuple(sorted(given, key=atom_key))
-        space = AtomSpace(name, True, sorted_atoms, weight_fn, None, None)
-        if len(space.index) != len(sorted_atoms):
+        if len(set(sorted_atoms)) != len(sorted_atoms):
             raise ConstructionError("duplicate atom ids in atom list")
+        space = AtomSpace(name, True, sorted_atoms, weight_fn, None, None)
         # each weight is evaluated and checked once, here, naming a bad atom
         masses = [space.weight(a) for a in sorted_atoms]
         space._weights = dict(zip(sorted_atoms, masses))

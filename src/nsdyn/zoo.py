@@ -97,29 +97,15 @@ def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
 # ---------------------------------------------------------------------------
 # nonsingular odometer, truncated at depth K with wrap-around
 
-def _od_inc(bits: str) -> str:
-    # add one with carry, least significant bit first; all-ones wraps to zero
-    out = []
-    carry = True
-    for b in bits:
-        if carry:
-            out.append("0" if b == "1" else "1")
-            carry = b == "1"
-        else:
-            out.append(b)
-    return "".join(out)
+_FLIP = str.maketrans("01", "10")
 
 
-def _od_dec(bits: str) -> str:
-    out = []
-    borrow = True
-    for b in bits:
-        if borrow:
-            out.append("1" if b == "0" else "0")
-            borrow = b == "0"
-        else:
-            out.append(b)
-    return "".join(out)
+def _od_carry(bits: str, carry: str) -> str:
+    # least significant bit first: flip bits while the carry lasts, that is
+    # the run of ``carry`` bits and the first other bit; ``carry`` "1" adds
+    # one and "0" subtracts one, and the all-``carry`` word wraps around
+    end = len(bits) - len(bits.lstrip(carry)) + 1
+    return bits[:end].translate(_FLIP) + bits[end:]
 
 
 def _build_odometer(K, p, d=1, name=None) -> NsAction:
@@ -141,7 +127,8 @@ def _build_odometer(K, p, d=1, name=None) -> NsAction:
     atoms = _power([words] * d)
     weight = dict(zip(atoms, map(math.prod, product(word_weights, repeat=d))))
     space = make_space(atoms, weight, name=f"{label}-space")
-    return make_action(space, _lift([(_od_inc, _od_dec)] * d), name=label,
+    step = (lambda w: _od_carry(w, "1"), lambda w: _od_carry(w, "0"))
+    return make_action(space, _lift([step] * d), name=label,
                        free_orbits=False)
 
 
@@ -227,11 +214,34 @@ def _build_stabilizer(d, active=(0,), name=None) -> NsAction:
 # ---------------------------------------------------------------------------
 # disjoint unions
 
+def _part_spec(index: int, part) -> ZooSpec:
+    """The spec of a union part; a part that is not a builder object, or
+    has a key other than ``builder`` and ``params``, is refused by name."""
+    if isinstance(part, ZooSpec):
+        return part
+    fault = None
+    if not isinstance(part, dict):
+        fault = f"is {part!r}, not an object"
+    elif "builder" not in part:
+        fault = "is missing key 'builder'"
+    elif not isinstance(part.get("params", {}), dict):
+        fault = f"has key 'params' = {part['params']!r}, not an object"
+    else:
+        extra = [k for k in part if k not in ("builder", "params")]
+        if extra:
+            fault = f"has unknown key {extra[0]!r}"
+    if fault:
+        raise InvalidInputError(
+            f"bad parameters for builder 'disjoint_union': part {index} "
+            f"{fault}; a part accepts 'builder', 'params'")
+    return ZooSpec(**part)
+
+
 def _build_union(parts, name=None) -> NsAction:
-    if len(parts) != 2:
-        raise InvalidInputError("disjoint_union takes exactly two parts")
-    specs = [p if isinstance(p, ZooSpec) else ZooSpec(**p) for p in parts]
-    actions = [build(s) for s in specs]
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+        raise InvalidInputError(
+            f"disjoint_union takes a list of exactly two parts, got {parts!r}")
+    actions = [build(_part_spec(i, p)) for i, p in enumerate(parts)]
     a, b = actions
     if a.d != b.d:
         raise InvalidInputError(
@@ -282,8 +292,8 @@ def _build_union(parts, name=None) -> NsAction:
 
 
 def _union_truth(parts) -> GroundTruth:
-    specs = [p if isinstance(p, ZooSpec) else ZooSpec(**p) for p in parts]
-    labels = [ground_truth(s).label for s in specs]
+    labels = [ground_truth(_part_spec(i, p)).label
+              for i, p in enumerate(parts)]
     if labels[0] == labels[1] and "mixed" not in labels:
         return GroundTruth(labels[0], parts=tuple(enumerate(labels)))
     return GroundTruth("mixed", parts=tuple(enumerate(labels)))

@@ -15,7 +15,7 @@ from conftest import (
     sample_atoms,
 )
 from nsdyn import action as action_module
-from nsdyn import zoo
+from nsdyn import jsonio, zoo
 from nsdyn.action import (
     CubeWindow,
     check_cocycle,
@@ -352,6 +352,30 @@ class TestMakeActionValidation:
         space = make_space([0, 1], 1.0)
         with pytest.raises(ConstructionError):
             make_action(space, [(lambda a: a + 1, lambda a: a - 1)])
+
+    @pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
+    def test_images_are_the_spaces_own_atoms(self, one):
+        # the images spell atom 1 as an equal atom of another type; steps,
+        # jumps, walks and cocycle reports still give the space's own 1
+        def is_one(x):
+            return x == 1 and type(x) is int
+
+        act = jsonio.action_from_json({"atoms": [0, 1, 2],
+                                       "weights": [1, 2, 4],
+                                       "generators": [[one, 2, 0]]})
+        assert is_one(act.step(0, 0)) and is_one(act.step(0, 2, False))
+        assert is_one(act.apply(1, 0)) and is_one(act.apply(-2, 0))
+        walk = iter_window_orbit(act, 0, CubeWindow.corner(2, 1))
+        assert is_one(list(walk)[1])
+        # a second axis that does not commute with the first, on equal
+        # weights: only the endpoint atoms show the violation
+        act = jsonio.action_from_json({"atoms": [0, 1, 2],
+                                       "weights": [1, 1, 1],
+                                       "generators": [[one, 2, 0],
+                                                      [one, 0, 2]]})
+        images = [x for v in check_cocycle(act, 1).violations for x in v[4]]
+        assert images and all(type(x) is int for x in images)
+        assert any(is_one(x) for x in images)
 
 
 class TestRandomWeightedRotations:

@@ -524,6 +524,37 @@ class TestMalformedInput:
         assert err == (f"error: bad parameters for builder "
                        f"{doc['builder']!r}: {fault}\n")
 
+    @pytest.mark.parametrize("part,fault", [
+        ({"builder": "cyclic", "params": {"N": 2}, "x": 1},
+         "part 1 has unknown key 'x'"),
+        ({"builder": "cyclic", "params": {"N": 2}, "\n": 1},
+         "part 1 has unknown key '\\n'"),
+        ({"params": {"N": 2}}, "part 1 is missing key 'builder'"),
+        ({"builder": "cyclic", "params": [2]},
+         "part 1 has key 'params' = [2], not an object"),
+        (5, "part 1 is 5, not an object"),
+    ], ids=["unknown", "line-break", "no-builder", "params-array", "number"])
+    def test_union_part_error_names_the_index_and_key(self, tmp_path, part,
+                                                      fault):
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps({"builder": "disjoint_union", "params": {
+            "parts": [{"builder": "cyclic", "params": {"N": 2}}, part]}}))
+        code, out, err = _main("hopf", "--action", str(path))
+        _assert_usage_error(code, out, err)
+        assert err == ("error: bad parameters for builder 'disjoint_union': "
+                       f"{fault}; a part accepts 'builder', 'params'\n")
+
+    @pytest.mark.parametrize("parts", [5, [{"builder": "cyclic"}]],
+                             ids=["number", "one-part"])
+    def test_union_parts_must_be_a_list_of_two(self, tmp_path, parts):
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps({"builder": "disjoint_union",
+                                    "params": {"parts": parts}}))
+        code, out, err = _main("hopf", "--action", str(path))
+        _assert_usage_error(code, out, err)
+        assert err == ("error: disjoint_union takes a list of exactly two "
+                       f"parts, got {parts!r}\n")
+
     def test_builder_parameter_flag_error_names_the_key(self):
         code, out, err = _main("hopf", "--action", "zoo:odometer",
                                "--params", "K=3,q=1")

@@ -45,6 +45,14 @@ class TestBuilders:
         square = zoo.build(zoo.ZooSpec("odometer", {"K": 2, "p": 0.3, "d": 2}))
         assert square.space.total_mass() == pytest.approx(1.0, rel=EXACT)
 
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_odometer_steps_add_one_least_significant_bit_first(self, K):
+        od = zoo.build(zoo.ZooSpec("odometer", {"K": K, "p": 0.3}))
+        word = {int(w[::-1], 2): w for w in od.space.atoms}
+        for n, w in word.items():
+            assert od.step(0, w) == word[(n + 1) % 2 ** K]
+            assert od.step(0, w, forward=False) == word[(n - 1) % 2 ** K]
+
     def test_union_of_rotation_and_translation(self):
         mix = zoo.build_fixture("MIX")
         assert mix.apply(1, (0, 3)) == (0, 0)
