@@ -120,6 +120,20 @@ def load_action(spec: str, params_text: str):
         return jsonio.action_from_json(json.load(fh))
 
 
+def parse_exhaustion(action, text: str, flag: str):
+    """The atoms S_m of ``exhaustion:<m>``; None for any other spec."""
+    if not text.startswith("exhaustion:"):
+        return None
+    try:
+        m = int(text[len("exhaustion:"):])
+    except ValueError:
+        m = -1
+    if m < 0:
+        raise InvalidInputError(
+            f"{flag} {text!r}: exhaustion:<m> takes an int m >= 0")
+    return action.space.exhaustion(m)
+
+
 def parse_g(action, text: str) -> L1Function:
     """``atom:<id>``, ``ones``, ``exhaustion:<m>``, or ``@file.json``."""
     space = action.space
@@ -130,9 +144,9 @@ def parse_g(action, text: str) -> L1Function:
             raise InvalidInputError(
                 "'ones' needs a finite space; use exhaustion:<m> instead")
         return L1Function.indicator(space, space.atoms)
-    if text.startswith("exhaustion:"):
-        m = int(text[len("exhaustion:"):])
-        return L1Function.indicator(space, space.exhaustion(m))
+    atoms = parse_exhaustion(action, text, "--g")
+    if atoms is not None:
+        return L1Function.indicator(space, atoms)
     if text.startswith("@"):
         with open(text[1:]) as fh:
             return jsonio.l1_from_json(space, json.load(fh))
@@ -141,9 +155,10 @@ def parse_g(action, text: str) -> L1Function:
         "exhaustion:<m>, or @file.json")
 
 
-def parse_atom_set(action, text: str) -> list:
-    if text.startswith("exhaustion:"):
-        return list(action.space.exhaustion(int(text[len("exhaustion:"):])))
+def parse_atom_set(action, text: str, flag: str) -> list:
+    atoms = parse_exhaustion(action, text, flag)
+    if atoms is not None:
+        return list(atoms)
     doc = json.loads(text)
     if not isinstance(doc, list):
         raise InvalidInputError("atom set must be a JSON array")
@@ -275,7 +290,7 @@ def _cmd_cocycle_check(opt: _Options, action):
 def _cmd_duality_check(opt: _Options, action):
     t = parse_vec(opt.require("t", "--t"), action.d)
     g = parse_g(action, opt.require("g", "--g"))
-    atoms = parse_atom_set(action, opt.require("set", "--A"))
+    atoms = parse_atom_set(action, opt.require("set", "--A"), "--A")
     tol = _positive(opt.get("tol", 1e-9), "--tol")
     lhs, rhs, image = check_duality(action, t, g, atoms)
     dev = rel_dev(lhs, rhs)
@@ -346,7 +361,8 @@ def _cmd_krengel(opt: _Options, action):
         with open(form_path) as fh:
             form = jsonio.krengel_form_from_json(json.load(fh))
     else:
-        region = parse_atom_set(action, opt.require("region", "--region"))
+        region = parse_atom_set(action, opt.require("region", "--region"),
+                                "--region")
         form = krengel_normal_form(action, region, radius=radius)
     report = verify_equivalence(action, form, radius)
     doc = {

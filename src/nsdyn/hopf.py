@@ -27,11 +27,10 @@ A dissipative action is equivalent to the translation action
     psi_t(w, s) = (w, t + s)
 
 on W x Z^d with a product measure tau (x) counting measure.  The normal
-form recovered here takes the Hopf labels of its region, makes each region
-atom that no earlier window reaches a representative, and tabulates the
-conjugacy Phi(w, t) = phi_t(w) over that one window per representative.
-A region atom whose own window (read off its representative's Hopf cube)
-meets the region atoms of another table is refused.
+form recovered here reads the walks that label its region and takes none of
+its own.  A region atom that no earlier window reaches becomes a
+representative w; Phi(w, t) = phi_t(w) is w's window read off its walk.
+A region atom whose window holds one of another table is refused.
 :func:`verify_equivalence` checks the form exactly on the explored region,
 a full table by the same lattice-image certificate: one walk of
 centered(min(2n, radius)) from Phi(w, 0) that reads the table in lex order
@@ -98,8 +97,6 @@ class HopfDecomposition:
 
     radius: int
     labels: dict = field(default_factory=dict)
-    # seed -> {requested atom: offset} over its certified, recurrence-free cube
-    reach: dict = field(default_factory=dict, repr=False, compare=False)
 
     def summary(self) -> str:
         kinds = set(self.labels.values())
@@ -148,45 +145,46 @@ def hopf_decompose(action: NsAction, radius: int,
     if atoms is None:
         atoms = action.space.exhaustion(radius)
     order = sorted(atoms, key=atom_key)
-    wanted = set(order)
-    found, reach = {}, {}
-    cubes = True
+    found = {x: lbl for x, lbl, _, _ in _walks(action, radius, order)}
+    return HopfDecomposition(radius, {s: found[s] for s in order})
+
+
+def _walks(action: NsAction, radius: int, order: list):
+    """Yield ``(x, label, (cube, atoms), k)`` once per atom x of ``order``:
+    x is atoms[k] of the walk that labelled it, in the lex order of the
+    centered ``cube`` (its centre sits at size // 2).  The walk is a seed's
+    certified centered(2 radius) cube, or x's own window once the guard of
+    :func:`hopf_decompose` hands over; each holds x's radius window at k.
+    """
+    wanted, done, cubes = set(order), set(), True
+    window = CubeWindow.centered(radius, action.d)
+    cube = CubeWindow.centered(2 * radius, action.d)
+    inner = list(cube.positions(window))
     for s in order:
-        if s in found:
+        if s in done:
             continue
         if cubes:
-            cubes = _label_cube(action, s, radius, wanted, found, reach)
-        if s not in found:
+            atoms, checked = lattice_walk(action, s, cube) or (None, 0)
+            cubes = atoms is not None
+        if cubes:
+            recur = {k for k, atom in enumerate(atoms) if atom == s}
+            recur.discard(cube.size // 2)
+            near = not recur.isdisjoint(inner)  # s recurs within radius
+            labelled = 0
+            for k in inner:
+                x = atoms[k]
+                if x not in done and x in wanted and x in action.space:
+                    done.add(x)
+                    labelled += 1
+                    yield (x, _rule(action, x, near, not recur),
+                           (cube, atoms), k)
+            cubes = labelled * len(inner) >= len(atoms) + checked
+            del atoms  # keep no cube past its seed
+        if s not in done:
             rec = orbit_explore(action, s, radius)
-            found[s] = _rule(action, s, rec.stabilizer, rec.free_in_window)
-    return HopfDecomposition(radius, {s: found[s] for s in order}, reach)
-
-
-def _label_cube(action: NsAction, s, radius: int, wanted: set,
-                found: dict, reach: dict) -> bool:
-    """Label the wanted atoms within ``radius`` of s from one verified cube.
-
-    Labels nothing without a ``lattice_walk`` of the centered(2 radius)
-    cube from s.  Returns whether further cubes are worth trying: its points
-    and check steps were at most the window points of the atoms it labelled.
-    """
-    cube = CubeWindow.centered(2 * radius, action.d)
-    walked = lattice_walk(action, s, cube)
-    if walked is None:
-        return False
-    atoms, checked = walked
-    inner = list(cube.positions(CubeWindow.centered(radius, action.d)))
-    recur = {k for k, atom in enumerate(atoms) if atom == s}
-    recur.discard(cube.position((0,) * action.d))
-    if not recur:  # s recurs nowhere in the cube: keep its reach
-        reach[s] = {x: t for t, x in zip(cube, atoms) if x in wanted}
-    near = not recur.isdisjoint(inner)  # s recurs within radius
-    labelled = 0
-    for x in map(atoms.__getitem__, inner):
-        if x not in found and x in wanted and x in action.space:
-            found[x] = _rule(action, x, near, not recur)
-            labelled += 1
-    return labelled * len(inner) >= len(atoms) + checked
+            done.add(s)
+            yield (s, _rule(action, s, rec.stabilizer, rec.free_in_window),
+                   (window, list(rec.visits.values())), window.size // 2)
 
 
 @dataclass
@@ -251,16 +249,17 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
                         radius: int = 4) -> KrengelForm:
     """Recover the translation normal form over a finite dissipative region.
 
-    The labels are those of :func:`hopf_decompose` on the region.  Then the
-    region is read once in the space's total order: each atom that no
-    earlier table reaches becomes a representative, and its table is its
-    own centered window of the given radius.  So region atoms within the
-    radius of a representative collapse onto it, and the representative is
-    the minimal such atom, weighted by its own atom mass.  There is one
-    representative per explored patch, not per orbit: region atoms of one
-    orbit that lie more than the radius apart can give two representatives,
-    and the form's limit then counts that orbit twice.  The limit depends
-    on the choice of representatives.
+    The region's labels come from the walks of :func:`hopf_decompose`, and
+    every window below is read off them, so the form takes no generator
+    step of its own.  The region is read once in the space's total order:
+    each atom that no earlier table reaches becomes a representative, and
+    its table is its own centered window of the given radius.  So region
+    atoms within the radius of a representative collapse onto it, and the
+    representative is the minimal such atom, weighted by its own atom mass.
+    There is one representative per explored patch, not per orbit: region
+    atoms of one orbit that lie more than the radius apart can give two
+    representatives, and the form's limit then counts that orbit twice.
+    The limit depends on the choice of representatives.
 
     Raises when a region atom is not labeled dissipative (the first one in
     order), when the windows of two representatives meet, or when a region
@@ -272,18 +271,22 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     for s in region:
         if s not in space:
             raise DomainError(f"region atom {s!r} is not in the space")
-    hopf = hopf_decompose(action, radius, region)
-    for s, lbl in hopf.labels.items():
-        if lbl != DISSIPATIVE:
+    found = {x: rest for x, *rest in _walks(action, radius, region)}
+    for s in region:
+        if found[s][0] != DISSIPATIVE:
             raise InvalidInputError(
-                f"region atom {s!r} is labeled {lbl}; the normal form only "
-                "exists over dissipative atoms")
+                f"region atom {s!r} is labeled {found[s][0]}; the normal "
+                "form only exists over dissipative atoms")
+    window = CubeWindow.centered(radius, action.d)
     reps, phi, seen = [], {}, {}
     for w in region:
         if w in seen:
             continue
         reps.append(w)
-        for t, img in orbit_explore(action, w, radius).visits.items():
+        _, (cube, atoms), k = found[w]
+        shift = k - cube.size // 2  # from the walk's centre to w
+        for t, p in zip(window, cube.positions(window)):
+            img = atoms[shift + p]
             if img in seen:
                 other = seen[img]
                 raise InvalidInputError(
@@ -294,19 +297,16 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
             seen[img] = (w, t)
             phi[(w, t)] = img
     rep_of = {x: seen[x][0] for x in region}
-    others = {w: [(y, v) for y, v in offsets.items() if rep_of[y] != w]
-              for w, offsets in hopf.reach.items()}
+    others = {}  # (id of a walk, table) -> its region atoms of other tables
     for x in region:  # x's own window may hold no other table's region atom
-        w, t = seen[x]
-        if w in others:  # w's certified cube holds x's window
-            near = (y for y, v in others[w]
-                    if all(abs(a - b) <= radius for a, b in zip(v, t)))
-        elif x == w:  # w's window is its table
-            continue
-        else:
-            near = orbit_explore(action, x, radius).visits.values()
-        for y in near:
-            if rep_of.get(y, w) != w:
+        _, (cube, atoms), k = found[x]
+        w = rep_of[x]
+        if (id(atoms), w) not in others:
+            others[id(atoms), w] = [(j, y) for j, y in enumerate(atoms)
+                                    if rep_of.get(y, w) != w]
+        for j, y in others[id(atoms), w]:
+            if all(abs(a - b) <= radius
+                   for a, b in zip(cube.vector(j), cube.vector(k))):
                 raise InvalidInputError(
                     f"region atoms {x!r} and {y!r} lie within radius {radius}"
                     f" of each other but in the tables of {w!r} and "

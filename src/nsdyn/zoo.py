@@ -237,12 +237,16 @@ def _part_spec(index: int, part) -> ZooSpec:
     return ZooSpec(**part)
 
 
-def _build_union(parts, name=None) -> NsAction:
+def _union_parts(parts) -> list:
+    """The specs of a union's parts; anything but a list of two is refused."""
     if not isinstance(parts, (list, tuple)) or len(parts) != 2:
         raise InvalidInputError(
             f"disjoint_union takes a list of exactly two parts, got {parts!r}")
-    actions = [build(_part_spec(i, p)) for i, p in enumerate(parts)]
-    a, b = actions
+    return [_part_spec(i, p) for i, p in enumerate(parts)]
+
+
+def _build_union(parts, name=None) -> NsAction:
+    a, b = map(build, _union_parts(parts))
     if a.d != b.d:
         raise InvalidInputError(
             f"cannot union actions of different dimension ({a.d} vs {b.d})")
@@ -292,8 +296,7 @@ def _build_union(parts, name=None) -> NsAction:
 
 
 def _union_truth(parts) -> GroundTruth:
-    labels = [ground_truth(_part_spec(i, p)).label
-              for i, p in enumerate(parts)]
+    labels = [ground_truth(p).label for p in _union_parts(parts)]
     if labels[0] == labels[1] and "mixed" not in labels:
         return GroundTruth(labels[0], parts=tuple(enumerate(labels)))
     return GroundTruth("mixed", parts=tuple(enumerate(labels)))
@@ -344,16 +347,12 @@ _BUILDERS = {
 
 
 def _entry(spec: ZooSpec) -> dict:
+    """The registry entry of a spec; an unknown builder, or an unknown or
+    missing key, is refused by name, with the parameters it accepts."""
     if spec.builder not in _BUILDERS:
         raise InvalidInputError(
             f"unknown builder {spec.builder!r}; known: {sorted(_BUILDERS)}")
-    return _BUILDERS[spec.builder]
-
-
-def build(spec: ZooSpec) -> NsAction:
-    """Instantiate a builder spec; unknown or missing keys are refused by
-    name, with the parameters the builder accepts."""
-    entry = _entry(spec)
+    entry = _BUILDERS[spec.builder]
     accepted = inspect.signature(entry["build"]).parameters
     faults = [f"unknown parameter {k!r}" for k in spec.params
               if k not in accepted] + [
@@ -363,6 +362,12 @@ def build(spec: ZooSpec) -> NsAction:
         raise InvalidInputError(
             f"bad parameters for builder {spec.builder!r}: {faults[0]}; it "
             f"accepts {', '.join(map(repr, accepted))}")
+    return entry
+
+
+def build(spec: ZooSpec) -> NsAction:
+    """Instantiate a builder spec whose keys :func:`_entry` accepts."""
+    entry = _entry(spec)
     try:
         return entry["build"](**spec.params)
     except TypeError as exc:
@@ -371,7 +376,8 @@ def build(spec: ZooSpec) -> NsAction:
 
 
 def ground_truth(spec: ZooSpec) -> GroundTruth:
-    """The declared conservativity of a builder spec's output."""
+    """The declared conservativity of a builder spec's output; the spec is
+    checked as :func:`build` checks it."""
     return _entry(spec)["truth"](**spec.params)
 
 

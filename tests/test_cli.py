@@ -561,6 +561,20 @@ class TestMalformedInput:
         _assert_usage_error(code, out, err)
         assert "unknown parameter 'q'; it accepts 'K', 'p', 'd', 'name'" in err
 
+    @pytest.mark.parametrize("flag, spec, argv", [
+        ("--region", "exhaustion:x", ("krengel", "--action", "fixture:TR1")),
+        ("--region", "exhaustion:-1", ("krengel", "--action", "fixture:TR1")),
+        ("--g", "exhaustion:1.5", ("stat", "--action", "fixture:TR1",
+                                   "--n", "4")),
+        ("--A", "exhaustion:", ("duality-check", "--action", "fixture:TR1",
+                                "--t", "1", "--g", "exhaustion:2")),
+    ], ids=["region", "region-negative", "g", "A"])
+    def test_a_bad_exhaustion_index_names_the_flag(self, flag, spec, argv):
+        code, out, err = _main(*argv, flag, spec)
+        _assert_usage_error(code, out, err)
+        assert (f"error: {flag} {spec!r}: exhaustion:<m> takes an int m >= 0"
+                in err)
+
     @pytest.mark.parametrize("argv", [
         ("stat", "--action", "fixture:C4", "--g", "atom:{}", "--n", "4"),
         ("stat", "--action", "fixture:MIX", "--g", 'atom:[0, {"a": 1}]',

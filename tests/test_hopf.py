@@ -127,6 +127,10 @@ KRENGEL_BOXES = {
         zoo.build(zoo.ZooSpec("translation", {"tau": [1.0, 2.0, 3.0],
                                                "d": 1})),
         lambda data: [(w, (s,)) for w in range(3) for (s,) in _box(data, 5)]),
+    # two orbits in d = 2: the cost guard can stop the cubes after the first
+    "translation tau=[1,2], d=2": (
+        zoo.build(zoo.ZooSpec("translation", {"tau": [1.0, 2.0], "d": 2})),
+        lambda data: [(w, s) for w in range(2) for s in _box(data, 4, 4)]),
     # the conservative C4 atoms (0, c) beside the line (1, s)
     "MIX": (zoo.build_fixture("MIX"),
             lambda data: [(0, c) for c in range(4)]
@@ -207,6 +211,17 @@ class TestKrengelNormalForm:
                       r"radius 1 of each other but in the tables of "
                       r"\(0, 0\) and \(0, 3\); increase the radius"):
             krengel_normal_form(plane, region, radius=1)
+
+    def test_per_atom_fallback_matches_the_union_find_reference(self):
+        # the first cube labels only the 9 region atoms of its orbit, so the
+        # cost guard hands the other three orbits to one window per atom
+        four = zoo.build(zoo.ZooSpec(
+            "translation", {"tau": [1.0, 2.0, 3.0, 4.0], "d": 2}))
+        region = four.space.exhaustion(1)
+        want = union_find_krengel_normal_form(four, region, radius=6)
+        got = krengel_normal_form(four, region, radius=6)
+        assert len(got.representatives) == 4
+        assert got.as_dict() == want.as_dict()
 
     @settings(max_examples=200, deadline=None)
     @given(case=st.sampled_from(sorted(KRENGEL_BOXES)),

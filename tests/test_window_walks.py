@@ -11,6 +11,7 @@ floats in the same order, so the reports must agree exactly.  The step
 counts pin the walk sizes in closed form.
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -26,7 +27,7 @@ from conftest import (
     sample_atoms,
     walk_steps,
 )
-from nsdyn import jsonio, zoo
+from nsdyn import hopf, jsonio, zoo
 from nsdyn.action import (
     CubeWindow,
     NsAction,
@@ -519,16 +520,48 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
     step_counter[0] = 0
     form = krengel_normal_form(tr, tr.space.exhaustion(32), radius=128)
     # the Hopf labels: one centered(256) cube from -32 and its 512 inverse
-    # checks; then one window for the one representative -32, which
-    # reaches the whole region (one window per region atom took 24960)
-    assert step_counter[0] == walk_steps(256, 1) + 512 + walk_steps(128, 1)
-    assert step_counter[0] == 1664
+    # checks; the table of the one representative -32 and every region
+    # atom's window are read off that cube (one window per region atom
+    # took 24960, a second walk of the table 1664)
+    assert step_counter[0] == walk_steps(256, 1) + 512 == 1280
     step_counter[0] = 0
     verify_equivalence(tr, form, 128)
     # the full table is certified by one lattice walk of centered(128) from
     # Phi(0, 0): the walk, then one inverse unit image per distinct atom
     # (one walk per tabulated coordinate took 257 * 384 = 98688)
     assert step_counter[0] == walk_steps(128, 1) + 256 == 640
+
+
+# the three Krengel inputs of the benchmark's orbit-forms workload, and the
+# steps of their Hopf labels with cubes; the last falls back to per-atom
+# windows after its first cube
+KRENGEL_STEPS = [
+    (("translation", {"d": 1}), 32, 128, 1280),
+    (("translation", {"d": 2}), 2, 8, 4800),
+    (("translation", {"tau": [1.0, 2.0, 3.0, 4.0], "d": 2}), 1, 6, 9540),
+]
+
+
+@pytest.mark.parametrize("cubes", [True, False], ids=["cubes", "per-atom"])
+@pytest.mark.parametrize("spec, m, radius, steps", KRENGEL_STEPS,
+                         ids=["TR1", "translation d=2", "tau=1x2x3x4,d=2"])
+def test_krengel_takes_exactly_the_hopf_steps(step_counter, spec, m, radius,
+                                              steps, cubes):
+    action = zoo.build(zoo.ZooSpec(*spec))
+    region = action.space.exhaustion(m)
+    off = mock.patch.object(hopf, "lattice_walk", return_value=None)
+    with nullcontext() if cubes else off:
+        step_counter[0] = 0
+        hopf_decompose(action, radius, region)
+        labels = step_counter[0]
+        step_counter[0] = 0
+        krengel_normal_form(action, region, radius=radius)
+    # the tables and the chain check read the Hopf walks: no step of their own
+    assert step_counter[0] == labels
+    if cubes:
+        assert labels == steps
+    else:
+        assert labels == len(region) * walk_steps(radius, action.d)
 
 
 def test_hopf_walks_one_cube_per_seed(step_counter):

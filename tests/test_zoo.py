@@ -97,6 +97,20 @@ class TestGroundTruth:
         assert mixed.label == "mixed"
         assert dict(mixed.parts) == {0: "conservative", 1: "dissipative"}
 
+    @pytest.mark.parametrize("spec", [
+        zoo.ZooSpec("disjoint_union", {}),
+        zoo.ZooSpec("disjoint_union", {"parts": 5}),
+        zoo.ZooSpec("disjoint_union", {"parts": [
+            {"builder": "cyclic", "params": {"N": 2}}]}),
+        zoo.ZooSpec("odometer", {"N": 3}),
+    ], ids=["no parts", "parts not a list", "one part", "unknown key"])
+    def test_a_bad_spec_is_refused_as_build_refuses_it(self, spec):
+        with pytest.raises(InvalidInputError) as built:
+            zoo.build(spec)
+        with pytest.raises(InvalidInputError) as truth:
+            zoo.ground_truth(spec)
+        assert str(truth.value) == str(built.value)
+
     def test_every_fixture_has_a_truth(self):
         for name in FIXTURE_NAMES:
             assert zoo.ground_truth(zoo.fixture_spec(name)).label in (
