@@ -8,6 +8,17 @@ than an assumption: :func:`check_cocycle` compares the atoms phi_{t+u}(s)
 and phi_u(phi_t(s)) as well as the cocycle values, so two paths that end at
 different atoms are a violation even where their weights agree.
 
+Where those atoms are proven equal, the identity needs no pair loop: on an
+atomic space w_t(s) = mu(phi_t s) / mu(s) is a coboundary, so
+w_{t+u}(s) = w_t(s) * w_u(phi_t s) holds up to the rounding of three
+log-weight ratios.  The proof is either a commutation pass over a finite
+space (T_i T_j a == T_j T_i a at every atom; validation already checked
+each declared inverse), or a :func:`lattice_walk` of centered(2r) from each
+sample: u's axis path from a_t then stays inside the certified cube, so
+phi_u(a_t) = a_{t+u}.  The check then evaluates only the unit pairs
+(t, +-e_i); the pairwise loop remains for everything the proof or the
+rounding bound cannot settle.
+
 On a finite space, validation compiles the action.  It evaluates each
 generator and each inverse once per atom and keeps the images as
 atom-keyed image maps, so a single step is a dict lookup.  ``apply`` reads
@@ -32,6 +43,7 @@ phi_{-t}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -41,6 +53,7 @@ from .errors import (
     DomainError,
     ExplorationLimitError,
     InvalidInputError,
+    ToolkitError,
 )
 from .space import (
     EXPLORATION_BUDGET,
@@ -174,9 +187,13 @@ def _weight_ratio(space: AtomSpace, s, log_s: float, end,
     try:
         return math.exp(log_end - log_s)
     except OverflowError:
-        raise InvalidInputError(
-            f"weight ratio mu({end!r}) / mu({s!r}) in space {space.name!r} "
-            "overflows a float") from None
+        raise _ratio_overflow(space, end, s) from None
+
+
+def _ratio_overflow(space: AtomSpace, end, s) -> InvalidInputError:
+    return InvalidInputError(
+        f"weight ratio mu({end!r}) / mu({s!r}) in space {space.name!r} "
+        "overflows a float")
 
 
 def vec_add(t: tuple, u: tuple) -> tuple:
@@ -295,10 +312,14 @@ class NsAction:
         if g.space is not self.space:
             raise DomainError("function is defined over a different space")
         minus = tuple(-x for x in as_vec(t, self.d))
+        weight = self.space.weight
         out = {}
         for sp, v in g.items():
             s = self.apply(minus, sp)
-            out[s] = v * (self.space.weight(sp) / self.space.weight(s))
+            ratio = weight(sp) / weight(s)
+            if ratio == math.inf:
+                raise _ratio_overflow(self.space, sp, s)
+            out[s] = v * ratio
         return L1Function(self.space, out, truncation_error=g.truncation_error)
 
     def __repr__(self):
@@ -481,8 +502,11 @@ class CocycleReport:
     radius: int
     rel_tol: float
     checked: int
+    # the largest deviation over the pairs evaluated (only the unit pairs
+    # (t, +-e_i) where check_cocycle certified the rest), and its first
+    # holder (t, u, atom)
     max_rel_deviation: float
-    worst: tuple | None          # (t, u, atom) achieving the max deviation
+    worst: tuple | None
     # (t, u, atom, deviation, images): deviation above rel_tol, or images =
     # (phi_{t+u}(atom), phi_u(phi_t(atom))) when only the two atoms differ
     violations: list
@@ -518,18 +542,139 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
                   rel_tol: float = 1e-9) -> CocycleReport:
     """Verify w_{t+u}(s) = w_t(s) * w_u(phi_t(s)) over a centered window.
 
-    Runs over all pairs t, u in centered(radius) and over ``samples`` (all
-    atoms of a finite space by default, S_2 of a lazy one).  A pair also
-    fails when phi_{t+u}(s) and phi_u(phi_t(s)) are different atoms, since
-    the generators then do not commute there, whatever the weights say.  A
-    NaN deviation fails.  Violations are report entries, not errors.  A
-    window of more pairs per sample atom, (2 radius + 1)^(2d), than the
+    Covers all pairs t, u in centered(radius) at each of ``samples`` (all
+    atoms of a finite space by default, S_2 of a lazy one); ``checked``
+    counts them.  A pair fails when its relative deviation exceeds
+    ``rel_tol`` (a NaN fails), or when phi_{t+u}(s) and phi_u(phi_t(s)) are
+    different atoms, since the generators then do not commute there,
+    whatever the weights say.  Violations are report entries, not errors.
+
+    Two routes give the same verdict, violations and errors:
+
+    * The certificate proves phi_u(phi_t(s)) == phi_{t+u}(s) for every
+      pair (see the module docstring); the identity then holds exactly up
+      to the rounding of three log-weight ratios, at most a few (M + 1)
+      float epsilons for M the largest |log mu| involved.  Only the unit
+      pairs (t, +-e_i) are evaluated, and ``max_rel_deviation`` and
+      ``worst`` are their maximum and its first holder in sample, t and u
+      lex order.
+    * Otherwise the pairwise loop evaluates every pair, and they are the
+      maximum over all pairs.  It runs when a sample's cube or the
+      commutation pass fails, when the log weights involved span nearly a
+      float's range (so an overflowing ratio is still an error), when
+      ``rel_tol`` is below the rounding bound 8 (M + 1) epsilon (so a tiny
+      tolerance sees the rounding), or when a unit pair deviates beyond
+      ``rel_tol``.
+
+    A window of more pairs per sample atom, (2 radius + 1)^(2d), than the
     exploration budget is refused once the first sample's walk is taken.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     if samples is None:
         samples = action.space.exhaustion(2)
+    samples = sorted(samples, key=atom_key)
+    report = _certified_cocycle(action, radius, samples, rel_tol)
+    if report is None:
+        report = _pairwise_cocycle(action, radius, samples, rel_tol)
+    return report
+
+
+# the rounding of w_{t+u}(s) against w_t(s) * w_u(phi_t s), per unit of
+# (M + 1) * epsilon: about 3.5 to first order, at most 1.57 seen over 8e5
+# random log triples
+_ROUNDING = 8 * sys.float_info.epsilon
+# below this log span every weight ratio, and every product of two whose
+# exact value is a third, stays under a float's maximum / e
+_LOG_SPAN = math.log(sys.float_info.max) - 1.0
+
+
+def _rounding_allows(rel_tol: float, logs: list) -> bool:
+    """Whether every weight ratio among these log weights is a finite float
+    and ``rel_tol`` lies above the certificate's rounding bound."""
+    lo, hi = min(logs), max(logs)
+    return (hi - lo < _LOG_SPAN
+            and rel_tol >= _ROUNDING * (max(-lo, hi) + 1.0))
+
+
+def _commute(action: NsAction) -> bool:
+    """Whether T_i T_j a == T_j T_i a at every atom of a finite space."""
+    step, d = action.step, action.d
+    for a in action.space.atoms:
+        images = [step(i, a) for i in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                if step(j, images[i]) != step(i, images[j]):
+                    return False
+    return True
+
+
+def _certified_cocycle(action: NsAction, radius: int, samples: list,
+                       rel_tol: float) -> CocycleReport | None:
+    """The unit-pair report, or None to hand the call to the pairwise loop.
+
+    A finite space whose generators commute at every atom carries a
+    Z^d-action, so each sample walks only centered(radius + 1), which holds
+    the unit pairs of centered(radius).  That pass costs d^2 steps per atom
+    (none when d = 1), so it runs only where the samples' doubled cubes
+    have at least as many atoms.  Elsewhere each sample walks a certified
+    centered(2 radius) cube, which holds every pair.  Any error hands over
+    too, so that the pairwise loop raises it in its own order.
+    """
+    space, d = action.space, action.d
+    window = CubeWindow.centered(radius, d)
+    if window.size ** 2 > action.exploration_budget:
+        return None   # the pairwise loop walks first, then refuses
+    cube = CubeWindow.centered(2 * radius, d)
+    log_weight = space.log_weight
+    commuting = space.finite and (
+        d == 1 or len(space.atoms) * d * d <= len(samples) * cube.size)
+    try:
+        if commuting:
+            # the whole space's span: the pairwise loop would also read the
+            # corners of each doubled cube, which this route never walks
+            if not (_rounding_allows(rel_tol, [*map(log_weight, space.atoms)])
+                    and (d == 1 or _commute(action))):
+                return None
+            cube = CubeWindow.centered(radius + 1, d)
+        center = cube.size // 2
+        units = [(u, cube.position(u) - center) for u in sorted(
+            v for v in CubeWindow.centered(1, d) if sum(map(abs, v)) == 1)]
+        inner = list(zip(window, cube.positions(window)))
+        worst_dev, worst = 0.0, None
+        for s in samples:
+            if commuting:
+                atoms = list(iter_window_orbit(action, s, cube))
+            else:
+                walked = lattice_walk(action, s, cube)
+                if walked is None:
+                    return None
+                atoms = walked[0]
+            logs = [log_weight(a) for a in atoms]
+            if not (commuting or _rounding_allows(rel_tol, logs)):
+                return None
+            log_s = logs[center]
+            for t, pos_t in inner:
+                log_t = logs[pos_t]
+                wt = math.exp(log_t - log_s)
+                for u, off in units:
+                    log_tu = logs[pos_t + off]
+                    # the pairwise loop's floats: w_{t+u}(s), w_u(phi_t s)
+                    dev = rel_dev(math.exp(log_tu - log_s),
+                                  wt * math.exp(log_tu - log_t))
+                    if dev > worst_dev:
+                        worst_dev, worst = dev, (t, u, s)
+                    if not dev <= rel_tol:
+                        return None
+    except ToolkitError:
+        return None
+    return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,
+                         worst_dev, worst, [])
+
+
+def _pairwise_cocycle(action: NsAction, radius: int, samples: list,
+                      rel_tol: float) -> CocycleReport:
+    """Every pair (t, u) of centered(radius) at each sample, in lex order."""
     space = action.space
     window = CubeWindow.centered(radius, action.d)
     doubled = CubeWindow.centered(2 * radius, action.d)
@@ -537,7 +682,7 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     vecs = offs = None
     ratios = {}  # x -> [(phi_u(x), w_u(x)) for u in window], one walk per x
     worst_dev, worst, violations, checked = 0.0, None, [], 0
-    for s in sorted(samples, key=atom_key):
+    for s in samples:
         # one incremental sweep per base atom gives w_t(s) for all t up to 2r
         log_s = space.log_weight(s)
         atoms = list(iter_window_orbit(action, s, doubled))

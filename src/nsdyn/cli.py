@@ -159,9 +159,12 @@ def parse_atom_set(action, text: str, flag: str) -> list:
     atoms = parse_exhaustion(action, text, flag)
     if atoms is not None:
         return list(atoms)
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None
     if not isinstance(doc, list):
-        raise InvalidInputError("atom set must be a JSON array")
+        raise InvalidInputError(f"{flag} {text!r}: not a JSON array of atoms")
     return [jsonio.atom_from_json(a) for a in doc]
 
 

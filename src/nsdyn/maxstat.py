@@ -213,6 +213,8 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
             w = weight(s)
             v = m / w
             if not 0.0 <= v < math.inf:
+                if m < math.inf:  # only the division left float range
+                    raise _dual_overflow(action, g, s, m)
                 raise InvalidInputError(
                     f"function value at atom {s!r} is {v}; "
                     "values must be finite and nonnegative")
@@ -222,6 +224,17 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
         series.records.append(StatRecord(
             n, kind, math.fsum(terms) / window.size, len(terms), ms))
     return series
+
+
+def _dual_overflow(action: NsAction, g: L1Function, s,
+                   m: float) -> InvalidInputError:
+    """The error for a dual value m / mu(s) beyond float range.  It names
+    the first atom y of g's support whose g * mu is the window maximum m."""
+    weight = action.space.weight
+    y = next(y for y in g.support if g(y) * weight(y) == m)
+    return InvalidInputError(
+        f"dual value g({y!r}) * mu({y!r}) / mu({s!r}) in space "
+        f"{action.space.name!r} overflows a float")
 
 
 def sum_dual_partial(action: NsAction, g: L1Function, s, n: int) -> float:

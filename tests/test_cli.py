@@ -395,6 +395,22 @@ class TestAdditionalSurfaces:
             assert captured.err.count("\n") == 1
             assert "overflows" in captured.err
 
+    @pytest.mark.parametrize("argv, line", [
+        (("stat", "--g", "ones", "--n", "2"),
+         "dual value g(1) * mu(1) / mu(0) in space 'explicit' overflows"),
+        (("duality-check", "--t", "1", "--g", "ones", "--A", "[0, 1]"),
+         "weight ratio mu(1) / mu(0) in space 'explicit' overflows"),
+    ], ids=["stat", "duality-check"])
+    def test_an_overflowing_ratio_names_its_atoms(self, tmp_path, argv, line):
+        # every input value is finite: only the ratio 1e300 / 1e-300 is not
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"atoms": [0, 1],
+                                    "weights": [1e-300, 1e300],
+                                    "generators": [[1, 0]]}))
+        code, out, err = _main(argv[0], "--action", str(path), *argv[1:])
+        _assert_usage_error(code, out, err)
+        assert err == f"error: {line} a float\n"
+
     def test_missing_action_file_is_a_usage_error(self):
         out = run_cli("stat", "--action", "/nowhere/action.json",
                       "--g", "atom:0", "--n", "4")
@@ -574,6 +590,18 @@ class TestMalformedInput:
         _assert_usage_error(code, out, err)
         assert (f"error: {flag} {spec!r}: exhaustion:<m> takes an int m >= 0"
                 in err)
+
+    @pytest.mark.parametrize("flag, spec, argv", [
+        ("--region", "foo", ("krengel", "--action", "fixture:TR1")),
+        ("--A", "[1,", ("duality-check", "--action", "fixture:TR1",
+                        "--t", "1", "--g", "exhaustion:2")),
+        ("--A", "{}", ("duality-check", "--action", "fixture:TR1",
+                       "--t", "1", "--g", "exhaustion:2")),
+    ], ids=["region-word", "A-unclosed", "A-object"])
+    def test_a_bad_atom_list_names_the_flag(self, flag, spec, argv):
+        code, out, err = _main(*argv, flag, spec)
+        _assert_usage_error(code, out, err)
+        assert err == f"error: {flag} {spec!r}: not a JSON array of atoms\n"
 
     @pytest.mark.parametrize("argv", [
         ("stat", "--action", "fixture:C4", "--g", "atom:{}", "--n", "4"),

@@ -11,6 +11,7 @@ floats in the same order, so the reports must agree exactly.  The step
 counts pin the walk sizes in closed form.
 """
 
+import sys
 from contextlib import nullcontext
 from unittest import mock
 
@@ -27,6 +28,7 @@ from conftest import (
     sample_atoms,
     walk_steps,
 )
+from nsdyn import action as action_module
 from nsdyn import hopf, jsonio, zoo
 from nsdyn.action import (
     CubeWindow,
@@ -37,7 +39,7 @@ from nsdyn.action import (
     make_action,
     vec_add,
 )
-from nsdyn.errors import DomainError, ExplorationLimitError
+from nsdyn.errors import DomainError, ExplorationLimitError, ToolkitError
 from nsdyn.hopf import (
     KrengelForm,
     hopf_decompose,
@@ -296,6 +298,52 @@ def _tr1_form(edit=None):
     return tr, KrengelForm(W=form.W, d=form.d, radius=form.radius, phi=phi)
 
 
+def _cocycle_outcome(check):
+    """The report of ``check()``, or the type and text of its error."""
+    try:
+        return check()
+    except ToolkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _matches_pairwise(action, radius, samples=None, rel_tol=1e-9, *,
+                      exact=True):
+    """Check ``check_cocycle`` against the pairwise reference; the route.
+
+    Both give the same verdict, count, violations and errors.  On the
+    pairwise route the whole report is the reference's; on the certificate
+    route the maximum deviation and its first holder are the reference's
+    over the unit pairs (t, +-e_i), visited in sample, t and u lex order.
+    ``exact=False`` compares only the verdict and the count on the
+    pairwise route.
+    """
+    deviations = []
+    want = _cocycle_outcome(lambda: pairwise_check_cocycle(
+        action, radius, samples, rel_tol, deviations))
+    with mock.patch.object(action_module, "_pairwise_cocycle",
+                           wraps=action_module._pairwise_cocycle) as pairwise:
+        got = _cocycle_outcome(
+            lambda: check_cocycle(action, radius, samples, rel_tol))
+    assert pairwise.call_count <= 1
+    assert isinstance(got, tuple) is isinstance(want, tuple)
+    if isinstance(want, tuple):
+        assert got == want
+        return "error"
+    for key in ("radius", "rel_tol", "checked", "passed"):
+        assert getattr(got, key) == getattr(want, key)
+    if pairwise.called:
+        if exact:
+            assert got.as_dict() == want.as_dict()
+        return "pairwise"
+    assert got.violations == want.violations == []
+    worst_dev, worst = 0.0, None
+    for t, u, s, dev in deviations:
+        if sum(map(abs, u)) == 1 and dev > worst_dev:
+            worst_dev, worst = dev, (t, u, s)
+    assert (got.max_rel_deviation, got.worst) == (worst_dev, worst)
+    return "certificate"
+
+
 @pytest.mark.parametrize("radius", [1, 2, 3])
 @pytest.mark.parametrize("case", CASES)
 def test_check_cocycle_matches_pairwise(case, radius):
@@ -305,11 +353,70 @@ def test_check_cocycle_matches_pairwise(case, radius):
         # every t and u of the window still pair up at each base atom, so
         # three atoms cover each radix digit at a cost the reference bears
         samples = sample_atoms(action)[:3]
-    got = check_cocycle(action, radius, samples).as_dict()
-    assert got == pairwise_check_cocycle(action, radius, samples).as_dict()
+    commuting = not case.startswith(("noncommuting", "perturbed"))
+    route = _matches_pairwise(action, radius, samples)
+    assert route == ("certificate" if commuting else "pairwise")
     if case == "perturbed-json":
+        got = check_cocycle(action, radius, samples).as_dict()
         deviations = [v for v in got["violations"] if "images" not in v]
         assert len(deviations) > 10 and got["max_rel_deviation"] > 0.3
+
+
+# the certificate's rounding bound 8 (M + 1) epsilon at M = 0
+ROUNDING = 8 * sys.float_info.epsilon
+# weight ratios near the float range: 1e153 / 1e-153 is finite, and at
+# M = 352.3 the rounding bound is about 6.3e-13
+WIDE_JSON = {"atoms": [0, 1, 2], "weights": [1e-153, 1.0, 1e153],
+             "generators": [[1, 2, 0]]}
+OVERFLOW_JSON = {"atoms": [0, 1, 2], "weights": [1e-300, 1e300, 1.0],
+                 "generators": [[1, 0, 2]]}
+# a fixed atom of weight 1e300 beside a swap of 1e-300 and 1: no ratio
+# overflows, yet the space spans more than a float's range
+SPREAD_JSON = {"atoms": [0, 1, 2], "weights": [1e-300, 1.0, 1e300],
+               "generators": [[1, 0, 2]]}
+COCYCLE_JSON = {"cycle-json": CYCLE_JSON, "pair-json": PAIR_JSON,
+                "wide-json": WIDE_JSON, "overflow-json": OVERFLOW_JSON,
+                "spread-json": SPREAD_JSON}
+# generators that commute wherever the checks look, with true inverses
+GENUINE = set(FIXTURE_NAMES) | set(BUILT) | {
+    "cycle-json", "pair-json", "wide-json", "twisted line"}
+
+
+def _cocycle_action(case, edge):
+    if case in COCYCLE_JSON:
+        return jsonio.action_from_json(COCYCLE_JSON[case])
+    if case == "twisted line":
+        return _twisted_line(edge)
+    if case == "leaky line":
+        return _leaky_line()
+    if case in ("twisted plane", "tampered line", "skewed plane"):
+        return _lattice_action(case, edge)
+    return _action(case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(GENUINE | set(CASES) | set(COCYCLE_JSON) | {
+           "leaky line", "twisted plane", "tampered line", "skewed plane"})),
+       radius=st.integers(1, 3), picked=st.sampled_from([None, 1, 3]),
+       edge=st.integers(-3, 6),
+       rel_tol=st.sampled_from([1e-9, 1e-13, 2e-15, 1e-16, 1e-20]))
+def test_check_cocycle_agrees_with_the_pairwise_reference(case, radius, picked,
+                                                          edge, rel_tol):
+    action = _cocycle_action(case, edge)
+    radius = min(radius, 4 - action.d)   # d = 3 at radius 1, d = 2 up to 2
+    samples = None if picked is None else sample_atoms(action)[:picked]
+    # T_1 T_1^{-1} is not the identity on the skewed plane's skewed row, so
+    # a window walk and apply reach different atoms phi_u(x) there: where a
+    # cube reaches it, the pairwise loop and the reference name different
+    # violations
+    route = _matches_pairwise(action, radius, samples, rel_tol,
+                              exact=case != "skewed plane")
+    if rel_tol < ROUNDING:
+        assert route != "certificate"
+    elif case in GENUINE and rel_tol == 1e-9:
+        assert route == "certificate"
+    if case in ("noncommuting", "overflow-json", "spread-json"):
+        assert route != "certificate"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -425,6 +532,9 @@ def _move(phi, keys, pick):
          pick=0)
 @example(case="translation d=1", form_radius=2, offset=0, edge=0,
          edit=_move, pick=0)
+# the swap gives TR1's table {-1: -1, 0: 1, 1: 0}: the twisted line's orbit
+@example(case="straight form, twisted line", form_radius=1, offset=-1,
+         edge=-1, edit=_swap, pick=1)
 def test_certified_tables_match_pairwise(case, form_radius, offset, edge,
                                          edit, pick):
     spec, region, largest = FORM_CASES[case]
@@ -451,7 +561,18 @@ def test_certified_tables_match_pairwise(case, form_radius, offset, edge,
         assert got["equivariance_checked"] == len(region) * (
             (2 * n + 1) ** 2 - k * (k + 1)) ** action.d
     if edit in (_swap, _outside):
-        assert not got["passed"]
+        # an edit breaks the table unless it happens to give another orbit
+        assert got["passed"] is _is_an_orbit(action, phi)
+
+
+def _is_an_orbit(action, phi):
+    """Whether every table entry Phi(w, t) is apply(t, Phi(w, 0))."""
+    zero = (0,) * action.d
+    try:
+        return all(img == action.apply(t, phi[(w, zero)])
+                   for (w, t), img in phi.items())
+    except DomainError:
+        return False
 
 
 def test_certificate_follows_phi_t_beyond_the_table():
@@ -509,10 +630,34 @@ def test_check_cocycle_walks_each_atom_once(step_counter):
     od = zoo.build(zoo.ZooSpec("odometer", {"K": 4, "p": 0.4, "d": 2}))
     step_counter[0] = 0
     check_cocycle(od, 2)
-    # 256 samples walk centered(4); each of the 256 atoms phi_t(s) walks
-    # centered(2) once, however many (s, t) reach it
-    assert step_counter[0] == 256 * (walk_steps(4, 2) + walk_steps(2, 2))
-    assert step_counter[0] == 39936
+    # the commutation pass takes T_1 a and T_2 a, then T_2 T_1 a and
+    # T_1 T_2 a: 4 steps at each of the 256 atoms; then each of the 256
+    # samples walks centered(3), which holds the unit pairs of centered(2)
+    # (the pairwise loop took a centered(4) walk per sample and a centered(2)
+    # walk per atom phi_t(s), 39936 steps)
+    assert step_counter[0] == 256 * (2 * 2 + walk_steps(3, 2))
+    assert step_counter[0] == 19456
+
+
+def test_a_large_space_with_one_sample_walks_one_cube(step_counter):
+    # the commutation pass would take 4 steps at each of 4096 atoms; the
+    # one sample's doubled cube centered(2) holds 25
+    grid = zoo.build(zoo.ZooSpec("cyclic", {"N": [64, 64]}))
+    cube = CubeWindow.centered(2, 2)
+    assert _matches_pairwise(grid, 1, [(0, 0)]) == "certificate"
+    step_counter[0] = 0
+    check_cocycle(grid, 1, [(0, 0)])
+    # the walk, then a forward and an inverse image per unit pair on axis 0
+    # and an inverse image per unit pair on axis 1: 20 pairs on each axis
+    assert step_counter[0] == walk_steps(2, 2) + 3 * 20 == 96
+    assert lattice_walk(grid, (0, 0), cube)[1] == 60
+    # from 656 samples on, whose cubes hold 16400 atoms, the commutation
+    # pass runs, and then each sample walks centered(2)
+    for samples, steps in ((655, 655 * 96),
+                           (656, 4096 * 4 + 656 * walk_steps(2, 2))):
+        step_counter[0] = 0
+        assert check_cocycle(grid, 1, grid.space.atoms[:samples]).passed
+        assert step_counter[0] == steps
 
 
 def test_krengel_and_verify_walk_each_atom_once(step_counter):
