@@ -196,10 +196,6 @@ def _ratio_overflow(space: AtomSpace, end, s) -> InvalidInputError:
         "overflows a float")
 
 
-def vec_add(t: tuple, u: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(t, u))
-
-
 class _Generator(NamedTuple):
     """One axis: the forward map and its inverse."""
 

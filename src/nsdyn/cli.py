@@ -360,6 +360,9 @@ def _cmd_hopf(opt: _Options, action):
 def _cmd_krengel(opt: _Options, action):
     radius = int(opt.get("radius", 4))
     form_path = opt.get("verify_form")
+    if form_path and opt.get("region") is not None:
+        raise InvalidInputError("--region and --verify-form exclude each "
+                                "other: a loaded form has its own region")
     if form_path:
         with open(form_path) as fh:
             form = jsonio.krengel_form_from_json(json.load(fh))

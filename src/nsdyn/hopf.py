@@ -31,27 +31,26 @@ form recovered here reads the walks that label its region and takes none of
 its own.  A region atom that no earlier window reaches becomes a
 representative w; Phi(w, t) = phi_t(w) is w's window read off its walk.
 A region atom whose window holds one of another table is refused.
-:func:`verify_equivalence` checks the form exactly on the explored region,
-a full table by the same lattice-image certificate: one walk of
-centered(min(2n, radius)) from Phi(w, 0) that reads the table in lex order
-proves Phi(w, s + t) == phi_t Phi(w, s) for all s, t in the radius-n
-window, since phi_t's axis-ordered path stays inside that cube.  Any other
-table falls back to one window walk per entry.
+:func:`verify_equivalence` checks a full centered(radius) table with the
+same certificate, the table in place of a walk: its unit pairs over
+C = centered(min(2n, radius)) prove Phi(w, s + t) == phi_t Phi(w, s) for
+all s, t in the radius-n window, since phi_t's axis-ordered path stays
+inside C.  One pass over the whole table checks that Phi is one-to-one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Iterable
 
 from .action import (
     CubeWindow,
     NsAction,
+    _Budget,
     iter_window_orbit,
     lattice_walk,
     make_action,
-    vec_add,
 )
 from .errors import DomainError, InvalidInputError
 from .space import AtomSpace, L1Function, atom_key, atom_to_json, make_space
@@ -343,26 +342,18 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
                        radius: int) -> EquivalenceReport:
     """Check the conjugacy exactly on the explored region.
 
-    (i) Equivariance: Phi(w, s + t) == phi_t(Phi(w, s)) for all pairs with
-    both s and s + t in the tabulated window (exact atom equality).
-    (ii) Measure equivalence in the atomic sense: the pushforward of mu
-    under Phi^{-1} and tau (x) counting measure have the same support on the
-    explored region, that is both weights are strictly positive wherever the
-    table is defined.
-
-    Equivariance is certified per representative w when its table is
-    exactly centered(form.radius): one :func:`lattice_walk` of the cube
-    C = centered(min(2n, form.radius)) from Phi(w, 0), n the window radius,
-    whose atoms equal the table read in lex order, proves every pair.  Each
-    checked s + t lies in C, and phi_t's axis-ordered path from s stays in
-    the box between s and s + t, so inside C.  Any other representative (a
-    sparse table, extra keys, a walk that cannot be taken or certified, an
-    atom that differs or lies outside the space) falls back to one window
-    walk per table entry, so every failure and error is the pairwise one.
+    (i) Equivariance: Phi(w, s + t) == phi_t(Phi(w, s)) for all s and t in
+    the radius-n window with s + t in the table, proved by the table's unit
+    pairs over centered(min(2n, form.radius)) (see the module docstring):
+    two generator steps per pair, on one budget per representative.  A
+    failed pair is named by its start s and its step t = +-e_i.
+    (ii) Support: each Phi(w, s) of the window is an atom of the space, and
+    w a representative.  (iii) Injectivity: no atom has two keys in the table.
 
     Failures are report entries, never exceptions.  A form of another
-    dimension than the action is an input error, and so is one with no
-    table entry in the window, since it would pass unchecked.
+    dimension, one with no table entry in the window (it would pass
+    unchecked) or a table that is not exactly centered(form.radius) is an
+    input error; the last names w and the first t it lacks.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -370,65 +361,74 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
         raise InvalidInputError(
             f"the form has dimension d={form.d}, the action d={action.d}")
     window = CubeWindow.centered(min(radius, form.radius), action.d)
-    cube = CubeWindow.centered(min(2 * window.n, form.radius), action.d)
-    k = 2 * window.n - cube.n  # per axis, k(k+1) pairs end beyond the cube
-    failures, eq_checked, sup_checked = [], 0, 0
-    by_rep: dict = {}
-    for (w, t), img in form.phi.items():
-        by_rep.setdefault(w, {})[t] = img
-    for w in sorted(by_rep, key=atom_key):
-        table = by_rep[w]
-        coords = [t for t in window if t in table]
-        if _certified(action, table, form.radius, cube):
-            eq_checked += ((2 * window.n + 1) ** 2 - k * (k + 1)) ** action.d
-            pairwise = ()
-        else:  # one window walk per table entry
-            pairwise = coords
-        for s in pairwise:
-            try:
-                images = list(iter_window_orbit(action, table[s], window))
-            except DomainError as exc:  # table[s] lies outside the space
-                images = [exc] * window.size
-            for t, got in zip(window, images):
-                st = vec_add(s, t)
-                if st not in table:
-                    continue
-                eq_checked += 1
-                if got != table[st]:  # always so for a DomainError
-                    failures.append({
-                        "kind": "equivariance", "w": atom_to_json(w),
-                        "s": list(s), "t": list(t),
-                        **({"error": str(got)} if isinstance(got, DomainError)
-                           else {"expected": atom_to_json(table[st]),
-                                 "got": atom_to_json(got)})})
-        for s in coords:
-            sup_checked += 1
-            try:
-                mu, tau = action.space.weight(table[s]), form.W.weight(w)
-                fault = ({} if mu > 0.0 and tau > 0.0
-                         else {"mu": mu, "tau": tau})
-            except DomainError as exc:
-                fault = {"error": str(exc)}
-            if fault:
-                failures.append({"kind": "support", "w": atom_to_json(w),
-                                 "s": list(s), **fault})
-    if not sup_checked:
+    if all(max(map(abs, t)) > window.n for _, t in form.phi):
         raise InvalidInputError(
             f"no table entry of the form lies within radius {window.n}")
-    return EquivalenceReport(window.n, eq_checked, sup_checked, failures)
+    full = CubeWindow.centered(form.radius, action.d)
+    tables: dict = {w: {} for w in form.representatives}
+    for (w, t), img in form.phi.items():
+        tables.setdefault(w, {})[t] = img
+    reps = sorted(tables, key=atom_key)
+    for w in reps:
+        missing = [t for t in full if t not in tables[w]][:1]
+        if missing or len(tables[w]) != full.size:
+            raise InvalidInputError(
+                f"the table of representative {w!r} is not exactly "
+                f"centered({form.radius}): it has " + (
+                    f"no entry at t={missing[0]}" if missing
+                    else "an entry beyond it"))
+    cube = CubeWindow.centered(min(2 * window.n, form.radius), action.d)
+    k = 2 * window.n - cube.n  # per axis, k(k+1) pairs end beyond the cube
+    pairs = ((2 * window.n + 1) ** 2 - k * (k + 1)) ** action.d
+    space, failures = action.space, []
 
+    def guarded(axis, atom, forward=True):  # no step from outside the space
+        if atom in space:
+            return action.step(axis, atom, forward)
+        return DomainError(
+            f"atom {atom!r} is not in the space of action {action.name!r}")
 
-def _certified(action: NsAction, table: dict, radius: int,
-               cube: CubeWindow) -> bool:
-    """Whether ``table`` is exactly centered(radius) and, read in lex order
-    over ``cube``, a certified lattice walk from table[0] inside the space."""
-    full = CubeWindow.centered(radius, action.d)
-    if len(table) != full.size or not all(map(table.__contains__, full)):
-        return False
-    walked = lattice_walk(action, table[(0,) * action.d], cube)
-    return (walked is not None
-            and walked[0] == [table[t] for t in cube]
-            and all(map(action.space.__contains__, walked[0])))
+    def fail(j, sign, expected, got):  # at the loop's w and axis
+        failures.append({
+            "kind": "equivariance", "w": atom_to_json(w),
+            "s": list(cube.vector(j)),
+            "t": [sign * (i == axis) for i in range(action.d)],
+            **({"error": str(got)} if isinstance(got, DomainError)
+               else {"expected": atom_to_json(expected),
+                     "got": atom_to_json(got)})})
+
+    for w in reps:
+        atoms = [tables[w][t] for t in cube]
+        step = action.step if all(map(space.__contains__, atoms)) else guarded
+        spend = _Budget(action.exploration_budget).spend
+        for axis in range(action.d):
+            stride, runs = cube.unit_steps(axis)
+            for j in chain.from_iterable(runs):
+                spend(axis, None, 2)
+                a, b = atoms[j], atoms[j + stride]
+                got = step(axis, a)
+                if got != b:
+                    fail(j, 1, b, got)
+                got = step(axis, b, False)
+                if got != a:
+                    fail(j + stride, -1, a, got)
+        for s, p in zip(window, cube.positions(window)):
+            try:
+                space.weight(atoms[p])
+                form.W.weight(w)
+            except DomainError as exc:
+                failures.append({"kind": "support", "w": atom_to_json(w),
+                                 "s": list(s), "error": str(exc)})
+    seen = {}  # atom -> its first key in the whole table
+    for key in ((w, t) for w in reps for t in full):
+        first = seen.setdefault(form.phi[key], key)
+        if first is not key:
+            failures.append({"kind": "injectivity",
+                             "atom": atom_to_json(form.phi[key]),
+                             "keys": [{"w": atom_to_json(v), "t": list(u)}
+                                      for v, u in (first, key)]})
+    return EquivalenceReport(window.n, len(reps) * pairs,
+                             len(reps) * window.size, failures)
 
 
 def build_translation_action(W: AtomSpace, d: int, *,

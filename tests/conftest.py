@@ -23,7 +23,6 @@ from nsdyn.action import (
     _weight_ratio,
     iter_window_orbit,
     make_action,
-    vec_add,
 )
 from nsdyn.errors import DomainError, InvalidInputError
 from nsdyn.hopf import (
@@ -68,6 +67,11 @@ def sample_atoms(action, m=2):
     """A finite deterministic atom sample: everything, or S_m when lazy."""
     space = action.space
     return space.atoms if space.finite else space.exhaustion(m)
+
+
+def vec_add(t, u):
+    """The lattice sum t + u."""
+    return tuple(a + b for a, b in zip(t, u))
 
 
 def walk_steps(r, d):

@@ -13,6 +13,7 @@ from conftest import (
     noncommuting_action,
     random_nonneg_function,
     sample_atoms,
+    vec_add,
 )
 from nsdyn import action as action_module
 from nsdyn import jsonio, zoo
@@ -22,7 +23,6 @@ from nsdyn.action import (
     check_duality,
     iter_window_orbit,
     make_action,
-    vec_add,
 )
 from nsdyn.errors import (
     ConstructionError,

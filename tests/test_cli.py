@@ -232,6 +232,65 @@ class TestKrengel:
         assert out.returncode == 1
         assert json.loads(out.stdout)["equivalence"]["passed"] is False
 
+    def test_a_sparse_form_is_a_usage_error(self, tmp_path):
+        built = run_cli("krengel", "--action", "fixture:TR1",
+                        "--region", "exhaustion:2", "--radius", "6")
+        doc = json.loads(built.stdout)["form"]
+        doc["table"] = [e for e in doc["table"] if e["t"] != [3]]
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _main("krengel", "--action", "fixture:TR1",
+                               "--verify-form", str(path), "--radius", "6")
+        _assert_usage_error(code, out, err)
+        assert err == ("error: the table of representative -2 is not exactly "
+                       "centered(6): it has no entry at t=(3,)\n")
+
+    @pytest.mark.parametrize("action,form,atoms", [
+        # a conservative rotation is no translation, though every unit pair
+        # of its table holds
+        ("fixture:C4", {"d": 1, "radius": 2,
+                        "representatives": [{"atom": 0, "tau": 0.25}],
+                        "table": [{"w": 0, "t": [t], "atom": t % 4}
+                                  for t in range(-2, 3)]}, [2]),
+        # two representatives whose tables share the atoms 0 and 1
+        ("fixture:TR1", {"d": 1, "radius": 1,
+                         "representatives": [{"atom": 0, "tau": 1.0},
+                                             {"atom": 1, "tau": 1.0}],
+                         "table": [{"w": w, "t": [t], "atom": w + t}
+                                   for w in (0, 1) for t in (-1, 0, 1)]},
+         [0, 1]),
+    ], ids=["C4-rotation", "TR1-shared-atoms"])
+    def test_a_table_that_repeats_an_atom_exits_one(self, tmp_path, action,
+                                                    form, atoms):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(form))
+        code, out, err = _main("krengel", "--action", action,
+                               "--verify-form", str(path),
+                               "--radius", str(form["radius"]))
+        assert (code, err) == (1, "")
+        report = json.loads(out)["equivalence"]
+        assert report["passed"] is False
+        assert [f["kind"] for f in report["failures"]] == (
+            ["injectivity"] * len(atoms))
+        assert [f["atom"] for f in report["failures"]] == atoms
+
+    @pytest.mark.parametrize("config", [{}, {"region": "[5]"}],
+                             ids=["flag", "config"])
+    def test_region_and_verify_form_exclude_each_other(self, tmp_path,
+                                                       config):
+        # the region was ignored, and the loaded form verified with exit 0
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(_TR1_FORM))
+        args = ("krengel", "--action", "fixture:TR1", "--verify-form",
+                str(form))
+        assert _main(*args)[0] == 0
+        conf = tmp_path / "config.json"
+        conf.write_text(json.dumps(config))
+        code, out, err = _main(*args, "--config", str(conf),
+                               *(() if config else ("--region", "[5]")))
+        _assert_usage_error(code, out, err)
+        assert "--region and --verify-form" in err
+
     @pytest.mark.parametrize("args,form", [
         (("--region", "[]", "--radius", "2"), None),
         (("--radius", "4"),
@@ -429,9 +488,10 @@ def _main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# a one-entry Krengel form of TR1 that verifies
+# a radius-2 Krengel form of TR1 that verifies
 _TR1_FORM = {"representatives": [{"atom": 0, "tau": 1.0}],
-             "table": [{"w": 0, "t": [1], "atom": 1}], "d": 1, "radius": 2}
+             "table": [{"w": 0, "t": [t], "atom": t} for t in range(-2, 3)],
+             "d": 1, "radius": 2}
 
 
 def _assert_usage_error(code, out, err):

@@ -280,12 +280,36 @@ class TestVerifyEquivalence:
                     f"^no table entry of the form lies within radius "
                     f"{radius}$")):
                 verify_equivalence(tr, form, radius)
-        # one entry inside the window is something to check
+        # one entry inside the window is something to check, but a sparse
+        # table is refused: only a full one proves its pairs by unit pairs
         near = KrengelForm(W=base, d=1, radius=9,
                            phi={(0, (9,)): 9, (0, (4,)): 4})
-        report = verify_equivalence(tr, near, 4)
-        assert report.passed
-        assert (report.equivariance_checked, report.support_checked) == (1, 1)
+        with pytest.raises(InvalidInputError, match=(
+                r"^the table of representative 0 is not exactly centered\(9\)"
+                r": it has no entry at t=\(-9,\)$")):
+            verify_equivalence(tr, near, 4)
+
+    def test_a_table_that_repeats_an_atom_fails(self, actions):
+        # each table is an orbit, so every unit pair holds: only the
+        # injectivity pass sees that Phi is not one-to-one
+        c4 = actions["C4"]
+        rotation = KrengelForm(
+            W=make_space([0], {0: 1.0}, name="base"), d=1, radius=2,
+            phi={(0, (t,)): t % 4 for t in range(-2, 3)})
+        tr = actions["TR1"]
+        shared = KrengelForm(
+            W=make_space([0, 1], {0: 1.0, 1: 1.0}, name="base"), d=1,
+            radius=1,
+            phi={(w, (t,)): w + t for w in (0, 1) for t in (-1, 0, 1)})
+        for action, form, want in (
+                (c4, rotation, [(2, 0, [-2], 0, [2])]),
+                (tr, shared, [(0, 0, [0], 1, [-1]), (1, 0, [1], 1, [0])])):
+            report = verify_equivalence(action, form, form.radius)
+            assert not report.passed
+            assert report.failures == [
+                {"kind": "injectivity", "atom": atom,
+                 "keys": [{"w": v, "t": s}, {"w": w, "t": t}]}
+                for atom, v, s, w, t in want]
 
 
 class TestBuildTranslationAction:

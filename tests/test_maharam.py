@@ -13,9 +13,10 @@ from conftest import (
     gather_extension_lhs,
     noncommuting_action,
     sample_atoms,
+    vec_add,
 )
 from nsdyn import maharam, zoo
-from nsdyn.action import CubeWindow, make_action, vec_add
+from nsdyn.action import CubeWindow, make_action
 from nsdyn.errors import ConstructionError, InvalidInputError
 from nsdyn.maharam import (
     MaharamAction,

@@ -3,16 +3,18 @@ their earlier forms.
 
 ``iter_window_orbit`` walks a window row by row; the recursive per-leaf
 walker in ``conftest`` must give the same atoms, and run out of budget on
-the same axis after the same generator steps.  ``check_cocycle`` and
-``verify_equivalence`` take every image phi_u(x) of a window from one
-incremental walk per atom x.  The per-pair references in ``conftest`` call
-``apply`` once per pair instead; both assemble the same atoms and the same
-floats in the same order, so the reports must agree exactly.  The step
-counts pin the walk sizes in closed form.
+the same axis after the same generator steps.  ``check_cocycle`` takes
+every image phi_u(x) of a window from one incremental walk per atom x, and
+``verify_equivalence`` checks a table by its own unit pairs.  The per-pair
+references in ``conftest`` call ``apply`` once per pair instead: the
+cocycle reports must agree exactly, and the equivalence verdicts as far as
+the unit pairs, which are stricter, allow.  The step counts pin the walk
+sizes in closed form.
 """
 
+import io
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -26,10 +28,11 @@ from conftest import (
     pairwise_verify_equivalence,
     recursive_window_orbit,
     sample_atoms,
+    vec_add,
     walk_steps,
 )
 from nsdyn import action as action_module
-from nsdyn import hopf, jsonio, zoo
+from nsdyn import cli, hopf, jsonio, zoo
 from nsdyn.action import (
     CubeWindow,
     NsAction,
@@ -37,9 +40,13 @@ from nsdyn.action import (
     iter_window_orbit,
     lattice_walk,
     make_action,
-    vec_add,
 )
-from nsdyn.errors import DomainError, ExplorationLimitError, ToolkitError
+from nsdyn.errors import (
+    DomainError,
+    ExplorationLimitError,
+    InvalidInputError,
+    ToolkitError,
+)
 from nsdyn.hopf import (
     KrengelForm,
     hopf_decompose,
@@ -47,7 +54,7 @@ from nsdyn.hopf import (
     verify_equivalence,
 )
 from nsdyn.maharam import extend, extension_stat
-from nsdyn.space import atom_key, make_space
+from nsdyn.space import atom_key, atom_to_json, make_space
 
 BUILT = {
     "odometer K=3,d=2": ("odometer", {"K": 3, "p": 0.3, "d": 2}),
@@ -419,13 +426,46 @@ def test_check_cocycle_agrees_with_the_pairwise_reference(case, radius, picked,
         assert route != "certificate"
 
 
+def _verdict_matches_pairwise(action, form, radius):
+    """``verify_equivalence``'s report, held against the pairwise reference.
+
+    The unit pairs are stricter than the pairs they prove: a unit-pair pass
+    implies a pairwise pass, and a pairwise equivariance failure implies a
+    unit-pair one.  Both count the same pairs and entries and name the same
+    support failures; injectivity fails exactly where the table repeats an
+    atom.  Each equivariance failure names a unit pair whose step misses.
+    """
+    got = verify_equivalence(action, form, radius)
+    want = pairwise_verify_equivalence(action, form, radius)
+
+    def kinds(report, kind):
+        return [f for f in report.failures if f["kind"] == kind]
+
+    assert not got.passed or want.passed
+    assert kinds(got, "equivariance") or not kinds(want, "equivariance")
+    assert kinds(got, "support") == kinds(want, "support")
+    assert bool(kinds(got, "injectivity")) is (
+        len(set(form.phi.values())) < len(form.phi))
+    assert ((got.radius, got.equivariance_checked, got.support_checked)
+            == (want.radius, want.equivariance_checked, want.support_checked))
+    for f in kinds(got, "equivariance"):
+        w = next(v for v in form.representatives if atom_to_json(v) == f["w"])
+        s, t = tuple(f["s"]), tuple(f["t"])
+        (axis,) = [i for i, x in enumerate(t) if x]
+        assert sum(map(abs, t)) == 1
+        if "error" not in f:
+            image = action.step(axis, form.phi[(w, s)], t[axis] == 1)
+            assert f["expected"] == atom_to_json(form.phi[(w, vec_add(s, t))])
+            assert f["got"] == atom_to_json(image) != f["expected"]
+    return got.as_dict()
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_verify_equivalence_matches_pairwise_on_an_apply_table(case):
     action = _action(case)
     form = _apply_form(action, 3)
     for radius in (2, 3):
-        assert (verify_equivalence(action, form, radius).as_dict()
-                == pairwise_verify_equivalence(action, form, radius).as_dict())
+        _verdict_matches_pairwise(action, form, radius)
 
 
 def _tamper(phi):
@@ -445,9 +485,24 @@ def _sparse(phi):
                          ids=["built", "tampered", "out-of-space", "sparse"])
 def test_verify_equivalence_matches_pairwise_on_krengel_tables(edit):
     tr, form = _tr1_form(edit)
-    got = verify_equivalence(tr, form, 4).as_dict()
-    assert got == pairwise_verify_equivalence(tr, form, 4).as_dict()
-    assert got["passed"] is (edit in (None, _sparse))
+    if edit is _sparse:
+        with pytest.raises(InvalidInputError, match=(
+                r"^the table of representative -2 is not exactly "
+                r"centered\(4\): it has no entry at t=\(-4,\)$")):
+            verify_equivalence(tr, form, 4)
+        return
+    assert _verdict_matches_pairwise(tr, form, 4)["passed"] is (edit is None)
+
+
+def test_a_representative_without_a_table_is_refused():
+    # it was skipped, and the form passed on the other table alone
+    tr, form = _tr1_form()
+    W = make_space([-2, 7], {-2: 1.0, 7: 1.0}, name="two")
+    lonely = KrengelForm(W=W, d=1, radius=form.radius, phi=form.phi)
+    with pytest.raises(InvalidInputError, match=(
+            r"^the table of representative 7 is not exactly centered\(4\): "
+            r"it has no entry at t=\(-4,\)$")):
+        verify_equivalence(tr, lonely, 4)
 
 
 def _twisted_line(edge):
@@ -537,6 +592,8 @@ def _move(phi, keys, pick):
          edge=-1, edit=_swap, pick=1)
 def test_certified_tables_match_pairwise(case, form_radius, offset, edge,
                                          edit, pick):
+    # the unit-pair verdict against the pairwise one, on full tables; a
+    # table with a key dropped or added is refused
     spec, region, largest = FORM_CASES[case]
     form_radius = min(form_radius, largest)
     radius = max(1, form_radius + offset)  # below, at and above the form's
@@ -553,15 +610,19 @@ def test_certified_tables_match_pairwise(case, form_radius, offset, edge,
     if edit is not None:
         edit(phi, sorted(phi, key=lambda k: (atom_key(k[0]), k[1])), pick)
     form = KrengelForm(W=form.W, d=form.d, radius=form.radius, phi=phi)
-    got = verify_equivalence(action, form, radius).as_dict()
-    assert got == pairwise_verify_equivalence(action, form, radius).as_dict()
+    if edit in (_drop, _extra, _move):
+        with pytest.raises(InvalidInputError, match="is not exactly centered"):
+            verify_equivalence(action, form, radius)
+        return
+    got = _verdict_matches_pairwise(action, form, radius)
     if edit is None:  # a full table, whatever it holds
         n = got["radius"]
         k = 2 * n - min(2 * n, form_radius)
         assert got["equivariance_checked"] == len(region) * (
             (2 * n + 1) ** 2 - k * (k + 1)) ** action.d
     if edit in (_swap, _outside):
-        # an edit breaks the table unless it happens to give another orbit
+        # an edit breaks the table unless it happens to give another orbit;
+        # radius >= form_radius - 1 puts every key in the unit pairs' cube
         assert got["passed"] is _is_an_orbit(action, phi)
 
 
@@ -578,52 +639,67 @@ def _is_an_orbit(action, phi):
 def test_certificate_follows_phi_t_beyond_the_table():
     # the line whose declared inverse is wrong only at -3, off S_2 where
     # validation looks: a form of radius 2 checked at radius 2 never needs
-    # T^{-1}(-3) on phi_t's own paths, but a walk of centered(2) from
-    # Phi(0, -2) steps down to -4 and back up, and reported 3 failures
+    # T^{-1}(-3) on phi_t's own paths, and neither do the unit pairs of
+    # centered(2), which step only between table entries (a walk of
+    # centered(2) from Phi(0, -2) steps down to -4 and reported 3 failures)
     line = zoo.build_fixture("TR1")
     bent = make_action(line.space,
                        [(lambda x: x + 1,
                          lambda x: -100 if x == -3 else x - 1)],
                        name="bent line", free_orbits=True)
     form = krengel_normal_form(line, [0], radius=2)
-    got = verify_equivalence(bent, form, 2).as_dict()
-    assert got == pairwise_verify_equivalence(bent, form, 2).as_dict()
-    assert got["passed"]
-
-
-def _outcome(check):
-    """The report of ``check()``, or the text of its budget error."""
-    try:
-        return check().as_dict()
-    except ExplorationLimitError as exc:
-        return str(exc)
+    assert _verdict_matches_pairwise(bent, form, 2)["passed"]
+    # at radius 4 the pair of -4 and -3 asks T^{-1}(-3): that one pair is
+    # named, by its start -3 and its step -1, where the pairwise reference
+    # names every (s, t) whose path passes it
+    form = krengel_normal_form(line, [0], radius=4)
+    got = _verdict_matches_pairwise(bent, form, 4)
+    assert got["failures"] == [{"kind": "equivariance", "w": 0, "s": [-3],
+                                "t": [-1], "expected": -4, "got": -100}]
 
 
 @pytest.mark.parametrize("case,form_radius,radius", [
     ("translation d=1", 3, 1), ("translation d=1", 3, 3),
     ("translation d=1", 3, 4), ("translation d=2", 2, 1),
-    ("translation d=2", 2, 2)])
+    ("translation d=2", 2, 2), ("translation tau=1x2,d=1", 3, 3)])
 def test_certified_budget_outcome_is_the_pairwise_one(case, form_radius,
                                                       radius):
-    # from a budget of 0 to past the certificate's walk and its check steps
-    (spec, region, _largest) = FORM_CASES[case]
+    # each representative checks its unit pairs on a budget of its own, two
+    # steps per pair: from one representative's steps on, the outcome is
+    # the pairwise reference's report; below, a one-line budget error
+    spec, region, _largest = FORM_CASES[case]
     action = zoo.build(zoo.ZooSpec(*spec))
     form = krengel_normal_form(action, region, radius=form_radius)
     d = action.d
-    cube = min(2 * radius, form_radius)
-    past = walk_steps(cube, d) + (2 * d - 1) * (2 * cube + 1) ** d + 2
-    outcomes = set()
-    for budget in range(past):
+    side = 2 * min(2 * min(radius, form_radius), form_radius) + 1
+    steps = 2 * d * (side - 1) * side ** (d - 1)
+    want = pairwise_verify_equivalence(action, form, radius).as_dict()
+    for budget in range(steps + 2):
         limited = make_action(action.space,
                               [(g.fwd, g.inv) for g in action._gens],
                               name=action.name, free_orbits=True,
                               exploration_budget=budget)
-        got = _outcome(lambda: verify_equivalence(limited, form, radius))
-        with mock.patch("nsdyn.hopf.lattice_walk", return_value=None):
-            want = _outcome(lambda: verify_equivalence(limited, form, radius))
-        assert got == want
-        outcomes.add(isinstance(got, str))
-    assert outcomes == {True, False}
+        try:
+            got = verify_equivalence(limited, form, radius).as_dict()
+        except ExplorationLimitError as exc:
+            assert budget < steps
+            assert str(exc) == ("exploration budget exhausted while "
+                                f"stepping axis {exc.axis}")
+        else:
+            assert budget >= steps and got == want
+
+
+def test_a_table_beyond_the_budget_is_one_error_line(monkeypatch):
+    # the 16 unit pairs of the radius-8 table take 32 steps
+    monkeypatch.setattr(hopf, "_Budget",
+                        lambda limit: action_module._Budget(31))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["krengel", "--action", "fixture:TR1", "--region",
+                         "[0]", "--radius", "8"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == (
+        "error: exploration budget exhausted while stepping axis 0\n")
 
 
 def test_check_cocycle_walks_each_atom_once(step_counter):
@@ -671,10 +747,18 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
     assert step_counter[0] == walk_steps(256, 1) + 512 == 1280
     step_counter[0] = 0
     verify_equivalence(tr, form, 128)
-    # the full table is certified by one lattice walk of centered(128) from
-    # Phi(0, 0): the walk, then one inverse unit image per distinct atom
-    # (one walk per tabulated coordinate took 257 * 384 = 98688)
-    assert step_counter[0] == walk_steps(128, 1) + 256 == 640
+    # the full table is checked by its own 256 unit pairs over centered(128),
+    # a forward and an inverse image each (a lattice walk of the table took
+    # 640, one walk per tabulated coordinate 257 * 384 = 98688)
+    assert step_counter[0] == 2 * 256 == 512
+    plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+    form = krengel_normal_form(plane, plane.space.exhaustion(2), radius=8)
+    step_counter[0] = 0
+    verify_equivalence(plane, form, 8)
+    # 16 * 17 unit pairs per axis of centered(8), two steps each (a lattice
+    # walk of the table took walk_steps(8, 2) + 3 * 16 * 17 = 1248)
+    assert len(form.representatives) == 1
+    assert step_counter[0] == 2 * 2 * 16 * 17 == 1088
 
 
 # the three Krengel inputs of the benchmark's orbit-forms workload, and the
