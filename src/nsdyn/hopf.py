@@ -47,12 +47,11 @@ from typing import Iterable
 from .action import (
     CubeWindow,
     NsAction,
-    _Budget,
     iter_window_orbit,
     lattice_walk,
     make_action,
 )
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, ExplorationLimitError, InvalidInputError
 from .space import AtomSpace, L1Function, atom_key, atom_to_json, make_space
 
 CONSERVATIVE = "conservative"
@@ -345,7 +344,7 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     (i) Equivariance: Phi(w, s + t) == phi_t(Phi(w, s)) for all s and t in
     the radius-n window with s + t in the table, proved by the table's unit
     pairs over centered(min(2n, form.radius)) (see the module docstring):
-    two generator steps per pair, on one budget per representative.  A
+    two generator steps per pair, each pair on a budget of its own.  A
     failed pair is named by its start s and its step t = +-e_i.
     (ii) Support: each Phi(w, s) of the window is an atom of the space, and
     w a representative.  (iii) Injectivity: no atom has two keys in the table.
@@ -397,14 +396,15 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
                else {"expected": atom_to_json(expected),
                      "got": atom_to_json(got)})})
 
+    if action.exploration_budget < 2:  # a pair's 2 steps, on its own budget
+        raise ExplorationLimitError(
+            "exploration budget exhausted while stepping axis 0", axis=0)
     for w in reps:
         atoms = [tables[w][t] for t in cube]
         step = action.step if all(map(space.__contains__, atoms)) else guarded
-        spend = _Budget(action.exploration_budget).spend
         for axis in range(action.d):
             stride, runs = cube.unit_steps(axis)
             for j in chain.from_iterable(runs):
-                spend(axis, None, 2)
                 a, b = atoms[j], atoms[j + stride]
                 got = step(axis, a)
                 if got != b:

@@ -494,6 +494,12 @@ _TR1_FORM = {"representatives": [{"atom": 0, "tau": 1.0}],
              "d": 1, "radius": 2}
 
 
+def _with_t1(x):
+    """The full TR1 form with its t = [1] entry written as [x]."""
+    return _TR1_FORM | {"table": [e if e["t"] != [1] else {**e, "t": [x]}
+                                  for e in _TR1_FORM["table"]]}
+
+
 def _assert_usage_error(code, out, err):
     assert code == 2
     assert out == ""
@@ -521,8 +527,8 @@ class TestMalformedInput:
          "d": 1, "radius": 2},
         {"representatives": [], "table": [], "d": None, "radius": 2},
         # int() would truncate these to a form that verifies and exits 0
-        _TR1_FORM | {"table": [{"w": 0, "t": [1.7], "atom": 1}]},
-        _TR1_FORM | {"table": [{"w": 0, "t": [True], "atom": 1}]},
+        _with_t1(1.7),
+        _with_t1(True),
         _TR1_FORM | {"d": 1.0},
         _TR1_FORM | {"radius": 2.5},
         # a table that does not match the rest of its document
@@ -558,7 +564,12 @@ class TestMalformedInput:
         ({"d": 0}, "d must be >= 1, got 0"),
         ({"d": 2, "table": [{"w": 0, "t": [1, 0], "atom": 1}]},
          "the form has dimension d=2, the action d=1"),
-    ], ids=["radius-0", "radius-negative", "d-0", "d-of-another-action"])
+        ({"table": _with_t1(1.7)["table"]},
+         "t entry must be an integer, got 1.7"),
+        ({"table": _with_t1(True)["table"]},
+         "t entry must be an integer, got True"),
+    ], ids=["radius-0", "radius-negative", "d-0", "d-of-another-action",
+            "t-float", "t-bool"])
     def test_krengel_form_shape_error_names_the_field(self, tmp_path, edit,
                                                       message):
         path = tmp_path / "form.json"

@@ -13,6 +13,7 @@ sizes in closed form.
 """
 
 import io
+import json
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from unittest import mock
@@ -658,45 +659,71 @@ def test_certificate_follows_phi_t_beyond_the_table():
                                 "t": [-1], "expected": -4, "got": -100}]
 
 
+def _budgeted(action, budget):
+    return make_action(action.space, [(g.fwd, g.inv) for g in action._gens],
+                       name=action.name, free_orbits=True,
+                       exploration_budget=budget)
+
+
 @pytest.mark.parametrize("case,form_radius,radius", [
     ("translation d=1", 3, 1), ("translation d=1", 3, 3),
     ("translation d=1", 3, 4), ("translation d=2", 2, 1),
     ("translation d=2", 2, 2), ("translation tau=1x2,d=1", 3, 3)])
 def test_certified_budget_outcome_is_the_pairwise_one(case, form_radius,
                                                       radius):
-    # each representative checks its unit pairs on a budget of its own, two
-    # steps per pair: from one representative's steps on, the outcome is
-    # the pairwise reference's report; below, a one-line budget error
+    # each pair's two steps are charged on a budget of their own: from a
+    # budget of 2 on, however many pairs a representative has, the outcome
+    # is the pairwise reference's report; below, a one-line budget error
     spec, region, _largest = FORM_CASES[case]
     action = zoo.build(zoo.ZooSpec(*spec))
     form = krengel_normal_form(action, region, radius=form_radius)
     d = action.d
     side = 2 * min(2 * min(radius, form_radius), form_radius) + 1
-    steps = 2 * d * (side - 1) * side ** (d - 1)
+    steps = 2 * d * (side - 1) * side ** (d - 1)  # one representative's
     want = pairwise_verify_equivalence(action, form, radius).as_dict()
-    for budget in range(steps + 2):
-        limited = make_action(action.space,
-                              [(g.fwd, g.inv) for g in action._gens],
-                              name=action.name, free_orbits=True,
-                              exploration_budget=budget)
+    for budget in (0, 1, 2, 3, steps - 1, steps):
         try:
-            got = verify_equivalence(limited, form, radius).as_dict()
+            got = verify_equivalence(_budgeted(action, budget), form,
+                                     radius).as_dict()
         except ExplorationLimitError as exc:
-            assert budget < steps
+            assert budget < 2
             assert str(exc) == ("exploration budget exhausted while "
-                                f"stepping axis {exc.axis}")
+                                "stepping axis 0")
         else:
-            assert budget >= steps and got == want
+            assert budget >= 2 and got == want
 
 
-def test_a_table_beyond_the_budget_is_one_error_line(monkeypatch):
-    # the 16 unit pairs of the radius-8 table take 32 steps
-    monkeypatch.setattr(hopf, "_Budget",
-                        lambda limit: action_module._Budget(31))
+@pytest.mark.parametrize("d,radius", [(1, 30), (2, 4)])
+def test_a_form_built_on_a_budget_verifies_on_it(d, radius):
+    # without room for the doubled cube the form is read off one centered(R)
+    # walk per atom, fewer steps than one representative's unit pairs take:
+    # at d = 1, R = 30 and a budget of 100 the walk takes 90, the pairs 120
+    action = zoo.build(zoo.ZooSpec("translation", {"d": d}))
+    origin = 0 if d == 1 else (0,) * d
+    least = walk_steps(radius, d)
+    assert 4 * d * radius * (2 * radius + 1) ** (d - 1) > least
+    for budget in (least - 1, least, 100):
+        limited = _budgeted(action, budget)
+        try:
+            form = krengel_normal_form(limited, [origin], radius=radius)
+        except ExplorationLimitError:
+            assert budget < least
+            continue
+        assert verify_equivalence(limited, form, radius).passed
+
+
+def test_a_table_beyond_the_budget_is_one_error_line(monkeypatch, tmp_path):
+    # a budget of 1 cannot take one unit pair's two steps
+    monkeypatch.setattr(cli, "load_action",
+                        lambda spec, params: _budgeted(
+                            zoo.build_fixture("TR1"), 1))
+    form = krengel_normal_form(zoo.build_fixture("TR1"), [0], radius=8)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form.as_dict()))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["krengel", "--action", "fixture:TR1", "--region",
-                         "[0]", "--radius", "8"])
+        code = cli.main(["krengel", "--action", "fixture:TR1",
+                         "--verify-form", str(path), "--radius", "8"])
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue() == (
         "error: exploration budget exhausted while stepping axis 0\n")
