@@ -215,8 +215,18 @@ class KrengelForm:
         return self._cached_action
 
     def map_to_form(self, f: L1Function) -> L1Function:
-        """Carry a base-space function to normal-form coordinates via Phi."""
-        inverse = {atom: key for key, atom in self.phi.items()}
+        """Carry a base-space function to normal-form coordinates via Phi.
+
+        A table that gives one atom two keys is not one-to-one, so it
+        carries no function: the first such atom is an input error.
+        """
+        inverse = {}
+        for key, atom in self.phi.items():
+            first = inverse.setdefault(atom, key)
+            if first is not key:
+                raise InvalidInputError(
+                    f"atom {atom!r} has two keys (w, t) in the conjugacy "
+                    f"table, {first!r} and {key!r}: Phi is not one-to-one")
         values = {}
         for atom, v in f.items():
             if atom not in inverse:

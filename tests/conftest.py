@@ -20,7 +20,9 @@ from nsdyn.action import (
     CubeWindow,
     NsAction,
     _Budget,
+    _ratio_overflow,
     _weight_ratio,
+    as_vec,
     iter_window_orbit,
     make_action,
 )
@@ -103,6 +105,41 @@ def random_nonneg_function(action, rng: random.Random, max_support=4):
 def brute_dual_value(action, t, g, s):
     """(dual_t g)(s) straight from the definition, forward route."""
     return g(action.apply(t, s)) * action.rn_derivative(t, s)
+
+
+def per_atom_dual_apply(action, t, g):
+    """``NsAction.dual_apply`` with one ``apply`` per support atom.
+
+    The per-atom loop that the chain walks replaced: every atom of g's
+    support walks phi_{-t} from scratch, and an error comes from the first
+    atom, in g's order, whose walk or weight ratio fails.
+    """
+    if g.space is not action.space:
+        raise DomainError("function is defined over a different space")
+    minus = tuple(-x for x in as_vec(t, action.d))
+    weight = action.space.weight
+    out = {}
+    for sp, v in g.items():
+        s = action.apply(minus, sp)
+        ratio = weight(sp) / weight(s)
+        if ratio == math.inf:
+            raise _ratio_overflow(action.space, sp, s)
+        out[s] = v * ratio
+    return L1Function(action.space, out, truncation_error=g.truncation_error)
+
+
+def per_atom_check_duality(action, t, g, A):
+    """``check_duality`` with one ``apply`` per atom of A and of g's support."""
+    atoms = sorted(set(A), key=atom_key)
+    for a in atoms:
+        if a not in action.space:
+            raise DomainError(f"set contains atom {a!r} outside the space")
+    tvec = as_vec(t, action.d)
+    image = per_atom_dual_apply(action, tvec, g)
+    lhs = math.fsum(image(a) * action.space.weight(a) for a in atoms)
+    forward = sorted({action.apply(tvec, a) for a in atoms}, key=atom_key)
+    rhs = math.fsum(g(b) * action.space.weight(b) for b in forward)
+    return lhs, rhs, image
 
 
 def run_cli_inprocess(*argv):

@@ -341,6 +341,17 @@ class TestRoundTripIdentity:
         assert verify_equivalence(act, form, 6).passed
         assert sorted(form.tau(w) for w in form.representatives) == [1.0, 2.0]
 
+    def test_a_table_that_repeats_an_atom_carries_no_function(self, actions):
+        # the rotation of C4 tabulated as a radius-2 orbit: Phi(0, t) = t mod 4
+        rotation = KrengelForm(
+            W=make_space([0], {0: 1.0}, name="base"), d=1, radius=2,
+            phi={(0, (t,)): t % 4 for t in range(-2, 3)})
+        f = L1Function.indicator(actions["C4"].space, [2])
+        with pytest.raises(InvalidInputError, match=(
+                r"^atom 2 has two keys \(w, t\) in the conjugacy table, "
+                r"\(0, \(-2,\)\) and \(0, \(2,\)\): Phi is not one-to-one$")):
+            rotation.map_to_form(f)
+
     def test_limit_of_recovered_form_matches_stabilized_statistic(self, actions):
         tr = actions["TR1"]
         form = krengel_normal_form(tr, range(-5, 6), radius=10)

@@ -5,17 +5,19 @@ table, and ``apply`` reads each generator's cycle decomposition.  The
 references here walk the original generator maps one step at a time, so
 atoms, cocycle values and dual images must agree bit for bit, and the
 exploration budget must fail at the same axis with the same message.  A
-finite space likewise keeps every weight, evaluated once per atom.
+finite space likewise keeps every weight, evaluated once per atom.  A lazy
+space has no tables: its duality check walks each generator chain once.
 """
 
+import json
 import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli_inprocess
+from conftest import per_atom_check_duality, run_cli_inprocess
 from nsdyn import jsonio, zoo
-from nsdyn.action import check_cocycle, make_action
+from nsdyn.action import check_cocycle, check_duality, make_action
 from nsdyn.maharam import extend, extension_stat
 from nsdyn.errors import ExplorationLimitError
 from nsdyn.space import L1Function, make_space
@@ -153,6 +155,31 @@ def test_duality_check_takes_no_steps_after_the_build(step_counter):
     assert code == 0
     # all 2048 are the build's; stepping took 311296 before tabulation
     assert step_counter[0] == 2048
+
+
+def test_lazy_duality_check_walks_each_chain_once(step_counter):
+    zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+    build = step_counter[0]
+    code, out, _err = run_cli_inprocess(
+        "duality-check", "--action", "zoo:translation", "--params", "d=2",
+        "--t", "10,12", "--g", "exhaustion:20", "--A", "exhaustion:20")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["lhs"], report["rhs"]) == (899.0, 899.0)
+    # phi_{-t} of g's 1681 atoms and phi_t of A's: per axis one step per
+    # atom, one per chain link and |t_i| - 2 more per chain of 41 atoms;
+    # one walk per atom took 2 * 1681 * 22 = 73964
+    assert step_counter[0] - 2 * build == (2 * (2 * 1681 + 41 * 8)
+                                           + 2 * (2 * 1681 + 41 * 10))
+
+
+def test_a_unit_duality_check_takes_the_per_atom_steps(step_counter):
+    line = zoo.build_fixture("TR1")
+    g = L1Function.indicator(line.space, range(-10, 11))
+    for check in (check_duality, per_atom_check_duality):
+        before = step_counter[0]
+        assert check(line, 1, g, range(-10, 11))[:2] == (20.0, 20.0)
+        assert step_counter[0] - before == 2 * 21
 
 
 def test_finite_weights_are_evaluated_once_per_atom():
