@@ -3,8 +3,9 @@
 The brute helpers deliberately avoid the operator machinery under test:
 they only use ``apply``, ``rn_derivative``, and raw atom weights, so the
 values they produce are an independent assembly of the same finite sums.
-The ``walk_``/``pairwise_``/``recursive_`` helpers keep earlier, slower
-implementations of a checked routine as references for its current one.
+The ``walk_``/``pairwise_``/``recursive_``/``per_atom_`` helpers keep
+earlier, slower implementations of a checked routine as references for its
+current one.
 """
 
 import contextlib
