@@ -19,9 +19,13 @@ phi_u(a_t) = a_{t+u}.  The check then evaluates only the unit pairs
 (t, +-e_i); the pairwise loop remains for everything the proof or the
 rounding bound cannot settle.
 
-On a finite space, validation compiles the action.  It evaluates each
-generator and each inverse once per atom and keeps the images as
-atom-keyed image maps, so a single step is a dict lookup.  ``apply`` reads
+On a finite space, validation compiles the action from whole tables.  One
+map of each generator and one of its inverse over the atoms give
+atom-keyed image maps, and whole-table comparisons check that every image
+is an atom, that both maps are injective and that each inverts the other.
+A single step is then a dict lookup.  Where a map raises or a comparison
+fails, a loop over the atoms, one sample at a time, names the fault; the
+same loop checks an action on a lazy space around S_2.  ``apply`` reads
 each generator's cycle decomposition, built on first use: phi_t(s) costs d
 lookups whatever the size of t.  An action on a lazy space steps through
 its generator maps.  Where many atoms need phi_t at once, as the dual
@@ -49,6 +53,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, product
+from operator import eq
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -207,13 +212,16 @@ class _Generator(NamedTuple):
 
     @classmethod
     def from_permutation(cls, perm: dict) -> "_Generator":
-        inverse = {}
-        for src, dst in perm.items():
-            if dst in inverse:
-                raise ConstructionError(
-                    f"generator is not invertible: atoms {inverse[dst]!r} and "
-                    f"{src!r} share the image {dst!r}")
-            inverse[dst] = src
+        inverse = dict(zip(perm.values(), perm))
+        if len(inverse) < len(perm):
+            # name the first image two atoms share
+            seen = {}
+            for src, dst in perm.items():
+                if dst in seen:
+                    raise ConstructionError(
+                        f"generator is not invertible: atoms {seen[dst]!r} "
+                        f"and {src!r} share the image {dst!r}")
+                seen[dst] = src
         return cls(perm.__getitem__, inverse.__getitem__)
 
 
@@ -414,8 +422,8 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
     Validation samples every atom of a finite space (the exhaustion set S_2
     of a lazy one) and checks that each generator is a bijection with the
     declared inverse and that images stay inside the space with positive
-    weight (nonsingularity).  On a finite space the images it computes
-    become the action's step maps.
+    weight (nonsingularity).  On a finite space it checks whole image
+    tables, which become the action's step maps.
     """
     gens = [_Generator.from_permutation(g) if isinstance(g, dict)
             else _Generator(*g) for g in generators]
@@ -434,37 +442,82 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
 
 def _validate_action(action: NsAction):
     space = action.space
-    samples = space.exhaustion(2)
-    step = action.step
     maps = []
-    for axis in range(action.d):
-        # argument atom -> image: each map runs once per argument, in the
-        # order of the four steps below
-        fwd, inv = {}, {}
-        for s in samples:
-            try:
-                img = fwd[s] if s in fwd else fwd.setdefault(s, step(axis, s))
-                back = (inv[img] if img in inv
-                        else inv.setdefault(img, step(axis, img, False)))
-                pre = (inv[s] if s in inv
-                       else inv.setdefault(s, step(axis, s, False)))
-                again = (fwd[pre] if pre in fwd
-                         else fwd.setdefault(pre, step(axis, pre)))
-                space.weight(img)  # nonsingularity: images carry positive mass
-                space.weight(pre)
-            except (KeyError, DomainError) as exc:
-                raise ConstructionError(
-                    f"generator {axis} of action {action.name!r} is not "
-                    f"defined around atom {s!r}: {exc}") from exc
-            if back != s or again != s:
-                raise ConstructionError(
-                    f"generator {axis} of action {action.name!r} is not "
-                    f"inverted by its declared inverse at atom {s!r}")
-            fwd[pre] = inv[img] = s   # the image is the sample's own object
-        maps.append(_Generator(fwd.__getitem__, inv.__getitem__))
+    for axis, gen in enumerate(action._gens):
+        table = _image_tables(gen, space.atoms) if space.finite else None
+        if table is None:
+            table = _sample_maps(action, axis, space.exhaustion(2))
+        maps.append(table)
     if space.finite:
         # every atom is a sample, so the maps' keys are the space's atoms
         action._gens = tuple(maps)
+
+
+def _image_tables(gen: _Generator, atoms: tuple):
+    """A generator's image maps on a finite space, checked as whole tables.
+
+    One ``map`` over the atoms per direction gives ``T^-1 a -> a`` (the
+    forward table) and ``T a -> a`` (the inverse table), whose values are
+    the space's own atoms.  Each has n distinct keys that include every
+    atom, so its keys are exactly the atoms: every image lies in the space
+    and both maps are injective.  Reading the forward table at each atom
+    gives the inverse table's keys in atom order, T(a), exactly when
+    T(T^-1 a) = a everywhere, and likewise T^-1(T a) = a.
+
+    None when a map raises or a check fails: then :func:`_sample_maps`
+    runs the maps again, one sample at a time, and names the fault.
+    """
+    n = len(atoms)
+    try:
+        forward = dict(zip(map(gen.inv, atoms), atoms))
+        if len(forward) != n:
+            return None
+        inverse = dict(zip(map(gen.fwd, atoms), atoms))
+        # a lookup of an atom that is not a key raises KeyError
+        if (len(inverse) == n
+                and all(map(eq, map(forward.__getitem__, atoms), inverse))
+                and all(map(eq, map(inverse.__getitem__, atoms), forward))):
+            return _Generator(forward.__getitem__, inverse.__getitem__)
+    except Exception:   # any fault: the sample loop raises it in its order
+        return None
+    return None
+
+
+def _sample_maps(action: NsAction, axis: int, samples) -> _Generator:
+    """Check generator ``axis`` around each sample; raise on the first fault."""
+    space = action.space
+    step = action.step
+    # argument atom -> image: each map runs once per argument, in the order
+    # of the four steps below
+    fwd, inv = {}, {}
+
+    def image(table, x, forward):
+        if x in table:
+            return table[x]
+        try:
+            return table.setdefault(x, step(axis, x, forward))
+        except KeyError as exc:
+            raise DomainError(f"the {'forward map' if forward else 'inverse'}"
+                              f" has no image of {x!r}") from exc
+
+    for s in samples:
+        try:
+            img = image(fwd, s, True)
+            back = image(inv, img, False)
+            pre = image(inv, s, False)
+            again = image(fwd, pre, True)
+            space.weight(img)  # nonsingularity: images carry positive mass
+            space.weight(pre)
+        except DomainError as exc:
+            raise ConstructionError(
+                f"generator {axis} of action {action.name!r} is not "
+                f"defined around atom {s!r}: {exc}") from exc
+        if back != s or again != s:
+            raise ConstructionError(
+                f"generator {axis} of action {action.name!r} is not "
+                f"inverted by its declared inverse at atom {s!r}")
+        fwd[pre] = inv[img] = s   # the image is the sample's own object
+    return _Generator(fwd.__getitem__, inv.__getitem__)
 
 
 def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,

@@ -34,6 +34,14 @@ EXPLORATION_BUDGET = 10 ** 6
 
 def atom_key(atom):
     """Total-order sort key covering ints, strings, and nested tuples."""
+    # the exact common types first; subclasses take the isinstance chain
+    kind = type(atom)
+    if kind is str:
+        return (1, atom)
+    if kind is int:
+        return (0, atom)
+    if kind is tuple:
+        return (2, tuple(map(atom_key, atom)))
     if isinstance(atom, bool):
         return (0, int(atom))
     if isinstance(atom, (int, float)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .action import EXPLORATION_BUDGET, NsAction, make_action
 from .errors import InvalidInputError
@@ -63,6 +63,27 @@ def _power(axes) -> list:
     return [tuple(a) for a in product(*axes)]
 
 
+def _rotations(cycles) -> tuple[list, list]:
+    """The atoms of ``_power(cycles)`` and one permutation per axis that
+    moves that axis's coordinate one place along its cycle.
+
+    In lex order axis i's coordinate advances every ``stride`` atoms, so
+    its permutation maps each block of ``len(cycle) * stride`` atoms onto
+    the same block rotated by ``stride``.  Keys and images are the atom
+    objects themselves.
+    """
+    atoms = _power(cycles)
+    perms, block = [], len(atoms)
+    for cycle in cycles:
+        stride = block // len(cycle)
+        images = chain.from_iterable(
+            atoms[i + stride:i + block] + atoms[i:i + stride]
+            for i in range(0, len(atoms), block))
+        perms.append(dict(zip(atoms, images)))
+        block = stride
+    return atoms, perms
+
+
 def _lift(maps) -> list:
     """One rank-1 ``(forward, inverse)`` pair per axis, as product generators:
     unchanged for one axis, else acting on one tuple coordinate."""
@@ -87,26 +108,13 @@ def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
     label = name or f"cyclic({sizes})"
     if math.prod(sizes) > EXPLORATION_BUDGET:
         raise _too_large(label, math.prod(sizes))
-    space = make_space(_power([range(k) for k in sizes]), weights,
-                       name=f"{label}-space")
-    rotations = [(lambda a, k=k: (a + 1) % k, lambda a, k=k: (a - 1) % k)
-                 for k in sizes]
-    return make_action(space, _lift(rotations), name=label, free_orbits=False)
+    atoms, rotations = _rotations([range(k) for k in sizes])
+    space = make_space(atoms, weights, name=f"{label}-space")
+    return make_action(space, rotations, name=label, free_orbits=False)
 
 
 # ---------------------------------------------------------------------------
 # nonsingular odometer, truncated at depth K with wrap-around
-
-_FLIP = str.maketrans("01", "10")
-
-
-def _od_carry(bits: str, carry: str) -> str:
-    # least significant bit first: flip bits while the carry lasts, that is
-    # the run of ``carry`` bits and the first other bit; ``carry`` "1" adds
-    # one and "0" subtracts one, and the all-``carry`` word wraps around
-    end = len(bits) - len(bits.lstrip(carry)) + 1
-    return bits[:end].translate(_FLIP) + bits[end:]
-
 
 def _build_odometer(K, p, d=1, name=None) -> NsAction:
     if not _is_int(K) or K < 1:
@@ -121,15 +129,15 @@ def _build_odometer(K, p, d=1, name=None) -> NsAction:
     # 2**(K*d) > budget, decided without building the power itself
     if K * d >= EXPLORATION_BUDGET.bit_length():
         raise _too_large(label, f"2**{K * d}")
-    words = ["".join(b) for b in product("01", repeat=K)]
+    # the words in counting order, least significant bit first: one step
+    # adds one with carry, and the all-ones word wraps around to zero
+    words = ["".join(b)[::-1] for b in product("01", repeat=K)]
     word_weights = [math.prod(p if b == "1" else 1.0 - p for b in w)
                     for w in words]
-    atoms = _power([words] * d)
+    atoms, turns = _rotations([words] * d)
     weight = dict(zip(atoms, map(math.prod, product(word_weights, repeat=d))))
     space = make_space(atoms, weight, name=f"{label}-space")
-    step = (lambda w: _od_carry(w, "1"), lambda w: _od_carry(w, "0"))
-    return make_action(space, _lift([step] * d), name=label,
-                       free_orbits=False)
+    return make_action(space, turns, name=label, free_orbits=False)
 
 
 # ---------------------------------------------------------------------------

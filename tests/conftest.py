@@ -27,7 +27,7 @@ from nsdyn.action import (
     iter_window_orbit,
     make_action,
 )
-from nsdyn.errors import DomainError, InvalidInputError
+from nsdyn.errors import ConstructionError, DomainError, InvalidInputError
 from nsdyn.hopf import (
     DISSIPATIVE,
     EquivalenceReport,
@@ -141,6 +141,62 @@ def per_atom_check_duality(action, t, g, A):
     forward = sorted({action.apply(tvec, a) for a in atoms}, key=atom_key)
     rhs = math.fsum(g(b) * action.space.weight(b) for b in forward)
     return lhs, rhs, image
+
+
+def per_atom_validate(space, generators, name=""):
+    """``make_action``'s validation as one loop per sample of S_2.
+
+    Returns the per-axis ``(forward, inverse)`` image dicts that a finite
+    action keeps, or raises the ``ConstructionError`` that ``make_action``
+    raises.  A dict generator is inverted entry by entry, and each map runs
+    once per argument, in the order of the four steps below.
+    """
+    pairs = []
+    for perm in generators:
+        if not isinstance(perm, dict):
+            pairs.append(perm)
+            continue
+        inverse = {}
+        for src, dst in perm.items():
+            if dst in inverse:
+                raise ConstructionError(
+                    f"generator is not invertible: atoms {inverse[dst]!r} "
+                    f"and {src!r} share the image {dst!r}")
+            inverse[dst] = src
+        pairs.append((perm.__getitem__, inverse.__getitem__))
+    if not pairs:
+        raise ConstructionError("an action needs at least one generator")
+
+    def image(table, fn, x, label):
+        if x not in table:
+            try:
+                table[x] = fn(x)
+            except KeyError as exc:
+                raise DomainError(f"the {label} has no image of {x!r}") from exc
+        return table[x]
+
+    maps = []
+    for axis, (T, T_inv) in enumerate(pairs):
+        fwd, inv = {}, {}
+        for s in space.exhaustion(2):
+            try:
+                img = image(fwd, T, s, "forward map")
+                back = image(inv, T_inv, img, "inverse")
+                pre = image(inv, T_inv, s, "inverse")
+                again = image(fwd, T, pre, "forward map")
+                space.weight(img)
+                space.weight(pre)
+            except DomainError as exc:
+                raise ConstructionError(
+                    f"generator {axis} of action {name!r} is not "
+                    f"defined around atom {s!r}: {exc}") from exc
+            if back != s or again != s:
+                raise ConstructionError(
+                    f"generator {axis} of action {name!r} is not "
+                    f"inverted by its declared inverse at atom {s!r}")
+            fwd[pre] = inv[img] = s
+        maps.append((fwd, inv))
+    return maps
 
 
 def run_cli_inprocess(*argv):

@@ -1,5 +1,6 @@
 """Actions, cocycles, dual operators, and their verification reports."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from conftest import (
     brute_dual_value,
     noncommuting_action,
     random_nonneg_function,
+    run_cli_inprocess,
     sample_atoms,
     vec_add,
 )
@@ -347,6 +349,27 @@ class TestMakeActionValidation:
         space = make_space([0, 1, 2], 1.0)
         with pytest.raises(ConstructionError, match="invertible"):
             make_action(space, [{0: 1, 1: 1, 2: 2}])
+
+    def test_a_missing_image_names_its_map_and_atom(self, tmp_path):
+        # atom 1 maps to 2, outside the space, so the inverse misses atom 0
+        doc = {"atoms": [0, 1], "weights": [1.0, 2.0], "generators": [[1, 2]]}
+        line = ("generator 0 of action 'explicit' is not defined around "
+                "atom 0: the inverse has no image of 0")
+        with pytest.raises(ConstructionError) as info:
+            jsonio.action_from_json(doc)
+        assert str(info.value) == line
+        path = tmp_path / "escaping.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli_inprocess(
+            "cocycle-check", "--action", str(path), "--radius", "1")
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+        space = make_space([0, 1], 1.0, name="pair")
+        with pytest.raises(ConstructionError) as info:
+            make_action(space, [({0: 1}.__getitem__,
+                                 {0: 1, 1: 0}.__getitem__)], name="pair")
+        assert str(info.value) == (
+            "generator 0 of action 'pair' is not defined around atom 0: "
+            "the forward map has no image of 1")
 
     def test_image_escaping_the_space_rejected(self):
         space = make_space([0, 1], 1.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -131,7 +132,8 @@ class TestMakeSpace:
 
 
 def recursive_atom_key(atom):
-    """The sort key as first written: a generator expression per tuple."""
+    """The sort key as first written: the isinstance chain alone, and a
+    generator expression per tuple."""
     if isinstance(atom, bool):
         return (0, int(atom))
     if isinstance(atom, (int, float)):
@@ -143,15 +145,32 @@ def recursive_atom_key(atom):
     return (3, repr(atom))
 
 
+class Colour(IntEnum):
+    RED = 0
+    BLUE = 1
+
+
+class Label(str):
+    pass
+
+
+# every scalar kind atom_key orders, with the int and str subclasses that its
+# exact-type tests send down the isinstance chain
 NESTED_ATOMS = st.recursive(
-    st.integers() | st.text(max_size=3) | st.booleans(),
+    st.integers() | st.text(max_size=3) | st.booleans()
+    | st.floats(allow_nan=False) | st.sampled_from(Colour)
+    | st.text(max_size=3).map(Label),
     lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(NESTED_ATOMS)
-def test_atom_key_equals_its_recursive_form(atom):
-    assert atom_key(atom) == recursive_atom_key(atom)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NESTED_ATOMS, max_size=8))
+def test_atom_key_equals_its_recursive_form(atoms):
+    for atom in atoms:
+        assert atom_key(atom) == recursive_atom_key(atom)
+    by_key = sorted(atoms, key=atom_key)
+    by_chain = sorted(atoms, key=recursive_atom_key)
+    assert list(map(id, by_key)) == list(map(id, by_chain))
 
 
 class TestL1Function:

@@ -7,19 +7,26 @@ atoms, cocycle values and dual images must agree bit for bit, and the
 exploration budget must fail at the same axis with the same message.  A
 finite space likewise keeps every weight, evaluated once per atom.  A lazy
 space has no tables: its duality check walks each generator chain once.
+Validation builds the tables from one map per direction and must accept,
+and refuse with the same text, what the per-sample loop does.
 """
 
 import json
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_atom_check_duality, run_cli_inprocess
+from conftest import (
+    per_atom_check_duality,
+    per_atom_validate,
+    run_cli_inprocess,
+)
 from nsdyn import jsonio, zoo
 from nsdyn.action import check_cocycle, check_duality, make_action
 from nsdyn.maharam import extend, extension_stat
-from nsdyn.errors import ExplorationLimitError
+from nsdyn.errors import ConstructionError, DomainError, ExplorationLimitError
 from nsdyn.space import L1Function, make_space
 
 WEIGHTS = st.floats(0.05, 20.0)
@@ -143,9 +150,21 @@ def test_budget_matches_the_stepping_walk():
 
 
 def test_validation_runs_each_map_once_per_atom(step_counter):
-    zoo.build(zoo.ZooSpec("odometer", {"K": 10, "p": 0.4}))
-    # one forward and one inverse image per atom: 2 * 1024
-    assert step_counter[0] == 2048
+    n = 1024
+    calls = {"forward": 0, "inverse": 0}
+
+    def forward(a):
+        calls["forward"] += 1
+        return (a + 1) % n
+
+    def inverse(a):
+        calls["inverse"] += 1
+        return (a - 1) % n
+
+    make_action(make_space(range(n), 1.0), [(forward, inverse)])
+    # one forward and one inverse image per atom, taken as whole tables
+    assert calls == {"forward": 1024, "inverse": 1024}
+    assert step_counter[0] == 0
 
 
 def test_duality_check_takes_no_steps_after_the_build(step_counter):
@@ -153,8 +172,103 @@ def test_duality_check_takes_no_steps_after_the_build(step_counter):
         "duality-check", "--action", "zoo:odometer", "--params", "K=10,p=0.4",
         "--t", "100", "--g", "ones", "--A", "exhaustion:1")
     assert code == 0
-    # all 2048 are the build's; stepping took 311296 before tabulation
-    assert step_counter[0] == 2048
+    # the build checks whole tables and the check reads them; stepping took
+    # 311296 before tabulation
+    assert step_counter[0] == 0
+
+
+# a fault written into one generator of a drawn action; "spelled" writes an
+# image as an equal atom of another type, which validation accepts
+FAULTS = (None, "inverse", "missing", "outside", "shared", "DomainError",
+          "KeyError", "spelled")
+
+
+def _raising(table, bad, fault):
+    def fn(x):
+        if x == bad:
+            raise (DomainError(f"no image of {bad!r} here")
+                   if fault == "DomainError" else KeyError(bad))
+        return table[x]
+    return fn
+
+
+def _generator(atoms, images, fault, a, b, as_dict):
+    """One axis of a drawn action: the permutation ``atoms -> images``
+    with ``fault`` written in at atom ``a`` (``b`` is a second atom), as a
+    dict or as a ``(forward, inverse)`` pair."""
+    fwd = dict(zip(atoms, images))
+    inv = dict(zip(images, atoms))
+    if fault == "inverse":
+        inv[a] = b
+    elif fault == "missing":
+        del (fwd if as_dict else inv)[a]
+    elif fault == "outside":
+        outside = (len(atoms), 0) if isinstance(a, tuple) else len(atoms)
+        fwd[a], inv[outside] = outside, a
+    elif fault == "shared":
+        fwd[a] = fwd[b]
+    elif fault == "spelled":
+        one = fwd[a]
+        fwd[a] = ((float(one[0]),) + one[1:] if isinstance(one, tuple)
+                  else True if one == 1 else float(one))
+        inv[fwd[a]] = a
+    if fault in ("DomainError", "KeyError"):
+        return (_raising(fwd, a, fault), inv.__getitem__)
+    return fwd if as_dict else (fwd.__getitem__, inv.__getitem__)
+
+
+@st.composite
+def drawn_actions(draw):
+    """``(space, generators)`` on int or tuple atoms, d = 1 or 2."""
+    n = draw(st.integers(1, 7))
+    atoms = (list(range(n)) if draw(st.booleans())
+             else [(i // 2, i % 2) for i in range(n)])
+    space = make_space(atoms, draw(st.lists(WEIGHTS, min_size=n, max_size=n)),
+                       name="drawn")
+    gens = [_generator(atoms, draw(st.permutations(atoms)),
+                       draw(st.sampled_from(FAULTS)),
+                       draw(st.sampled_from(atoms)),
+                       draw(st.sampled_from(atoms)), draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 2)))]
+    return space, gens
+
+
+def _same_validation(space, gens):
+    """make_action and the per-sample reference agree: the same image object
+    at every atom, axis and direction, or the same ConstructionError text.
+    Returns the reference's error, or None."""
+    try:
+        expected = per_atom_validate(space, gens, "drawn")
+    except ConstructionError as exc:
+        with pytest.raises(ConstructionError) as info:
+            make_action(space, gens, name="drawn")
+        assert str(info.value) == str(exc)
+        return exc
+    action = make_action(space, gens, name="drawn")
+    for axis, (fwd, inv) in enumerate(expected):
+        for a in space.atoms:
+            assert action.step(axis, a) is fwd[a]
+            assert action.step(axis, a, forward=False) is inv[a]
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_actions())
+def test_table_validation_matches_the_per_sample_loop(case):
+    _same_validation(*case)
+
+
+@pytest.mark.parametrize("as_dict", [True, False], ids=["dict", "pair"])
+@pytest.mark.parametrize("fault", FAULTS[1:])
+@pytest.mark.parametrize("atoms", [list(range(4)), [(0, 0), (0, 1), (1, 0)]],
+                         ids=["int", "tuple"])
+def test_each_fault_is_named_as_the_loop_names_it(atoms, fault, as_dict):
+    images = atoms[1:] + atoms[:1]
+    gens = [_generator(atoms, images, fault, atoms[1], atoms[-1], as_dict)]
+    error = _same_validation(make_space(atoms, 1.0, name="drawn"), gens)
+    # a dict derives its inverse, so it cannot declare a wrong one
+    assert (error is None) == (fault == "spelled"
+                               or (fault == "inverse" and as_dict))
 
 
 def test_lazy_duality_check_walks_each_chain_once(step_counter):

@@ -12,6 +12,17 @@ from nsdyn.hopf import hopf_decompose
 
 EXACT = 1e-12
 
+_FLIP = str.maketrans("01", "10")
+
+
+def od_carry(bits: str, carry: str) -> str:
+    """The odometer step in closed form, least significant bit first: flip
+    bits while the carry lasts, that is the run of ``carry`` bits and the
+    first other bit; ``carry`` "1" adds one and "0" subtracts one, and the
+    all-``carry`` word wraps around."""
+    end = len(bits) - len(bits.lstrip(carry)) + 1
+    return bits[:end].translate(_FLIP) + bits[end:]
+
 # radius at which the decomposition resolves each fixture exactly
 HOPF_RADIUS = {"E2": 2, "C4": 4, "TR1": 2, "ST2": 1, "OD3": 8, "MIX": 4}
 
@@ -52,6 +63,31 @@ class TestBuilders:
         for n, w in word.items():
             assert od.step(0, w) == word[(n + 1) % 2 ** K]
             assert od.step(0, w, forward=False) == word[(n - 1) % 2 ** K]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_odometer_tables_are_carry_add_and_subtract(self, K, d):
+        od = zoo.build(zoo.ZooSpec("odometer", {"K": K, "p": 0.3, "d": d}))
+        assert len(od.space.atoms) == 2 ** (K * d)
+        for a in od.space.atoms:
+            for axis in range(d):
+                for forward, carry in ((True, "1"), (False, "0")):
+                    expected = (od_carry(a, carry) if d == 1 else
+                                a[:axis] + (od_carry(a[axis], carry),)
+                                + a[axis + 1:])
+                    assert od.step(axis, a, forward) == expected
+
+    @pytest.mark.parametrize("sizes", [[1], [5], [3, 4], [2, 1, 3]])
+    def test_cyclic_tables_add_and_subtract_one(self, sizes):
+        grid = zoo.build(zoo.ZooSpec("cyclic", {"N": sizes}))
+        for a in grid.space.atoms:
+            coords = a if len(sizes) > 1 else (a,)
+            for axis, k in enumerate(sizes):
+                for forward, sign in ((True, 1), (False, -1)):
+                    moved = list(coords)
+                    moved[axis] = (moved[axis] + sign) % k
+                    expected = tuple(moved) if len(sizes) > 1 else moved[0]
+                    assert grid.step(axis, a, forward) == expected
 
     def test_union_of_rotation_and_translation(self):
         mix = zoo.build_fixture("MIX")
