@@ -25,13 +25,11 @@ atom-keyed image maps, and whole-table comparisons check that every image
 is an atom, that both maps are injective and that each inverts the other.
 A single step is then a dict lookup.  Where a map raises or a comparison
 fails, a loop over the atoms, one sample at a time, names the fault; the
-same loop checks an action on a lazy space around S_2.  ``apply`` reads
-each generator's cycle decomposition, built on first use: phi_t(s) costs d
-lookups whatever the size of t.  An action on a lazy space steps through
-its generator maps.  Where many atoms need phi_t at once, as the dual
-operator and the duality check do, a lazy space walks each generator chain
-of those atoms once: an atom's image is one step past its predecessor's on
-the chain, about two steps per atom and axis whatever the size of t.
+same loop checks an action on a lazy space around S_2.  ``apply`` steps
+through the generators on every space.  Where many atoms need phi_t at
+once, each generator chain of those atoms is walked once, an atom's image
+one step past its predecessor's, and atoms that close a ring read theirs
+off it by index: about two steps per atom and axis whatever the size of t.
 
 On a purely atomic space the Radon-Nikodym derivative w_t = d(mu o phi_t)/dmu
 at an atom s is the weight ratio mu(phi_t(s)) / mu(s).  It is evaluated in
@@ -58,6 +56,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     ConstructionError,
+    DegenerateInputError,
     DomainError,
     ExplorationLimitError,
     InvalidInputError,
@@ -250,7 +249,7 @@ class NsAction:
     """
 
     __slots__ = ("space", "d", "name", "exploration_budget", "_gens",
-                 "_free_orbit_fn", "_cycles")
+                 "_free_orbit_fn")
 
     def __init__(self, space, d, gens, name, free_orbit_fn, exploration_budget):
         self.space = space
@@ -261,7 +260,6 @@ class NsAction:
         self._gens = gens
         self._free_orbit_fn = free_orbit_fn
         self.exploration_budget = exploration_budget
-        self._cycles = None   # per axis (cycle of each atom, its position)
 
     def declared_free(self, atom):
         """Builder-declared orbit freeness: True, False, or None (unknown)."""
@@ -276,27 +274,17 @@ class NsAction:
     def apply(self, t, s):
         """phi_t(s) along the canonical axis-ordered composition path.
 
-        The budget is charged one unit per generator step, |t_1|+...+|t_d|
-        in all, also where the tables jump a whole axis in one lookup.
+        One generator step per unit of t, |t_1|+...+|t_d| in all, on every
+        space, each charged to the exploration budget (10^6 by default).
         """
         if s not in self.space:
             raise DomainError(
                 f"atom {s!r} is not in the space of action {self.name!r}")
         vec = as_vec(t, self.d)
         budget = _Budget(self.exploration_budget)
-        atom = s
-        if not self.space.finite:
-            for axis, steps in enumerate(vec):
-                atom = self._walk_axis(axis, atom, steps, budget, vec)
-            return atom
-        if self._cycles is None:
-            self._cycles = tuple(_cycle_tables(gen.fwd, self.space.atoms)
-                                 for gen in self._gens)
-        for axis, ((cycle_of, pos), steps) in enumerate(zip(self._cycles, vec)):
-            budget.spend(axis, vec, abs(steps))
-            cycle = cycle_of[atom]
-            atom = cycle[(pos[atom] + steps) % len(cycle)]
-        return atom
+        for axis, steps in enumerate(vec):
+            s = self._walk_axis(axis, s, steps, budget, vec)
+        return s
 
     def _walk_axis(self, axis, atom, steps, budget, t=None):
         forward = steps >= 0
@@ -314,10 +302,10 @@ class NsAction:
         """The dual operator image s -> g(phi_t(s)) * w_t(s).
 
         The support of the result is phi_{-t} of the support of g, so it
-        stays finite; the L1 norm of a nonnegative g is preserved.  On a
-        lazy space the images phi_{-t}(s) come from one walk of each
-        generator chain of the support (see :func:`_images`), with the
-        atoms, values and errors of one ``apply`` per support atom.
+        stays finite; the L1 norm of a nonnegative g is preserved.  The
+        images phi_{-t}(s) come from one walk of each generator chain of
+        the support (see :func:`_images`), with the atoms, values and errors
+        of one ``apply`` per support atom.
         """
         if g.space is not self.space:
             raise DomainError("function is defined over a different space")
@@ -337,40 +325,26 @@ class NsAction:
         return f"NsAction({self.name!r}, d={self.d}, space={self.space.name!r})"
 
 
-def _cycle_tables(fwd: Callable, atoms) -> tuple[dict, dict]:
-    """The cycle of each atom under ``fwd``, and the atom's place in it."""
-    cycle_of, pos = {}, {}
-    for start in atoms:
-        if start not in cycle_of:
-            cycle, a = [start], fwd(start)
-            while a != start:
-                cycle.append(a)
-                a = fwd(a)
-            for k, a in enumerate(cycle):
-                cycle_of[a], pos[a] = cycle, k
-    return cycle_of, pos
-
-
 def _images(action: NsAction, t: tuple, atoms: Iterable) -> Callable:
     """x -> phi_t(x) for the given atoms of the space, as ``apply`` gives it.
 
-    A lazy space walks the axes in ``apply``'s order, each distinct partial
-    image y once.  For |t_i| >= 2, with g = T_i or its inverse, one step
-    g(y) per y links the starts into g-chains, y -> g(y) where g(y) is a
-    start too.  Each chain is walked once: its head's image takes |t_i|
-    steps, and each next image is one step past its predecessor's, since
-    g^k(g y) = g(g^k y) for any map g.  So the images are the canonical
-    path's own atoms, also where the generators do not commute, in
-    2N + chains (|t_i| - 2) steps instead of N |t_i|.  Starts that no head
-    reaches lie on cycles, each walked from its first start.
+    The axes are walked in ``apply``'s order, each distinct partial image y
+    once.  For |t_i| >= 2, with g = T_i or its inverse, one step g(y) per y
+    links the starts into g-chains, y -> g(y) where g(y) is a start too.
+    Each chain is walked once from its head, a start without a predecessor:
+    the head's image takes |t_i| steps, and each next image is one step
+    past its predecessor's, since g^k(g y) = g(g^k y) for any map g.  Every
+    start left lies on a ring of starts, whose images are read off it by
+    index.  So the images are the canonical path's own atoms, also where the
+    generators do not commute, in at most 2N + chains (|t_i| - 2) steps.
 
-    A finite space keeps its cycle tables.  Over the budget, or when a step
-    raises, ``apply`` takes every atom, so its errors come in its own order.
+    Over the budget, or when a step raises, ``apply`` takes every atom, so
+    its errors come in its own order.
     """
     def per_atom(x):
         return action.apply(t, x)
 
-    if action.space.finite or sum(map(abs, t)) > action.exploration_budget:
+    if sum(map(abs, t)) > action.exploration_budget:
         return per_atom
     step = action.step
     image = {x: x for x in atoms}
@@ -386,18 +360,16 @@ def _images(action: NsAction, t: tuple, atoms: Iterable) -> Callable:
 
 
 def _chain_images(step: Callable, axis: int, k: int, starts: dict) -> dict:
-    """{y: g^|k|(y)} for the starts, g = T_axis^sign(k), walked by chains."""
-    forward = k > 0
+    """{y: g^|k|(y)} for the starts, g = T_axis^sign(k): chains, then rings."""
+    forward, n = k > 0, abs(k)
     nxt = {y: step(axis, y, forward) for y in starts}
-    if abs(k) == 1:
+    if n == 1:
         return nxt
     fed = {b for b in nxt.values() if b in nxt}   # starts with a predecessor
     out = {}
-    for head in chain([y for y in starts if y not in fed], starts):
-        if head in out:
-            continue
+    for head in [y for y in starts if y not in fed]:
         x = nxt[head]
-        for _ in range(abs(k) - 1):
+        for _ in range(n - 1):
             x = step(axis, x, forward)
         out[head] = x
         y = nxt[head]
@@ -405,6 +377,15 @@ def _chain_images(step: Callable, axis: int, k: int, starts: dict) -> dict:
             x = step(axis, x, forward)
             out[y] = x
             y = nxt[y]
+    # a start that no chain reached has a predecessor that none reached
+    # either, so nxt maps those starts onto themselves: they form rings
+    for y in starts:
+        if y not in out:
+            ring = [nxt[y]]   # ring[j] = g^(j+1)(y), up to ring[-1] == y
+            while ring[-1] != y:
+                ring.append(nxt[ring[-1]])
+            for j, x in enumerate(ring):
+                out[x] = ring[(j + n) % len(ring)]
     return out
 
 
@@ -843,10 +824,14 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
     (forward paths), so they agree up to rounding exactly when the declared
     inverses and the composition order are consistent.  The third value is
     ``dual_t g`` itself, whose norm the caller can compare with that of g.
-    Both sets of images are walked by generator chains on a lazy space (see
+    Both sets of images are walked by generator chains and rings (see
     :func:`_images`): the pair, the image and any error are those of one
-    ``apply`` per atom, in fewer steps.
+    ``apply`` per atom, in fewer steps.  A zero g is refused first: the
+    check would pass having checked nothing.
     """
+    if not g.support:
+        raise DegenerateInputError(
+            "duality check needs a function g with nonempty support")
     atoms = sorted(set(A), key=atom_key)
     for a in atoms:
         if a not in action.space:

@@ -83,12 +83,16 @@ def parse_atom(text: str):
         return text
 
 
-def parse_vec(text: str, d: int) -> tuple:
-    parts = text.split(",")
+def _ints(text: str, what: str) -> list[int]:
+    """Comma separated ints; anything else is a usage error naming ``what``."""
     try:
-        vec = tuple(int(p) for p in parts)
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
-        raise InvalidInputError(f"cannot parse group element {text!r}") from exc
+        raise InvalidInputError(f"cannot parse {what} {text!r}") from exc
+
+
+def parse_vec(text: str, d: int) -> tuple:
+    vec = tuple(_ints(text, "group element"))
     if len(vec) == 1 and d > 1:
         raise InvalidInputError(
             f"group element {text!r} has 1 coordinate, the action has d={d}")
@@ -96,10 +100,7 @@ def parse_vec(text: str, d: int) -> tuple:
 
 
 def parse_ns(text: str) -> list[int]:
-    try:
-        ns = [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse n list {text!r}") from exc
+    ns = _ints(text, "n list")
     if any(n < 1 for n in ns):
         raise InvalidInputError(f"window sizes must be >= 1: {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -331,7 +332,7 @@ def _cmd_maharam_verify(opt: _Options, action):
     tol_measure = _positive(opt.get("tol_measure", 1e-9), "--tol-measure")
     tol_extension = _positive(opt.get("tol_extension", 1e-12), "--tol-extension")
     report = check_measure_preservation(ext, t, rects, rel_tol=tol_measure)
-    ms = [int(x) for x in opt.get("m", "1,2").split(",")]
+    ms = _ints(opt.get("m", "1,2"), "m list")
     ns = parse_ns(opt.get("n", "2,4,8,16"))
     table = []
     ext_ok = True

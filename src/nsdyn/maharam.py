@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .action import (CubeWindow, NsAction, _weight_ratio, as_vec, check_cocycle,
-                     iter_window_orbit)
+from .action import (CubeWindow, NsAction, _images, _weight_ratio, as_vec,
+                     check_cocycle, iter_window_orbit)
 from .errors import ConstructionError, InvalidInputError
 from .maxstat import max_dual_function
 from .space import L1Function, atom_key, atom_to_json, rel_dev
@@ -77,9 +77,12 @@ class MaharamAction:
         return 1.0 / self.base.rn_derivative(t, s)
 
     def skew_point(self, t, point):
-        """Image of a product point (s, y)."""
+        """Image of a product point (s, y), from one ``apply``."""
         s, y = point
-        return self.base.apply(t, s), y * self.fiber_factor(t, s)
+        space = self.base.space
+        end = self.base.apply(t, s)
+        w = _weight_ratio(space, s, space.log_weight(s), end)
+        return end, y * (1.0 / w)
 
 
 def extend(action: NsAction) -> MaharamAction:
@@ -105,8 +108,13 @@ def extend(action: NsAction) -> MaharamAction:
 
 def push_rect(ext: MaharamAction, t, r: Rect) -> Rect:
     """Pushforward of a rectangle: exact interval arithmetic on endpoints."""
-    w = ext.base.rn_derivative(t, r.atom)
-    return Rect(ext.base.apply(t, r.atom), r.a / w, r.b / w)
+    return _pushed(ext.base.space, r, ext.base.apply(t, r.atom))
+
+
+def _pushed(space, r: Rect, end) -> Rect:
+    """The image of r whose atom goes to ``end``: the fiber scales by 1 / w."""
+    w = _weight_ratio(space, r.atom, space.log_weight(r.atom), end)
+    return Rect(end, r.a / w, r.b / w)
 
 
 @dataclass
@@ -140,6 +148,8 @@ def check_measure_preservation(ext: MaharamAction, t, rects: Sequence[Rect],
     """Compare the product mass of each rectangle with that of its image.
 
     An empty list is an input error: it would pass having checked nothing.
+    The atoms' images come in one batch; one outside the space gets
+    ``apply``'s error, in rectangle order.
     """
     rects = list(rects)
     if not rects:
@@ -154,8 +164,10 @@ def check_measure_preservation(ext: MaharamAction, t, rects: Sequence[Rect],
     entries = []
     worst = 0.0
     tvec = as_vec(t, ext.base.d)
+    phi = _images(ext.base, tvec, [r.atom for r in rects if r.atom in space])
     for r in rects:
-        image = push_rect(ext, tvec, r)
+        image = _pushed(space, r, phi(r.atom) if r.atom in space
+                        else ext.base.apply(tvec, r.atom))
         before = r.measure(space)
         after = image.measure(space)
         dev = rel_dev(before, after)

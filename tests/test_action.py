@@ -28,6 +28,7 @@ from nsdyn.action import (
 )
 from nsdyn.errors import (
     ConstructionError,
+    DegenerateInputError,
     DomainError,
     ExplorationLimitError,
     InvalidInputError,
@@ -334,6 +335,14 @@ class TestDuality:
         g = L1Function.indicator(bad.space, [2])
         lhs, rhs, _image = check_duality(bad, (1, 1), g, [0])
         assert rel_dev(lhs, rhs) > 0.1
+
+    @pytest.mark.parametrize("values", [{}, {0: 0.0}], ids=["empty", "zeros"])
+    def test_a_zero_g_is_refused_first(self, actions, values):
+        # both sides would read 0 and pass having checked nothing; the
+        # refusal comes before the atom outside the space is named
+        c4 = actions["C4"]
+        with pytest.raises(DegenerateInputError, match="nonempty support"):
+            check_duality(c4, 1, L1Function(c4.space, values), [0, 9])
 
 
 class TestMakeActionValidation:

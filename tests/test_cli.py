@@ -136,6 +136,17 @@ class TestDualityCheck:
         assert out.returncode == 1
         assert json.loads(out.stdout)["passed"] is False
 
+    def test_a_zero_g_is_a_usage_error(self, tmp_path, capsys):
+        # lhs = rhs = norm = 0 would pass having checked nothing
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        assert cli.main(["duality-check", "--action", "fixture:C4",
+                         "--t", "1", "--g", f"@{empty}", "--A", "[0]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: duality check needs a function g "
+                                "with nonempty support\n")
+
 
 class TestMaharamVerify:
     def test_odometer_passes(self):
@@ -160,6 +171,13 @@ class TestMaharamVerify:
                       equal_weight_noncommuting_file, "--t", "1,1")
         assert out.returncode == 1
         assert json.loads(out.stdout)["passed"] is False
+
+    @pytest.mark.parametrize("spec", ["foo", "1,,2"])
+    def test_a_bad_m_list_names_the_flag(self, spec):
+        code, out, err = _main("maharam-verify", "--action", "fixture:TR1",
+                               "--m", spec)
+        _assert_usage_error(code, out, err)
+        assert err == f"error: cannot parse m list {spec!r}\n"
 
     def test_empty_rectangle_list_is_a_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

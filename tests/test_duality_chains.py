@@ -1,10 +1,14 @@
 """The dual operator and the duality check by chain walks.
 
-On a lazy space ``dual_apply`` and ``check_duality`` walk each generator
-chain of their atoms once instead of walking phi_t from every atom.  The
-per-atom references in ``conftest`` call ``apply`` once per atom: the
-pair, the dual image and every error must agree exactly, and the chain
-walks never take more generator steps than the references.
+On every space ``dual_apply`` and ``check_duality`` walk each generator
+chain of their atoms once instead of walking phi_t from every atom, and
+read the images of atoms that close a ring by index.  The cases hold lazy
+lines and planes, whose chains run straight, and finite spaces, whose
+orbits are rings of fixed points, 2- and 3-cycles or longer cycles, with
+chains where g or A covers part of one.  The per-atom references in
+``conftest`` call ``apply`` once per atom: the pair, the dual image and
+every error must agree exactly, and the chain walks never take more
+generator steps than the references.
 """
 
 import pytest
@@ -16,10 +20,11 @@ from conftest import (
     per_atom_dual_apply,
     sample_atoms,
 )
-from nsdyn import zoo
+from nsdyn import jsonio, zoo
 from nsdyn.action import check_duality, make_action
 from nsdyn.errors import DomainError, ExplorationLimitError
 from nsdyn.space import L1Function
+from test_tables import MANY_CYCLES
 from test_window_walks import (
     _leaky_line,
     _skewed_plane,
@@ -35,9 +40,11 @@ BUILT = {
                                   {"tau": [1.0, 2.0, 3.0], "d": 2}),
     "stabilizer d=2": ("stabilizer", {"d": 2}),
     "stabilizer d=3": ("stabilizer", {"d": 3, "active": [0, 2]}),
+    "cyclic N=[2,3]": ("cyclic", {"N": [2, 3]}),
+    "odometer K=2,d=2": ("odometer", {"K": 2, "d": 2, "p": 0.3}),
 }
-CASES = ("TR1", "ST2", "MIX", *BUILT, "twisted plane", "tampered line",
-         "skewed plane", "leaky line")
+CASES = ("TR1", "ST2", "MIX", "C4", "E2", "OD3", *BUILT, "many cycles",
+         "twisted plane", "tampered line", "skewed plane", "leaky line")
 
 
 def _action(case, edge):
@@ -51,6 +58,8 @@ def _action(case, edge):
         return _skewed_plane(3 + edge % 2)
     if case == "leaky line":
         return _leaky_line()
+    if case == "many cycles":
+        return jsonio.action_from_json(MANY_CYCLES)
     return zoo.build_fixture(case)
 
 
@@ -79,7 +88,7 @@ COMPONENT = st.one_of(st.just(0), st.sampled_from([-1, 1]),
                       st.integers(-12, 12))
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.sampled_from(CASES), edge=st.integers(-2, 4), data=st.data())
 def test_chains_match_the_per_atom_reference(case, edge, data, step_counter):

@@ -16,8 +16,13 @@ from conftest import (
     vec_add,
 )
 from nsdyn import maharam, zoo
-from nsdyn.action import CubeWindow, make_action
-from nsdyn.errors import ConstructionError, InvalidInputError
+from nsdyn.action import CubeWindow, NsAction, make_action
+from nsdyn.errors import (
+    ConstructionError,
+    DomainError,
+    ExplorationLimitError,
+    InvalidInputError,
+)
 from nsdyn.maharam import (
     MaharamAction,
     Rect,
@@ -52,6 +57,20 @@ class TestExtend:
     def test_odometer_fiber_factor(self, extensions):
         ext = extensions["OD3"]
         assert ext.fiber_factor((1,), "000") == pytest.approx(1.5, rel=EXACT)
+
+    def test_skew_point_takes_one_apply(self, extensions, monkeypatch):
+        cases = [(ext, t, s, (ext.base.apply(t, s),
+                              1.75 * ext.fiber_factor(t, s)))
+                 for ext in extensions.values()
+                 for s in sample_atoms(ext.base, 1)
+                 for t in CubeWindow.centered(2, ext.base.d)]
+        calls = []
+        apply = NsAction.apply
+        monkeypatch.setattr(NsAction, "apply", lambda self, t, s: (
+            calls.append(s) or apply(self, t, s)))
+        for ext, t, s, want in cases:
+            assert ext.skew_point(t, (s, 1.75)) == want
+        assert calls == [s for _, _, s, _ in cases]
 
     def test_fiber_factor_is_reciprocal_of_cocycle(self, extensions):
         for name, ext in extensions.items():
@@ -147,6 +166,30 @@ class TestMeasurePreservation:
             for t in CubeWindow.centered(2, ext.base.d):
                 report = check_measure_preservation(ext, t, rects)
                 assert report.passed, (name, t, report.max_rel_deviation)
+
+    @pytest.mark.parametrize("t", [-9, -2, 3, 1000])
+    def test_the_batch_matches_one_push_per_rect(self, extensions, t):
+        for name, ext in extensions.items():
+            tvec = (t,) * ext.base.d
+            rects = [Rect(atom, 0.5 * i, 0.5 * i + 2.0) for i, atom in
+                     enumerate(sample_atoms(ext.base, 2))]
+            report = check_measure_preservation(ext, tvec, rects)
+            for (r, before, after, dev), want in zip(report.entries, rects):
+                assert r is want
+                image = push_rect(ext, tvec, r)
+                assert after == image.measure(ext.base.space)
+                assert dev == rel_dev(before, after)
+
+    def test_errors_come_in_rect_order(self, extensions):
+        ext = extensions["C4"]
+        outside = [Rect(1, 0.0, 1.0), Rect(9, 0.0, 1.0), Rect(2, 0.0, 1.0)]
+        with pytest.raises(DomainError, match=(
+                "atom 9 is not in the space of action 'C4'")):
+            check_measure_preservation(ext, (1,), outside)
+        # over the budget the first rectangle's walk fails before the
+        # second rectangle's atom is looked at
+        with pytest.raises(ExplorationLimitError, match="axis 0"):
+            check_measure_preservation(ext, (10 ** 6 + 1,), outside)
 
     def test_nan_deviation_fails(self, extensions, monkeypatch):
         devs = iter([math.nan, 0.0])

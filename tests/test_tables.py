@@ -1,16 +1,18 @@
 """Compiled finite actions: table lookups against the generator maps.
 
 On a finite space validation keeps every generator image as a permutation
-table, and ``apply`` reads each generator's cycle decomposition.  The
-references here walk the original generator maps one step at a time, so
-atoms, cocycle values and dual images must agree bit for bit, and the
-exploration budget must fail at the same axis with the same message.  A
-finite space likewise keeps every weight, evaluated once per atom.  A lazy
-space has no tables: its duality check walks each generator chain once.
+table, and ``apply`` steps through those tables.  The references here walk
+the original generator maps one step at a time, so atoms, cocycle values
+and dual images must agree bit for bit, and the exploration budget must
+fail at the same axis with the same message.  A finite space likewise
+keeps every weight, evaluated once per atom.  On every space a batch of
+images walks each generator chain once and reads a ring of its atoms by
+index, so a whole finite orbit costs one step per atom whatever t.
 Validation builds the tables from one map per direction and must accept,
 and refuse with the same text, what the per-sample loop does.
 """
 
+import hashlib
 import json
 import math
 
@@ -167,14 +169,60 @@ def test_validation_runs_each_map_once_per_atom(step_counter):
     assert step_counter[0] == 0
 
 
-def test_duality_check_takes_no_steps_after_the_build(step_counter):
-    code, _out, _err = run_cli_inprocess(
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_whole_space_duality_check_takes_one_step_per_atom_and_batch(
+        step_counter):
+    code, out, _err = run_cli_inprocess(
         "duality-check", "--action", "zoo:odometer", "--params", "K=10,p=0.4",
         "--t", "100", "--g", "ones", "--A", "exhaustion:1")
     assert code == 0
-    # the build checks whole tables and the check reads them; stepping took
-    # 311296 before tabulation
-    assert step_counter[0] == 0
+    assert _sha(out) == ("ec1039a4e2f1728ef9404c8f60aab83a"
+                         "7030c6bde8311854849b3896f734168c")
+    # the build checks whole tables; each of the two batches is one ring of
+    # the odometer's 1024 atoms: one step per atom closes it, and the
+    # images are read off by index
+    assert step_counter[0] == 2 * 1024
+
+
+# argv, generator steps of the whole call (build included), sha256 of stdout
+RING_OPS = {
+    # the build takes 22 steps around S_2; the second axis fixes each of
+    # the 9 atoms of S_4, a ring of one, in each of the two batches (one
+    # walk of 1000 steps per atom and batch took 18022)
+    "ST2 identity axis": (
+        "duality-check --action fixture:ST2 --t 0,1000 --g exhaustion:4"
+        " --A exhaustion:4", 40,
+        "9af3ff5895c129f320439700997b7ea83aeca09b2cb5dd9129a0d12e34ed5491"),
+    # g and A are the whole 4-cycle: one ring per batch
+    "C4 whole orbit": (
+        "duality-check --action fixture:C4 --t 999999 --g ones"
+        " --A exhaustion:1", 8,
+        "46203ee2dfa1af9b40e641f33706915d5655e345b02c507a2c06bac53bb40f76"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RING_OPS))
+def test_a_ring_takes_one_step_per_atom_whatever_t(case, step_counter):
+    argv, steps, digest = RING_OPS[case]
+    code, out, _err = run_cli_inprocess(*argv.split())
+    assert code == 0
+    assert _sha(out) == digest
+    assert step_counter[0] == steps
+
+
+def test_maharam_rectangles_take_their_images_in_one_batch(step_counter):
+    code, out, _err = run_cli_inprocess(
+        "maharam-verify", "--action", "fixture:C4", "--t", "900000",
+        "--m", "1", "--n", "2")
+    assert code == 0
+    assert _sha(out) == ("dd0eb009324d1be012c71eccc7d1b79a"
+                         "32480618efe0b30af79efcb779f2b236")
+    # 44 for the cocycle check and the statistic, 4 for the ring of the
+    # rectangles' atoms; an apply per rectangle would walk 900000 steps
+    assert step_counter[0] <= 100
 
 
 # a fault written into one generator of a drawn action; "spelled" writes an
