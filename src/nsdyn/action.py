@@ -4,20 +4,20 @@ An action is given by d invertible generator maps T_1..T_d that are meant to
 commute.  phi_t for a lattice vector t is always evaluated along the
 canonical axis-ordered path: t_1 steps of T_1, then t_2 steps of T_2, and so
 on.  Commutativity (hence path independence) is a testable property rather
-than an assumption: :func:`check_cocycle` compares the atoms phi_{t+u}(s)
-and phi_u(phi_t(s)) as well as the cocycle values, so two paths that end at
-different atoms are a violation even where their weights agree.
+than an assumption: :func:`check_cocycle` compares atoms as well as cocycle
+values, so two paths that end at different atoms are a violation even where
+their weights agree.
 
 Where those atoms are proven equal, the identity needs no pair loop: on an
 atomic space w_t(s) = mu(phi_t s) / mu(s) is a coboundary, so
 w_{t+u}(s) = w_t(s) * w_u(phi_t s) holds up to the rounding of three
-log-weight ratios.  The proof is either a commutation pass over a finite
-space (T_i T_j a == T_j T_i a at every atom; validation already checked
-each declared inverse), or a :func:`lattice_walk` of centered(2r) from each
-sample: u's axis path from a_t then stays inside the certified cube, so
-phi_u(a_t) = a_{t+u}.  The check then evaluates only the unit pairs
-(t, +-e_i); the pairwise loop remains for everything the proof or the
-rounding bound cannot settle.
+log-weight differences.  The proof is either a commutation pass over a
+finite space (T_i T_j a == T_j T_i a at every atom; validation already
+checked each declared inverse), or a walk of centered(2r) from each sample
+whose every unit pair p, p + e_i is stepped: u's axis path from a_t then
+stays inside the cube, so phi_u(a_t) = a_{t+u}.  The check evaluates only
+the unit pairs (t, +-e_i), and a unit pair whose step misses is itself the
+violation, naming both atoms.
 
 On a finite space, validation compiles the action from whole tables.  One
 map of each generator and one of its inverse over the atoms give
@@ -51,7 +51,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import eq
+from operator import eq, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -68,7 +68,6 @@ from .space import (
     L1Function,
     atom_key,
     atom_to_json,
-    rel_dev,
 )
 
 
@@ -554,36 +553,50 @@ def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
     return iter(out)
 
 
+def _unit_misses(action: NsAction, atoms: list, cube: CubeWindow,
+                 budget: _Budget) -> Iterator[tuple]:
+    """The unit pairs of a cube walk whose step misses, one by one.
+
+    Each pair p, p + e_i of the cube must have T_i a_p == a_{p+e_i} and
+    T_i^{-1} a_{p+e_i} == a_p.  A miss is ``(k, axis, forward, image)``: the
+    step T_axis^{+-1} from the atom at position k gave ``image`` instead of
+    the pair's other atom.  The walk's rows took the last axis's forward
+    steps; the other images are asked once per distinct atom, charged to
+    ``budget``: at most 2d - 1 steps per atom.  Pairs go axis by axis, in
+    the cube's lex order.
+    """
+    step, last = action.step, action.d - 1
+    for axis in range(action.d):
+        stride, runs = cube.unit_steps(axis)
+        fwd, inv = {}, {}
+        for k in chain.from_iterable(runs):
+            a, b = atoms[k], atoms[k + stride]
+            if axis != last:
+                if a not in fwd:
+                    budget.spend(axis)
+                    fwd[a] = step(axis, a)
+                if fwd[a] != b:
+                    yield k, axis, True, fwd[a]
+            if b not in inv:
+                budget.spend(axis)
+                inv[b] = step(axis, b, False)
+            if inv[b] != a:
+                yield k + stride, axis, False, inv[b]
+
+
 def lattice_walk(action: NsAction, s, cube: CubeWindow):
     """``(atoms, check_steps)``: the walk of the cube from s, as
     :func:`iter_window_orbit` lists it, certified a lattice image.
 
-    The certificate is T_i a_p == a_{p+e_i} and T_i^{-1} a_{p+e_i} == a_p
-    for each unit pair p, p + e_i of the cube.  The walk's rows took the
-    last axis's forward steps; the other images are asked once per distinct
-    atom, on one budget: at most 2d - 1 steps per atom.  None when a pair
-    fails or a step cannot be taken (budget, domain, KeyError).
+    The certificate is that no unit pair of the cube misses (see
+    :func:`_unit_misses`), on one budget.  None when a pair fails or a step
+    cannot be taken (budget, domain, KeyError).
     """
     budget = _Budget(action.exploration_budget)
-    step, last = action.step, action.d - 1
     try:
         atoms = list(iter_window_orbit(action, s, cube))
-        for axis in range(action.d):
-            stride, runs = cube.unit_steps(axis)
-            fwd, inv = {}, {}
-            for k in chain.from_iterable(runs):
-                a, b = atoms[k], atoms[k + stride]
-                if axis != last:
-                    if a not in fwd:
-                        budget.spend(axis)
-                        fwd[a] = step(axis, a)
-                    if fwd[a] != b:
-                        return None
-                if b not in inv:
-                    budget.spend(axis)
-                    inv[b] = step(axis, b, False)
-                if inv[b] != a:
-                    return None
+        if next(_unit_misses(action, atoms, cube, budget), None) is not None:
+            return None
     except (ExplorationLimitError, DomainError, KeyError):
         return None
     return atoms, action.exploration_budget - budget.remaining
@@ -596,13 +609,13 @@ class CocycleReport:
     radius: int
     rel_tol: float
     checked: int
-    # the largest deviation over the pairs evaluated (only the unit pairs
-    # (t, +-e_i) where check_cocycle certified the rest), and its first
-    # holder (t, u, atom)
+    # the largest deviation over the unit pairs (t, u) evaluated, and its
+    # first holder (t, u, atom)
     max_rel_deviation: float
     worst: tuple | None
-    # (t, u, atom, deviation, images): deviation above rel_tol, or images =
-    # (phi_{t+u}(atom), phi_u(phi_t(atom))) when only the two atoms differ
+    # (t, u, atom, deviation, images) for a unit pair u = +-e_i: images =
+    # (phi_{t+u}(atom), phi_u(phi_t(atom))) where the two atoms differ, None
+    # where only the deviation is above rel_tol
     violations: list
 
     @property
@@ -632,63 +645,20 @@ def _violation_dict(t, u, atom, dev, images) -> dict:
     return entry
 
 
-def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
-                  rel_tol: float = 1e-9) -> CocycleReport:
-    """Verify w_{t+u}(s) = w_t(s) * w_u(phi_t(s)) over a centered window.
-
-    Covers all pairs t, u in centered(radius) at each of ``samples`` (all
-    atoms of a finite space by default, S_2 of a lazy one); ``checked``
-    counts them.  A pair fails when its relative deviation exceeds
-    ``rel_tol`` (a NaN fails), or when phi_{t+u}(s) and phi_u(phi_t(s)) are
-    different atoms, since the generators then do not commute there,
-    whatever the weights say.  Violations are report entries, not errors.
-
-    Two routes give the same verdict, violations and errors:
-
-    * The certificate proves phi_u(phi_t(s)) == phi_{t+u}(s) for every
-      pair (see the module docstring); the identity then holds exactly up
-      to the rounding of three log-weight ratios, at most a few (M + 1)
-      float epsilons for M the largest |log mu| involved.  Only the unit
-      pairs (t, +-e_i) are evaluated, and ``max_rel_deviation`` and
-      ``worst`` are their maximum and its first holder in sample, t and u
-      lex order.
-    * Otherwise the pairwise loop evaluates every pair, and they are the
-      maximum over all pairs.  It runs when a sample's cube or the
-      commutation pass fails, when the log weights involved span nearly a
-      float's range (so an overflowing ratio is still an error), when
-      ``rel_tol`` is below the rounding bound 8 (M + 1) epsilon (so a tiny
-      tolerance sees the rounding), or when a unit pair deviates beyond
-      ``rel_tol``.
-
-    A window of more pairs per sample atom, (2 radius + 1)^(2d), than the
-    exploration budget is refused once the first sample's walk is taken.
-    """
-    if radius < 1:
-        raise InvalidInputError("radius must be >= 1")
-    if samples is None:
-        samples = action.space.exhaustion(2)
-    samples = sorted(samples, key=atom_key)
-    report = _certified_cocycle(action, radius, samples, rel_tol)
-    if report is None:
-        report = _pairwise_cocycle(action, radius, samples, rel_tol)
-    return report
-
-
-# the rounding of w_{t+u}(s) against w_t(s) * w_u(phi_t s), per unit of
-# (M + 1) * epsilon: about 3.5 to first order, at most 1.57 seen over 8e5
-# random log triples
+# the rounding of the log-difference deviation, per unit of (M + 1) *
+# epsilon: its three log differences and their sum lie within 2M, so each
+# rounds by at most M epsilon; at most 1.93 was seen over 3e5 random log
+# triples
 _ROUNDING = 8 * sys.float_info.epsilon
-# below this log span every weight ratio, and every product of two whose
-# exact value is a third, stays under a float's maximum / e
-_LOG_SPAN = math.log(sys.float_info.max) - 1.0
 
 
-def _rounding_allows(rel_tol: float, logs: list) -> bool:
-    """Whether every weight ratio among these log weights is a finite float
-    and ``rel_tol`` lies above the certificate's rounding bound."""
-    lo, hi = min(logs), max(logs)
-    return (hi - lo < _LOG_SPAN
-            and rel_tol >= _ROUNDING * (max(-lo, hi) + 1.0))
+def _log_deviation(log_wtu: float, log_wt: float, log_wu: float) -> float:
+    """The relative deviation of w_{t+u}(s) from w_t(s) * w_u(phi_t s),
+    from their logs, each a difference of two log weights.
+
+    No ratio is exponentiated, so nothing overflows; a NaN stays NaN.
+    """
+    return -math.expm1(-abs(log_wtu - (log_wt + log_wu)))
 
 
 def _commute(action: NsAction) -> bool:
@@ -703,116 +673,90 @@ def _commute(action: NsAction) -> bool:
     return True
 
 
-def _certified_cocycle(action: NsAction, radius: int, samples: list,
-                       rel_tol: float) -> CocycleReport | None:
-    """The unit-pair report, or None to hand the call to the pairwise loop.
+def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
+                  rel_tol: float = 1e-9) -> CocycleReport:
+    """Verify w_{t+u}(s) = w_t(s) * w_u(phi_t(s)) over a centered window.
 
-    A finite space whose generators commute at every atom carries a
-    Z^d-action, so each sample walks only centered(radius + 1), which holds
-    the unit pairs of centered(radius).  That pass costs d^2 steps per atom
-    (none when d = 1), so it runs only where the samples' doubled cubes
-    have at least as many atoms.  Elsewhere each sample walks a certified
-    centered(2 radius) cube, which holds every pair.  Any error hands over
-    too, so that the pairwise loop raises it in its own order.
+    Covers all pairs t, u in centered(radius) at each of ``samples`` (all
+    atoms of a finite space by default, S_2 of a lazy one); ``checked``
+    counts them.  On an atomic space the identity holds up to rounding
+    wherever phi_u(phi_t(s)) == phi_{t+u}(s) (see the module docstring), so
+    the check proves that equality and evaluates only the unit pairs:
+
+    * A finite space whose generators commute at every atom carries a
+      Z^d-action, so each sample walks only centered(radius + 1), which
+      holds the unit pairs of centered(radius).  That pass costs d^2 steps
+      per atom (none when d = 1), so it runs only where the samples'
+      doubled cubes have at least as many atoms.
+    * Elsewhere, or where the pass fails, each sample walks centered(2
+      radius) and steps along every unit pair of it (:func:`_unit_misses`).
+      A pair (p, +-e_i) whose step misses is a violation whose images are
+      the cube's atom at p +- e_i and T_i^{+-1} of the atom at p.
+
+    The deviations come from log-weight differences, so weights of any
+    span are checked.  Their rounding is below 8 (M + 1) epsilon, for M the
+    largest |log mu| over the atoms walked, so a smaller ``rel_tol`` is an
+    input error.  A unit pair of the window deviating beyond ``rel_tol`` (a
+    NaN included) is a violation too.  ``max_rel_deviation`` and ``worst``
+    are the largest deviation over the pairs evaluated and its first
+    holder: per sample, the missing steps, then the unit pairs (t, +-e_i)
+    of the walk for t in the window, in t and u lex order.  Violations are
+    report entries; the walk's own errors (budget, an atom outside the
+    space) are raised.
     """
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
+    if samples is None:
+        samples = action.space.exhaustion(2)
+    samples = sorted(samples, key=atom_key)
     space, d = action.space, action.d
     window = CubeWindow.centered(radius, d)
-    if window.size ** 2 > action.exploration_budget:
-        return None   # the pairwise loop walks first, then refuses
     cube = CubeWindow.centered(2 * radius, d)
+    commuting = space.finite and (d == 1 or (
+        len(space.atoms) * d * d <= len(samples) * cube.size
+        and _commute(action)))
+    if commuting:
+        cube = CubeWindow.centered(radius + 1, d)
+    center = cube.size // 2
+    # the unit vectors u in lex order, each with the offset of t + u from t
+    units = [(u, sum(map(mul, u, cube.strides))) for u in sorted(
+        v for v in CubeWindow.centered(1, d) if sum(map(abs, v)) == 1)]
     log_weight = space.log_weight
-    commuting = space.finite and (
-        d == 1 or len(space.atoms) * d * d <= len(samples) * cube.size)
-    try:
-        if commuting:
-            # the whole space's span: the pairwise loop would also read the
-            # corners of each doubled cube, which this route never walks
-            if not (_rounding_allows(rel_tol, [*map(log_weight, space.atoms)])
-                    and (d == 1 or _commute(action))):
-                return None
-            cube = CubeWindow.centered(radius + 1, d)
-        center = cube.size // 2
-        units = [(u, cube.position(u) - center) for u in sorted(
-            v for v in CubeWindow.centered(1, d) if sum(map(abs, v)) == 1)]
-        inner = list(zip(window, cube.positions(window)))
-        worst_dev, worst = 0.0, None
-        for s in samples:
-            if commuting:
-                atoms = list(iter_window_orbit(action, s, cube))
-            else:
-                walked = lattice_walk(action, s, cube)
-                if walked is None:
-                    return None
-                atoms = walked[0]
-            logs = [log_weight(a) for a in atoms]
-            if not (commuting or _rounding_allows(rel_tol, logs)):
-                return None
-            log_s = logs[center]
-            for t, pos_t in inner:
-                log_t = logs[pos_t]
-                wt = math.exp(log_t - log_s)
-                for u, off in units:
-                    log_tu = logs[pos_t + off]
-                    # the pairwise loop's floats: w_{t+u}(s), w_u(phi_t s)
-                    dev = rel_dev(math.exp(log_tu - log_s),
-                                  wt * math.exp(log_tu - log_t))
-                    if dev > worst_dev:
-                        worst_dev, worst = dev, (t, u, s)
-                    if not dev <= rel_tol:
-                        return None
-    except ToolkitError:
-        return None
-    return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,
-                         worst_dev, worst, [])
-
-
-def _pairwise_cocycle(action: NsAction, radius: int, samples: list,
-                      rel_tol: float) -> CocycleReport:
-    """Every pair (t, u) of centered(radius) at each sample, in lex order."""
-    space = action.space
-    window = CubeWindow.centered(radius, action.d)
-    doubled = CubeWindow.centered(2 * radius, action.d)
-    center = doubled.position((0,) * action.d)
-    vecs = offs = None
-    ratios = {}  # x -> [(phi_u(x), w_u(x)) for u in window], one walk per x
-    worst_dev, worst, violations, checked = 0.0, None, [], 0
+    inner, worst_dev, worst, violations, m = None, 0.0, None, [], 0.0
     for s in samples:
-        # one incremental sweep per base atom gives w_t(s) for all t up to 2r
-        log_s = space.log_weight(s)
-        atoms = list(iter_window_orbit(action, s, doubled))
-        if vecs is None:
-            # after the first walk, whose own budget error names how far it
-            # got; then before any pair is built
-            pairs = window.size ** 2
-            if pairs > action.exploration_budget:
-                raise ExplorationLimitError(
-                    f"cocycle check at radius {radius} takes {pairs} pairs "
-                    "per sample atom, more than the exploration budget "
-                    f"{action.exploration_budget}")
-            vecs = list(window)
-            # positions in the doubled window: pos(t + u) = pos(t) + off(u)
-            # for t and u in the window, with off(u) = pos(u) - pos(0)
-            offs = [pos - center for pos in doubled.positions(window)]
-        ws = [_weight_ratio(space, s, log_s, atom) for atom in atoms]
-        for t, off_t in zip(vecs, offs):
-            pos_t = center + off_t
-            st, wt = atoms[pos_t], ws[pos_t]
-            if st not in ratios:
-                log_st = space.log_weight(st)
-                ratios[st] = [(end, _weight_ratio(space, st, log_st, end))
-                              for end in iter_window_orbit(action, st, window)]
-            for u, off_u, (end, wu) in zip(vecs, offs, ratios[st]):
-                pos = pos_t + off_u
-                dev = rel_dev(ws[pos], wt * wu)
-                checked += 1
+        atoms = list(iter_window_orbit(action, s, cube))
+        if inner is None:   # the walk has proven the window fits the budget
+            inner = list(zip(window, cube.positions(window)))
+        logs = [log_weight(a) for a in atoms]
+        m = max(m, max(logs), -min(logs))
+        if rel_tol < _ROUNDING * (m + 1.0):
+            raise InvalidInputError(
+                f"tolerance {rel_tol:g} is below the rounding bound "
+                f"{_ROUNDING * (m + 1.0):.3g} = 8 (M + 1) epsilon, where "
+                f"M = {m:.6g} is the largest |log mu| walked")
+        log_s = logs[center]
+        for k, axis, forward, image in () if commuting else _unit_misses(
+                action, atoms, cube, _Budget(action.exploration_budget)):
+            sign = 1 if forward else -1
+            t, off = cube.vector(k), sign * cube.strides[axis]
+            u = tuple(sign * (i == axis) for i in range(d))
+            dev = _log_deviation(logs[k + off] - log_s, logs[k] - log_s,
+                                 log_weight(image) - logs[k])
+            if dev > worst_dev:
+                worst_dev, worst = dev, (t, u, s)
+            violations.append((t, u, s, dev, (atoms[k + off], image)))
+        for t, k in inner:
+            log_t = logs[k]
+            log_wt = log_t - log_s
+            for u, off in units:
+                log_tu = logs[k + off]
+                dev = _log_deviation(log_tu - log_s, log_wt, log_tu - log_t)
                 if dev > worst_dev:
-                    worst_dev = dev
-                    worst = (t, u, s)
+                    worst_dev, worst = dev, (t, u, s)
                 if not dev <= rel_tol:
                     violations.append((t, u, s, dev, None))
-                elif atoms[pos] != end:
-                    violations.append((t, u, s, dev, (atoms[pos], end)))
-    return CocycleReport(radius, rel_tol, checked, worst_dev, worst, violations)
+    return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,
+                         worst_dev, worst, violations)
 
 
 def check_duality(action: NsAction, t, g: L1Function, A: Iterable

@@ -319,7 +319,6 @@ def _default_rects(action) -> list[Rect]:
 
 
 def _cmd_maharam_verify(opt: _Options, action):
-    ext = extend(action)  # raises ConstructionError with report on failure
     t = parse_vec(opt.get("t", "1" if action.d == 1 else
                           ",".join(["1"] * action.d)), action.d)
     rect_spec = opt.get("rects", "auto")
@@ -331,9 +330,10 @@ def _cmd_maharam_verify(opt: _Options, action):
             rects = jsonio.rects_from_json(json.load(fh))
     tol_measure = _positive(opt.get("tol_measure", 1e-9), "--tol-measure")
     tol_extension = _positive(opt.get("tol_extension", 1e-12), "--tol-extension")
-    report = check_measure_preservation(ext, t, rects, rel_tol=tol_measure)
     ms = _ints(opt.get("m", "1,2"), "m list")
     ns = parse_ns(opt.get("n", "2,4,8,16"))
+    ext = extend(action)  # raises ConstructionError with report on failure
+    report = check_measure_preservation(ext, t, rects, rel_tol=tol_measure)
     table = []
     ext_ok = True
     for m in ms:

@@ -174,8 +174,10 @@ class TestRnDerivative:
         assert swap.rn_derivative(1, 1) == 0.0
         with pytest.raises(InvalidInputError, match="overflows"):
             swap.rn_derivative(1, 0)
-        with pytest.raises(InvalidInputError, match="overflows"):
-            check_cocycle(swap, 1)
+        # the cocycle check takes log-weight differences, so it checks the
+        # action instead of refusing it
+        report = check_cocycle(swap, 1)
+        assert report.passed and report.max_rel_deviation == 0.0
 
 
 class TestIterWindowOrbit:
@@ -222,16 +224,19 @@ class TestCocycle:
         assert report.max_rel_deviation <= TOL
 
     def test_noncommuting_generators_detected(self):
-        report = check_cocycle(noncommuting_action(), 1)
+        bad = noncommuting_action()
+        report = check_cocycle(bad, 1)
         assert not report.passed
         assert report.worst is not None
-        t, u, atom = report.worst
         assert report.max_rel_deviation > 0.1
-        # the report carries a usable violation triple
-        assert report.violations[0][3] > 0.0
-        # distinct weights: every mismatch shows in the cocycle values
-        assert all("images" not in v
-                   for v in report.as_dict()["violations"])
+        # each violation is a unit pair whose step misses, with both atoms;
+        # distinct weights: every miss shows in the cocycle value too
+        for t, u, s, dev, (joint, composed) in report.violations:
+            (axis,) = [i for i, x in enumerate(u) if x]
+            assert sum(map(abs, u)) == 1 and dev > 0.0
+            assert joint == bad.apply(vec_add(t, u), s)
+            assert composed == bad.step(axis, bad.apply(t, s), u[axis] > 0)
+            assert composed != joint
 
     def test_endpoints_that_differ_fail_where_weights_agree(self):
         flat = noncommuting_action((1.0, 1.0, 1.0))
@@ -247,10 +252,13 @@ class TestCocycle:
                                    "phi_u.phi_t": report.violations[0][4][1]}
 
     def test_nan_deviation_fails(self, actions, monkeypatch):
-        monkeypatch.setattr(action_module, "rel_dev", lambda a, b: math.nan)
+        monkeypatch.setattr(action_module, "_log_deviation",
+                            lambda *logs: math.nan)
         report = check_cocycle(actions["C4"], 1)
         assert not report.passed
-        assert len(report.violations) == report.checked
+        # every unit pair (t, +-1) evaluated, t in centered(1), at 4 atoms
+        assert len(report.violations) == 4 * 3 * 2
+        assert report.max_rel_deviation == 0.0
 
     def test_report_serializes(self, actions):
         doc = check_cocycle(actions["E2"], 2).as_dict()

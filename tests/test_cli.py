@@ -179,6 +179,15 @@ class TestMaharamVerify:
         _assert_usage_error(code, out, err)
         assert err == f"error: cannot parse m list {spec!r}\n"
 
+    def test_options_are_parsed_before_the_cocycle_check(
+            self, noncommuting_file):
+        # the action fails the cocycle check behind extend; the usage error
+        # comes first, before any check runs
+        code, out, err = _main("maharam-verify", "--action", noncommuting_file,
+                               "--m", "foo")
+        _assert_usage_error(code, out, err)
+        assert err == "error: cannot parse m list 'foo'\n"
+
     def test_empty_rectangle_list_is_a_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text("[]")
@@ -465,12 +474,15 @@ class TestAdditionalSurfaces:
         path.write_text(json.dumps({"atoms": [0, 1],
                                     "weights": [1e-300, 1e300],
                                     "generators": [[1, 0]]}))
-        for command in ("cocycle-check", "maharam-verify"):
-            assert cli.main([command, "--action", str(path)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.count("\n") == 1
-            assert "overflows" in captured.err
+        # the cocycle check takes log-weight differences, so it checks the
+        # action; the skew product's ratio still overflows
+        assert cli.main(["cocycle-check", "--action", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert cli.main(["maharam-verify", "--action", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: weight ratio mu(1) / mu(0) in space "
+                                "'explicit' overflows a float\n")
 
     @pytest.mark.parametrize("argv, line", [
         (("stat", "--g", "ones", "--n", "2"),
@@ -785,18 +797,24 @@ class TestMalformedInput:
             "error: exploration budget exhausted while stepping axis 0 "
             "toward t=(-599999,), 200001 of 1600001 window atoms reached\n")
 
-    @pytest.mark.parametrize("action,radius,pairs", [
-        ("fixture:ST2", 100, 201 ** 4), ("fixture:TR1", 500, 1001 ** 2)])
-    def test_cocycle_pairs_beyond_the_budget_are_refused(self, action,
-                                                         radius, pairs):
-        # the doubled window walks within the budget, but (2r+1)^(2d) pairs
-        # per sample atom do not fit in it
-        code, out, err = _main("cocycle-check", "--action", action,
-                               "--radius", str(radius))
+    def test_cocycle_pairs_beyond_the_budget_are_checked(self):
+        # (2r+1)^(2d) pairs per sample atom need not fit in the budget:
+        # only the walk and the unit pairs take steps
+        code, out, err = _main("cocycle-check", "--action", "fixture:TR1",
+                               "--radius", "500")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["checked"] == 5 * 1001 ** 2
+
+    def test_a_tolerance_below_the_rounding_bound_is_refused(self):
+        # M is that of OD3's lightest atom, of weight 0.4^3: 3 log 2.5
+        code, out, err = _main("cocycle-check", "--action", "fixture:OD3",
+                               "--radius", "4", "--tol", "1e-20")
         _assert_usage_error(code, out, err)
         assert err == (
-            f"error: cocycle check at radius {radius} takes {pairs} pairs "
-            "per sample atom, more than the exploration budget 1000000\n")
+            "error: tolerance 1e-20 is below the rounding bound 6.66e-15 = "
+            "8 (M + 1) epsilon, where M = 2.74887 is the largest |log mu| "
+            "walked\n")
 
 
 _JSON = st.recursive(

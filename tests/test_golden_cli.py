@@ -80,7 +80,7 @@ GOLDEN = {
         'd13eb0cae485c82eb8698b1c3d328719778d49486c009833a46a82112151fdf0',
         0, ''),
     'cocycle-check fixture:OD3': (
-        '598ad1397dcf222c501e2e0f42bc10b36d3b6591a1d230715fa157501902783d',
+        '5b5f757ec4d2a5f6f85045f469a94042b407f11441ddb8c951afd49a4a620d96',
         0, ''),
     'cocycle-check fixture:ST2': (
         '3b460bef3314e2dec97653dec07aa31de69cee3e19a1a4b4ee4697a4f2bcea22',
