@@ -563,7 +563,8 @@ def _unit_misses(action: NsAction, atoms: list, cube: CubeWindow,
     the pair's other atom.  The walk's rows took the last axis's forward
     steps; the other images are asked once per distinct atom, charged to
     ``budget``: at most 2d - 1 steps per atom.  Pairs go axis by axis, in
-    the cube's lex order.
+    the cube's lex order.  An exhausted budget raises
+    :class:`ExplorationLimitError` naming the pair's t (also ``.t``).
     """
     step, last = action.step, action.d - 1
     for axis in range(action.d):
@@ -571,15 +572,21 @@ def _unit_misses(action: NsAction, atoms: list, cube: CubeWindow,
         fwd, inv = {}, {}
         for k in chain.from_iterable(runs):
             a, b = atoms[k], atoms[k + stride]
-            if axis != last:
-                if a not in fwd:
+            try:
+                if axis != last and a not in fwd:
                     budget.spend(axis)
                     fwd[a] = step(axis, a)
-                if fwd[a] != b:
-                    yield k, axis, True, fwd[a]
-            if b not in inv:
-                budget.spend(axis)
-                inv[b] = step(axis, b, False)
+                if b not in inv:
+                    budget.spend(axis)
+                    inv[b] = step(axis, b, False)
+            except ExplorationLimitError as exc:
+                t = cube.vector(k)
+                raise ExplorationLimitError(
+                    f"{exc} checking the unit pair at t={t}, after all "
+                    f"{cube.size} window atoms were reached",
+                    axis=axis, t=t) from None
+            if axis != last and fwd[a] != b:
+                yield k, axis, True, fwd[a]
             if inv[b] != a:
                 yield k + stride, axis, False, inv[b]
 
@@ -722,7 +729,9 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     units = [(u, sum(map(mul, u, cube.strides))) for u in sorted(
         v for v in CubeWindow.centered(1, d) if sum(map(abs, v)) == 1)]
     log_weight = space.log_weight
-    inner, worst_dev, worst, violations, m = None, 0.0, None, [], 0.0
+    # every deviation lies in [0, 1), so the first pair evaluated is the
+    # worst until a larger one comes (a NaN never is)
+    inner, worst_dev, worst, violations, m = None, -1.0, None, [], 0.0
     for s in samples:
         atoms = list(iter_window_orbit(action, s, cube))
         if inner is None:   # the walk has proven the window fits the budget
@@ -756,7 +765,7 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
                 if not dev <= rel_tol:
                     violations.append((t, u, s, dev, None))
     return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,
-                         worst_dev, worst, violations)
+                         max(worst_dev, 0.0), worst, violations)
 
 
 def check_duality(action: NsAction, t, g: L1Function, A: Iterable

@@ -397,15 +397,13 @@ def gather_extension_lhs(ext, m, n):
     return math.fsum(lhs_terms) / window.size
 
 
-def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9,
-                           deviations=None):
+def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9):
     """``check_cocycle`` with one ``rn_derivative`` per (phi_t(s), u) pair.
 
     The per-pair assembly: w_u(phi_t(s)) and phi_u(phi_t(s)) come from their
     own ``apply`` walks, cached only within one sample atom.  A pair whose
     weights agree but whose endpoints phi_{t+u}(s) and phi_u(phi_t(s))
-    differ is a violation with its two images.  A ``deviations`` list gets
-    ``(t, u, s, deviation)`` for every pair, in the order visited.
+    differ is a violation with its two images.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -434,8 +432,6 @@ def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9,
                 joint, lhs = base[vec_add(t, u)]
                 dev = rel_dev(lhs, wt * wu)
                 checked += 1
-                if deviations is not None:
-                    deviations.append((t, u, s, dev))
                 if dev > worst_dev:
                     worst_dev = dev
                     worst = (t, u, s)

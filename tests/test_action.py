@@ -238,6 +238,13 @@ class TestCocycle:
             assert composed == bad.step(axis, bad.apply(t, s), u[axis] > 0)
             assert composed != joint
 
+    def test_a_pass_with_no_deviation_names_its_first_pair(self, actions):
+        # C4's deviations are all exactly 0: the worst is the first pair
+        # evaluated, so whether a report names one does not hang on rounding
+        report = check_cocycle(actions["C4"], 1)
+        assert report.passed and report.max_rel_deviation == 0.0
+        assert report.worst == ((-1,), (-1,), 0)
+
     def test_endpoints_that_differ_fail_where_weights_agree(self):
         flat = noncommuting_action((1.0, 1.0, 1.0))
         report = check_cocycle(flat, 1)

@@ -806,6 +806,17 @@ class TestMalformedInput:
         doc = json.loads(out)
         assert doc["passed"] is True and doc["checked"] == 5 * 1001 ** 2
 
+    def test_unit_pair_budget_names_the_pair(self):
+        # the walk of centered(300) fits the budget; stepping its unit
+        # pairs takes 3 steps per atom, about 1.08e6, and does not
+        code, out, err = _main("cocycle-check", "--action", "zoo:translation",
+                               "--params", "d=2", "--radius", "150")
+        _assert_usage_error(code, out, err)
+        assert err == (
+            "error: exploration budget exhausted while stepping axis 1 "
+            "checking the unit pair at t=(164, 100), after all 361201 "
+            "window atoms were reached\n")
+
     def test_a_tolerance_below_the_rounding_bound_is_refused(self):
         # M is that of OD3's lightest atom, of weight 0.4^3: 3 log 2.5
         code, out, err = _main("cocycle-check", "--action", "fixture:OD3",

@@ -71,25 +71,25 @@ CASES.update({
 # case -> (sha256 of stdout, exit code, stderr)
 GOLDEN = {
     'cocycle-check fixture:C4': (
-        '3f1b85aca8f915f20c1d1e4e328e9a2313457f9a3feacc01729ed3b9cad64f4d',
+        '31560531f0a75eb1d66fcb14feb4246d51d6a64b8d76160f769ab21659f30155',
         0, ''),
     'cocycle-check fixture:E2': (
-        'f3b5d7afc79ff0c87370749d2ffab041549808bd693ef862940c502cb6897267',
+        '27fa0f89ea7d2adca01492c6f0c8081882c57f4a5b61ac97fdd444d6be69355e',
         0, ''),
     'cocycle-check fixture:MIX': (
-        'd13eb0cae485c82eb8698b1c3d328719778d49486c009833a46a82112151fdf0',
+        '6071df27a29d0b6cfd663d390ff0f45ccdd910bb292706b1e3c6f5b6cff21904',
         0, ''),
     'cocycle-check fixture:OD3': (
-        '5b5f757ec4d2a5f6f85045f469a94042b407f11441ddb8c951afd49a4a620d96',
+        '1af00c728b907a213c0fbe51b86753f04ba28b11cceb3a71b24211bf54c7cb0b',
         0, ''),
     'cocycle-check fixture:ST2': (
-        '3b460bef3314e2dec97653dec07aa31de69cee3e19a1a4b4ee4697a4f2bcea22',
+        'e879f793b8dd1cad876a1ad2d6a42e0fff576f09cbab47d3a3c9f3e5617251e6',
         0, ''),
     'cocycle-check fixture:TR1': (
-        '6c64e4881f584395716d443f876e1d21a7fb96e615af34c840a4bf772e7d5894',
+        'b03d4c71af00696322910b6d0de4d71231e1696d4207b5e23e0780aaec7a0bca',
         0, ''),
     'cocycle-check zoo:cyclic N=2x3x2': (
-        'da59674f5e6d746c5ea6002b35130120e0e9fd3ba5fda8c721278394b8c5cf30',
+        'f8fd0438f8c139be9098179ccabf892c401ed959f065bf96b3a8098c4fe557d1',
         0, ''),
     'duality-check fixture:C4': (
         '882f262592ff5a1b8a1d6adecb4e865cc7df6a400dfcffe24443310dd0239914',
