@@ -13,9 +13,16 @@ which is the normal form of a dissipative action.
 
 The window maximum is computed one axis at a time along generator
 orbits: backward walks from the support group its atoms into runs (chains,
-or rings once an orbit closes), and a monotone deque slides the window
-along each run once.  A statistic costs O(size of its result) generator
-steps per axis, so atoms shared by many support points are walked once.
+or rings once an orbit closes).  A chain is zero off its support, so its
+maxima are constant segments: a monotone deque over the support sites
+alone finds where each maximum starts and ends, and each segment is
+filled in one bulk update.  A ring slides a monotone deque over every
+site.  A statistic costs O(size of its result) generator steps per axis,
+so atoms shared by many support points are walked once.
+
+a_n itself needs no division: the integral of max_t (dual_t g) against
+mu is the sum over s of max_t h(phi_t(s)) with h = g * mu, so the
+statistic sums the window maxima of h, correctly rounded by ``fsum``.
 
 The verdict produced here is explicitly a finite-n heuristic label
 ("consistent with"), never a proof.
@@ -27,11 +34,12 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Sequence
 
 from .action import CubeWindow, NsAction, _Budget, iter_window_orbit
 from .errors import DegenerateInputError, InvalidInputError
-from .space import L1Function, atom_key
+from .space import L1Function, atom_key, finite_sum
 
 
 def _slide_max(seq, width):
@@ -49,6 +57,38 @@ def _slide_max(seq, width):
             dq.popleft()
         if j >= width - 1:
             yield seq[dq[0]]
+
+
+def _segments(events, span):
+    """Constant segments of k -> max{v : (p, v) in events, k - span <= p <= k}.
+
+    ``events`` are (position, value) pairs in increasing position; the
+    maximum is 0 where no event lies in [k - span, k].  Yields (x, y, m):
+    the maximum is m on every k in [x, y), left to right, up to the last
+    event's position plus span, leaving out the stretches with no event.
+    A monotone deque holds the events of decreasing value; a maximum holds
+    until its holder leaves the window or a larger value enters, so the
+    work is O(number of events), whatever the length.
+    """
+    dq = deque()
+    x = 0
+    for p, v in events:
+        while dq and dq[0][0] + span < p:
+            y = dq[0][0] + span + 1
+            yield x, y, dq.popleft()[1]
+            x = y
+        if not dq:
+            x = p
+        elif v > dq[0][1]:
+            yield x, p, dq[0][1]
+            x = p
+        while dq and dq[-1][1] <= v:
+            dq.pop()
+        dq.append((p, v))
+    while dq:
+        y = dq[0][0] + span + 1
+        yield x, y, dq.popleft()[1]
+        x = y
 
 
 def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
@@ -83,25 +123,35 @@ def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
         while run is not None:
             chain += run[0]
             run = run[1]
-        vals, period = [f.get(a, 0.0) for a in chain], len(chain)
-        if ring and span >= period - 1:
-            maxima = [max(vals)] * period
-        elif ring:
-            maxima = _slide_max([vals[k % period]
-                                 for k in range(-hi, period - lo)], span + 1)
-        else:
-            cur, budget, ahead = chain[0], _Budget(limit), []
-            for _ in range(-lo):
-                budget.spend(axis)
-                cur = step(axis, cur, True)
-                ahead.append(cur)
-            chain[:0] = ahead[::-1]
-            # no support lies within span sites ahead of the head; the last
-            # -lo sites of the run are past every window, so zip drops them
-            maxima = _slide_max([0.0] * span + vals, span + 1)
-        for a, m in zip(chain, maxima):
+        if ring:
+            vals, period = [f.get(a, 0.0) for a in chain], len(chain)
+            if span >= period - 1:
+                maxima = [max(vals)] * period
+            else:
+                maxima = _slide_max([vals[k % period]
+                                     for k in range(-hi, period - lo)], span + 1)
+            for a, m in zip(chain, maxima):
+                if m > 0.0:
+                    out[a] = m
+            continue
+        # a chain is zero off its support: its maxima are constant segments
+        # between the sites where a support value enters or leaves.  The run
+        # ends span empty sites past its last support site, where the last
+        # segment ends
+        hits = compress(range(len(chain)), map(f.__contains__, chain))
+        events = [(p, f[chain[p]]) for p in hits]
+        cur, budget, ahead = chain[0], _Budget(limit), []
+        for _ in range(-lo):
+            budget.spend(axis)
+            cur = step(axis, cur, True)
+            ahead.append(cur)
+        # site k of the shifted chain takes the maximum over positions
+        # [k - span, k] of the run; no support lies within span sites ahead
+        # of the head, and the last -lo sites of the run are past every window
+        chain[:0] = ahead[::-1]
+        for x, y, m in _segments(events, span):
             if m > 0.0:
-                out[a] = m
+                out.update(zip(chain[x:y], repeat(m)))
     return out
 
 
@@ -133,7 +183,12 @@ def max_dual_function(action: NsAction, g: L1Function,
     docstring), stopping after n - 1 (corner) or 2n (centered) empty sites,
     so it costs O(size of the result) generator steps, plus n forward steps
     per run for the centered window.  The exploration budget is charged per
-    walk and renewed at every absorbed support atom.
+    walk and renewed at every absorbed support atom.  On a chain the maxima
+    come as constant segments, found from the support sites alone.
+
+    This route divides by mu(s) and takes the norm of the quotient, which
+    is why ``extension_stat`` uses it as an assembly independent of
+    :func:`stat_series`.
     """
     space = action.space
     best = _window_maxima(action, g, window)
@@ -196,45 +251,30 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
                 kind: str = "corner") -> StatSeries:
     """Sweep the statistic over an increasing list of window sizes.
 
-    This is the one assembly of a_n, straight from the window maxima.
+    This is the one assembly of a_n, straight from the window maxima:
+    a_n = fsum(max_t h(phi_t(s)) over s) / |window| with h = g * mu, with
+    no weight looked up and no division per atom, so a weight ratio
+    beyond float range never arises.  ``support`` counts the atoms whose
+    window maximum is positive.  A sum that leaves float range raises
+    :class:`InvalidInputError`.
     """
     ns = list(ns)
     if not ns:
         raise InvalidInputError("the list of window sizes is empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidInputError(f"window sizes must be strictly increasing: {ns}")
-    weight = action.space.weight
     series = StatSeries()
     for n in ns:
         t0 = time.perf_counter()
         window = CubeWindow(kind, n, action.d)
-        terms = []
-        for s, m in _window_maxima(action, g, window).items():
-            w = weight(s)
-            v = m / w
-            if not 0.0 <= v < math.inf:
-                if m < math.inf:  # only the division left float range
-                    raise _dual_overflow(action, g, s, m)
-                raise InvalidInputError(
-                    f"function value at atom {s!r} is {v}; "
-                    "values must be finite and nonnegative")
-            if v > 0.0:
-                terms.append(v * w)
+        best = _window_maxima(action, g, window)
+        total = finite_sum(
+            best.values(), f"the sum of the window maxima of g * mu at "
+            f"n = {n} in space {action.space.name!r}")
         ms = (time.perf_counter() - t0) * 1000.0
         series.records.append(StatRecord(
-            n, kind, math.fsum(terms) / window.size, len(terms), ms))
+            n, kind, total / window.size, len(best), ms))
     return series
-
-
-def _dual_overflow(action: NsAction, g: L1Function, s,
-                   m: float) -> InvalidInputError:
-    """The error for a dual value m / mu(s) beyond float range.  It names
-    the first atom y of g's support whose g * mu is the window maximum m."""
-    weight = action.space.weight
-    y = next(y for y in g.support if g(y) * weight(y) == m)
-    return InvalidInputError(
-        f"dual value g({y!r}) * mu({y!r}) / mu({s!r}) in space "
-        f"{action.space.name!r} overflows a float")
 
 
 def sum_dual_partial(action: NsAction, g: L1Function, s, n: int) -> float:

@@ -76,6 +76,18 @@ def rel_dev(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def finite_sum(terms, what: str) -> float:
+    """The correctly rounded sum of nonnegative terms, which must stay in
+    float range; otherwise an :class:`InvalidInputError` names ``what``."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # the partial sums left float range
+        total = math.inf
+    if not total < math.inf:
+        raise InvalidInputError(f"{what} overflows a float")
+    return total
+
+
 class AtomSpace:
     """A sigma-finite purely atomic measure space.
 
@@ -272,7 +284,9 @@ class L1Function:
         self.space = space
         self._values = cleaned
         self._items = tuple(sorted(cleaned.items(), key=lambda kv: atom_key(kv[0])))
-        self.norm = math.fsum(v * space.weight(a) for a, v in self._items)
+        self.norm = finite_sum(
+            (v * space.weight(a) for a, v in self._items),
+            f"the L1 norm of a function on space {space.name!r}")
         self.truncation_error = float(truncation_error)
 
     @classmethod

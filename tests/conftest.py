@@ -367,6 +367,24 @@ def walk_max_dual_function(action, g, window):
     return L1Function(space, acc, truncation_error=g.truncation_error)
 
 
+def walk_window_maxima(action, g, window):
+    """s -> max_{t in window} h(phi_t(s)) with h = g * mu, by a full inverse
+    window walk from every support atom, as a dict of its positive values.
+
+    The integrand of a_n before any division: a_n is the sum of these
+    maxima over the window size.
+    """
+    if g.space is not action.space:
+        raise InvalidInputError("g is defined over a different space")
+    acc: dict = {}
+    for sp, v in g.items():
+        h = v * action.space.weight(sp)
+        for _t, s in recursive_window_orbit(action, sp, window, inverse=True):
+            if h > acc.get(s, 0.0):
+                acc[s] = h
+    return acc
+
+
 def gather_extension_lhs(ext, m, n):
     """The product side of ``extension_stat`` from forward window walks.
 

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, determinism, exit-code mapping, configuration."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -484,26 +485,69 @@ class TestAdditionalSurfaces:
         assert captured.err == ("error: weight ratio mu(1) / mu(0) in space "
                                 "'explicit' overflows a float\n")
 
-    @pytest.mark.parametrize("argv, line", [
-        (("stat", "--g", "ones", "--n", "2"),
-         "dual value g(1) * mu(1) / mu(0) in space 'explicit' overflows"),
-        (("duality-check", "--t", "1", "--g", "ones", "--A", "[0, 1]"),
-         "weight ratio mu(1) / mu(0) in space 'explicit' overflows"),
-    ], ids=["stat", "duality-check"])
-    def test_an_overflowing_ratio_names_its_atoms(self, tmp_path, argv, line):
+    def test_an_overflowing_ratio_names_its_atoms(self, tmp_path):
         # every input value is finite: only the ratio 1e300 / 1e-300 is not
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"atoms": [0, 1],
-                                    "weights": [1e-300, 1e300],
-                                    "generators": [[1, 0]]}))
-        code, out, err = _main(argv[0], "--action", str(path), *argv[1:])
+        path = _swap_file(tmp_path, [1e-300, 1e300])
+        code, out, err = _main("duality-check", "--action", path, "--t", "1",
+                               "--g", "ones", "--A", "[0, 1]")
         _assert_usage_error(code, out, err)
-        assert err == f"error: {line} a float\n"
+        assert err == ("error: weight ratio mu(1) / mu(0) in space "
+                       "'explicit' overflows a float\n")
+
+    def test_stat_sums_a_wide_ratio_without_dividing(self, tmp_path):
+        # a_n sums the window maxima of g * mu, so mu(1) / mu(0) = 1e600
+        # is never formed: both atoms see the maximum 1e300 of the window
+        path = _swap_file(tmp_path, [1e-300, 1e300])
+        code, out, err = _main("stat", "--action", path, "--g", "ones",
+                               "--n", "2")
+        assert (code, err) == (0, "")
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert float(row["a_n"]) == 1e300
+        assert int(row["support"]) == 2
+
+    _NORM = "the L1 norm of a function on space 'explicit'"
+    _SUM = ("the sum of the window maxima of g * mu at n = 2 in space "
+            "'explicit'")
+
+    @pytest.mark.parametrize("command, weights, g, what", [
+        ("duality-check", [1e300, 1e300], "1e10", _NORM),
+        ("stat", [1e300, 1e300], "1e10", _NORM),
+        ("verdict", [1e300, 1e300], "1e10", _NORM),
+        ("stat", [1e308, 1e308], "ones", _NORM),
+        ("duality-check", [1e308, 1e308], "ones", _NORM),
+        # g has the finite norm 1.5e308; the window maxima sum to 3e308
+        ("stat", [1.5e308, 1.0], "ones", _SUM),
+        ("verdict", [1.5e308, 1.0], "ones", _SUM),
+    ], ids=["g-times-mu-duality-check", "g-times-mu-stat",
+            "g-times-mu-verdict", "norm-stat", "norm-duality-check",
+            "window-sum-stat", "window-sum-verdict"])
+    def test_mass_beyond_float_range_is_a_usage_error(
+            self, tmp_path, command, weights, g, what):
+        # a sum that leaves float range fails closed: it is never printed
+        # as Infinity and never ends in a traceback
+        path = _swap_file(tmp_path, weights)
+        if g == "1e10":
+            g = tmp_path / "g.json"
+            g.write_text(json.dumps([{"atom": 0, "value": 1e10}]))
+            g = f"@{g}"
+        rest = {"stat": ("--n", "2"), "verdict": ("--n", "2,4"),
+                "duality-check": ("--t", "1", "--A", "[0, 1]")}[command]
+        code, out, err = _main(command, "--action", path, "--g", g, *rest)
+        _assert_usage_error(code, out, err)
+        assert err == f"error: {what} overflows a float\n"
 
     def test_missing_action_file_is_a_usage_error(self):
         out = run_cli("stat", "--action", "/nowhere/action.json",
                       "--g", "atom:0", "--n", "4")
         assert out.returncode == 2
+
+
+def _swap_file(tmp_path, weights):
+    """An action file: the swap of atoms 0 and 1 with the given weights."""
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"atoms": [0, 1], "weights": weights,
+                                "generators": [[1, 0]]}))
+    return str(path)
 
 
 def _main(*argv):

@@ -1,5 +1,6 @@
 """The maximal-average statistic, partial sums, limits, and verdicts."""
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     random_nonneg_function,
     sample_atoms,
     walk_max_dual_function,
+    walk_window_maxima,
 )
 from nsdyn import zoo
 from nsdyn.action import CubeWindow, NsAction, make_action
@@ -22,6 +24,7 @@ from nsdyn.errors import (
 )
 from nsdyn.hopf import KrengelForm
 from nsdyn.maxstat import (
+    _axis_max,
     conservativity_verdict,
     dissipative_limit,
     max_dual_function,
@@ -356,8 +359,12 @@ def assert_same_maxima(action, g, window):
     assert fast.support == slow.support
     assert fast.to_dict() == slow.to_dict()
     assert fast.truncation_error == slow.truncation_error
-    assert stat_a_n(action, g, window.n, window.kind) == (
-        slow.norm / window.size)
+    # a_n sums the maxima of g * mu directly, with no division, so its
+    # reference is the sum of the walked maxima, not slow.norm
+    best = walk_window_maxima(action, g, window)
+    (record,) = stat_series(action, g, [window.n], window.kind).records
+    assert record.a_n == math.fsum(best.values()) / window.size
+    assert record.support == len(best)
 
 
 class TestWalkOracle:
@@ -399,6 +406,37 @@ class TestWalkOracle:
             for kind in ("corner", "centered"):
                 for n in (1, 2, 5, 9):
                     assert_same_maxima(act, g, CubeWindow(kind, n, act.d))
+
+
+class TestSegmentSweep:
+    """A chain's maxima, one constant segment at a time, agree with a brute
+    maximum over every window of the sequence it carries."""
+
+    TR1 = zoo.build_fixture("TR1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(seq=st.lists(st.none() | st.sampled_from([0.0, 1.0, 2.0, 3.5])
+                        | st.floats(0.0, 10.0), min_size=1, max_size=40),
+           stride=st.sampled_from([1, 1, 2, 7]),
+           kind=st.sampled_from(["corner", "centered"]),
+           n=st.integers(1, 50))
+    def test_maxima_of_every_window(self, seq, stride, kind, n):
+        # TR1 steps s -> s + 1, so the atoms are the sequence positions;
+        # None is off the support, 0.0 a support atom whose value is zero
+        f = {i * stride: v for i, v in enumerate(seq) if v is not None}
+        if not f:
+            return
+        lo, hi = CubeWindow(kind, n, 1).axis_bounds()
+        dense = [f.get(k, 0.0) for k in range(min(f), max(f) + 1)]
+        pad = [0.0] * (hi - lo)
+        padded = pad + dense + pad
+        width = hi - lo + 1
+        expected = {}
+        for i in range(len(padded) - width + 1):
+            m = max(padded[i:i + width])
+            if m > 0.0:
+                expected[min(f) - (hi - lo) + i - lo] = m
+        assert _axis_max(self.TR1, 0, f, lo, hi) == expected
 
 
 class TestWorkCounts:

@@ -192,6 +192,16 @@ class TestL1Function:
         with pytest.raises(InvalidInputError):
             L1Function(space, {0: -1.0})
 
+    @pytest.mark.parametrize("weights, values", [
+        ([1e300, 1e300], {0: 1e10}),          # one term is inf
+        ([1e308, 1e308], {0: 1.0, 1: 1.0}),   # finite terms, inf sum
+    ], ids=["term", "sum"])
+    def test_a_norm_beyond_float_range_is_refused(self, weights, values):
+        space = make_space([0, 1], weights, name="wide")
+        with pytest.raises(InvalidInputError, match="^the L1 norm of a "
+                           "function on space 'wide' overflows a float$"):
+            L1Function(space, values)
+
     def test_foreign_atom_rejected(self):
         space = make_space([0], 1.0)
         with pytest.raises(DomainError):
