@@ -17,7 +17,8 @@ checked each declared inverse), or a walk of centered(2r) from each sample
 whose every unit pair p, p + e_i is stepped: u's axis path from a_t then
 stays inside the cube, so phi_u(a_t) = a_{t+u}.  The check evaluates only
 the unit pairs (t, +-e_i), and a unit pair whose step misses is itself the
-violation, naming both atoms.
+violation, naming both atoms.  After the pass, a block of samples' cubes
+is read from the image tables, one map per cube position.
 
 On a finite space, validation compiles the action from whole tables.  One
 map of each generator and one of its inverse over the atoms give
@@ -50,8 +51,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, product
-from operator import eq, mul
+from itertools import chain, combinations, product, repeat, takewhile
+from operator import eq, ge, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -314,7 +315,7 @@ class NsAction:
         out = {}
         for sp, v in g.items():
             s = phi(sp)
-            ratio = weight(sp) / weight(s)
+            ratio = weight(sp, _member=True) / weight(s)
             if ratio == math.inf:
                 raise _ratio_overflow(self.space, sp, s)
             out[s] = v * ratio
@@ -669,15 +670,43 @@ def _log_deviation(log_wtu: float, log_wt: float, log_wu: float) -> float:
 
 
 def _commute(action: NsAction) -> bool:
-    """Whether T_i T_j a == T_j T_i a at every atom of a finite space."""
-    step, d = action.step, action.d
-    for a in action.space.atoms:
-        images = [step(i, a) for i in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                if step(j, images[i]) != step(i, images[j]):
-                    return False
-    return True
+    """Whether T_i T_j == T_j T_i on a finite space, as whole tables."""
+    atoms = action.space.atoms
+    return all(list(map(g.fwd, map(h.fwd, atoms)))
+               == list(map(h.fwd, map(g.fwd, atoms)))
+               for g, h in combinations(action._gens, 2))
+
+
+# the most table entries, samples times cube positions, in one block
+_BLOCK = 2 ** 12
+
+
+def _table_logs(action: NsAction, block: list, cube: CubeWindow) -> list:
+    """log mu(phi_t(s)) for the t of centered(n) in lex order, each a list
+    over the block, from a Z^d-action's tables: the first t by n inverse
+    maps per axis, each later one by a forward map of t - e_i."""
+    gens, side, strides = action._gens, cube.side, cube.strides
+    rows = [block]
+    for g in gens * cube.n:   # the axes commute
+        rows[0] = list(map(g.inv, rows[0]))
+    for k in range(1, cube.size):
+        axis = max(i for i, st in enumerate(strides) if k // st % side)
+        rows.append(list(map(gens[axis].fwd, rows[k - strides[axis]])))
+    return [list(map(action.space._log_weights.__getitem__, row))
+            for row in rows]
+
+
+def _running_m(m: float, rel_tol: float, highs, lows) -> float:
+    """The running M = max |log mu| after each sample's log weights; the
+    first sample that lifts 8 (M + 1) epsilon above rel_tol is refused."""
+    for hi, lo in zip(highs, lows):
+        m = max(m, hi, -lo)
+        if rel_tol < _ROUNDING * (m + 1.0):
+            raise InvalidInputError(
+                f"tolerance {rel_tol:g} is below the rounding bound "
+                f"{_ROUNDING * (m + 1.0):.3g} = 8 (M + 1) epsilon, where "
+                f"M = {m:.6g} is the largest |log mu| walked")
+    return m
 
 
 def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
@@ -691,10 +720,12 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     the check proves that equality and evaluates only the unit pairs:
 
     * A finite space whose generators commute at every atom carries a
-      Z^d-action, so each sample walks only centered(radius + 1), which
-      holds the unit pairs of centered(radius).  That pass costs d^2 steps
-      per atom (none when d = 1), so it runs only where the samples'
-      doubled cubes have at least as many atoms.
+      Z^d-action, so each sample needs only centered(radius + 1), which
+      holds the unit pairs of centered(radius).  That pass maps the tables
+      four times per pair of axes, so it runs only where the samples'
+      doubled cubes have at least d^2 atoms per atom.  The first sample
+      walks its cube, raising the walk's errors; the others' cubes come
+      from the tables, a block of samples per map (:func:`_table_logs`).
     * Elsewhere, or where the pass fails, each sample walks centered(2
       radius) and steps along every unit pair of it (:func:`_unit_misses`).
       A pair (p, +-e_i) whose step misses is a violation whose images are
@@ -708,20 +739,20 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     are the largest deviation over the pairs evaluated and its first
     holder: per sample, the missing steps, then the unit pairs (t, +-e_i)
     of the walk for t in the window, in t and u lex order.  Violations are
-    report entries; the walk's own errors (budget, an atom outside the
-    space) are raised.
+    report entries, in that order; the walk's own errors (budget, an atom
+    outside the space) are raised, sample by sample.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
-    if samples is None:
-        samples = action.space.exhaustion(2)
-    samples = sorted(samples, key=atom_key)
     space, d = action.space, action.d
+    # S_2, every atom of a finite space, is sorted already
+    samples = (space.exhaustion(2) if samples is None
+               else sorted(samples, key=atom_key))
     window = CubeWindow.centered(radius, d)
     cube = CubeWindow.centered(2 * radius, d)
-    commuting = space.finite and (d == 1 or (
-        len(space.atoms) * d * d <= len(samples) * cube.size
-        and _commute(action)))
+    commuting = (space.finite and (d == 1 or len(space.atoms) * d * d
+                                   <= len(samples) * cube.size)
+                 and _commute(action))
     if commuting:
         cube = CubeWindow.centered(radius + 1, d)
     center = cube.size // 2
@@ -732,17 +763,12 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     # every deviation lies in [0, 1), so the first pair evaluated is the
     # worst until a larger one comes (a NaN never is)
     inner, worst_dev, worst, violations, m = None, -1.0, None, [], 0.0
-    for s in samples:
+    for s in samples[:1] if commuting else samples:
         atoms = list(iter_window_orbit(action, s, cube))
         if inner is None:   # the walk has proven the window fits the budget
             inner = list(zip(window, cube.positions(window)))
         logs = [log_weight(a) for a in atoms]
-        m = max(m, max(logs), -min(logs))
-        if rel_tol < _ROUNDING * (m + 1.0):
-            raise InvalidInputError(
-                f"tolerance {rel_tol:g} is below the rounding bound "
-                f"{_ROUNDING * (m + 1.0):.3g} = 8 (M + 1) epsilon, where "
-                f"M = {m:.6g} is the largest |log mu| walked")
+        m = _running_m(m, rel_tol, [max(logs)], [min(logs)])
         log_s = logs[center]
         for k, axis, forward, image in () if commuting else _unit_misses(
                 action, atoms, cube, _Budget(action.exploration_budget)):
@@ -764,6 +790,36 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
                     worst_dev, worst = dev, (t, u, s)
                 if not dev <= rel_tol:
                     violations.append((t, u, s, dev, None))
+    per = max(1, _BLOCK // cube.size)
+    pairs = ([(t, u, k, off) for t, k in inner or () for u, off in units]
+             if commuting else [])
+    for b in range(1, len(samples) if commuting else 0, per):
+        block = samples[b:b + per]
+        # the samples before a foreign one, whose error follows their bound
+        members = list(takewhile(space.__contains__, block))
+        logs = _table_logs(action, members, cube)
+        m = _running_m(m, rel_tol, map(max, *logs), map(min, *logs))
+        if len(members) < len(block):   # a foreign sample's walk raises
+            iter_window_orbit(action, block[len(members)], cube)
+        # the block's worst: deviation, sample and pair; a tie keeps worst
+        top, found, log_s = (worst_dev, -1, None), [], logs[center]
+        for c, (t, u, k, off) in enumerate(pairs):   # one column each
+            log_tu = logs[k + off]
+            col = list(map(_log_deviation, map(sub, log_tu, log_s),
+                           map(sub, logs[k], log_s), map(sub, log_tu, logs[k])))
+            if all(map(ge, repeat(rel_tol), col)):
+                dev = max(col)
+            else:   # violations, NaNs among them, but a NaN is never worst
+                found += [(j, c, t, u, v) for j, v in enumerate(col)
+                          if not v <= rel_tol]
+                dev = max((v for v in col if v == v), default=math.nan)
+            j = col.index(dev) if dev >= top[0] else len(col)
+            if dev > top[0] or j < top[1]:
+                top = col[j], j, (t, u)
+        if top[2] is not None:
+            worst_dev, worst = top[0], (*top[2], members[top[1]])
+        violations += [(t, u, members[j], v, None)
+                       for j, c, t, u, v in sorted(found)]
     return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,
                          max(worst_dev, 0.0), worst, violations)
 
@@ -791,7 +847,8 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
             raise DomainError(f"set contains atom {a!r} outside the space")
     tvec = as_vec(t, action.d)
     image = action.dual_apply(tvec, g)
-    lhs = math.fsum(image(a) * action.space.weight(a) for a in atoms)
+    lhs = math.fsum(image(a) * action.space.weight(a, _member=True)
+                    for a in atoms)
     phi = _images(action, tvec, atoms)
     forward = sorted({phi(a) for a in atoms}, key=atom_key)
     rhs = math.fsum(g(b) * action.space.weight(b) for b in forward)

@@ -94,15 +94,14 @@ def _segments(events, span):
 def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
     """y -> max_{j in [lo, hi]} f(T_axis^j y) on its support, as a dict."""
     span, step, limit = hi - lo, action.step, action.exploration_budget
+    stop = min(span, limit)   # a walk's budget counts its empty steps
     heads, seen = {}, set()
     for x in f:
         if x in seen:
             continue
         seen.add(x)
         atoms, cur, empties, link, ring = [x], x, 0, None, False
-        budget = _Budget(limit)
-        while empties < span:
-            budget.spend(axis)
+        while empties < stop:
             cur = step(axis, cur, False)
             if cur in f:
                 if cur == x:
@@ -112,10 +111,12 @@ def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
                     link = heads.pop(cur)
                     break
                 seen.add(cur)
-                budget.remaining, empties = limit, 0
+                empties = 0
             else:
                 empties += 1
             atoms.append(cur)
+        if empties == limit < span:   # the next step overdraws the budget
+            _Budget(limit).spend(axis, steps=limit + 1)
         heads[x] = (atoms, link, ring)
     out = {}
     for run in heads.values():
@@ -140,9 +141,9 @@ def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
         # segment ends
         hits = compress(range(len(chain)), map(f.__contains__, chain))
         events = [(p, f[chain[p]]) for p in hits]
-        cur, budget, ahead = chain[0], _Budget(limit), []
+        # the chain's last walk took span <= limit empty steps; -lo <= span
+        cur, ahead = chain[0], []
         for _ in range(-lo):
-            budget.spend(axis)
             cur = step(axis, cur, True)
             ahead.append(cur)
         # site k of the shifted chain takes the maximum over positions

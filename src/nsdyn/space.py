@@ -124,15 +124,16 @@ class AtomSpace:
                 f"space {self.name!r} is infinite; use exhaustion(m)")
         return self._atoms
 
-    def weight(self, atom) -> float:
-        """The measure of a single atom (strictly positive)."""
+    def weight(self, atom, _member: bool = False) -> float:
+        """The measure of a single atom (strictly positive); ``_member``
+        skips the membership test of an atom known to be in the space."""
         if self._weights is not None:
             w = self._weights.get(atom)
             if w is None:
                 raise self._foreign(atom)
             return w
         # a finite space gets here only while make_space fills its weights
-        if not (self.finite or self._contains_fn(atom)):
+        if not (_member or self.finite or self._contains_fn(atom)):
             raise self._foreign(atom)
         w = float(self._weight_fn(atom))
         if not (w > 0.0 and math.isfinite(w)):
@@ -285,7 +286,7 @@ class L1Function:
         self._values = cleaned
         self._items = tuple(sorted(cleaned.items(), key=lambda kv: atom_key(kv[0])))
         self.norm = finite_sum(
-            (v * space.weight(a) for a, v in self._items),
+            (v * space.weight(a, _member=True) for a, v in self._items),
             f"the L1 norm of a function on space {space.name!r}")
         self.truncation_error = float(truncation_error)
 

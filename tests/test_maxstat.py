@@ -484,6 +484,25 @@ class TestExplorationBudget:
         with pytest.raises(ExplorationLimitError):
             stat_a_n(small, indicator(small, [0]), 64)
 
+    @pytest.mark.parametrize("shift,support,steps", [
+        (1, [0], 10),        # ten empty sites below 0, then the raise
+        (-1, [0, 5], 15),    # upward: renewed at 5, then ten more
+    ])
+    def test_an_exhausted_walk_stops_before_its_eleventh_empty_step(
+            self, actions, step_counter, shift, support, steps):
+        tr = actions["TR1"]
+        small = make_action(tr.space,
+                            [(lambda a: a + shift, lambda a: a - shift)],
+                            exploration_budget=10)
+        step_counter[0] = 0
+        with pytest.raises(ExplorationLimitError) as info:
+            stat_a_n(small, indicator(small, support), 64)
+        # a window of 64 needs 63 empty sites past the last support site
+        assert step_counter[0] == steps
+        assert str(info.value) == (
+            "exploration budget exhausted while stepping axis 0")
+        assert (info.value.axis, info.value.t) == (0, None)
+
     def test_budget_is_charged_per_run_not_per_window(self):
         plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
         small = make_action(plane.space,

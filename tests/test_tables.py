@@ -9,27 +9,45 @@ keeps every weight, evaluated once per atom.  On every space a batch of
 images walks each generator chain once and reads a ring of its atoms by
 index, so a whole finite orbit costs one step per atom whatever t.
 Validation builds the tables from one map per direction and must accept,
-and refuse with the same text, what the per-sample loop does.
+and refuse with the same text, what the per-sample loop does.  On a finite
+Z^d-action the cocycle check reads its samples' cubes from the tables: its
+report and its errors must be those of the walk route.
 """
 
 import hashlib
 import json
 import math
+import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    pairwise_check_cocycle,
     per_atom_check_duality,
     per_atom_validate,
     run_cli_inprocess,
 )
-from nsdyn import jsonio, zoo
-from nsdyn.action import check_cocycle, check_duality, make_action
+from nsdyn import action as action_module
+from nsdyn import cli, jsonio, zoo
+from nsdyn.action import (
+    CubeWindow,
+    check_cocycle,
+    check_duality,
+    iter_window_orbit,
+    make_action,
+)
 from nsdyn.maharam import extend, extension_stat
-from nsdyn.errors import ConstructionError, DomainError, ExplorationLimitError
-from nsdyn.space import L1Function, make_space
+from nsdyn.errors import (
+    ConstructionError,
+    DomainError,
+    ExplorationLimitError,
+    ToolkitError,
+)
+from nsdyn.space import L1Function, atom_key, make_space
 
 WEIGHTS = st.floats(0.05, 20.0)
 
@@ -344,6 +362,25 @@ def test_a_unit_duality_check_takes_the_per_atom_steps(step_counter):
         assert step_counter[0] - before == 2 * 21
 
 
+def test_lazy_duality_check_tests_each_membership_once(monkeypatch):
+    action = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+    calls = []
+    contains = action.space._contains_fn
+    monkeypatch.setattr(action.space, "_contains_fn",
+                        lambda a: calls.append(a) or contains(a))
+    monkeypatch.setattr(cli, "load_action", lambda spec, params: action)
+    code, out, _err = run_cli_inprocess(
+        "duality-check", "--action", "zoo:translation", "--params", "d=2",
+        "--t", "10,12", "--g", "exhaustion:20", "--A", "exhaustion:20")
+    assert code == 0 and json.loads(out)["lhs"] == 899.0
+    # g's 1681 atoms as g is built and A's as the check starts; the images
+    # of g's support as dual_apply weighs them and as the dual image is
+    # built; the images of A as rhs weighs them.  Weighing g's support for
+    # its norm and in dual_apply, A in lhs and the dual image for its norm
+    # tested them all again: 9 * 1681 = 15129
+    assert len(calls) == 5 * 41 ** 2 == 8405
+
+
 def test_finite_weights_are_evaluated_once_per_atom():
     calls = []
 
@@ -362,3 +399,130 @@ def test_finite_weights_are_evaluated_once_per_atom():
     lhs, rhs = extension_stat(extend(action), 1, 3)
     assert math.isclose(lhs, rhs, rel_tol=1e-12)
     assert len(calls) == len(atoms)
+
+
+# deviations that depend on the three logs alone, so that both routes give
+# every pair the same value: a mix of passes and violations, or of NaNs and
+# zeros
+DEVIATIONS = {
+    "scrambled": lambda x, y, z: (x + 2.0 * y + 3.0 * z) % 2e-9,
+    "nan": lambda x, y, z: math.nan if (x - z) % 1.0 < 0.5 else 0.0,
+}
+# atoms of no finite zoo space, sorting before, among and after their atoms
+FOREIGN = (-1, 99, "zz", ("zz", "zz"))
+
+
+@st.composite
+def commuting_actions(draw):
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+        weights = draw(st.lists(WEIGHTS, min_size=math.prod(sizes),
+                                max_size=math.prod(sizes)))
+        return zoo.build(zoo.ZooSpec("cyclic", {"N": sizes,
+                                                "weights": weights}))
+    return zoo.build(zoo.ZooSpec("odometer", {
+        "K": draw(st.integers(1, 5)), "d": d,
+        "p": draw(st.floats(0.05, 0.95))}))
+
+
+def _first_error(action, radius, samples, rel_tol, cube):
+    """The error a check walking ``cube`` from each sample raises first:
+    a foreign sample, or a tolerance below 8 (M + 1) epsilon for M the
+    largest |log mu| walked so far."""
+    m = 0.0
+    for s in sorted(samples, key=atom_key):
+        if s not in action.space:
+            return ("DomainError", f"atom {s!r} is not in the space of "
+                                   f"action {action.name!r}")
+        logs = list(map(action.space.log_weight,
+                        iter_window_orbit(action, s, cube)))
+        m = max(m, max(logs), -min(logs))
+        bound = 8 * sys.float_info.epsilon * (m + 1.0)
+        if rel_tol < bound:
+            return ("InvalidInputError",
+                    f"tolerance {rel_tol:g} is below the rounding bound "
+                    f"{bound:.3g} = 8 (M + 1) epsilon, where M = {m:.6g} is "
+                    "the largest |log mu| walked")
+    return None
+
+
+def _routed(action, radius, samples, rel_tol):
+    """``(cube, outcome)``: the cube the check walked first (None if it
+    walked none) and its report as JSON, or its error's type and text."""
+    cubes, walk = [], iter_window_orbit
+
+    def spy(act, s, cube, **kwargs):
+        cubes.append(cube)
+        return walk(act, s, cube, **kwargs)
+
+    with mock.patch.object(action_module, "iter_window_orbit", spy):
+        try:
+            report = check_cocycle(action, radius, samples, rel_tol)
+        except ToolkitError as exc:
+            return cubes[0], (type(exc).__name__, str(exc))
+    return cubes[0] if cubes else None, json.dumps(report.as_dict())
+
+
+@settings(max_examples=200, deadline=None)
+@given(action=commuting_actions(), data=st.data(), radius=st.integers(1, 3),
+       block=st.sampled_from([7, 64, 2 ** 12]),
+       shape=st.sampled_from(["drawn", "drawn", "foreign", "every atom",
+                              "none"]),
+       tamper=st.sampled_from(["none", "none", "log weight", *DEVIATIONS]),
+       rel_tol=st.sampled_from([1e-9, 1e-9, 2e-15, 1e-16]))
+def test_table_route_matches_the_walk_route(action, data, radius, block,
+                                            shape, tamper, rel_tol):
+    space = action.space
+    samples = data.draw(st.lists(st.sampled_from(space.atoms), min_size=1,
+                                 max_size=8))
+    if shape == "foreign":
+        samples.append(data.draw(st.sampled_from(FOREIGN)))
+    elif shape == "every atom" and len(space.atoms) <= 16:
+        samples = None   # already sorted
+    elif shape == "none":
+        samples = []
+    if tamper == "log weight":   # a NaN: its deviations are violations
+        space._log_weights[data.draw(st.sampled_from(space.atoms))] = math.nan
+    deviate = DEVIATIONS.get(tamper, action_module._log_deviation)
+    with mock.patch.object(action_module, "_BLOCK", block), \
+            mock.patch.object(action_module, "_log_deviation", deviate):
+        cube, got = _routed(action, radius, samples, rel_tol)
+        with mock.patch.object(action_module, "_commute", lambda a: False):
+            walk_cube, want = _routed(action, radius, samples, rel_tol)
+    if samples is None:
+        samples = space.atoms
+    if cube is None:   # no sample: nothing walked, nothing checked
+        assert got == want and json.loads(got)["checked"] == 0
+        return
+    # a Z^d-action: the table route's cubes hold only the unit pairs
+    assert walk_cube == CubeWindow.centered(2 * radius, action.d)
+    if action.d == 1:
+        assert cube == CubeWindow.centered(radius + 1, 1)
+    error = _first_error(action, radius, samples, rel_tol, cube)
+    if error is not None or isinstance(got, tuple):
+        assert got == error
+    assert _first_error(action, radius, samples, rel_tol, walk_cube) == (
+        want if isinstance(want, tuple) else None)
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return   # the walk route's larger cube may have a larger M
+    assert got == want
+    if tamper == "none":
+        reference = pairwise_check_cocycle(action, radius, samples, rel_tol)
+        report = json.loads(got)
+        assert report["passed"] and reference.passed
+        assert report["checked"] == reference.checked
+
+
+def test_the_table_route_peaks_below_the_walk_route():
+    od = zoo.build(zoo.ZooSpec("odometer", {"K": 6, "p": 0.4, "d": 2}))
+    tracemalloc.start()
+    try:
+        report = check_cocycle(od, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 4096 * 25 ** 2
+    # a block holds at most 4096 table entries: 83 samples of centered(3);
+    # a centered(3) walk and pair loop per sample peaked at 0.83 MiB
+    assert peak < 0.83 * 2 ** 20

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -336,19 +337,26 @@ def _matches_reference(action, radius, samples=None, rel_tol=1e-9):
     other error is the reference's.  The outcome: "refused", "error",
     "passed" or "failed".
     """
-    walked = []
+    walked = []   # the log weights of the cubes walked or read from tables
 
     def spy(*args, **kwargs):
         atoms = list(iter_window_orbit(*args, **kwargs))
-        walked.extend(atoms)
+        walked.extend(map(action.space.log_weight, atoms))
         return iter(atoms)
 
-    with mock.patch.object(action_module, "iter_window_orbit", spy):
+    def table_spy(*args):
+        logs = table_logs(*args)
+        walked.extend(chain.from_iterable(logs))
+        return logs
+
+    table_logs = action_module._table_logs
+    with mock.patch.object(action_module, "iter_window_orbit", spy), \
+            mock.patch.object(action_module, "_table_logs", table_spy):
         got = _cocycle_outcome(
             lambda: check_cocycle(action, radius, samples, rel_tol))
     refused = isinstance(got, tuple) and "rounding bound" in got[1]
     if refused or not isinstance(got, tuple):
-        m = max((abs(action.space.log_weight(a)) for a in walked), default=0.0)
+        m = max(map(abs, walked), default=0.0)
         bound = ROUNDING * (m + 1.0)
         assert refused is (rel_tol < bound)
     if refused:
@@ -760,13 +768,12 @@ def test_check_cocycle_walks_each_atom_once(step_counter):
     od = zoo.build(zoo.ZooSpec("odometer", {"K": 4, "p": 0.4, "d": 2}))
     step_counter[0] = 0
     check_cocycle(od, 2)
-    # the commutation pass takes T_1 a and T_2 a, then T_2 T_1 a and
-    # T_1 T_2 a: 4 steps at each of the 256 atoms; then each of the 256
-    # samples walks centered(3), which holds the unit pairs of centered(2)
-    # (the pairwise loop took a centered(4) walk per sample and a centered(2)
-    # walk per atom phi_t(s), 39936 steps)
-    assert step_counter[0] == 256 * (2 * 2 + walk_steps(3, 2))
-    assert step_counter[0] == 19456
+    # the commutation pass maps whole tables; the first sample walks
+    # centered(3), which holds the unit pairs of centered(2), and the other
+    # 255 samples read their cubes from the tables (a commutation pass of 4
+    # steps per atom and a centered(3) walk per sample took 19456 steps,
+    # the pairwise loop 39936)
+    assert step_counter[0] == walk_steps(3, 2) == 72
 
 
 def test_a_large_space_with_one_sample_walks_one_cube(step_counter):
@@ -782,9 +789,10 @@ def test_a_large_space_with_one_sample_walks_one_cube(step_counter):
     assert step_counter[0] == walk_steps(2, 2) + 3 * 20 == 96
     assert lattice_walk(grid, (0, 0), cube)[1] == 60
     # from 656 samples on, whose cubes hold 16400 atoms, the commutation
-    # pass runs, and then each sample walks centered(2)
-    for samples, steps in ((655, 655 * 96),
-                           (656, 4096 * 4 + 656 * walk_steps(2, 2))):
+    # pass runs over the tables, and then the first sample walks centered(2)
+    # (a commutation pass of 4 steps per atom and a centered(2) walk per
+    # sample took 4096 * 4 + 656 * 36 = 40000)
+    for samples, steps in ((655, 655 * 96), (656, walk_steps(2, 2))):
         step_counter[0] = 0
         assert check_cocycle(grid, 1, grid.space.atoms[:samples]).passed
         assert step_counter[0] == steps
