@@ -17,8 +17,8 @@ checked each declared inverse), or a walk of centered(2r) from each sample
 whose every unit pair p, p + e_i is stepped: u's axis path from a_t then
 stays inside the cube, so phi_u(a_t) = a_{t+u}.  The check evaluates only
 the unit pairs (t, +-e_i), and a unit pair whose step misses is itself the
-violation, naming both atoms.  After the pass, a block of samples' cubes
-is read from the image tables, one map per cube position.
+violation, naming both atoms.  One pair loop evaluates every cube, walked
+or (after the pass) read from the image tables, one map per position.
 
 On a finite space, validation compiles the action from whole tables.  One
 map of each generator and one of its inverse over the atoms give
@@ -52,7 +52,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat, takewhile
-from operator import eq, ge, mul, sub
+from operator import eq, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -696,17 +696,40 @@ def _table_logs(action: NsAction, block: list, cube: CubeWindow) -> list:
             for row in rows]
 
 
-def _running_m(m: float, rel_tol: float, highs, lows) -> float:
-    """The running M = max |log mu| after each sample's log weights; the
-    first sample that lifts 8 (M + 1) epsilon above rel_tol is refused."""
-    for hi, lo in zip(highs, lows):
-        m = max(m, hi, -lo)
-        if rel_tol < _ROUNDING * (m + 1.0):
+def _sample_cubes(action: NsAction, samples: list, cube: CubeWindow,
+                  commuting: bool, rel_tol: float) -> Iterator[tuple]:
+    """``(s, logs, misses, atoms)`` per sample, in order: log mu at each
+    position of s's walk of the cube, its :func:`_unit_misses` and atoms.
+    On a Z^d-action (``commuting``) only the first sample walks, without
+    misses; the others' logs are read from the tables (:func:`_table_logs`)
+    up to a foreign sample, whose walk raises.  The first sample whose logs
+    lift 8 (M + 1) epsilon above rel_tol, M the running max |log mu|, fails."""
+    space, m, per = action.space, 0.0, max(1, _BLOCK // cube.size)
+
+    def walked():
+        for s in samples[:1] if commuting else samples:
+            atoms = list(iter_window_orbit(action, s, cube))
+            misses = () if commuting else _unit_misses(
+                action, atoms, cube, _Budget(action.exploration_budget))
+            yield s, list(map(space.log_weight, atoms)), misses, atoms
+
+    def read():
+        for b in range(1, len(samples) if commuting else 0, per):
+            block = samples[b:b + per]
+            members = list(takewhile(space.__contains__, block))
+            rows = zip(*_table_logs(action, members, cube))
+            yield from zip(members, rows, repeat(()), repeat(None))
+            if len(members) < len(block):   # a foreign sample's walk raises
+                iter_window_orbit(action, block[len(members)], cube)
+
+    for s, logs, misses, atoms in chain(walked(), read()):
+        m = max(m, max(logs), -min(logs))
+        if rel_tol < (bound := _ROUNDING * (m + 1.0)):
             raise InvalidInputError(
                 f"tolerance {rel_tol:g} is below the rounding bound "
-                f"{_ROUNDING * (m + 1.0):.3g} = 8 (M + 1) epsilon, where "
-                f"M = {m:.6g} is the largest |log mu| walked")
-    return m
+                f"{bound:.3g} = 8 (M + 1) epsilon, where M = {m:.6g} is the "
+                "largest |log mu| walked")
+        yield s, logs, misses, atoms
 
 
 def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
@@ -723,24 +746,25 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
       Z^d-action, so each sample needs only centered(radius + 1), which
       holds the unit pairs of centered(radius).  That pass maps the tables
       four times per pair of axes, so it runs only where the samples'
-      doubled cubes have at least d^2 atoms per atom.  The first sample
-      walks its cube, raising the walk's errors; the others' cubes come
-      from the tables, a block of samples per map (:func:`_table_logs`).
+      doubled cubes have at least d^2 atoms per atom.  Only the first
+      sample walks it; the others' are read from the image tables.
     * Elsewhere, or where the pass fails, each sample walks centered(2
       radius) and steps along every unit pair of it (:func:`_unit_misses`).
       A pair (p, +-e_i) whose step misses is a violation whose images are
       the cube's atom at p +- e_i and T_i^{+-1} of the atom at p.
 
-    The deviations come from log-weight differences, so weights of any
-    span are checked.  Their rounding is below 8 (M + 1) epsilon, for M the
-    largest |log mu| over the atoms walked, so a smaller ``rel_tol`` is an
-    input error.  A unit pair of the window deviating beyond ``rel_tol`` (a
-    NaN included) is a violation too.  ``max_rel_deviation`` and ``worst``
-    are the largest deviation over the pairs evaluated and its first
-    holder: per sample, the missing steps, then the unit pairs (t, +-e_i)
-    of the walk for t in the window, in t and u lex order.  Violations are
-    report entries, in that order; the walk's own errors (budget, an atom
-    outside the space) are raised, sample by sample.
+    One pair loop evaluates every sample's cube (:func:`_sample_cubes`),
+    walked or read.  The deviations are log-weight differences, so weights
+    of any span are checked.  Their rounding is below 8 (M + 1) epsilon,
+    for M the largest |log mu| over the atoms walked, so a smaller
+    ``rel_tol`` is an input error.  A unit pair of the window deviating
+    beyond ``rel_tol`` (a NaN included) is a violation too.
+    ``max_rel_deviation`` and ``worst`` are the largest deviation over the
+    pairs evaluated and its first holder: per sample, the missing steps,
+    then the unit pairs (t, +-e_i) of the walk for t in the window, in t
+    and u lex order.  Violations are report entries, in that order; the
+    walk's own errors (budget, an atom outside the space) are raised,
+    sample by sample.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -759,24 +783,20 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     # the unit vectors u in lex order, each with the offset of t + u from t
     units = [(u, sum(map(mul, u, cube.strides))) for u in sorted(
         v for v in CubeWindow.centered(1, d) if sum(map(abs, v)) == 1)]
-    log_weight = space.log_weight
     # every deviation lies in [0, 1), so the first pair evaluated is the
     # worst until a larger one comes (a NaN never is)
-    inner, worst_dev, worst, violations, m = None, -1.0, None, [], 0.0
-    for s in samples[:1] if commuting else samples:
-        atoms = list(iter_window_orbit(action, s, cube))
+    inner, worst_dev, worst, violations = None, -1.0, None, []
+    for s, logs, misses, atoms in _sample_cubes(action, samples, cube,
+                                                commuting, rel_tol):
         if inner is None:   # the walk has proven the window fits the budget
             inner = list(zip(window, cube.positions(window)))
-        logs = [log_weight(a) for a in atoms]
-        m = _running_m(m, rel_tol, [max(logs)], [min(logs)])
         log_s = logs[center]
-        for k, axis, forward, image in () if commuting else _unit_misses(
-                action, atoms, cube, _Budget(action.exploration_budget)):
+        for k, axis, forward, image in misses:
             sign = 1 if forward else -1
             t, off = cube.vector(k), sign * cube.strides[axis]
             u = tuple(sign * (i == axis) for i in range(d))
             dev = _log_deviation(logs[k + off] - log_s, logs[k] - log_s,
-                                 log_weight(image) - logs[k])
+                                 space.log_weight(image) - logs[k])
             if dev > worst_dev:
                 worst_dev, worst = dev, (t, u, s)
             violations.append((t, u, s, dev, (atoms[k + off], image)))
@@ -790,36 +810,6 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
                     worst_dev, worst = dev, (t, u, s)
                 if not dev <= rel_tol:
                     violations.append((t, u, s, dev, None))
-    per = max(1, _BLOCK // cube.size)
-    pairs = ([(t, u, k, off) for t, k in inner or () for u, off in units]
-             if commuting else [])
-    for b in range(1, len(samples) if commuting else 0, per):
-        block = samples[b:b + per]
-        # the samples before a foreign one, whose error follows their bound
-        members = list(takewhile(space.__contains__, block))
-        logs = _table_logs(action, members, cube)
-        m = _running_m(m, rel_tol, map(max, *logs), map(min, *logs))
-        if len(members) < len(block):   # a foreign sample's walk raises
-            iter_window_orbit(action, block[len(members)], cube)
-        # the block's worst: deviation, sample and pair; a tie keeps worst
-        top, found, log_s = (worst_dev, -1, None), [], logs[center]
-        for c, (t, u, k, off) in enumerate(pairs):   # one column each
-            log_tu = logs[k + off]
-            col = list(map(_log_deviation, map(sub, log_tu, log_s),
-                           map(sub, logs[k], log_s), map(sub, log_tu, logs[k])))
-            if all(map(ge, repeat(rel_tol), col)):
-                dev = max(col)
-            else:   # violations, NaNs among them, but a NaN is never worst
-                found += [(j, c, t, u, v) for j, v in enumerate(col)
-                          if not v <= rel_tol]
-                dev = max((v for v in col if v == v), default=math.nan)
-            j = col.index(dev) if dev >= top[0] else len(col)
-            if dev > top[0] or j < top[1]:
-                top = col[j], j, (t, u)
-        if top[2] is not None:
-            worst_dev, worst = top[0], (*top[2], members[top[1]])
-        violations += [(t, u, members[j], v, None)
-                       for j, c, t, u, v in sorted(found)]
     return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,
                          max(worst_dev, 0.0), worst, violations)
 

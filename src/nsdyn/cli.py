@@ -331,6 +331,8 @@ def _cmd_maharam_verify(opt: _Options, action):
     tol_measure = _positive(opt.get("tol_measure", 1e-9), "--tol-measure")
     tol_extension = _positive(opt.get("tol_extension", 1e-12), "--tol-extension")
     ms = _ints(opt.get("m", "1,2"), "m list")
+    if any(m < 1 for m in ms):
+        raise InvalidInputError(f"exhaustion indices must be >= 1: {ms}")
     ns = parse_ns(opt.get("n", "2,4,8,16"))
     ext = extend(action)  # raises ConstructionError with report on failure
     report = check_measure_preservation(ext, t, rects, rel_tol=tol_measure)

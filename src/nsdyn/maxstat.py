@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .action import CubeWindow, NsAction, _Budget, iter_window_orbit
 from .errors import DegenerateInputError, InvalidInputError
-from .space import L1Function, atom_key, finite_sum
+from .space import L1Function, atom_key, finite_mean
 
 
 def _slide_max(seq, width):
@@ -256,8 +256,14 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
     a_n = fsum(max_t h(phi_t(s)) over s) / |window| with h = g * mu, with
     no weight looked up and no division per atom, so a weight ratio
     beyond float range never arises.  ``support`` counts the atoms whose
-    window maximum is positive.  A sum that leaves float range raises
-    :class:`InvalidInputError`.
+    window maximum is positive.
+
+    Each support atom of h lies in at most |window| of the windows, so
+    a_n <= ||g||_1: once ``L1Function`` has accepted the norm, a_n is a
+    float, even where the sum of the maxima is not.
+    :func:`~nsdyn.space.finite_mean` then sums the maxima scaled by a
+    power of two and scales the quotient back; where the plain sum fits,
+    its bits are those of fsum / |window|.
     """
     ns = list(ns)
     if not ns:
@@ -269,12 +275,11 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
         t0 = time.perf_counter()
         window = CubeWindow(kind, n, action.d)
         best = _window_maxima(action, g, window)
-        total = finite_sum(
-            best.values(), f"the sum of the window maxima of g * mu at "
-            f"n = {n} in space {action.space.name!r}")
+        a_n = finite_mean(
+            best.values(), window.size, f"a_n of g at n = {n} in space "
+            f"{action.space.name!r}")
         ms = (time.perf_counter() - t0) * 1000.0
-        series.records.append(StatRecord(
-            n, kind, total / window.size, len(best), ms))
+        series.records.append(StatRecord(n, kind, a_n, len(best), ms))
     return series
 
 

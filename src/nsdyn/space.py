@@ -88,6 +88,30 @@ def finite_sum(terms, what: str) -> float:
     return total
 
 
+def finite_mean(terms, count: int, what: str) -> float:
+    """fsum(terms) / count for a collection of nonnegative terms.
+
+    Where the sum fits, that is the value, bit for bit.  Where it leaves
+    float range, each term is scaled by 2^-k first, with 2^k above the
+    number of terms, so the scaled sum stays below the largest float; the
+    quotient is scaled back by 2^k.  A quotient that is still beyond float
+    range (or NaN) raises an :class:`InvalidInputError` naming ``what``.
+    """
+    k = 0
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # the partial sums left float range
+        k = len(terms).bit_length()
+        total = math.fsum(math.ldexp(v, -k) for v in terms)
+    try:
+        mean = math.ldexp(total / count, k)
+    except OverflowError:
+        mean = math.inf
+    if not mean < math.inf:
+        raise InvalidInputError(f"{what} overflows a float")
+    return mean
+
+
 class AtomSpace:
     """A sigma-finite purely atomic measure space.
 

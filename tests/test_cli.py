@@ -189,6 +189,25 @@ class TestMaharamVerify:
         _assert_usage_error(code, out, err)
         assert err == "error: cannot parse m list 'foo'\n"
 
+    @pytest.mark.parametrize("spec, ms", [("0", "[0]"), ("2,0,4", "[2, 0, 4]")])
+    def test_an_m_below_one_is_refused_before_extend(self, spec, ms,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "extend", lambda *args: calls.append(args))
+        code, out, err = _main("maharam-verify", "--action", "fixture:C4",
+                               "--m", spec)
+        _assert_usage_error(code, out, err)
+        assert err == f"error: exhaustion indices must be >= 1: {ms}\n"
+        assert calls == []
+
+    def test_an_m_below_one_is_a_usage_error_on_a_failing_action(
+            self, noncommuting_file):
+        # a usage error, not the cocycle report of exit 1
+        code, out, err = _main("maharam-verify", "--action", noncommuting_file,
+                               "--m", "0")
+        _assert_usage_error(code, out, err)
+        assert err == "error: exhaustion indices must be >= 1: [0]\n"
+
     def test_empty_rectangle_list_is_a_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text("[]")
@@ -505,9 +524,23 @@ class TestAdditionalSurfaces:
         assert float(row["a_n"]) == 1e300
         assert int(row["support"]) == 2
 
+    def test_a_n_below_a_finite_norm_is_answered(self, tmp_path):
+        # g has the finite norm 1.5e308 and a_n <= ||g||_1, but the window
+        # maxima sum to 3e308: a_n is summed at a power-of-two scale
+        path = _swap_file(tmp_path, [1.5e308, 1.0])
+        code, out, err = _main("stat", "--action", path, "--g", "ones",
+                               "--n", "2")
+        assert (code, err) == (0, "")
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert float(row["a_n"]) == 1.5e308
+        code, out, err = _main("verdict", "--action", path, "--g", "ones",
+                               "--n", "2,4")
+        assert (code, err) == (0, "")
+        (evidence,) = json.loads(out)["evidence"]
+        assert (evidence["initial_n"], evidence["final_n"]) == (2, 4)
+        assert (evidence["initial"], evidence["final"]) == (1.5e308, 7.5e307)
+
     _NORM = "the L1 norm of a function on space 'explicit'"
-    _SUM = ("the sum of the window maxima of g * mu at n = 2 in space "
-            "'explicit'")
 
     @pytest.mark.parametrize("command, weights, g, what", [
         ("duality-check", [1e300, 1e300], "1e10", _NORM),
@@ -515,12 +548,8 @@ class TestAdditionalSurfaces:
         ("verdict", [1e300, 1e300], "1e10", _NORM),
         ("stat", [1e308, 1e308], "ones", _NORM),
         ("duality-check", [1e308, 1e308], "ones", _NORM),
-        # g has the finite norm 1.5e308; the window maxima sum to 3e308
-        ("stat", [1.5e308, 1.0], "ones", _SUM),
-        ("verdict", [1.5e308, 1.0], "ones", _SUM),
     ], ids=["g-times-mu-duality-check", "g-times-mu-stat",
-            "g-times-mu-verdict", "norm-stat", "norm-duality-check",
-            "window-sum-stat", "window-sum-verdict"])
+            "g-times-mu-verdict", "norm-stat", "norm-duality-check"])
     def test_mass_beyond_float_range_is_a_usage_error(
             self, tmp_path, command, weights, g, what):
         # a sum that leaves float range fails closed: it is never printed

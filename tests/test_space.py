@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from enum import IntEnum
 
 import pytest
@@ -20,6 +21,7 @@ from nsdyn.space import (
     EXPLORATION_BUDGET,
     L1Function,
     atom_key,
+    finite_mean,
     make_space,
     truncate_l1,
 )
@@ -213,6 +215,43 @@ class TestL1Function:
         g = L1Function(space, {0: 2.0, 1: 1.0})
         assert f.add(g).to_dict() == {0: 3.0, 1: 1.0}
         assert g.scale(2.0).norm == 2.0 * g.norm
+
+
+class TestFiniteMean:
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.lists(st.one_of(st.just(0.0), st.floats(1.0, 1.7e308)),
+                          min_size=1, max_size=8),
+           count=st.integers(1, 12))
+    def test_the_quotient_of_the_rounded_sum(self, terms, count):
+        # the sum rounded to 53 bits in an unbounded exponent range (a power
+        # of two scales it exactly), then the quotient rounded
+        k = 4
+        total = float(sum(map(Fraction, terms)) / 2 ** k)
+        want = float(Fraction(total) / count) * 2.0 ** k
+        try:
+            plain = math.fsum(terms) / count
+        except OverflowError:
+            plain = None
+        if want == math.inf:
+            with pytest.raises(InvalidInputError,
+                               match="^the mean overflows a float$"):
+                finite_mean(terms, count, "the mean")
+            return
+        got = finite_mean(terms, count, "the mean")
+        assert got == want
+        if plain is not None:   # where the sum fits, fsum / count bit for bit
+            assert got == plain
+
+    def test_a_sum_beyond_float_range(self):
+        assert finite_mean([1.5e308, 1.5e308], 2, "x") == 1.5e308
+        assert finite_mean([1.5e308, 1.0, 1.5e308], 4, "x") == 7.5e307
+
+    @pytest.mark.parametrize("terms, count", [
+        ([1e308, 1e308], 1), ([math.inf, 1.0], 2), ([math.nan], 1)],
+        ids=["quotient", "inf", "nan"])
+    def test_a_mean_beyond_float_range_is_refused(self, terms, count):
+        with pytest.raises(InvalidInputError, match="^x overflows a float$"):
+            finite_mean(terms, count, "x")
 
 
 class TestIntegrate:

@@ -514,6 +514,23 @@ def test_table_route_matches_the_walk_route(action, data, radius, block,
         assert report["checked"] == reference.checked
 
 
+@pytest.mark.parametrize("block", [64, 256])
+def test_violations_keep_their_order_across_blocks(block):
+    # a NaN log weight makes every unit pair touching its atom a violation,
+    # in the cubes of samples that fall in many blocks of the table route
+    od = zoo.build(zoo.ZooSpec("odometer", {"K": 4, "p": 0.4, "d": 2}))
+    od.space._log_weights[od.space.atoms[100]] = math.nan
+    with mock.patch.object(action_module, "_BLOCK", block):
+        got = check_cocycle(od, 2)
+        with mock.patch.object(action_module, "_commute", lambda a: False):
+            want = check_cocycle(od, 2)
+    per = block // CubeWindow.centered(3, 2).size
+    sampled = sorted({od.space.atoms.index(v[2]) for v in got.violations})
+    assert len({(i - 1) // per for i in sampled}) > 1
+    # violation order, worst and max_rel_deviation, byte for byte
+    assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+
+
 def test_the_table_route_peaks_below_the_walk_route():
     od = zoo.build(zoo.ZooSpec("odometer", {"K": 6, "p": 0.4, "d": 2}))
     tracemalloc.start()
