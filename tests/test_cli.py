@@ -548,8 +548,13 @@ class TestAdditionalSurfaces:
         ("verdict", [1e300, 1e300], "1e10", _NORM),
         ("stat", [1e308, 1e308], "ones", _NORM),
         ("duality-check", [1e308, 1e308], "ones", _NORM),
+        # the window maxima sum to 3e308 here too; as a_n <= ||g||_1, they
+        # leave float range only with the norm, which refuses first
+        ("stat", [1.5e308, 1.5e308], "ones", _NORM),
+        ("verdict", [1.5e308, 1.5e308], "ones", _NORM),
     ], ids=["g-times-mu-duality-check", "g-times-mu-stat",
-            "g-times-mu-verdict", "norm-stat", "norm-duality-check"])
+            "g-times-mu-verdict", "norm-stat", "norm-duality-check",
+            "window-sum-stat", "window-sum-verdict"])
     def test_mass_beyond_float_range_is_a_usage_error(
             self, tmp_path, command, weights, g, what):
         # a sum that leaves float range fails closed: it is never printed
