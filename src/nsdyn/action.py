@@ -67,8 +67,8 @@ from .space import (
     EXPLORATION_BUDGET,
     AtomSpace,
     L1Function,
-    atom_key,
     atom_to_json,
+    sort_atoms,
 )
 
 
@@ -771,7 +771,7 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     space, d = action.space, action.d
     # S_2, every atom of a finite space, is sorted already
     samples = (space.exhaustion(2) if samples is None
-               else sorted(samples, key=atom_key))
+               else sort_atoms(samples))
     window = CubeWindow.centered(radius, d)
     cube = CubeWindow.centered(2 * radius, d)
     commuting = (space.finite and (d == 1 or len(space.atoms) * d * d
@@ -831,7 +831,7 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
     if not g.support:
         raise DegenerateInputError(
             "duality check needs a function g with nonempty support")
-    atoms = sorted(set(A), key=atom_key)
+    atoms = sort_atoms(set(A))
     for a in atoms:
         if a not in action.space:
             raise DomainError(f"set contains atom {a!r} outside the space")
@@ -840,6 +840,6 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
     lhs = math.fsum(image(a) * action.space.weight(a, _member=True)
                     for a in atoms)
     phi = _images(action, tvec, atoms)
-    forward = sorted({phi(a) for a in atoms}, key=atom_key)
+    forward = sort_atoms({phi(a) for a in atoms})
     rhs = math.fsum(g(b) * action.space.weight(b) for b in forward)
     return lhs, rhs, image

@@ -52,7 +52,14 @@ from .action import (
     make_action,
 )
 from .errors import DomainError, ExplorationLimitError, InvalidInputError
-from .space import AtomSpace, L1Function, atom_key, atom_to_json, make_space
+from .space import (
+    AtomSpace,
+    L1Function,
+    atom_key,
+    atom_to_json,
+    make_space,
+    sort_atoms,
+)
 
 CONSERVATIVE = "conservative"
 DISSIPATIVE = "dissipative"
@@ -107,9 +114,8 @@ class HopfDecomposition:
             "radius": self.radius,
             "summary": self.summary(),
             "labels": [
-                {"atom": atom_to_json(a), "label": lbl}
-                for a, lbl in sorted(self.labels.items(),
-                                     key=lambda kv: atom_key(kv[0]))],
+                {"atom": atom_to_json(a), "label": self.labels[a]}
+                for a in sort_atoms(self.labels)],
         }
 
 
@@ -142,7 +148,7 @@ def hopf_decompose(action: NsAction, radius: int,
         raise InvalidInputError("radius must be >= 1")
     if atoms is None:
         atoms = action.space.exhaustion(radius)
-    order = sorted(atoms, key=atom_key)
+    order = sort_atoms(atoms)
     found = {x: lbl for x, lbl, _, _ in _walks(action, radius, order)}
     return HopfDecomposition(radius, {s: found[s] for s in order})
 
@@ -274,7 +280,7 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     atom of one table lies within the radius of a region atom of another:
     the radius is then too small to separate or merge the orbits involved.
     """
-    region = sorted(set(region), key=atom_key)
+    region = sort_atoms(set(region))
     space = action.space
     for s in region:
         if s not in space:
@@ -377,7 +383,7 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     tables: dict = {w: {} for w in form.representatives}
     for (w, t), img in form.phi.items():
         tables.setdefault(w, {})[t] = img
-    reps = sorted(tables, key=atom_key)
+    reps = sort_atoms(tables)
     for w in reps:
         missing = [t for t in full if t not in tables[w]][:1]
         if missing or len(tables[w]) != full.size:

@@ -215,8 +215,10 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
             w = _weight_ratio(space, s, log_s, a, log_a)
             if w > best.get(s, 0.0):
                 best[s] = w
-    lhs = math.fsum(space.weight(s) * m * best[s]
-                    for s in sorted(best, key=atom_key)) / window.size
+    # fsum rounds the exact sum of these nonnegative terms once, so their
+    # order cannot change its bits; every s had its weight read in the walk
+    lhs = math.fsum(space.weight(s, _member=True) * m * best[s]
+                    for s in best) / window.size
 
     # base-side assembly through the maximal statistic
     indicator = L1Function.indicator(space, s_m)

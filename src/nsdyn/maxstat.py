@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .action import CubeWindow, NsAction, _Budget, iter_window_orbit
 from .errors import DegenerateInputError, InvalidInputError
-from .space import L1Function, atom_key, finite_mean
+from .space import L1Function, finite_mean, sort_atoms
 
 
 def _slide_max(seq, width):
@@ -319,7 +319,7 @@ def dissipative_limit(form, f: L1Function) -> float:
             fiber_max[w] = v
     tau = form.W.weight
     return math.fsum(tau(w) * fiber_max[w]
-                     for w in sorted(fiber_max, key=atom_key))
+                     for w in sort_atoms(fiber_max))
 
 
 @dataclass

@@ -15,7 +15,7 @@ tail bound.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -51,6 +51,40 @@ def atom_key(atom):
     if isinstance(atom, tuple):
         return (2, tuple(map(atom_key, atom)))
     return (3, repr(atom))
+
+
+#: the exact atom types whose native ``<`` agrees with :func:`atom_key`
+_NATIVE_TYPES = frozenset((int, float, bool, str))
+
+
+def sort_atoms(atoms) -> list:
+    """The atoms in the package's one order, that of :func:`atom_key`.
+
+    The native ``sorted(atoms)`` runs when the exact type of every atom is
+    int, float, bool or str, or every atom is a tuple whose elements have
+    exact types from that list; ``sorted(atoms, key=atom_key)`` runs for
+    every other input, and when the native sort raises ``TypeError`` (an
+    int and a str met at a deciding position).  Both give the same list,
+    the same objects in the same order, ties such as ``1`` and ``True``
+    included.  For two atoms of these types the native ``<`` either raises
+    or returns the same boolean as ``atom_key(x) < atom_key(y)``: numbers
+    and bools compare by value in both routes, strings lexicographically,
+    and tuples lexicographically, where ``==`` with its identity shortcut
+    decides the common prefix in both (so NaN behaves alike too).  Timsort
+    is deterministic given its comparison results, so the routes agree.
+    Subclasses (``IntEnum``, str subclasses), ``None`` and nested tuples
+    take ``atom_key``, because a subclass may define its own ``<``.
+    """
+    atoms = list(atoms)
+    kinds = set(map(type, atoms))
+    if kinds == {tuple}:
+        kinds = set(map(type, chain.from_iterable(atoms)))
+    if kinds <= _NATIVE_TYPES:
+        try:
+            return sorted(atoms)
+        except TypeError:   # an int met a str: atom_key puts numbers first
+            pass
+    return sorted(atoms, key=atom_key)
 
 
 def atom_to_json(atom):
@@ -197,7 +231,7 @@ class AtomSpace:
             raise ExplorationLimitError(
                 f"exhaustion set S_{m} of space {self.name!r} has more "
                 f"than {EXPLORATION_BUDGET} atoms")
-        s_m = tuple(sorted(atoms, key=atom_key))
+        s_m = tuple(sort_atoms(atoms))
         self._exh_cache = (m, s_m)
         return s_m
 
@@ -244,12 +278,20 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
             raise ConstructionError(
                 f"finite space {name!r} takes no exhaustion; its exhaustion "
                 "is the whole atom list")
-        sorted_atoms = tuple(sorted(given, key=atom_key))
+        sorted_atoms = tuple(sort_atoms(given))
         if len(set(sorted_atoms)) != len(sorted_atoms):
             raise ConstructionError("duplicate atom ids in atom list")
         space = AtomSpace(name, True, sorted_atoms, weight_fn, None, None)
-        # each weight is evaluated and checked once, here, naming a bad atom
-        masses = [space.weight(a) for a in sorted_atoms]
+        # every weight evaluated and checked in one pass; on any fault the
+        # per-atom loop runs the rule again and names the first bad atom
+        try:
+            masses = list(map(float, map(weight_fn, sorted_atoms)))
+            valid = (all(map(math.isfinite, masses))
+                     and min(masses, default=1.0) > 0.0)
+        except Exception:
+            valid = False
+        if not valid:
+            masses = [space.weight(a) for a in sorted_atoms]
         space._weights = dict(zip(sorted_atoms, masses))
         space._log_weights = dict(zip(sorted_atoms, map(math.log, masses)))
         return space
@@ -308,7 +350,8 @@ class L1Function:
                 cleaned[atom] = v
         self.space = space
         self._values = cleaned
-        self._items = tuple(sorted(cleaned.items(), key=lambda kv: atom_key(kv[0])))
+        order = sort_atoms(cleaned)
+        self._items = tuple(zip(order, map(cleaned.__getitem__, order)))
         self.norm = finite_sum(
             (v * space.weight(a, _member=True) for a, v in self._items),
             f"the L1 norm of a function on space {space.name!r}")

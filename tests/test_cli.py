@@ -254,6 +254,20 @@ class TestHopf:
         out = run_cli("hopf", "--action", "fixture:MIX", "--radius", "0")
         assert out.returncode == 2
 
+    def test_mixed_atoms_are_listed_numbers_strings_tuples(self, tmp_path,
+                                                           capsys):
+        # ints, a str and a tuple: the native sort raises, atom_key orders
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({
+            "atoms": [2, "b", [0, 1], 1], "weights": [1, 2, 4, 8],
+            "generators": [["b", [0, 1], 1, 2]]}))
+        assert cli.main(["hopf", "--action", str(path), "--radius", "4"]) == 0
+        labels = json.loads(capsys.readouterr().out)["labels"]
+        assert [x["atom"] for x in labels] == [1, 2, "b", [0, 1]]
+        assert cli.main(["duality-check", "--action", str(path), "--t", "3",
+                         "--g", "ones", "--A", '[1, "b", [0, 1]]']) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
 
 class TestKrengel:
     def test_translation_normal_form(self):

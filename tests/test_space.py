@@ -17,12 +17,15 @@ from nsdyn.errors import (
     InvalidInputError,
     UnsupportedInputError,
 )
+from nsdyn import space as space_module
 from nsdyn.space import (
     EXPLORATION_BUDGET,
+    AtomSpace,
     L1Function,
     atom_key,
     finite_mean,
     make_space,
+    sort_atoms,
     truncate_l1,
 )
 
@@ -69,6 +72,25 @@ class TestMakeSpace:
     def test_zero_weight_names_the_atom(self):
         with pytest.raises(ConstructionError, match="'bad'"):
             make_space(["ok", "bad"], {"ok": 1.0, "bad": 0.0})
+
+    @pytest.mark.parametrize("bad, exc, message", [
+        (0.0, ConstructionError, "weight of atom 1 in space 'sp' is 0.0; "
+         "weights must be strictly positive and finite"),
+        (math.nan, ConstructionError, "weight of atom 1 in space 'sp' is "
+         "nan; weights must be strictly positive and finite"),
+        (math.inf, ConstructionError, "weight of atom 1 in space 'sp' is "
+         "inf; weights must be strictly positive and finite"),
+        (None, KeyError, "1"),
+    ], ids=["zero", "nan", "inf", "missing"])
+    def test_the_first_bad_weight_in_atom_order_is_named(self, bad, exc,
+                                                         message):
+        # atoms 1 and 2 are both faulty, given in reverse order
+        weights = {0: 1.0, 3: 1.0}
+        if bad is not None:
+            weights.update({1: bad, 2: bad})
+        with pytest.raises(exc) as info:
+            make_space([3, 2, 1, 0], weights, name="sp")
+        assert str(info.value) == message
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConstructionError):
@@ -156,23 +178,64 @@ class Label(str):
     pass
 
 
-# every scalar kind atom_key orders, with the int and str subclasses that its
-# exact-type tests send down the isinstance chain
+# the exact scalar types sort_atoms may sort natively
+SCALARS = (st.integers(-3, 3) | st.text(max_size=2) | st.booleans()
+           | st.floats(-3, 3) | st.floats())
+
+# every scalar kind atom_key orders, NaN and None included, with the int and
+# str subclasses that its exact-type tests send down the isinstance chain
 NESTED_ATOMS = st.recursive(
-    st.integers() | st.text(max_size=3) | st.booleans()
-    | st.floats(allow_nan=False) | st.sampled_from(Colour)
+    SCALARS | st.none() | st.sampled_from(Colour)
     | st.text(max_size=3).map(Label),
     lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(NESTED_ATOMS, max_size=8))
+@given(st.lists(NESTED_ATOMS, max_size=8)
+       | st.lists(SCALARS, max_size=8)
+       | st.lists(st.lists(SCALARS, max_size=3).map(tuple), max_size=8))
 def test_atom_key_equals_its_recursive_form(atoms):
     for atom in atoms:
         assert atom_key(atom) == recursive_atom_key(atom)
     by_key = sorted(atoms, key=atom_key)
     by_chain = sorted(atoms, key=recursive_atom_key)
     assert list(map(id, by_key)) == list(map(id, by_chain))
+    # the native route, where it runs, gives the very same list
+    assert list(map(id, sort_atoms(atoms))) == list(map(id, by_key))
+
+
+@pytest.mark.parametrize("atoms", [
+    [1, "a", (0,), 2.5, "b"],
+    [2, "b", 1.5, "a", True],
+    [(1, "a"), (0, 2), (1, 2), (0, "b")],
+], ids=["mixed-kinds", "scalars", "tuples"])
+def test_a_native_sort_that_raises_gives_the_atom_key_order(atoms):
+    with pytest.raises(TypeError):
+        sorted(atoms)
+    assert list(map(id, sort_atoms(atoms))) == list(
+        map(id, sorted(atoms, key=atom_key)))
+
+
+def test_a_finite_build_calls_neither_atom_key_nor_weight(monkeypatch):
+    calls = {"atom_key": 0, "weight": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(space_module, "atom_key",
+                        counted("atom_key", space_module.atom_key))
+    monkeypatch.setattr(AtomSpace, "weight",
+                        counted("weight", AtomSpace.weight))
+    action = zoo.build(zoo.ZooSpec("odometer", {"K": 6, "p": 0.4, "d": 2}))
+    assert len(action.space.atoms) == 4096
+    assert calls == {"atom_key": 0, "weight": 0}
+    # the spies do count: a mixed list takes atom_key, a lookup is a call
+    sort_atoms([1, "a"])
+    action.space.weight(action.space.atoms[0])
+    assert calls == {"atom_key": 2, "weight": 1}
 
 
 class TestL1Function:
