@@ -61,7 +61,6 @@ from .space import (
     atom_key,
     make_space,
     rel_dev,
-    sort_atoms,
     truncate_l1,
 )
 from .zoo import FIXTURES, GroundTruth, ZooSpec, build, build_fixture, ground_truth

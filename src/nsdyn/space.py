@@ -282,16 +282,8 @@ def make_space(atoms=None, weights=None, *, exhaustion=None, contains=None,
         if len(set(sorted_atoms)) != len(sorted_atoms):
             raise ConstructionError("duplicate atom ids in atom list")
         space = AtomSpace(name, True, sorted_atoms, weight_fn, None, None)
-        # every weight evaluated and checked in one pass; on any fault the
-        # per-atom loop runs the rule again and names the first bad atom
-        try:
-            masses = list(map(float, map(weight_fn, sorted_atoms)))
-            valid = (all(map(math.isfinite, masses))
-                     and min(masses, default=1.0) > 0.0)
-        except Exception:
-            valid = False
-        if not valid:
-            masses = [space.weight(a) for a in sorted_atoms]
+        # each weight is evaluated and checked once, here, naming a bad atom
+        masses = [space.weight(a) for a in sorted_atoms]
         space._weights = dict(zip(sorted_atoms, masses))
         space._log_weights = dict(zip(sorted_atoms, map(math.log, masses)))
         return space

@@ -256,7 +256,7 @@ class TestHopf:
 
     def test_mixed_atoms_are_listed_numbers_strings_tuples(self, tmp_path,
                                                            capsys):
-        # ints, a str and a tuple: the native sort raises, atom_key orders
+        # ints, a str and a tuple fail the type check: atom_key orders them
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps({
             "atoms": [2, "b", [0, 1], 1], "weights": [1, 2, 4, 8],
