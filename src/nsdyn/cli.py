@@ -13,9 +13,11 @@ report is still written), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 
 from . import jsonio, maxstat, zoo
@@ -388,95 +390,85 @@ def _cmd_zoo(opt: _Options, _action):
     return 0, _dump(zoo.zoo_list())
 
 
-_HANDLERS = {
-    "stat": _cmd_stat,
-    "verdict": _cmd_verdict,
-    "cocycle-check": _cmd_cocycle_check,
-    "duality-check": _cmd_duality_check,
-    "maharam-verify": _cmd_maharam_verify,
-    "hopf": _cmd_hopf,
-    "krengel": _cmd_krengel,
-    "zoo": _cmd_zoo,
+# ---------------------------------------------------------------------------
+# the command table: name -> (help, handler, argument specs), each spec a
+# (flag, add_argument kwargs) pair; every subcommand takes _COMMON first
+
+_COMMON = (
+    ("--action", {"help": "zoo:<builder>, fixture:<name>, or a JSON action "
+                  "file"}),
+    ("--params", {"help": "builder parameters, key=value pairs"}),
+    ("--config", {"help": "JSON file of option defaults"}),
+    ("--out", {"help": "output path (relative paths resolve against "
+               f"${OUT_DIR_ENV})"}),
+)
+_N = ("--n", {"help": "comma separated increasing window sizes"})
+_WINDOW = ("--window", {"choices": ["corner", "centered"]})
+_RADIUS = ("--radius", {"type": int})
+_TOL = ("--tol", {"type": float})
+
+_COMMANDS = {
+    "stat": ("maximal-average statistic series as CSV", _cmd_stat, (
+        ("--g", {"help": "function spec: atom:<id>, ones, exhaustion:<m>, "
+                 "@file.json"}),
+        _N, _WINDOW,
+        ("--timing", {"action": "store_const", "const": True, "help": "write "
+                      "measured wall times (breaks byte determinism)"}))),
+    "verdict": ("conservativity verdict as JSON", _cmd_verdict, (
+        ("--g", {"action": "append", "help": "function spec; repeat for a "
+                 "sequence with increasing supports"}),
+        _N, _WINDOW,
+        ("--theta-dec", {"type": float}),
+        ("--theta-stab", {"type": float}))),
+    "cocycle-check": ("cocycle identity report", _cmd_cocycle_check,
+                      (_RADIUS, _TOL)),
+    "duality-check": ("duality pair and L1 isometry", _cmd_duality_check, (
+        ("--t", {"help": "group element, comma separated ints"}),
+        ("--g", {"help": "function spec"}),
+        ("--A", {"dest": "set", "help": "JSON atom array or exhaustion:<m>"}),
+        _TOL)),
+    "maharam-verify": ("skew-product measure preservation and the extension "
+                       "statistic table", _cmd_maharam_verify, (
+        ("--t", {"help": "group element for the rectangle check"}),
+        ("--rects", {"help": "'auto' or a JSON rectangle file"}),
+        ("--m", {"help": "comma separated exhaustion indices"}),
+        ("--n", {"help": "comma separated window sizes"}),
+        ("--tol-measure", {"type": float}),
+        ("--tol-extension", {"type": float}))),
+    "hopf": ("conservative/dissipative labels", _cmd_hopf, (_RADIUS,)),
+    "krengel": ("translation normal form plus its equivalence report",
+                _cmd_krengel, (
+        ("--region", {"help": "JSON atom array or exhaustion:<m>"}),
+        _RADIUS,
+        ("--verify-form", {"help": "verify an existing form JSON instead of "
+                           "building one"}))),
+    "zoo": ("enumerate builders and fixtures", _cmd_zoo,
+            (("what", {"nargs": "?"}),)),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, but with its arguments only when
+    ``argv`` is None or holds its name (argparse picks a subcommand by its
+    exact name).  The terminal width is read once, not per formatter."""
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="nsdyn",
+        prog="nsdyn", formatter_class=formatter,
         description="Exact diagnostics for nonsingular Z^d-actions on "
                     "atomic measure spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--action", help="zoo:<builder>, fixture:<name>, or a "
-                       "JSON action file")
-        p.add_argument("--params", help="builder parameters, key=value pairs")
-        p.add_argument("--config", help="JSON file of option defaults")
-        p.add_argument("--out", help="output path (relative paths resolve "
-                       f"against ${OUT_DIR_ENV})")
-
-    p = sub.add_parser("stat", help="maximal-average statistic series as CSV")
-    common(p)
-    p.add_argument("--g", help="function spec: atom:<id>, ones, "
-                   "exhaustion:<m>, @file.json")
-    p.add_argument("--n", help="comma separated increasing window sizes")
-    p.add_argument("--window", choices=["corner", "centered"])
-    p.add_argument("--timing", action="store_const", const=True,
-                   help="write measured wall times (breaks byte determinism)")
-
-    p = sub.add_parser("verdict", help="conservativity verdict as JSON")
-    common(p)
-    p.add_argument("--g", action="append", help="function spec; repeat for "
-                   "a sequence with increasing supports")
-    p.add_argument("--n", help="comma separated increasing window sizes")
-    p.add_argument("--window", choices=["corner", "centered"])
-    p.add_argument("--theta-dec", dest="theta_dec", type=float)
-    p.add_argument("--theta-stab", dest="theta_stab", type=float)
-
-    p = sub.add_parser("cocycle-check", help="cocycle identity report")
-    common(p)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("duality-check", help="duality pair and L1 isometry")
-    common(p)
-    p.add_argument("--t", help="group element, comma separated ints")
-    p.add_argument("--g", help="function spec")
-    p.add_argument("--A", dest="set", help="JSON atom array or exhaustion:<m>")
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("maharam-verify",
-                       help="skew-product measure preservation and the "
-                            "extension statistic table")
-    common(p)
-    p.add_argument("--t", help="group element for the rectangle check")
-    p.add_argument("--rects", help="'auto' or a JSON rectangle file")
-    p.add_argument("--m", help="comma separated exhaustion indices")
-    p.add_argument("--n", help="comma separated window sizes")
-    p.add_argument("--tol-measure", dest="tol_measure", type=float)
-    p.add_argument("--tol-extension", dest="tol_extension", type=float)
-
-    p = sub.add_parser("hopf", help="conservative/dissipative labels")
-    common(p)
-    p.add_argument("--radius", type=int)
-
-    p = sub.add_parser("krengel", help="translation normal form plus its "
-                       "equivalence report")
-    common(p)
-    p.add_argument("--region", help="JSON atom array or exhaustion:<m>")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--verify-form", dest="verify_form",
-                   help="verify an existing form JSON instead of building one")
-
-    p = sub.add_parser("zoo", help="enumerate builders and fixtures")
-    common(p)
-    p.add_argument("what", nargs="?", default=None)
-
+    for name, (help_text, _handler, specs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        if argv is None or name in argv:
+            for flag, kwargs in _COMMON + specs:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     opt = _Options(args, {})
     try:
@@ -486,7 +478,7 @@ def main(argv=None) -> int:
         opt = _Options(args, config)
         action = None if args.command == "zoo" else load_action(
             opt.require("action", "--action"), opt.get("params", ""))
-        code, text = _HANDLERS[args.command](opt, action)
+        code, text = _COMMANDS[args.command][1](opt, action)
         _emit(text, opt.get("out"))
         return code
     except ConstructionError as exc:

@@ -1,10 +1,12 @@
 """CLI behaviour: outputs, determinism, exit-code mapping, configuration."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -598,16 +600,21 @@ def _swap_file(tmp_path, weights):
     return str(path)
 
 
-def _main(*argv):
-    """Run the CLI in process: (exit code, stdout, stderr), with argparse's
-    own exit taken as the exit code."""
+def _captured(run, *args):
+    """``run(*args)`` in process: (exit code, stdout, stderr), with
+    argparse's own exit taken as the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(argv))
+            code = run(*args)
         except SystemExit as exc:  # argparse refused the command line
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _main(*argv):
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    return _captured(cli.main, list(argv))
 
 
 # a radius-2 Krengel form of TR1 that verifies
@@ -1017,12 +1024,16 @@ def _command_lines(draw):
     return command, action, argv
 
 
+def _subparsers(parser):
+    """``parser``'s subcommand parsers by name."""
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
 def _config_keys(command):
     """The option keys a config file may set for ``command``, but --out,
     whose random path would be written to."""
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if a.dest == "command")
-    return sorted(a.dest for a in commands.choices[command]._actions
+    options = _subparsers(cli.build_parser())[command]._actions
+    return sorted(a.dest for a in options
                   if a.dest not in ("help", "config", "out"))
 
 
@@ -1084,3 +1095,72 @@ class TestFuzzedDocuments:
             with open(path, "w") as fh:
                 json.dump(config, fh)
             self.check(command, *action, *flags, "--config", path)
+
+
+def _refused_lines():
+    """Command lines argparse answers itself: the top-level help, no
+    command, an unknown command, and per subcommand its help, an unknown
+    flag and a bad value for each option with a type or choices."""
+    lines = [["--help"], [], ["bogus"]]
+    for name, sub in _subparsers(cli.build_parser()).items():
+        lines += [[name, "--help"], [name, "--no-such-flag"]]
+        lines += [[name, a.option_strings[0], "x"] for a in sub._actions
+                  if a.type or a.choices]
+    return lines
+
+
+class TestParserBuild:
+    """``main`` builds only the arguments of the subcommand it parses, and
+    answers every command line as the parser of all subcommands does."""
+
+    @pytest.mark.parametrize("argv", _refused_lines(),
+                             ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_answers_as_the_full_parser(self, argv, monkeypatch):
+        answers = {}
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            # argparse's own formatter reads the width for itself
+            full = cli.build_parser()
+            for parser in (full, *_subparsers(full).values()):
+                parser.formatter_class = argparse.HelpFormatter
+            full = _captured(full.parse_args, argv)
+            assert _main(*argv) == full
+            assert full[0] in (0, 2) and full[1] + full[2]
+            answers[columns] = full
+        if "--help" in argv:  # the help is wrapped at each call's width
+            assert answers["60"] != answers["200"]
+
+    def test_one_call_reads_the_width_once_and_builds_one_command(
+            self, monkeypatch):
+        widths, parsers = [], []
+        read_width, build = shutil.get_terminal_size, cli.build_parser
+
+        def counted_width(*args):
+            widths.append(args)
+            return read_width(*args)
+
+        def kept_parser(argv=None):
+            parsers.append(build(argv))
+            return parsers[-1]
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted_width)
+        monkeypatch.setattr(cli, "build_parser", kept_parser)
+        code, out, err = _main("hopf", "--action", "fixture:TR1",
+                               "--radius", "4")
+        assert (code, err) == (0, "") and json.loads(out)["summary"]
+        assert len(widths) == 1
+        (parser,) = parsers
+        assert {name: [a.dest for a in sub._actions]
+                for name, sub in _subparsers(parser).items()} == {
+            **{name: ["help"] for name in cli._COMMANDS},
+            "hopf": ["help", "action", "params", "config", "out", "radius"]}
+
+    def test_no_argv_parses_sys_argv(self, monkeypatch):
+        argv = ["hopf", "--action", "fixture:TR1", "--radius", "3"]
+        expected = _main(*argv)
+        assert expected[0] == 0 and expected[1]
+        monkeypatch.setattr(sys, "argv", ["nsdyn", *argv])
+        assert _captured(cli.main) == expected
+        assert _captured(cli.main, tuple(argv)) == expected
+        monkeypatch.setattr(sys, "argv", ["nsdyn", "bogus"])
+        assert _captured(cli.main) == _main("bogus")
