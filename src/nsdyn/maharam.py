@@ -22,15 +22,19 @@ of the base, so the pair is returned rather than one number computed twice.
 The product side enumerates its pairs (s, phi_t(s)) with phi_t(s) in S_m
 from S_m itself: they are the pairs (phi_{-t}(a), a) for a in S_m, so one
 inverse window walk per atom of S_m, |S_m| * (n^d - 1) generator steps,
-reaches every term of the fiber integral.  phi_{-t} inverts phi_t only when
-the generators commute; ``extend`` checks that, with the cocycle, on the
-centered window of radius 2 before any statistic is taken.
+reaches every term of the fiber integral.  The maximum over t for one s is
+mu(a) / mu(s) for the heaviest a whose walk reaches s, so the product side
+takes one weight ratio per base atom: that of the heaviest S_m atom whose
+walk reaches it.  phi_{-t} inverts phi_t only when the generators commute;
+``extend`` checks that, with the cocycle, on the centered window of radius 2
+before any statistic is taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .action import (CubeWindow, NsAction, _images, _weight_ratio, as_vec,
@@ -114,6 +118,10 @@ def push_rect(ext: MaharamAction, t, r: Rect) -> Rect:
 def _pushed(space, r: Rect, end) -> Rect:
     """The image of r whose atom goes to ``end``: the fiber scales by 1 / w."""
     w = _weight_ratio(space, r.atom, space.log_weight(r.atom), end)
+    if w == 0.0:
+        raise InvalidInputError(
+            f"weight ratio mu({end!r}) / mu({r.atom!r}) in space "
+            f"{space.name!r} underflows a float")
     return Rect(end, r.a / w, r.b / w)
 
 
@@ -185,9 +193,11 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
     * ``lhs`` integrates the product side directly: for each base atom s the
       fiber contribution is m * max_t [w_t(s) * 1_{S_m}(phi_t(s))] over the
       corner window, summed against mu and divided by n^d.  The atoms s
-      with a nonzero term are the phi_{-t}(a) for a in S_m, so the maxima
-      come from one inverse window walk per a, |S_m| * (n^d - 1) generator
-      steps (exact when the generators commute, which ``extend`` checks);
+      with a nonzero term are the phi_{-t}(a) for a in S_m, reached by one
+      inverse window walk per a, |S_m| * (n^d - 1) generator steps (exact
+      when the generators commute, which ``extend`` checks).  The maximum
+      at s is one weight ratio, mu(a) / mu(s) for the heaviest S_m atom a
+      whose walk reaches s;
     * ``rhs`` is (m / n^d) times the integral of the base window maximum of
       the dual images of 1_{S_m}.
 
@@ -201,24 +211,23 @@ def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
     s_m = space.exhaustion(m)
     window = CubeWindow.corner(n, base.d)
 
-    # product-side assembly: best[s] = max w_t(s) over the pairs
-    # (s, phi_t(s) = a) with a in S_m, each reached once from its a; each
-    # log weight is looked up once
+    # product-side assembly: max_t w_t(s) * 1_{S_m}(phi_t(s)) is
+    # mu(a) / mu(s) for the heaviest a in S_m whose inverse walk reaches s,
+    # as subtracting log mu(s) and exp are monotone; the walks run from the
+    # heaviest a down (S_m order among ties) and the first to reach s holds
+    # it, so there is one ratio and one log-weight lookup per held s
+    heaviest = sorted(zip(s_m, map(space.log_weight, s_m)),
+                      key=itemgetter(1), reverse=True)
     best = {}
-    log_w = {}
-    for a in s_m:
-        log_a = space.log_weight(a)
-        for s in iter_window_orbit(base, a, window, inverse=True):
-            log_s = log_w.get(s)
-            if log_s is None:
-                log_s = log_w[s] = space.log_weight(s)
-            w = _weight_ratio(space, s, log_s, a, log_a)
-            if w > best.get(s, 0.0):
-                best[s] = w
+    for held in heaviest:
+        for s in iter_window_orbit(base, held[0], window, inverse=True):
+            best.setdefault(s, held)
     # fsum rounds the exact sum of these nonnegative terms once, so their
-    # order cannot change its bits; every s had its weight read in the walk
-    lhs = math.fsum(space.weight(s, _member=True) * m * best[s]
-                    for s in best) / window.size
+    # order cannot change its bits
+    lhs = math.fsum(
+        space.weight(s, _member=True) * m
+        * _weight_ratio(space, s, space.log_weight(s), *held)
+        for s, held in best.items()) / window.size
 
     # base-side assembly through the maximal statistic
     indicator = L1Function.indicator(space, s_m)

@@ -110,18 +110,6 @@ def rel_dev(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def finite_sum(terms, what: str) -> float:
-    """The correctly rounded sum of nonnegative terms, which must stay in
-    float range; otherwise an :class:`InvalidInputError` names ``what``."""
-    try:
-        total = math.fsum(terms)
-    except OverflowError:  # the partial sums left float range
-        total = math.inf
-    if not total < math.inf:
-        raise InvalidInputError(f"{what} overflows a float")
-    return total
-
-
 def finite_mean(terms, count: int, what: str) -> float:
     """fsum(terms) / count for a collection of nonnegative terms.
 
@@ -344,8 +332,8 @@ class L1Function:
         self._values = cleaned
         order = sort_atoms(cleaned)
         self._items = tuple(zip(order, map(cleaned.__getitem__, order)))
-        self.norm = finite_sum(
-            (v * space.weight(a, _member=True) for a, v in self._items),
+        self.norm = finite_mean(
+            [v * space.weight(a, _member=True) for a, v in self._items], 1,
             f"the L1 norm of a function on space {space.name!r}")
         self.truncation_error = float(truncation_error)
 

@@ -84,18 +84,6 @@ def _rotations(cycles) -> tuple[list, list]:
     return atoms, perms
 
 
-def _lift(maps) -> list:
-    """One rank-1 ``(forward, inverse)`` pair per axis, as product generators:
-    unchanged for one axis, else acting on one tuple coordinate."""
-    if len(maps) == 1:
-        return list(maps)
-
-    def on(axis, fn):
-        return lambda a: a[:axis] + (fn(a[axis]),) + a[axis + 1:]
-
-    return [(on(i, fwd), on(i, inv)) for i, (fwd, inv) in enumerate(maps)]
-
-
 # ---------------------------------------------------------------------------
 # cyclic rotations
 
@@ -155,18 +143,21 @@ def _integer_line(name: str):
 
 def _lattice_translation(d: int, name: str) -> NsAction:
     if d == 1:
-        space = _integer_line(name)
+        space, gens = _integer_line(name), [_UNIT_SHIFT]
     else:
         def contains(a):
             return (isinstance(a, tuple) and len(a) == d
                     and all(_is_int(x) for x in a))
 
+        def shift(i, delta):  # one step along tuple coordinate i
+            return lambda a: a[:i] + (a[i] + delta,) + a[i + 1:]
+
         space = make_space(
             atoms=None, weights=1.0,
             exhaustion=lambda m: product(range(-m, m + 1), repeat=d),
             contains=contains, name=f"{name}-space")
-    return make_action(space, _lift([_UNIT_SHIFT] * d), name=name,
-                       free_orbits=True)
+        gens = [(shift(i, 1), shift(i, -1)) for i in range(d)]
+    return make_action(space, gens, name=name, free_orbits=True)
 
 
 def _build_translation(tau=None, d=1, name=None) -> NsAction:

@@ -520,6 +520,18 @@ class TestAdditionalSurfaces:
         assert captured.err == ("error: weight ratio mu(1) / mu(0) in space "
                                 "'explicit' overflows a float\n")
 
+    def test_weight_ratio_underflow_is_a_usage_error(self, tmp_path):
+        # the rectangle on atom 1 goes to atom 0, and mu(0) / mu(1) = 1e-600
+        # is 0.0 as a float: its fiber would be divided by zero
+        path = _swap_file(tmp_path, [1e-300, 1e300])
+        rects = tmp_path / "rects.json"
+        rects.write_text(json.dumps([{"atom": 1, "a": 0.0, "b": 1.0}]))
+        code, out, err = _main("maharam-verify", "--action", path,
+                               "--rects", str(rects), "--m", "1", "--n", "2")
+        _assert_usage_error(code, out, err)
+        assert err == ("error: weight ratio mu(0) / mu(1) in space "
+                       "'explicit' underflows a float\n")
+
     def test_an_overflowing_ratio_names_its_atoms(self, tmp_path):
         # every input value is finite: only the ratio 1e300 / 1e-300 is not
         path = _swap_file(tmp_path, [1e-300, 1e300])

@@ -258,8 +258,12 @@ def _lhs_spec(case, data):
             st.integers(1, 6), st.lists(st.integers(1, 3), min_size=2,
                                         max_size=2)), label="N")
         count = sizes if isinstance(sizes, int) else math.prod(sizes)
+        # exact ties and weights across 300 decades, next to the plain draw
+        weights = st.one_of(floats, st.sampled_from([0.5, 1.0, 2.0]),
+                            st.floats(-150, 150).map(lambda e: 10.0 ** e))
         return "cyclic", {"N": sizes, "weights": data.draw(
-            st.lists(floats, min_size=count, max_size=count), label="weights")}
+            st.lists(weights, min_size=count, max_size=count),
+            label="weights")}
     d = data.draw(st.integers(1, 2), label="d")
     if case == "odometer":
         return "odometer", {"K": data.draw(st.integers(1, 4 // d), label="K"),
@@ -303,6 +307,21 @@ class TestExtensionStatInverseWalks:
         with mock.patch.object(AtomSpace, "log_weight", counting):
             lhs, rhs = extension_stat(extensions["TR1"], 8, 256)
         assert calls[0] == 17 + 272 == 289
+        assert lhs == rhs == 8.5
+
+    def test_each_reached_atom_takes_one_weight_ratio(self, extensions):
+        # the heaviest S_8 atom whose walk reaches s holds its maximum: one
+        # ratio per reached s, where one per (a, s) pair made 17 * 256
+        calls = [0]
+        weight_ratio = maharam._weight_ratio
+
+        def counting(*args):
+            calls[0] += 1
+            return weight_ratio(*args)
+
+        with mock.patch.object(maharam, "_weight_ratio", counting):
+            lhs, rhs = extension_stat(extensions["TR1"], 8, 256)
+        assert calls[0] == 272
         assert lhs == rhs == 8.5
 
 
