@@ -194,13 +194,16 @@ def _weight_ratio(space: AtomSpace, s, log_s: float, end,
     try:
         return math.exp(log_end - log_s)
     except OverflowError:
-        raise _ratio_overflow(space, end, s) from None
+        raise _ratio_error(space, end, s) from None
 
 
-def _ratio_overflow(space: AtomSpace, end, s) -> InvalidInputError:
+def _ratio_error(space: AtomSpace, end, s,
+                 ratio: float = math.inf) -> InvalidInputError:
+    """The refusal of mu(end) / mu(s) as a float: ``ratio`` is its
+    overflow (inf) or its underflow (0.0)."""
     return InvalidInputError(
         f"weight ratio mu({end!r}) / mu({s!r}) in space {space.name!r} "
-        "overflows a float")
+        f"{'underflows' if ratio == 0.0 else 'overflows'} a float")
 
 
 class _Generator(NamedTuple):
@@ -305,21 +308,29 @@ class NsAction:
         stays finite; the L1 norm of a nonnegative g is preserved.  The
         images phi_{-t}(s) come from one walk of each generator chain of
         the support (see :func:`_images`), with the atoms, values and errors
-        of one ``apply`` per support atom.
+        of one ``apply`` per support atom.  A ratio mu(s') / mu(s) that
+        overflows a float is refused at once, and the first that underflows
+        once every image is weighed.
         """
         if g.space is not self.space:
             raise DomainError("function is defined over a different space")
         minus = tuple(-x for x in as_vec(t, self.d))
         weight = self.space.weight
         phi = _images(self, minus, g.support)
-        out = {}
+        out, under = {}, None
         for sp, v in g.items():
             s = phi(sp)
             ratio = weight(sp, _member=True) / weight(s)
             if ratio == math.inf:
-                raise _ratio_overflow(self.space, sp, s)
+                raise _ratio_error(self.space, sp, s)
+            if ratio == 0.0 and under is None:
+                under = sp, s
             out[s] = v * ratio
-        return L1Function(self.space, out, truncation_error=g.truncation_error)
+        if under is not None:  # a zero would lose g's mass at sp
+            raise _ratio_error(self.space, *under, 0.0)
+        # weight(s) has tested each image's membership
+        return L1Function(self.space, out, truncation_error=g.truncation_error,
+                          _member=True)
 
     def __repr__(self):
         return f"NsAction({self.name!r}, d={self.d}, space={self.space.name!r})"
@@ -600,14 +611,25 @@ def lattice_walk(action: NsAction, s, cube: CubeWindow):
     :func:`_unit_misses`), on one budget.  None when a pair fails or a step
     cannot be taken (budget, domain, KeyError).
     """
-    budget = _Budget(action.exploration_budget)
     try:
         atoms = list(iter_window_orbit(action, s, cube))
+    except (ExplorationLimitError, DomainError, KeyError):
+        return None
+    checked = _certify_walk(action, atoms, cube)
+    return None if checked is None else (atoms, checked)
+
+
+def _certify_walk(action: NsAction, atoms: list, cube: CubeWindow):
+    """The check steps that certify a cube walk already taken, as
+    :func:`lattice_walk` certifies its own; None when a pair misses or a
+    step cannot be taken."""
+    budget = _Budget(action.exploration_budget)
+    try:
         if next(_unit_misses(action, atoms, cube, budget), None) is not None:
             return None
     except (ExplorationLimitError, DomainError, KeyError):
         return None
-    return atoms, action.exploration_budget - budget.remaining
+    return action.exploration_budget - budget.remaining
 
 
 @dataclass

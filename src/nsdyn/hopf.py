@@ -12,15 +12,19 @@ so the atom is dissipative.  Freeness of an infinite orbit is not decidable
 from a finite window, so it must be declared by the builder of the action;
 absent a declaration the label stays undetermined at the given radius.
 
-The labels at radius r come from one walk per seed atom s over the doubled
-cube C = centered(2r), giving atoms a_p = phi_p(s).  The walk is accepted
-only as a lattice image: T_i a_p == a_{p+e_i} and T_i^{-1} a_{p+e_i} == a_p
-for every p and p + e_i in C.  Then phi_t(a_p) = a_{p+t} along any
-axis-ordered path inside C, so for x = a_v with v in centered(r) the radius-r
-window of x is {a_{v+t}}, its stabilizer there is that of s, and it is
-collision-free exactly when no nonzero u in C has a_u == s.  Atoms a_v with
-|v| > r would need paths out to 4r, which no check covers, so each cube
-labels only the requested atoms within r of its seed.
+The labels at radius r come from walks over the doubled cube
+C = centered(2r) from a centre s, giving atoms a_p = phi_p(s).  The walk is
+accepted only as a lattice image: T_i a_p == a_{p+e_i} and
+T_i^{-1} a_{p+e_i} == a_p for every p and p + e_i in C.  Then
+phi_t(a_p) = a_{p+t} along any axis-ordered path inside C, so for x = a_v
+with v in centered(r) the radius-r window of x is {a_{v+t}}, its stabilizer
+there is that of s, and it is collision-free exactly when no nonzero u in C
+has a_u == s.  Atoms a_v with |v| > r would need paths out to 4r, which no
+check covers, so each cube labels only the requested atoms within r of its
+centre.  A label is a property of the atom's own window, so it does not
+depend on which certified cube holds that window: the first unlabelled atom
+seeds a cube, which may be re-centred within r of it on the atoms still to
+label (see :func:`_cube_walk`).
 
 A dissipative action is equivalent to the translation action
 
@@ -47,6 +51,7 @@ from typing import Iterable
 from .action import (
     CubeWindow,
     NsAction,
+    _certify_walk,
     iter_window_orbit,
     lattice_walk,
     make_action,
@@ -134,15 +139,18 @@ def hopf_decompose(action: NsAction, radius: int,
 
     Each still-unlabeled atom, in sorted order, seeds one verified
     centered(2 radius) cube (see the module docstring), which labels every
-    requested atom phi_v(seed) with |v| <= radius: conservative when the
-    seed recurs at a nonzero t in centered(radius); dissipative when it
-    recurs nowhere in the cube and the atom is declared free; undetermined
-    otherwise.  These are exactly the labels of one :func:`orbit_explore`
-    per atom.  The first cube that cannot be walked, fails its check, or
-    costs more than the per-atom windows of the atoms it labels hands the
-    rest of the call to one exploration per atom.  So budget and domain
-    errors are those of the per-atom rule, and the work exceeds the
-    per-atom rule's by at most about one cube.
+    requested atom phi_v(c) with |v| <= radius around its centre c:
+    conservative when c recurs at a nonzero t in centered(radius);
+    dissipative when it recurs nowhere in the cube and the atom is declared
+    free; undetermined otherwise.  The centre is the seed, or an atom within
+    the radius of it where the seed's walk shows that a cube there labels
+    enough more atoms to pay for a second walk.  These are exactly the
+    labels of one :func:`orbit_explore` per atom.  The first cube that
+    cannot be walked, fails its check, or costs more than the per-atom
+    windows of the atoms it labels (counting the walk a re-centred cube
+    discarded) hands the rest of the call to one exploration per atom.  So
+    budget and domain errors are those of the per-atom rule, and the work
+    exceeds the per-atom rule's by at most about two cubes.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -156,39 +164,79 @@ def hopf_decompose(action: NsAction, radius: int,
 def _walks(action: NsAction, radius: int, order: list):
     """Yield ``(x, label, (cube, atoms), k)`` once per atom x of ``order``:
     x is atoms[k] of the walk that labelled it, in the lex order of the
-    centered ``cube`` (its centre sits at size // 2).  The walk is a seed's
-    certified centered(2 radius) cube, or x's own window once the guard of
-    :func:`hopf_decompose` hands over; each holds x's radius window at k.
+    centered ``cube`` (its centre sits at size // 2).  The walk is a
+    certified centered(2 radius) cube from :func:`_cube_walk`, seeded at
+    the first unlabelled atom or re-centred on what is left to label, or
+    x's own window once the guard of :func:`hopf_decompose` hands over;
+    each holds x's radius window at k.  The guard charges a cube its walk,
+    its check and the walk it discarded.
     """
-    wanted, done, cubes = set(order), set(), True
+    todo, cubes = set(order), True  # requested atoms not yet labelled
     window = CubeWindow.centered(radius, action.d)
     cube = CubeWindow.centered(2 * radius, action.d)
     inner = list(cube.positions(window))
+    centre = cube.size // 2
     for s in order:
-        if s in done:
+        if s not in todo:
             continue
         if cubes:
-            atoms, checked = lattice_walk(action, s, cube) or (None, 0)
-            cubes = atoms is not None
+            walk = _cube_walk(action, s, cube, inner, todo)
+            cubes = walk is not None
         if cubes:
-            recur = {k for k, atom in enumerate(atoms) if atom == s}
-            recur.discard(cube.size // 2)
-            near = not recur.isdisjoint(inner)  # s recurs within radius
+            atoms, spent = walk
+            seed = atoms[centre]
+            recur = {k for k, atom in enumerate(atoms) if atom == seed}
+            recur.discard(centre)
+            near = not recur.isdisjoint(inner)  # recurs within radius
             labelled = 0
             for k in inner:
                 x = atoms[k]
-                if x not in done and x in wanted and x in action.space:
-                    done.add(x)
+                if x in todo and x in action.space:
+                    todo.discard(x)
                     labelled += 1
                     yield (x, _rule(action, x, near, not recur),
                            (cube, atoms), k)
-            cubes = labelled * len(inner) >= len(atoms) + checked
-            del atoms  # keep no cube past its seed
-        if s not in done:
+            cubes = labelled * len(inner) >= len(atoms) + spent
+            del atoms, walk  # keep no cube past its seed
+        if s in todo:
             rec = orbit_explore(action, s, radius)
-            done.add(s)
+            todo.discard(s)
             yield (s, _rule(action, s, rec.stabilizer, rec.free_in_window),
                    (window, list(rec.visits.values())), window.size // 2)
+
+
+def _cube_walk(action: NsAction, s, cube: CubeWindow, inner: list,
+               todo: set):
+    """``(atoms, spent)``: a certified walk of ``cube`` from s or from an
+    atom of s's walk within the radius, and the steps the guard charges
+    beyond its own atoms (its check, and a discarded walk).  None hands the
+    call to per-atom windows.  This is the one switch of the cube route.
+
+    s's walk is taken first.  When its cube holds more of ``todo`` than its
+    inner window, the window is moved to c in centered(r), the centre of
+    the box of those positions, and the walk from a_c replaces s's where
+    the atoms it gains pay for a walk (gain * |inner| >= |cube|).  If that
+    walk or its certificate fails, s's own walk is certified instead.
+    """
+    try:
+        atoms = list(iter_window_orbit(action, s, cube))
+    except (ExplorationLimitError, DomainError, KeyError):
+        return None
+    here = len(todo.intersection(map(atoms.__getitem__, inner)))
+    probe = 0
+    if here < len(todo) and len(todo.intersection(atoms)) > here:
+        held = [cube.vector(k) for k, a in enumerate(atoms) if a in todo]
+        r = cube.n // 2
+        c = tuple(max(-r, min(r, (min(x) + max(x)) // 2)) for x in zip(*held))
+        shift = cube.position(c) - cube.size // 2
+        gain = len(todo.intersection(atoms[k + shift] for k in inner)) - here
+        if gain * len(inner) >= len(atoms):
+            walk = lattice_walk(action, atoms[cube.size // 2 + shift], cube)
+            if walk is not None:
+                return walk[0], walk[1] + len(atoms)
+            probe = len(atoms)
+    checked = _certify_walk(action, atoms, cube)
+    return None if checked is None else (atoms, checked + probe)
 
 
 @dataclass

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .action import (CubeWindow, NsAction, _images, _weight_ratio, as_vec,
-                     check_cocycle, iter_window_orbit)
+from .action import (CubeWindow, NsAction, _images, _ratio_error,
+                     _weight_ratio, as_vec, check_cocycle, iter_window_orbit)
 from .errors import ConstructionError, InvalidInputError
 from .maxstat import max_dual_function
 from .space import L1Function, atom_key, atom_to_json, rel_dev
@@ -78,15 +78,13 @@ class MaharamAction:
 
     def fiber_factor(self, t, s) -> float:
         """Scaling of the fiber coordinate: exactly 1 / w_t(s)."""
-        return 1.0 / self.base.rn_derivative(t, s)
+        return 1.0 / _fiber_ratio(self.base.space, s, self.base.apply(t, s))
 
     def skew_point(self, t, point):
         """Image of a product point (s, y), from one ``apply``."""
         s, y = point
-        space = self.base.space
         end = self.base.apply(t, s)
-        w = _weight_ratio(space, s, space.log_weight(s), end)
-        return end, y * (1.0 / w)
+        return end, y * (1.0 / _fiber_ratio(self.base.space, s, end))
 
 
 def extend(action: NsAction) -> MaharamAction:
@@ -117,12 +115,17 @@ def push_rect(ext: MaharamAction, t, r: Rect) -> Rect:
 
 def _pushed(space, r: Rect, end) -> Rect:
     """The image of r whose atom goes to ``end``: the fiber scales by 1 / w."""
-    w = _weight_ratio(space, r.atom, space.log_weight(r.atom), end)
-    if w == 0.0:
-        raise InvalidInputError(
-            f"weight ratio mu({end!r}) / mu({r.atom!r}) in space "
-            f"{space.name!r} underflows a float")
+    w = _fiber_ratio(space, r.atom, end)
     return Rect(end, r.a / w, r.b / w)
+
+
+def _fiber_ratio(space, s, end) -> float:
+    """w = mu(end) / mu(s) for s going to ``end``.  The fiber scales by
+    1 / w, so a ratio that underflows to 0.0 is an input error."""
+    w = _weight_ratio(space, s, space.log_weight(s), end)
+    if w == 0.0:
+        raise _ratio_error(space, end, s, w)
+    return w
 
 
 @dataclass

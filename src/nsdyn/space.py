@@ -308,11 +308,13 @@ class L1Function:
     Values outside the support are zero.  ``truncation_error`` records a
     certified bound on the L1 mass discarded when the function was produced
     by :func:`truncate_l1` (zero otherwise).  Immutable by convention.
+    ``_member`` skips the membership test of keys known to be in the space.
     """
 
     __slots__ = ("space", "_values", "_items", "norm", "truncation_error")
 
-    def __init__(self, space: AtomSpace, values: Mapping, truncation_error: float = 0.0):
+    def __init__(self, space: AtomSpace, values: Mapping,
+                 truncation_error: float = 0.0, _member: bool = False):
         if truncation_error < 0:
             raise InvalidInputError("truncation error must be nonnegative")
         cleaned = {}
@@ -322,7 +324,7 @@ class L1Function:
                 raise InvalidInputError(
                     f"function value at atom {atom!r} is {v}; "
                     "values must be finite and nonnegative")
-            if atom not in space:
+            if not (_member or atom in space):
                 raise DomainError(
                     f"function references atom {atom!r} outside space "
                     f"{space.name!r}")

@@ -21,7 +21,7 @@ from nsdyn.action import (
     CubeWindow,
     NsAction,
     _Budget,
-    _ratio_overflow,
+    _ratio_error,
     _weight_ratio,
     as_vec,
     iter_window_orbit,
@@ -113,19 +113,24 @@ def per_atom_dual_apply(action, t, g):
 
     The per-atom loop that the chain walks replaced: every atom of g's
     support walks phi_{-t} from scratch, and an error comes from the first
-    atom, in g's order, whose walk or weight ratio fails.
+    atom, in g's order, whose walk fails or weight ratio overflows, else
+    from the first whose ratio underflows.
     """
     if g.space is not action.space:
         raise DomainError("function is defined over a different space")
     minus = tuple(-x for x in as_vec(t, action.d))
     weight = action.space.weight
-    out = {}
+    out, under = {}, None
     for sp, v in g.items():
         s = action.apply(minus, sp)
         ratio = weight(sp) / weight(s)
         if ratio == math.inf:
-            raise _ratio_overflow(action.space, sp, s)
+            raise _ratio_error(action.space, sp, s)
+        if ratio == 0.0 and under is None:
+            under = sp, s
         out[s] = v * ratio
+    if under is not None:
+        raise _ratio_error(action.space, *under, 0.0)
     return L1Function(action.space, out, truncation_error=g.truncation_error)
 
 

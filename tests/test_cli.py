@@ -541,6 +541,17 @@ class TestAdditionalSurfaces:
         assert err == ("error: weight ratio mu(1) / mu(0) in space "
                        "'explicit' overflows a float\n")
 
+    def test_an_underflowing_ratio_names_its_atoms(self, tmp_path):
+        # the dual image of 1_0 sits at atom 1 with the ratio
+        # mu(0) / mu(1) = 1e-600, which is 0.0 as a float: a zero dual norm
+        # would read as a failure of duality
+        path = _swap_file(tmp_path, [1e-300, 1e300])
+        code, out, err = _main("duality-check", "--action", path, "--t", "1",
+                               "--g", "atom:0", "--A", "[0, 1]")
+        _assert_usage_error(code, out, err)
+        assert err == ("error: weight ratio mu(0) / mu(1) in space "
+                       "'explicit' underflows a float\n")
+
     def test_stat_sums_a_wide_ratio_without_dividing(self, tmp_path):
         # a_n sums the window maxima of g * mu, so mu(1) / mu(0) = 1e600
         # is never formed: both atoms see the maximum 1e300 of the window

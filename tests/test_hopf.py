@@ -14,6 +14,7 @@ from conftest import (
     per_atom_hopf_decompose,
     sample_atoms,
     union_find_krengel_normal_form,
+    vec_add,
     walk_steps,
 )
 from nsdyn import hopf, zoo
@@ -139,11 +140,11 @@ KRENGEL_BOXES = {
 
 
 def _cubes(on):
-    """Leave the Hopf cubes on, or make every lattice walk fail so that
+    """Leave the Hopf cubes on, or switch the cube route off so that
     labels and chain checks take one window per atom."""
     if on:
         return nullcontext()
-    return mock.patch.object(hopf, "lattice_walk", return_value=None)
+    return mock.patch.object(hopf, "_cube_walk", return_value=None)
 
 
 def _form_or_error(make, action, region, radius):
@@ -409,6 +410,12 @@ def _cube_action(case):
             action = zoo.build_fixture(case)
         elif case == "noncommuting":
             action = noncommuting_action()
+        elif case == "translation d=2 reversed":
+            # the plane with each generator's directions swapped
+            plane = _cube_action("translation d=2")
+            action = make_action(plane.space,
+                                 [(g.inv, g.fwd) for g in plane._gens],
+                                 name="reversed", free_orbits=True)
         elif case == "misdeclared N=5":
             # a 5-cycle declared free: collisions alone keep it undetermined
             c5 = zoo.build(zoo.ZooSpec("cyclic", {"N": 5}))
@@ -438,7 +445,8 @@ class TestCubeLabels:
 
     @settings(max_examples=120, deadline=None)
     @given(case=st.sampled_from(sorted(CUBE_CASES) + list(FIXTURE_NAMES)
-                                + ["noncommuting", "misdeclared N=5"]),
+                                + ["noncommuting", "misdeclared N=5",
+                                   "translation d=2 reversed"]),
            radius=st.integers(1, 6), data=st.data())
     def test_labels_match_the_per_atom_reference(self, case, radius, data):
         action = _cube_action(case)
@@ -454,6 +462,14 @@ class TestCubeLabels:
                          base[data.draw(st.integers(0, len(base) - 1))])
                      for _ in range(data.draw(st.integers(1, 6),
                                               label="atoms"))]
+            if data.draw(st.booleans(), label="two clusters"):
+                # two boxes of side 2 with corners up to 2r from the first
+                # atom, so that its cube may move to hold both
+                for _ in range(2):
+                    corner = data.draw(st.tuples(
+                        *[st.integers(-2 * radius, 2 * radius)] * action.d))
+                    atoms += [action.apply(vec_add(corner, u), atoms[0])
+                              for u in product(range(2), repeat=action.d)]
         got = hopf_decompose(action, radius, atoms)
         assert _labels(got) == _labels(
             per_atom_hopf_decompose(action, radius, atoms))
@@ -511,6 +527,58 @@ class TestCubeLabels:
             got = hopf_decompose(tampered, radius, atoms)
         assert _labels(got) == _labels(want)
         assert explore.call_count == len(atoms)
+
+    @staticmethod
+    def _line(contains, forward=lambda x: x + 1):
+        """A unit shift of the integers, with the given membership."""
+        box = make_space(atoms=None, weights=lambda a: 1.0,
+                         exhaustion=lambda m: range(-m, m + 1),
+                         contains=contains)
+        return make_action(box, [(forward, lambda x: x - 1)], name="line",
+                           free_orbits=True)
+
+    @pytest.mark.parametrize("extra", [[], ["ghost"]], ids=["labels", "error"])
+    def test_a_cube_moved_onto_a_foreign_atom_keeps_the_seed_cube(self, extra):
+        # the seed 0's cube [-10, 10] holds all five atoms, its window only
+        # two, so the cube moves to 5, which is not in the space: its walk
+        # fails, and 0's own walk is certified and labels 0 and 1
+        line = self._line(lambda a: type(a) is int and a != 5)
+        atoms = [0, 1, 8, 9, 10] + extra
+
+        def outcome(decompose):
+            try:
+                return _labels(decompose(line, 5, atoms))
+            except DomainError as exc:
+                return str(exc)
+
+        with mock.patch.object(hopf, "lattice_walk",
+                               wraps=hopf.lattice_walk) as walk, \
+                mock.patch.object(hopf, "orbit_explore",
+                                  wraps=hopf.orbit_explore) as explore:
+            got = outcome(hopf_decompose)
+        assert got == outcome(per_atom_hopf_decompose)
+        assert isinstance(got, list) == (not extra)
+        assert walk.call_args_list == [mock.call(line, 5, mock.ANY)]
+        # the cube labelled two atoms, which pays for neither the walk it
+        # kept nor the one it discarded: the others take their own windows
+        assert [c.args[1] for c in explore.call_args_list] == [8, 9, 10] + extra
+
+    def test_a_moved_cube_that_fails_its_check_keeps_the_seed_cube(self):
+        # the shift steps back at 12: the cube moved to 5, [-5, 15], fails
+        # its check there, while the seed 0's cube [-10, 10] never steps
+        # forward from 12 and is certified
+        line = self._line(lambda a: type(a) is int,
+                          lambda x: x - 1 if x == 12 else x + 1)
+        atoms = [0, 1, 8, 9, 10]
+        want = per_atom_hopf_decompose(line, 5, atoms)
+        assert want.labels[0] == DISSIPATIVE
+        assert want.labels[10] == UNDETERMINED
+        with mock.patch.object(hopf, "lattice_walk",
+                               wraps=hopf.lattice_walk) as walk:
+            got = hopf_decompose(line, 5, atoms)
+        assert walk.call_args_list == [mock.call(line, 5, mock.ANY)]
+        assert hopf.lattice_walk(line, 5, CubeWindow.centered(10, 1)) is None
+        assert _labels(got) == _labels(want)
 
     @pytest.mark.parametrize("radius", [1, 3])
     @pytest.mark.parametrize("case", ["translation d=2", "odometer K=3",

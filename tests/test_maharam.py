@@ -95,6 +95,22 @@ class TestExtend:
             extend(flat)
         assert not excinfo.value.report.passed
 
+    @pytest.mark.parametrize("call", ["skew_point", "fiber_factor"])
+    def test_an_underflowing_ratio_is_an_input_error(self, call):
+        # atom 1 goes to atom 0, and mu(0) / mu(1) = 1e-600 is 0.0 as a
+        # float: the fiber would be divided by zero
+        wide = make_action(make_space([0, 1], [1e-300, 1e300], name="wide"),
+                           [{0: 1, 1: 0}], name="swap")
+        ext = extend(wide)
+        args = {"skew_point": (1, (1, 1.0)), "fiber_factor": (1, 1)}[call]
+        with pytest.raises(InvalidInputError) as excinfo:
+            getattr(ext, call)(*args)
+        assert str(excinfo.value) == (
+            "weight ratio mu(0) / mu(1) in space 'wide' underflows a float")
+        # the other way the ratio overflows, as every weight ratio refuses
+        with pytest.raises(InvalidInputError, match="overflows a float"):
+            ext.fiber_factor(1, 0)
+
 
 class TestPushRect:
     def test_two_atom_rect(self, extensions):

@@ -374,11 +374,12 @@ def test_lazy_duality_check_tests_each_membership_once(monkeypatch):
         "--t", "10,12", "--g", "exhaustion:20", "--A", "exhaustion:20")
     assert code == 0 and json.loads(out)["lhs"] == 899.0
     # g's 1681 atoms as g is built and A's as the check starts; the images
-    # of g's support as dual_apply weighs them and as the dual image is
-    # built; the images of A as rhs weighs them.  Weighing g's support for
-    # its norm and in dual_apply, A in lhs and the dual image for its norm
-    # tested them all again: 9 * 1681 = 15129
-    assert len(calls) == 5 * 41 ** 2 == 8405
+    # of g's support as dual_apply weighs them; the images of A as rhs
+    # weighs them.  Weighing g's support for its norm and in dual_apply, A
+    # in lhs and the dual image for its norm tested them all again: 9 *
+    # 1681 = 15129, and building the dual image tested its keys again:
+    # 5 * 1681 = 8405
+    assert len(calls) == 4 * 41 ** 2 == 6724
 
 
 def test_finite_weights_are_evaluated_once_per_atom():

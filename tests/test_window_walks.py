@@ -840,7 +840,7 @@ def test_krengel_takes_exactly_the_hopf_steps(step_counter, spec, m, radius,
                                               steps, cubes):
     action = zoo.build(zoo.ZooSpec(*spec))
     region = action.space.exhaustion(m)
-    off = mock.patch.object(hopf, "lattice_walk", return_value=None)
+    off = mock.patch.object(hopf, "_cube_walk", return_value=None)
     with nullcontext() if cubes else off:
         step_counter[0] = 0
         hopf_decompose(action, radius, region)
@@ -867,13 +867,42 @@ def test_hopf_walks_one_cube_per_seed(step_counter):
     tr = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
     step_counter[0] = 0
     hopf_decompose(tr, 10)
-    # S_10 = [-10, 10]^2 takes four seeds, one per quadrant in sorted
-    # order; each walks centered(20) and checks 40 * 41 neighbour pairs of
-    # distinct atoms per axis: a fresh forward and inverse image on axis 0,
-    # and only the inverse on axis 1, whose forward images are the walk's
-    # rows (one walk per atom took 441 * 660 = 291060)
-    assert step_counter[0] == 4 * (walk_steps(20, 2) + 3 * 40 * 41)
-    assert step_counter[0] == 29760
+    # S_10 = [-10, 10]^2 takes one seed: the walk of centered(20) from the
+    # corner (-10, -10) holds all of S_10, its inner window one quadrant,
+    # so the cube moves to the centre (0, 0), whose walk and 40 * 41
+    # neighbour pairs of distinct atoms per axis label all 441 atoms: a
+    # fresh forward and inverse image on axis 0, and only the inverse on
+    # axis 1, whose forward images are the walk's rows (a certified cube
+    # per quadrant took 4 * (2520 + 4920) = 29760, one walk per atom 441 *
+    # 660 = 291060)
+    assert step_counter[0] == 2 * walk_steps(20, 2) + 3 * 40 * 41
+    assert step_counter[0] == 9960
+    # the generators reversed: the corner's walk holds S_10 on the other
+    # side of it, and the cube moves to (0, 0) all the same
+    rev = make_action(tr.space, [(g.inv, g.fwd) for g in tr._gens],
+                      name="reversed", free_orbits=True)
+    step_counter[0] = 0
+    assert hopf_decompose(rev, 10).summary() == "dissipative"
+    assert step_counter[0] == 9960
+    # two 5 x 5 clusters at opposite corners of S_10 fit one centred cube
+    # (a cube per cluster took 2 * 7440 = 14880)
+    clusters = [(x + o, y + o) for o in (-10, 6)
+                for x in range(5) for y in range(5)]
+    step_counter[0] = 0
+    hopf_decompose(tr, 10, clusters)
+    assert step_counter[0] == 9960
+
+
+def test_hopf_moves_a_d3_cube_to_the_centre(step_counter):
+    tr = zoo.build(zoo.ZooSpec("translation", {"d": 3}))
+    step_counter[0] = 0
+    dec = hopf_decompose(tr, 4)
+    # the corner's centered(8) walk, then the centre's walk and its unit
+    # pairs, 16 * 17^2 per axis: two images on axes 0 and 1, one on axis 2
+    # (a certified cube per octant took 8 * 30488 = 243904)
+    assert len(dec.labels) == 9 ** 3 and dec.summary() == "dissipative"
+    assert step_counter[0] == 2 * walk_steps(8, 3) + 5 * 16 * 17 ** 2
+    assert step_counter[0] == 37856
 
 
 def test_hopf_stops_at_a_cube_that_does_not_pay(step_counter):
