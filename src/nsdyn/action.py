@@ -49,6 +49,7 @@ phi_{-t}.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat, takewhile
@@ -691,6 +692,39 @@ def _log_deviation(log_wtu: float, log_wt: float, log_wu: float) -> float:
     return -math.expm1(-abs(log_wtu - (log_wt + log_wu)))
 
 
+# the bit pattern of inf: nonnegative floats, inf included, are ordered
+# as their bit patterns
+_INF_BITS = 0x7FF0000000000000
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _deviation_bound(rel_tol: float) -> float:
+    """The largest x >= 0 whose deviation -expm1(-x) is at most rel_tol:
+    -1.0 where there is none (a NaN or negative rel_tol), inf where every
+    x has one (rel_tol >= 1).  The deviation never falls as x grows, so a
+    pair's x is above this bound exactly when the pair violates.
+
+    A bisection over the bit patterns finds the bound exactly in 63
+    steps; stepping with ``nextafter`` from -log1p(-rel_tol) could take
+    10^14 steps where rel_tol nears 1.
+    """
+    if not rel_tol >= 0.0:
+        return -1.0
+    if rel_tol >= 1.0:
+        return math.inf
+    below, above = 0, _INF_BITS   # deviation <= rel_tol at below, not above
+    while above - below > 1:
+        mid = (below + above) // 2
+        if -math.expm1(-_float_of_bits(mid)) <= rel_tol:
+            below = mid
+        else:
+            above = mid
+    return _float_of_bits(below)
+
+
 def _commute(action: NsAction) -> bool:
     """Whether T_i T_j == T_j T_i on a finite space, as whole tables."""
     atoms = action.space.atoms
@@ -806,8 +840,13 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
     units = [(u, sum(map(mul, u, cube.strides))) for u in sorted(
         v for v in CubeWindow.centered(1, d) if sum(map(abs, v)) == 1)]
     # every deviation lies in [0, 1), so the first pair evaluated is the
-    # worst until a larger one comes (a NaN never is)
+    # worst until a larger one comes (a NaN never is).  The deviation of a
+    # pair is -expm1(-x) for x = |log_wtu - (log_wt + log_wu)|, which never
+    # falls as x grows: a pair whose x is at most the worst's x_worst and
+    # at most x_tol can neither be a new worst nor violate, so only the
+    # others (a NaN x included) are evaluated
     inner, worst_dev, worst, violations = None, -1.0, None, []
+    x_tol, x_worst = _deviation_bound(rel_tol), -1.0
     for s, logs, misses, atoms in _sample_cubes(action, samples, cube,
                                                 commuting, rel_tol):
         if inner is None:   # the walk has proven the window fits the budget
@@ -817,19 +856,25 @@ def check_cocycle(action: NsAction, radius: int, samples: Iterable = None,
             sign = 1 if forward else -1
             t, off = cube.vector(k), sign * cube.strides[axis]
             u = tuple(sign * (i == axis) for i in range(d))
-            dev = _log_deviation(logs[k + off] - log_s, logs[k] - log_s,
-                                 space.log_weight(image) - logs[k])
+            log_wtu, log_wt, log_wu = (logs[k + off] - log_s, logs[k] - log_s,
+                                       space.log_weight(image) - logs[k])
+            dev = _log_deviation(log_wtu, log_wt, log_wu)
             if dev > worst_dev:
                 worst_dev, worst = dev, (t, u, s)
+                x_worst = abs(log_wtu - (log_wt + log_wu))
             violations.append((t, u, s, dev, (atoms[k + off], image)))
         for t, k in inner:
             log_t = logs[k]
             log_wt = log_t - log_s
             for u, off in units:
                 log_tu = logs[k + off]
-                dev = _log_deviation(log_tu - log_s, log_wt, log_tu - log_t)
+                log_wtu, log_wu = log_tu - log_s, log_tu - log_t
+                x = abs(log_wtu - (log_wt + log_wu))
+                if x <= x_worst and x <= x_tol:
+                    continue
+                dev = _log_deviation(log_wtu, log_wt, log_wu)
                 if dev > worst_dev:
-                    worst_dev, worst = dev, (t, u, s)
+                    worst_dev, worst, x_worst = dev, (t, u, s), x
                 if not dev <= rel_tol:
                     violations.append((t, u, s, dev, None))
     return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,

@@ -4,7 +4,8 @@ Series go out as CSV (header ``n,window,a_n,support,ms``), structured
 reports as one line of JSON with sorted keys, so identical configurations
 produce byte identical output.  Wall times are real measurements only under
 ``--timing``; by default the ms column is written as 0 to keep the
-determinism contract.
+determinism contract.  A ``stat`` sweep walks its first axis once for all
+its rows, and the first row's ms carries that walk.
 
 Exit codes: 0 all requested checks passed, 1 a verification failed (the
 report is still written), 2 input or usage error.

@@ -18,11 +18,16 @@ maxima are constant segments: a monotone deque over the support sites
 alone finds where each maximum starts and ends, and each segment is
 filled in one bulk update.  A ring slides a monotone deque over every
 site.  A statistic costs O(size of its result) generator steps per axis,
-so atoms shared by many support points are walked once.
+so atoms shared by many support points are walked once.  A sweep over
+several window sizes walks its first axis once, for its largest window,
+and reads every smaller window's maxima from the same runs, so it costs
+about what its largest window costs.
 
 a_n itself needs no division: the integral of max_t (dual_t g) against
 mu is the sum over s of max_t h(phi_t(s)) with h = g * mu, so the
-statistic sums the window maxima of h, correctly rounded by ``fsum``.
+statistic sums the window maxima of h, correctly rounded by ``fsum``.  The
+last axis is summed as segments, L sites of one maximum at a time, with
+no dict of atoms.
 
 The verdict produced here is explicitly a finite-n heuristic label
 ("consistent with"), never a proof.
@@ -34,7 +39,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Sequence
 
 from .action import CubeWindow, NsAction, _Budget, iter_window_orbit
@@ -91,9 +96,18 @@ def _segments(events, span):
         x = y
 
 
-def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
-    """y -> max_{j in [lo, hi]} f(T_axis^j y) on its support, as a dict."""
-    span, step, limit = hi - lo, action.step, action.exploration_budget
+def _walk(action: NsAction, axis: int, f: dict, span: int, ahead: int
+          ) -> list:
+    """The runs of f's support along ``axis`` for windows of span + 1
+    positions, as ``(sites, ring, data)`` in walk order.
+
+    A ring's ``sites`` are its orbit from its first walker, and ``data``
+    their values of f.  A chain's ``sites`` are ``ahead`` sites in front of
+    its head, then the run; ``data`` are its (position, value) events, a
+    position counting from the head.  The runs serve every window of at
+    most span + 1 positions whose lo is at least -ahead.
+    """
+    step, limit = action.step, action.exploration_budget
     stop = min(span, limit)   # a walk's budget counts its empty steps
     heads, seen = {}, set()
     for x in f:
@@ -118,51 +132,149 @@ def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
         if empties == limit < span:   # the next step overdraws the budget
             _Budget(limit).spend(axis, steps=limit + 1)
         heads[x] = (atoms, link, ring)
-    out = {}
+    runs = []
     for run in heads.values():
-        chain, ring = [], run[2]
+        sites, ring = [], run[2]
         while run is not None:
-            chain += run[0]
+            sites += run[0]
             run = run[1]
         if ring:
-            vals, period = [f.get(a, 0.0) for a in chain], len(chain)
-            if span >= period - 1:
-                maxima = [max(vals)] * period
-            else:
-                maxima = _slide_max([vals[k % period]
-                                     for k in range(-hi, period - lo)], span + 1)
-            for a, m in zip(chain, maxima):
-                if m > 0.0:
-                    out[a] = m
+            runs.append((sites, True, list(map(f.get, sites, repeat(0.0)))))
             continue
-        # a chain is zero off its support: its maxima are constant segments
-        # between the sites where a support value enters or leaves.  The run
-        # ends span empty sites past its last support site, where the last
-        # segment ends
-        hits = compress(range(len(chain)), map(f.__contains__, chain))
-        events = [(p, f[chain[p]]) for p in hits]
-        # the chain's last walk took span <= limit empty steps; -lo <= span
-        cur, ahead = chain[0], []
-        for _ in range(-lo):
+        hits = compress(range(len(sites)), map(f.__contains__, sites))
+        events = [(p, f[sites[p]]) for p in hits]
+        # the chain's last walk took span <= limit empty steps; ahead <= span
+        cur, front = sites[0], []
+        for _ in range(ahead):
             cur = step(axis, cur, True)
-            ahead.append(cur)
-        # site k of the shifted chain takes the maximum over positions
-        # [k - span, k] of the run; no support lies within span sites ahead
-        # of the head, and the last -lo sites of the run are past every window
-        chain[:0] = ahead[::-1]
-        for x, y, m in _segments(events, span):
-            if m > 0.0:
-                out.update(zip(chain[x:y], repeat(m)))
+            front.append(cur)
+        sites[:0] = front[::-1]
+        runs.append((sites, False, events))
+    return runs
+
+
+def _pieces(runs: list, lo: int, hi: int, ahead: int):
+    """The window maxima over [lo, hi] on runs walked with ``ahead``.
+
+    Yields ``(sites, x, y, m)``: on a chain, and on a ring that the window
+    covers, m > 0 is the maximum at every site of sites[x:y]; on a ring
+    that it does not cover, m is the list of the maxima of all ``sites``,
+    zeros included.  No site is yielded twice (see :func:`_sum_pieces`).
+    """
+    span = hi - lo
+    for sites, ring, data in runs:
+        period = len(sites)
+        if ring and span >= period - 1:
+            if (top := max(data)) > 0.0:
+                yield sites, 0, period, top
+        elif ring:
+            yield sites, 0, period, list(_slide_max(
+                [data[k % period] for k in range(-hi, period - lo)], span + 1))
+        else:
+            # a chain is zero off its support: its maxima are constant
+            # segments between the sites where a support value enters or
+            # leaves.  Site k of the window's chain, the last -lo sites in
+            # front of the head and then the run, takes the maximum over
+            # positions [k - span, k] of the run; no support lies within
+            # span sites in front of the head
+            shift = ahead + lo
+            for x, y, m in _segments(data, span):
+                if m > 0.0:
+                    yield sites, x + shift, y + shift, m
+
+
+def _gather(pieces) -> dict:
+    """The positive maxima of ``pieces`` as a dict, site by site."""
+    out = {}
+    for sites, x, y, m in pieces:
+        if type(m) is list:
+            out.update((a, v) for a, v in zip(sites, m) if v > 0.0)
+        elif y - x == 1:
+            out[sites[x]] = m
+        else:
+            out.update(zip(sites[x:y], repeat(m)))
     return out
 
 
-def _window_maxima(action: NsAction, g: L1Function, window: CubeWindow) -> dict:
-    """s -> max_{t in window} h(T_1^{t_1} ... T_d^{t_d} s) with h = g * mu."""
+def _axis_pieces(action: NsAction, axis: int, f: dict, lo: int, hi: int):
+    """:func:`_pieces` of the maxima of f along ``axis`` over [lo, hi]."""
+    return _pieces(_walk(action, axis, f, hi - lo, -lo), lo, hi, -lo)
+
+
+def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
+    """y -> max_{j in [lo, hi]} f(T_axis^j y) on its support, as a dict."""
+    return _gather(_axis_pieces(action, axis, f, lo, hi))
+
+
+# Veltkamp's constant 2^27 + 1 splits a float into two halves of at most 26
+# significant bits each, so either half times a length below 2^26 is exact;
+# 2^27 + 1 times a float below 2^996 does not overflow
+_SPLIT = 134217729.0
+_SPLIT_MAX = 2.0 ** 996
+_LENGTH_MAX = 2 ** 26
+
+
+def _sum_pieces(pieces, size: int, what: str) -> tuple[float, int]:
+    """(fsum of the maxima of every site / size, number of sites) from
+    :func:`_pieces`, without a term per chain site.
+
+    A segment of L sites adds L * m, as two exact products of the halves
+    of m; a sliding ring adds its sites' maxima as they are.  ``fsum`` of
+    these is the correctly rounded sum of the sites' maxima, as ``fsum``
+    of one term per site is.  Where the sum nears float range, or a
+    segment does not split exactly, :func:`~nsdyn.space.finite_mean` sums
+    one term per site, as it always did.
+
+    No site is counted twice.  The runs are disjoint orbit stretches: a
+    walk stops at the head of an earlier run, or after span empty sites,
+    and a later walk that comes within span sites of a chain's support
+    reaches that chain's head.  So supports of different chains lie more
+    than span apart, and the sites with a positive maximum, the support
+    shifted by [-hi, -lo], are disjoint across chains; on one chain the
+    segments of :func:`_segments` are disjoint, and a ring is an orbit.
+    """
+    terms, parts, sites, exact = [], [], 0, True
+    for _, x, y, m in pieces:
+        if type(m) is list:
+            m = [v for v in m if v > 0.0]
+            terms += m
+            parts.append(m)
+            sites += len(m)
+            continue
+        length = y - x
+        sites += length
+        parts.append(repeat(m, length))
+        if length == 1:
+            terms.append(m)
+        elif m < _SPLIT_MAX and length < _LENGTH_MAX:
+            c = _SPLIT * m
+            top = c - (c - m)
+            terms += (top * length, (m - top) * length)
+        else:
+            exact = False
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        exact = False
+    # below 2^1023 no partial sum of one term per site overflows either
+    if exact and total < 2.0 ** 1023:
+        return total / size, sites
+    return finite_mean(list(chain.from_iterable(parts)), size, what), sites
+
+
+def _h(action: NsAction, g: L1Function, window: CubeWindow) -> dict:
+    """h = g * mu as a dict, once g's space and the window's dimension
+    are checked."""
     if g.space is not action.space:
         raise InvalidInputError("g is defined over a different space")
     window.check_dimension(action.d)
     weight = action.space.weight
-    f = {sp: v * weight(sp) for sp, v in g.items()}
+    return {sp: v * weight(sp) for sp, v in g.items()}
+
+
+def _window_maxima(action: NsAction, g: L1Function, window: CubeWindow) -> dict:
+    """s -> max_{t in window} h(T_1^{t_1} ... T_d^{t_d} s) with h = g * mu."""
+    f = _h(action, g, window)
     lo, hi = window.axis_bounds()
     for axis in range(action.d):
         f = _axis_max(action, axis, f, lo, hi)
@@ -258,6 +370,14 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
     beyond float range never arises.  ``support`` counts the atoms whose
     window maximum is positive.
 
+    A sweep costs about what its largest window costs.  The first axis's
+    input h is the same for every n, so its runs are walked once, for the
+    largest window, and each n reads its maxima from them; later axes
+    walk once per n, because their input depends on n.  The last axis is
+    summed as segments, L sites of one maximum at a time, correctly
+    rounded as ``fsum`` over the sites would be, with no dict of atoms.
+    The first record's ``ms`` carries the shared walk.
+
     Each support atom of h lies in at most |window| of the windows, so
     a_n <= ||g||_1: once ``L1Function`` has accepted the norm, a_n is a
     float, even where the sum of the maxima is not.
@@ -270,16 +390,25 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
         raise InvalidInputError("the list of window sizes is empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidInputError(f"window sizes must be strictly increasing: {ns}")
+    t0 = time.perf_counter()
+    windows = [CubeWindow(kind, n, action.d) for n in ns]
+    h = _h(action, g, windows[-1])
+    lo, hi = windows[-1].axis_bounds()
+    ahead = -lo
+    runs = _walk(action, 0, h, hi - lo, ahead)
     series = StatSeries()
-    for n in ns:
-        t0 = time.perf_counter()
-        window = CubeWindow(kind, n, action.d)
-        best = _window_maxima(action, g, window)
-        a_n = finite_mean(
-            best.values(), window.size, f"a_n of g at n = {n} in space "
+    for window in windows:
+        lo, hi = window.axis_bounds()
+        pieces = _pieces(runs, lo, hi, ahead)
+        for axis in range(1, action.d):
+            pieces = _axis_pieces(action, axis, _gather(pieces), lo, hi)
+        a_n, support = _sum_pieces(
+            pieces, window.size, f"a_n of g at n = {window.n} in space "
             f"{action.space.name!r}")
-        ms = (time.perf_counter() - t0) * 1000.0
-        series.records.append(StatRecord(n, kind, a_n, len(best), ms))
+        t1 = time.perf_counter()
+        series.records.append(
+            StatRecord(window.n, kind, a_n, support, (t1 - t0) * 1000.0))
+        t0 = t1
     return series
 
 

@@ -12,6 +12,7 @@ import contextlib
 import io
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -21,7 +22,10 @@ from nsdyn.action import (
     CubeWindow,
     NsAction,
     _Budget,
+    _commute,
+    _log_deviation,
     _ratio_error,
+    _sample_cubes,
     _weight_ratio,
     as_vec,
     iter_window_orbit,
@@ -42,6 +46,7 @@ from nsdyn.space import (
     atom_to_json,
     make_space,
     rel_dev,
+    sort_atoms,
 )
 
 FIXTURE_NAMES = ("E2", "C4", "TR1", "ST2", "OD3", "MIX")
@@ -463,6 +468,56 @@ def pairwise_check_cocycle(action, radius, samples=None, rel_tol=1e-9):
                 elif joint != end:
                     violations.append((t, u, s, dev, (joint, end)))
     return CocycleReport(radius, rel_tol, checked, worst_dev, worst, violations)
+
+
+def unscreened_check_cocycle(action, radius, samples=None, rel_tol=1e-9):
+    """``check_cocycle`` with one ``_log_deviation`` call per unit pair.
+
+    The pair loop before the deviations were screened by their log
+    difference: the same cubes, pairs and order, every pair evaluated.
+    """
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
+    space, d = action.space, action.d
+    samples = (space.exhaustion(2) if samples is None
+               else sort_atoms(samples))
+    window = CubeWindow.centered(radius, d)
+    cube = CubeWindow.centered(2 * radius, d)
+    commuting = (space.finite and (d == 1 or len(space.atoms) * d * d
+                                   <= len(samples) * cube.size)
+                 and _commute(action))
+    if commuting:
+        cube = CubeWindow.centered(radius + 1, d)
+    center = cube.size // 2
+    units = [(u, sum(map(mul, u, cube.strides))) for u in sorted(
+        v for v in CubeWindow.centered(1, d) if sum(map(abs, v)) == 1)]
+    inner, worst_dev, worst, violations = None, -1.0, None, []
+    for s, logs, misses, atoms in _sample_cubes(action, samples, cube,
+                                                commuting, rel_tol):
+        if inner is None:
+            inner = list(zip(window, cube.positions(window)))
+        log_s = logs[center]
+        for k, axis, forward, image in misses:
+            sign = 1 if forward else -1
+            t, off = cube.vector(k), sign * cube.strides[axis]
+            u = tuple(sign * (i == axis) for i in range(d))
+            dev = _log_deviation(logs[k + off] - log_s, logs[k] - log_s,
+                                 space.log_weight(image) - logs[k])
+            if dev > worst_dev:
+                worst_dev, worst = dev, (t, u, s)
+            violations.append((t, u, s, dev, (atoms[k + off], image)))
+        for t, k in inner:
+            log_t = logs[k]
+            log_wt = log_t - log_s
+            for u, off in units:
+                log_tu = logs[k + off]
+                dev = _log_deviation(log_tu - log_s, log_wt, log_tu - log_t)
+                if dev > worst_dev:
+                    worst_dev, worst = dev, (t, u, s)
+                if not dev <= rel_tol:
+                    violations.append((t, u, s, dev, None))
+    return CocycleReport(radius, rel_tol, len(samples) * window.size ** 2,
+                         max(worst_dev, 0.0), worst, violations)
 
 
 def pairwise_verify_equivalence(action, form, radius):

@@ -15,6 +15,7 @@ from conftest import (
     random_nonneg_function,
     run_cli_inprocess,
     sample_atoms,
+    unscreened_check_cocycle,
     vec_add,
 )
 from nsdyn import action as action_module
@@ -271,6 +272,99 @@ class TestCocycle:
         doc = check_cocycle(actions["E2"], 2).as_dict()
         assert doc["passed"] is True
         assert doc["checked"] > 0
+
+
+def _screen_case(case):
+    """(action, radius) of a deviation-screen case."""
+    if case == "noncommuting":   # misses and deviations beyond rel_tol
+        return noncommuting_action(), 1
+    if case == "wide":
+        space = make_space([0, 1], [1e-300, 1e300])
+        return make_action(space, [{0: 1, 1: 0}]), 3
+    if case == "cyclic weights":   # rounding moves the worst pair
+        rng = random.Random(12)
+        return zoo.build(zoo.ZooSpec("cyclic", {
+            "N": [5, 3], "weights": [rng.uniform(0.05, 20.0)
+                                     for _ in range(15)]})), 2
+    od = zoo.build(zoo.ZooSpec("odometer", {"K": 4, "p": 0.4, "d": 2}))
+    if case == "nan weight":   # its deviations are NaN: violations
+        od.space._log_weights[od.space.atoms[100]] = math.nan
+    return od, 2
+
+
+class TestDeviationScreen:
+    """Only a pair that may be a new worst or a violation is evaluated."""
+
+    @staticmethod
+    def evaluations(monkeypatch, action, radius):
+        calls, deviation = [0], action_module._log_deviation
+
+        def counted(*logs):
+            calls[0] += 1
+            return deviation(*logs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(action_module, "_log_deviation", counted)
+            report = check_cocycle(action, radius)
+        return report, calls[0]
+
+    @pytest.mark.parametrize("case,screened,unscreened", [
+        ("odometer", 1, 25600),
+        ("nan weight", 293, 25600),   # the 292 violations and the first pair
+        ("noncommuting", 48, 156),    # its 48 misses, all violations
+        ("wide", 1, 28),
+        ("cyclic weights", 3, 1500),
+    ])
+    def test_report_matches_the_unscreened_loop(self, monkeypatch, case,
+                                                 screened, unscreened):
+        action, radius = _screen_case(case)
+        report, calls = self.evaluations(monkeypatch, action, radius)
+        reference = unscreened_check_cocycle(action, radius)
+        # every field, violations and their order included; NaN dumps as NaN
+        assert json.dumps(report.as_dict()) == json.dumps(reference.as_dict())
+        assert calls == screened
+        # the unscreened loop evaluates each unit pair (t, +-e_i) and miss
+        window = CubeWindow.centered(radius, action.d)
+        misses = sum(v[4] is not None for v in report.violations)
+        assert unscreened == (report.checked // window.size * 2 * action.d
+                              + misses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+           data=st.data(), radius=st.integers(1, 3),
+           rel_tol=st.sampled_from([1e-9, 1e-13, 0.5]))
+    def test_random_weights_match_the_unscreened_loop(self, sizes, data,
+                                                       radius, rel_tol):
+        # a noncommuting action's misses set the worst before its pairs
+        skew = data.draw(st.booleans())
+        count = 3 if skew else math.prod(sizes)
+        weights = data.draw(st.lists(st.floats(0.05, 20.0) | st.sampled_from(
+            [1e-300, 1e300, 1.0]), min_size=count, max_size=count))
+        action = (noncommuting_action(weights) if skew else zoo.build(
+            zoo.ZooSpec("cyclic", {"N": sizes, "weights": weights})))
+        try:
+            want = json.dumps(unscreened_check_cocycle(
+                action, radius, rel_tol=rel_tol).as_dict())
+        except InvalidInputError as exc:   # rel_tol below the rounding bound
+            with pytest.raises(InvalidInputError) as info:
+                check_cocycle(action, radius, rel_tol=rel_tol)
+            assert str(info.value) == str(exc)
+            return
+        assert json.dumps(check_cocycle(
+            action, radius, rel_tol=rel_tol).as_dict()) == want
+
+    @pytest.mark.parametrize("rel_tol", [
+        5e-324, 1e-300, 1e-16, 2e-15, 1e-9, 0.5, 1.0 - 2 ** -53])
+    def test_bound_is_the_largest_passing_x(self, rel_tol):
+        x = action_module._deviation_bound(rel_tol)
+        assert -math.expm1(-x) <= rel_tol
+        assert -math.expm1(-math.nextafter(x, math.inf)) > rel_tol
+
+    def test_bound_without_a_passing_or_failing_x(self):
+        assert action_module._deviation_bound(math.nan) == -1.0
+        assert action_module._deviation_bound(-1e-9) == -1.0
+        assert action_module._deviation_bound(0.0) == 0.0
+        assert action_module._deviation_bound(1.0) == math.inf
 
 
 class TestDualApply:

@@ -33,7 +33,7 @@ from nsdyn.maxstat import (
     stat_series,
     sum_dual_partial,
 )
-from nsdyn.space import L1Function, make_space, truncate_l1
+from nsdyn.space import L1Function, finite_mean, make_space, truncate_l1
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -359,12 +359,36 @@ def assert_same_maxima(action, g, window):
     assert fast.support == slow.support
     assert fast.to_dict() == slow.to_dict()
     assert fast.truncation_error == slow.truncation_error
-    # a_n sums the maxima of g * mu directly, with no division, so its
-    # reference is the sum of the walked maxima, not slow.norm
-    best = walk_window_maxima(action, g, window)
-    (record,) = stat_series(action, g, [window.n], window.kind).records
-    assert record.a_n == math.fsum(best.values()) / window.size
-    assert record.support == len(best)
+    assert_sweep_matches_walks(action, g, [window.n], window.kind)
+
+
+def assert_sweep_matches_walks(action, g, ns, kind):
+    """Every record of one sweep against a full window walk of its own n.
+
+    a_n sums the maxima of g * mu directly, with no division, so its
+    reference is the sum of the walked maxima, not the norm of
+    ``walk_max_dual_function``."""
+    records = stat_series(action, g, ns, kind).records
+    assert [r.n for r in records] == list(ns)
+    for n, record in zip(ns, records):
+        window = CubeWindow(kind, n, action.d)
+        values = list(walk_window_maxima(action, g, window).values())
+        try:
+            want = math.fsum(values) / window.size
+        except OverflowError:   # the maxima sum beyond float range
+            want = finite_mean(values, window.size, "a_n")
+        assert record.a_n == want
+        assert record.support == len(values)
+
+
+def sweep_sizes(top):
+    """Strictly increasing window sizes in [1, top], one to four of them."""
+    return st.sets(st.integers(1, top), min_size=1, max_size=4).map(sorted)
+
+
+def span(kind, n):
+    lo, hi = CubeWindow(kind, n, 1).axis_bounds()
+    return hi - lo
 
 
 class TestWalkOracle:
@@ -383,9 +407,11 @@ class TestWalkOracle:
             st.floats(1e-3, 1e3) | st.integers(-30, 30).map(lambda e: 2.0 ** e),
             min_size=len(atoms), max_size=len(atoms)), label="values")
         kind = data.draw(st.sampled_from(["corner", "centered"]), label="kind")
-        n = data.draw(st.integers(1, {1: 70, 2: 8, 3: 3}[action.d]), label="n")
+        ns = data.draw(sweep_sizes({1: 70, 2: 8, 3: 3}[action.d]), label="ns")
         g = L1Function(space, dict(zip(atoms, values)))
-        assert_same_maxima(action, g, CubeWindow(kind, n, action.d))
+        for n in ns:
+            assert_same_maxima(action, g, CubeWindow(kind, n, action.d))
+        assert_sweep_matches_walks(action, g, ns, kind)
 
     @pytest.mark.parametrize("name,n", [("C4", 8), ("OD3", 64), ("ST2", 9)])
     @pytest.mark.parametrize("kind", ["corner", "centered"])
@@ -406,6 +432,116 @@ class TestWalkOracle:
             for kind in ("corner", "centered"):
                 for n in (1, 2, 5, 9):
                     assert_same_maxima(act, g, CubeWindow(kind, n, act.d))
+
+
+class TestSweepOracle:
+    """A sweep walks its first axis once, at its largest window, and sums
+    its last axis as segments; each record keeps the bits of its own walk."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_gaps_that_link_only_at_the_largest_span(self, data):
+        # supports D sites apart share a run exactly when D <= span
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        kind = data.draw(st.sampled_from(["corner", "centered"]), label="kind")
+        ns = data.draw(sweep_sizes({1: 60, 2: 8}[d]).filter(
+            lambda ns: len(ns) > 1), label="ns")
+        gaps = data.draw(st.lists(st.integers(
+            span(kind, ns[-2]) + 1, span(kind, ns[-1])), min_size=1,
+            max_size=3), label="gaps")
+        values = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(gaps)
+                                    + 1, max_size=len(gaps) + 1), label="values")
+        sites = [sum(gaps[:k]) for k in range(len(gaps) + 1)]
+        if d == 1:
+            action = zoo.build_fixture("TR1")
+        else:
+            action = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+            axis = data.draw(st.sampled_from([0, 1]), label="axis")
+            sites = [(p, 0) if axis == 0 else (0, p) for p in sites]
+        g = L1Function(action.space, dict(zip(sites, values)))
+        assert_sweep_matches_walks(action, g, ns, kind)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rings_whose_period_lies_between_two_spans(self, data):
+        kind = data.draw(st.sampled_from(["corner", "centered"]), label="kind")
+        ns = data.draw(sweep_sizes(30).filter(lambda ns: len(ns) > 1),
+                       label="ns")
+        k = data.draw(st.integers(1, len(ns) - 1), label="k")
+        # a ring closes at a span of at least its longest gap: the window of
+        # ns[k - 1] falls short of the period, that of ns[k] covers it
+        period = data.draw(st.integers(span(kind, ns[k - 1]) + 2,
+                                       span(kind, ns[k]) + 1), label="period")
+        other = data.draw(st.sampled_from([1, 2, 3]), label="second axis")
+        sizes = [period] if other == 1 else [period, other]
+        count = math.prod(sizes)
+        weights = data.draw(st.lists(st.floats(0.05, 20.0), min_size=count,
+                                     max_size=count), label="weights")
+        action = zoo.build(zoo.ZooSpec("cyclic", {"N": sizes,
+                                                  "weights": weights}))
+        atoms = data.draw(st.lists(st.sampled_from(action.space.atoms),
+                                   min_size=1, max_size=6, unique=True),
+                          label="support")
+        values = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(atoms),
+                                    max_size=len(atoms)), label="values")
+        g = L1Function(action.space, dict(zip(atoms, values)))
+        assert_sweep_matches_walks(action, g, ns[:k + 1], kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_skewed_plane(self, data):
+        # T_2 steps one row on even columns and two on odd ones, so the two
+        # generators do not commute, and the first axis's maxima must sit on
+        # the right sites for the second axis to find the right maxima
+        plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+        skew = make_action(plane.space, [
+            (lambda a: (a[0] + 1, a[1]), lambda a: (a[0] - 1, a[1])),
+            (lambda a: (a[0], a[1] + 1 + a[0] % 2),
+             lambda a: (a[0], a[1] - 1 - a[0] % 2))])
+        atoms = data.draw(st.lists(st.sampled_from(plane.space.exhaustion(6)),
+                                   min_size=1, max_size=6, unique=True),
+                          label="support")
+        values = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(atoms),
+                                    max_size=len(atoms)), label="values")
+        kind = data.draw(st.sampled_from(["corner", "centered"]), label="kind")
+        ns = data.draw(sweep_sizes(6), label="ns")
+        g = L1Function(plane.space, dict(zip(atoms, values)))
+        assert_sweep_matches_walks(skew, g, ns, kind)
+
+    @pytest.mark.parametrize("weights,values,ns", [
+        # the maxima sum to 3e308: finite_mean's scaled branch
+        ([1.5e308, 1.0], [1.0, 1.0], [1, 2, 3]),
+        ([1e-300, 1e300], [1.0, 1.0], [1, 2, 5]),
+        ([1e300, 1e300], [1.0, 0.5], [1, 2, 4]),
+        # subnormal maxima split into their halves
+        ([5e-324, 1.0], [1.0, 5e-324], [1, 2, 3]),
+    ])
+    @pytest.mark.parametrize("kind", ["corner", "centered"])
+    def test_wide_weights(self, weights, values, ns, kind):
+        space = make_space([0, 1], weights)
+        swap = make_action(space, [{0: 1, 1: 0}])
+        assert_sweep_matches_walks(
+            swap, L1Function(space, dict(zip([0, 1], values))), ns, kind)
+
+    @pytest.mark.parametrize("value", [1e300, 5e-324, 2.0 ** -1060, 0.1])
+    @pytest.mark.parametrize("kind", ["corner", "centered"])
+    def test_wide_values_on_a_chain(self, actions, value, kind):
+        # a segment of n sites of one maximum: n * value, exactly rounded
+        tr = actions["TR1"]
+        g = L1Function(tr.space, {0: value, 3: value / 3, 40: value})
+        assert_sweep_matches_walks(tr, g, [1, 7, 50, 300], kind)
+
+    def test_sweep_overdrawing_the_budget_at_its_largest_n(self, actions):
+        tr = actions["TR1"]
+        small = make_action(tr.space, [(lambda a: a + 1, lambda a: a - 1)],
+                            exploration_budget=10)
+        g = indicator(small, [0])
+        assert stat_series(small, g, [4, 8, 11]).values() == [1.0] * 3
+        with pytest.raises(ExplorationLimitError) as info:
+            stat_series(small, g, [4, 8, 12])
+        assert str(info.value) == (
+            "exploration budget exhausted while stepping axis 0")
+        assert (info.value.axis, info.value.t) == (0, None)
 
 
 class TestSegmentSweep:
@@ -474,6 +610,24 @@ class TestWorkCounts:
         plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
         g = indicator(plane, [(0, 0)])
         assert self.steps(monkeypatch, plane, g, 80) == 80 ** 2 - 1
+
+    @pytest.mark.parametrize("g_atoms,ns,steps", [
+        ("atom:0", [8192, 32768], 32767),            # was 8191 + 32767
+        ("exhaustion:64", [256, 1024, 4096], 4223),  # was 383 + 1151 + 4223
+    ])
+    def test_sweep_walks_its_first_axis_once(self, actions, step_counter,
+                                             g_atoms, ns, steps):
+        tr = actions["TR1"]
+        atoms = ([0] if g_atoms == "atom:0" else tr.space.exhaustion(64))
+        step_counter[0] = 0
+        stat_series(tr, indicator(tr, atoms), ns)
+        assert step_counter[0] == steps
+
+    def test_sweep_walks_the_odometer_ring_once(self, step_counter):
+        od = zoo.build(zoo.ZooSpec("odometer", {"K": 10, "p": 0.4}))
+        step_counter[0] = 0
+        stat_series(od, indicator(od, od.space.atoms), [16, 64, 256])
+        assert step_counter[0] == 2 ** 10   # was 3 * 2 ** 10
 
 
 class TestExplorationBudget:
