@@ -40,6 +40,7 @@ from .maharam import (
     Rect,
     check_measure_preservation,
     extend,
+    extension_series,
     extension_stat,
     push_rect,
 )

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .hopf import hopf_decompose, krengel_normal_form, verify_equivalence
-from .maharam import Rect, check_measure_preservation, extend, extension_stat
+from .maharam import Rect, check_measure_preservation, extend, extension_series
 from .space import L1Function, rel_dev
 
 OUT_DIR_ENV = "NSDYN_OUT_DIR"
@@ -341,9 +341,10 @@ def _cmd_maharam_verify(opt: _Options, action):
     report = check_measure_preservation(ext, t, rects, rel_tol=tol_measure)
     table = []
     ext_ok = True
+    stats = extension_series(ext, ms, ns)
     for m in ms:
         for n in ns:
-            lhs, rhs = extension_stat(ext, m, n)
+            lhs, rhs = stats[m, n]
             dev = rel_dev(lhs, rhs)
             ext_ok = ext_ok and dev <= tol_extension
             table.append({"m": m, "n": n, "lhs": lhs, "rhs": rhs,

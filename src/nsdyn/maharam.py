@@ -11,7 +11,7 @@ because the fiber is scaled by exactly the reciprocal of the weight ratio.
 Restricting product sets to finite unions of atom x interval rectangles
 keeps every pushforward exact; no quadrature is involved anywhere.
 
-``extension_stat`` evaluates the maximal-average statistic of the extension
+``extension_series`` evaluates the maximal-average statistic of the extension
 for the indicator of S_m x (0, m) in two independent ways: once by direct
 fiber integration on the product side, once through the base maximal
 statistic.  The two assemblies agree because the fiber integral of the
@@ -20,21 +20,22 @@ collapse is what ties conservativity of the skew product to conservativity
 of the base, so the pair is returned rather than one number computed twice.
 
 The product side enumerates its pairs (s, phi_t(s)) with phi_t(s) in S_m
-from S_m itself: they are the pairs (phi_{-t}(a), a) for a in S_m, so one
-inverse window walk per atom of S_m, |S_m| * (n^d - 1) generator steps,
-reaches every term of the fiber integral.  The maximum over t for one s is
-mu(a) / mu(s) for the heaviest a whose walk reaches s, so the product side
-takes one weight ratio per base atom: that of the heaviest S_m atom whose
-walk reaches it.  phi_{-t} inverts phi_t only when the generators commute;
-``extend`` checks that, with the cocycle, on the centered window of radius 2
-before any statistic is taken.
+from S_m itself: they are the pairs (phi_{-t}(a), a) for a in S_m, and the
+maximum over t for one s is mu(a) / mu(s) for the heaviest a whose inverse
+walk reaches s, one weight ratio per base atom.  ``extension_series`` takes
+a whole grid of (m, n) from one inverse corner(N) walk per atom of S_M,
+M = max(m) and N = max(n), |S_M| * (N^d - 1) generator steps; each cell
+reads its atoms from those walks.  phi_{-t} inverts phi_t only when the
+generators commute; ``extend`` checks that, with the cocycle, on the
+centered window of radius 2 before any statistic is taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import product
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .action import (CubeWindow, NsAction, _images, _ratio_error,
@@ -189,50 +190,66 @@ def check_measure_preservation(ext: MaharamAction, t, rects: Sequence[Rect],
 
 
 def extension_stat(ext: MaharamAction, m: int, n: int) -> tuple[float, float]:
-    """Both assemblies of the extension statistic for 1_{S_m x (0, m)}.
+    """``(lhs, rhs)`` for one cell: see :func:`extension_series`."""
+    return extension_series(ext, [m], [n])[m, n]
 
-    Returns ``(lhs, rhs)`` where
 
-    * ``lhs`` integrates the product side directly: for each base atom s the
-      fiber contribution is m * max_t [w_t(s) * 1_{S_m}(phi_t(s))] over the
-      corner window, summed against mu and divided by n^d.  The atoms s
-      with a nonzero term are the phi_{-t}(a) for a in S_m, reached by one
-      inverse window walk per a, |S_m| * (n^d - 1) generator steps (exact
-      when the generators commute, which ``extend`` checks).  The maximum
-      at s is one weight ratio, mu(a) / mu(s) for the heaviest S_m atom a
-      whose walk reaches s;
-    * ``rhs`` is (m / n^d) times the integral of the base window maximum of
-      the dual images of 1_{S_m}.
+def extension_series(ext: MaharamAction, ms: Sequence[int],
+                     ns: Sequence[int]) -> dict:
+    """``{(m, n): (lhs, rhs)}`` for 1_{S_m x (0, m)} over the grid ms x ns.
 
-    The contract is agreement to relative 1e-12: they are the same finite
-    sum assembled along two different routes.
+    ``lhs`` integrates the product side directly: m * max_t [w_t(s) *
+    1_{S_m}(phi_t(s))] over the corner window, summed against mu and
+    divided by n^d.  ``rhs`` is (m / n^d) times the integral of the base
+    window maximum of the dual images of 1_{S_m}.  They are one finite sum
+    assembled two ways, so they agree to relative 1e-12.  The grid walks
+    what its largest cell (M, N) walks; a fault met there is raised as a
+    cell-by-cell loop meets it first, by replaying the cells before it.
     """
-    if m < 1 or n < 1:
+    ms, ns = list(dict.fromkeys(ms)), list(dict.fromkeys(ns))
+    if not ms or not ns or min(ms) < 1 or min(ns) < 1:
         raise InvalidInputError("extension statistic needs m >= 1 and n >= 1")
-    base = ext.base
-    space = base.space
-    s_m = space.exhaustion(m)
-    window = CubeWindow.corner(n, base.d)
-
-    # product-side assembly: max_t w_t(s) * 1_{S_m}(phi_t(s)) is
-    # mu(a) / mu(s) for the heaviest a in S_m whose inverse walk reaches s,
-    # as subtracting log mu(s) and exp are monotone; the walks run from the
-    # heaviest a down (S_m order among ties) and the first to reach s holds
-    # it, so there is one ratio and one log-weight lookup per held s
-    heaviest = sorted(zip(s_m, map(space.log_weight, s_m)),
-                      key=itemgetter(1), reverse=True)
-    best = {}
-    for held in heaviest:
-        for s in iter_window_orbit(base, held[0], window, inverse=True):
-            best.setdefault(s, held)
-    # fsum rounds the exact sum of these nonnegative terms once, so their
-    # order cannot change its bits
-    lhs = math.fsum(
-        space.weight(s, _member=True) * m
-        * _weight_ratio(space, s, space.log_weight(s), *held)
-        for s, held in best.items()) / window.size
-
-    # base-side assembly through the maximal statistic
-    indicator = L1Function.indicator(space, s_m)
-    rhs = m * max_dual_function(base, indicator, window).norm / window.size
-    return lhs, rhs
+    base, space, d = ext.base, ext.base.space, ext.base.d
+    big = CubeWindow.corner(max(ns), d)
+    stage = None
+    try:
+        subsets = {m: space.exhaustion(m) for m in ms}
+        stage = (max(ms), big.n)  # the rest is what cell (M, N) does first
+        # walks run from the heaviest a of S_M down (S_M order among ties):
+        # S_m lies in S_M in the same atom order, so on S_m this is the order
+        # S_m sorts to alone, and the first walk to reach s in a cell holds
+        # it there.  A finite space's S_m is one tuple: its cells share tables
+        heaviest = sorted(zip(subsets[stage[0]],
+                              map(space.log_weight, subsets[stage[0]])),
+                          key=itemgetter(1), reverse=True)
+        members = {id(s_m): set(s_m) for s_m in subsets.values()}
+        tables = {(key, n): {} for key in members for n in ns}
+        # corner(n) is the n^(d-1) rows of n atoms from these starts on
+        starts = {n: [sum(map(mul, t, big.strides))
+                      for t in product(range(n), repeat=d - 1)] for n in ns}
+        for held in heaviest:
+            walk = list(iter_window_orbit(base, held[0], big, inverse=True))
+            for (key, n), best in tables.items():
+                if held[0] in members[key]:
+                    for b in starts[n]:
+                        for s in walk[b:b + n]:
+                            best.setdefault(s, held)
+    except Exception:
+        for cell in product(ms, ns):
+            if cell == stage or len(ms) * len(ns) == 1:
+                raise
+            extension_stat(ext, *cell)
+        raise
+    out = {}
+    for m in ms:
+        indicator = None
+        for n in ns:
+            # fsum rounds the exact sum once: term order cannot change its bits
+            lhs = math.fsum(
+                space.weight(s, _member=True) * m
+                * _weight_ratio(space, s, space.log_weight(s), *held)
+                for s, held in tables[id(subsets[m]), n].items()) / n ** d
+            indicator = indicator or L1Function.indicator(space, subsets[m])
+            rhs = max_dual_function(base, indicator, CubeWindow.corner(n, d))
+            out[m, n] = lhs, m * rhs.norm / n ** d
+    return out

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,26 @@ class TestMaharamVerify:
                       equal_weight_noncommuting_file, "--t", "1,1")
         assert out.returncode == 1
         assert json.loads(out.stdout)["passed"] is False
+
+    def test_a_grid_keeps_its_rows_in_argument_order(self):
+        code, out, err = _main("maharam-verify", "--action", "fixture:TR1",
+                               "--m", "4,1,4", "--n", "2,4")
+        assert (code, err) == (0, "")
+        rows = [(r["m"], r["n"], r["lhs"], r["rhs"])
+                for r in json.loads(out)["extension_stat"]]
+        assert rows == [(4, 2, 20.0, 20.0), (4, 4, 12.0, 12.0),
+                        (1, 2, 2.0, 2.0), (1, 4, 1.5, 1.5),
+                        (4, 2, 20.0, 20.0), (4, 4, 12.0, 12.0)]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3081abc1ff65513c0f270a37e165abd043e016d6b35c67f740a3027cf6702121")
+
+    def test_a_budget_overdraw_at_the_largest_n_keeps_its_line(self):
+        code, out, err = _main("maharam-verify", "--action", "fixture:ST2",
+                               "--m", "1", "--n", "4,1001")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: exploration budget exhausted while stepping axis 1 "
+            "toward t=(999, 2), 1000001 of 1002001 window atoms reached\n")
 
     @pytest.mark.parametrize("spec", ["foo", "1,,2"])
     def test_a_bad_m_list_names_the_flag(self, spec):

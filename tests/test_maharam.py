@@ -28,9 +28,11 @@ from nsdyn.maharam import (
     Rect,
     check_measure_preservation,
     extend,
+    extension_series,
     extension_stat,
     push_rect,
 )
+from nsdyn.maxstat import max_dual_function
 from nsdyn.space import AtomSpace, L1Function, make_space, rel_dev
 
 TOL = 1e-9
@@ -339,6 +341,120 @@ class TestExtensionStatInverseWalks:
             lhs, rhs = extension_stat(extensions["TR1"], 8, 256)
         assert calls[0] == 272
         assert lhs == rhs == 8.5
+
+
+class TestExtensionSeries:
+    """A grid reads every cell from the walks of its largest cell."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(("cyclic", "odometer", "translation",
+                                 "stabilizer") + FIXTURE_NAMES),
+           ms=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           data=st.data())
+    def test_every_cell_matches_the_references(self, actions, case, ms,
+                                               data):
+        if case in FIXTURE_NAMES:
+            action = actions[case]
+        else:
+            action = zoo.build(zoo.ZooSpec(*_lhs_spec(case, data)))
+        d = action.d
+        ns = sorted(data.draw(st.sets(st.integers(1, 6 if d == 2 else 16),
+                                      min_size=1, max_size=3), label="ns"))
+        ext = extend(action)
+        grid = extension_series(ext, ms, ns)
+        assert list(grid) == list(dict.fromkeys(
+            (m, n) for m in ms for n in ns))
+        space = action.space
+        for m in ms:
+            indicator = L1Function.indicator(space, space.exhaustion(m))
+            for n in ns:
+                lhs, rhs = grid[m, n]
+                assert lhs == gather_extension_lhs(ext, m, n)
+                window = CubeWindow.corner(n, d)
+                assert rhs == (m * max_dual_function(action, indicator,
+                                                     window).norm / n ** d)
+
+    def test_a_single_cell_is_extension_stat(self, extensions):
+        grid = extension_series(extensions["TR1"], [8], [256])
+        assert grid == {(8, 256): extension_stat(extensions["TR1"], 8, 256)}
+
+    def test_an_empty_grid_is_an_input_error(self, extensions):
+        with pytest.raises(InvalidInputError):
+            extension_series(extensions["E2"], [], [4])
+        with pytest.raises(InvalidInputError):
+            extension_series(extensions["E2"], [1, 2], [4, 0])
+
+
+def _tight_tr1(budget):
+    """TR1's extension with an exploration budget of ``budget`` steps."""
+    ext = extend(zoo.build_fixture("TR1"))
+    ext.base.exploration_budget = budget
+    return ext
+
+
+def _loop_fault(ext, ms, ns):
+    """The first fault of the grid taken one cell at a time, m-major."""
+    with pytest.raises(Exception) as caught:
+        for m in ms:
+            for n in ns:
+                extension_stat(ext, m, n)
+    return caught.value
+
+
+class TestExtensionSeriesFaults:
+    """A grid raises the fault a cell-by-cell loop meets first."""
+
+    @pytest.mark.parametrize("ms, ns", [
+        ([1], [4, 102]), ([1], [102, 103]), ([2, 1], [4, 102, 150]),
+        ([1, 2], [101, 102]), ([1, 3], [50, 101, 103])])
+    def test_a_budget_fault_names_the_loops_window(self, ms, ns):
+        # a corner(n) walk of TR1 takes n - 1 steps: 101 fits a budget of
+        # 100, 102 does not, and the error names the window it walked
+        ext = _tight_tr1(100)
+        with pytest.raises(ExplorationLimitError) as grid:
+            extension_series(ext, ms, ns)
+        expected = _loop_fault(ext, ms, ns)
+        assert type(expected) is ExplorationLimitError
+        assert str(grid.value) == str(expected)
+        first = min(n for n in ns if n > 101)
+        assert f"of {first} window atoms reached" in str(grid.value)
+
+    def test_the_largest_cells_fault_is_walked_once(self, step_counter):
+        ext = _tight_tr1(100)
+        step_counter[0] = 0
+        with pytest.raises(ExplorationLimitError, match="of 102 window"):
+            extension_series(ext, [1], [4, 102])
+        # the first corner(102) walk spends the budget of 100 steps, the
+        # replayed cell (1, 4) walks 3 steps from each of the 3 atoms of
+        # S_1 and its rhs 2m + n - 1 = 5, and the fault at (1, 102) is
+        # raised without walking it again
+        assert step_counter[0] == 100 + 3 * 3 + 5 == 114
+
+    def test_an_earlier_cells_fault_comes_first(self, monkeypatch):
+        # the walks for n = 200 overdraw, but the loop meets cell (1, 4)'s
+        # rhs first
+        def failing(action, g, window):
+            if window.n == 4:
+                raise DomainError("rhs of cell n=4")
+            return max_dual_function(action, g, window)
+
+        monkeypatch.setattr(maharam, "max_dual_function", failing)
+        ext = _tight_tr1(100)
+        with pytest.raises(DomainError, match="rhs of cell n=4"):
+            extension_series(ext, [1, 2], [4, 200])
+        assert str(_loop_fault(ext, [1, 2], [4, 200])) == "rhs of cell n=4"
+
+    def test_an_earlier_cells_ratio_fault_comes_first(self):
+        # mu(2) / mu(0) = 1e600 overflows in the lhs of cell (1, 3), whose
+        # walk from 2 reaches 0; no walk fails, so the grid finishes its
+        # cells in the loop's order and meets it there
+        space = make_space([0, 1, 2], [1e-300, 1.0, 1e300])
+        action = make_action(space, [{0: 1, 1: 2, 2: 0}])
+        ext = extend(action)
+        with pytest.raises(InvalidInputError) as grid:
+            extension_series(ext, [1], [1, 2, 3])
+        assert str(grid.value) == str(_loop_fault(ext, [1], [1, 2, 3]))
+        assert "overflows a float" in str(grid.value)
 
 
 class TestExtensionLimits:

@@ -54,7 +54,7 @@ from nsdyn.hopf import (
     krengel_normal_form,
     verify_equivalence,
 )
-from nsdyn.maharam import extend, extension_stat
+from nsdyn.maharam import extend, extension_series, extension_stat
 from nsdyn.space import atom_key, atom_to_json, make_space
 
 BUILT = {
@@ -925,3 +925,23 @@ def test_extension_stat_walks_each_end_once(step_counter):
     # from 8 back to -8 - 255, 2m + n - 1 = 271 steps.  The forward walk
     # from every candidate as well took 73966
     assert step_counter[0] == 17 * 255 + (2 * 8 + 256 - 1) == 4606
+
+
+def test_extension_series_walks_its_largest_cell_once(step_counter):
+    ext = extend(zoo.build_fixture("TR1"))
+    step_counter[0] = 0
+    extension_series(ext, [1, 4, 8], [16, 64, 256])
+    # lhs walks corner(256) backward once from each of the 17 atoms of
+    # S_8 and reads all nine cells from those walks; rhs walks one run per
+    # cell, 2m + n - 1 steps.  A walk per cell and S_m atom took 10734
+    rhs = sum(2 * m + n - 1 for m in (1, 4, 8) for n in (16, 64, 256))
+    assert step_counter[0] == 17 * 255 + rhs == 4335 + 1077 == 5412
+
+
+def test_extension_series_shares_a_finite_space_s_m(step_counter):
+    ext = extend(zoo.build(zoo.ZooSpec("odometer", {"K": 6, "p": 0.4})))
+    step_counter[0] = 0
+    extension_series(ext, [1, 2], [8, 16, 32])
+    # S_m is all 64 atoms for every m: one corner(32) walk from each, and
+    # rhs walks the 64-atom ring once per cell.  A walk per cell took 7168
+    assert step_counter[0] == 64 * 31 + 6 * 64 == 2368
