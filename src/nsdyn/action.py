@@ -343,12 +343,12 @@ def _images(action: NsAction, t: tuple, atoms: Iterable) -> Callable:
     The axes are walked in ``apply``'s order, each distinct partial image y
     once.  For |t_i| >= 2, with g = T_i or its inverse, one step g(y) per y
     links the starts into g-chains, y -> g(y) where g(y) is a start too.
-    Each chain is walked once from its head, a start without a predecessor:
-    the head's image takes |t_i| steps, and each next image is one step
-    past its predecessor's, since g^k(g y) = g(g^k y) for any map g.  Every
+    Each chain is one run of atoms: its starts from the head, a start
+    without a predecessor, then |t_i| more steps past its last start, so
+    the j-th start's image is the (j + |t_i|)-th atom of the run.  Every
     start left lies on a ring of starts, whose images are read off it by
     index.  So the images are the canonical path's own atoms, also where the
-    generators do not commute, in at most 2N + chains (|t_i| - 2) steps.
+    generators do not commute, in at most N + chains (|t_i| - 1) steps.
 
     Over the budget, or when a step raises, ``apply`` takes every atom, so
     its errors come in its own order.
@@ -380,17 +380,16 @@ def _chain_images(step: Callable, axis: int, k: int, starts: dict) -> dict:
     fed = {b for b in nxt.values() if b in nxt}   # starts with a predecessor
     out = {}
     for head in [y for y in starts if y not in fed]:
-        x = nxt[head]
+        run, y = [], head
+        while y in nxt:   # a start leaves nxt when a run takes it
+            run.append(y)
+            y = nxt.pop(y)
+        run.append(y)   # the step past the chain's last start
         for _ in range(n - 1):
-            x = step(axis, x, forward)
-        out[head] = x
-        y = nxt[head]
-        while y in nxt and y not in out:
-            x = step(axis, x, forward)
-            out[y] = x
-            y = nxt[y]
+            run.append(step(axis, run[-1], forward))
+        out.update(zip(run, run[n:]))
     # a start that no chain reached has a predecessor that none reached
-    # either, so nxt maps those starts onto themselves: they form rings
+    # either, so nxt maps the starts left onto themselves: they form rings
     for y in starts:
         if y not in out:
             ring = [nxt[y]]   # ring[j] = g^(j+1)(y), up to ring[-1] == y

@@ -51,6 +51,7 @@ from typing import Iterable
 from .action import (
     CubeWindow,
     NsAction,
+    _Budget,
     _certify_walk,
     iter_window_orbit,
     lattice_walk,
@@ -460,9 +461,8 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
                else {"expected": atom_to_json(expected),
                      "got": atom_to_json(got)})})
 
-    if action.exploration_budget < 2:  # a pair's 2 steps, on its own budget
-        raise ExplorationLimitError(
-            "exploration budget exhausted while stepping axis 0", axis=0)
+    # each pair's 2 steps are charged on a budget of their own
+    _Budget(action.exploration_budget).spend(0, steps=2)
     for w in reps:
         atoms = [tables[w][t] for t in cube]
         step = action.step if all(map(space.__contains__, atoms)) else guarded

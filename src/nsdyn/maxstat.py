@@ -18,10 +18,11 @@ maxima are constant segments: a monotone deque over the support sites
 alone finds where each maximum starts and ends, and each segment is
 filled in one bulk update.  A ring slides a monotone deque over every
 site.  A statistic costs O(size of its result) generator steps per axis,
-so atoms shared by many support points are walked once.  A sweep over
-several window sizes walks its first axis once, for its largest window,
-and reads every smaller window's maxima from the same runs, so it costs
-about what its largest window costs.
+so atoms shared by many support points are walked once.  One sweep holds
+the only loop over axes: over several window sizes it walks its first
+axis once, for its largest window, and reads every smaller window's
+maxima from the same runs, so it costs about what its largest window
+costs.  ``max_dual_function`` is its one-window case.
 
 a_n itself needs no division: the integral of max_t (dual_t g) against
 mu is the sum over s of max_t h(phi_t(s)) with h = g * mu, so the
@@ -196,16 +197,6 @@ def _gather(pieces) -> dict:
     return out
 
 
-def _axis_pieces(action: NsAction, axis: int, f: dict, lo: int, hi: int):
-    """:func:`_pieces` of the maxima of f along ``axis`` over [lo, hi]."""
-    return _pieces(_walk(action, axis, f, hi - lo, -lo), lo, hi, -lo)
-
-
-def _axis_max(action: NsAction, axis: int, f: dict, lo: int, hi: int) -> dict:
-    """y -> max_{j in [lo, hi]} f(T_axis^j y) on its support, as a dict."""
-    return _gather(_axis_pieces(action, axis, f, lo, hi))
-
-
 # Veltkamp's constant 2^27 + 1 splits a float into two halves of at most 26
 # significant bits each, so either half times a length below 2^26 is exact;
 # 2^27 + 1 times a float below 2^996 does not overflow
@@ -262,23 +253,30 @@ def _sum_pieces(pieces, size: int, what: str) -> tuple[float, int]:
     return finite_mean(list(chain.from_iterable(parts)), size, what), sites
 
 
-def _h(action: NsAction, g: L1Function, window: CubeWindow) -> dict:
-    """h = g * mu as a dict, once g's space and the window's dimension
-    are checked."""
+def _sweep(action: NsAction, g: L1Function, windows: list):
+    """The :func:`_pieces` of s -> max_{t in window} h(phi_t(s)), h = g * mu,
+    for each of the increasing ``windows``, once g's space and the windows'
+    dimension are checked.
+
+    Axis 0's input h is the same for every window, so its runs are walked
+    once, for the last and largest window, and each window reads its
+    maxima from them; each later axis walks the maxima of the one before.
+    """
     if g.space is not action.space:
         raise InvalidInputError("g is defined over a different space")
-    window.check_dimension(action.d)
+    windows[-1].check_dimension(action.d)
     weight = action.space.weight
-    return {sp: v * weight(sp) for sp, v in g.items()}
-
-
-def _window_maxima(action: NsAction, g: L1Function, window: CubeWindow) -> dict:
-    """s -> max_{t in window} h(T_1^{t_1} ... T_d^{t_d} s) with h = g * mu."""
-    f = _h(action, g, window)
-    lo, hi = window.axis_bounds()
-    for axis in range(action.d):
-        f = _axis_max(action, axis, f, lo, hi)
-    return f
+    h = {sp: v * weight(sp) for sp, v in g.items()}
+    lo, hi = windows[-1].axis_bounds()
+    ahead = -lo
+    runs = _walk(action, 0, h, hi - lo, ahead)
+    for window in windows:
+        lo, hi = window.axis_bounds()
+        pieces = _pieces(runs, lo, hi, ahead)
+        for axis in range(1, action.d):
+            f = _gather(pieces)
+            pieces = _pieces(_walk(action, axis, f, hi - lo, -lo), lo, hi, -lo)
+        yield pieces
 
 
 def max_dual_function(action: NsAction, g: L1Function,
@@ -292,19 +290,20 @@ def max_dual_function(action: NsAction, g: L1Function,
     by one positive weight is monotone under rounding, so every value has
     the bits of the direct per-term maximum.
 
-    Each axis pass walks backward from the support only (see the module
-    docstring), stopping after n - 1 (corner) or 2n (centered) empty sites,
-    so it costs O(size of the result) generator steps, plus n forward steps
-    per run for the centered window.  The exploration budget is charged per
-    walk and renewed at every absorbed support atom.  On a chain the maxima
-    come as constant segments, found from the support sites alone.
+    The maxima are the one-window case of the sweep behind
+    :func:`stat_series` (see the module docstring): each axis pass walks
+    backward from the support only, stopping after n - 1 (corner) or 2n
+    (centered) empty sites, so it costs O(size of the result) generator
+    steps, plus n forward steps per run for the centered window.  The
+    exploration budget is charged per walk and renewed at every absorbed
+    support atom.
 
     This route divides by mu(s) and takes the norm of the quotient, which
     is why ``extension_stat`` uses it as an assembly independent of
     :func:`stat_series`.
     """
     space = action.space
-    best = _window_maxima(action, g, window)
+    best = _gather(next(_sweep(action, g, [window])))
     return L1Function(space, {s: m / space.weight(s) for s, m in best.items()},
                       truncation_error=g.truncation_error)
 
@@ -392,16 +391,8 @@ def stat_series(action: NsAction, g: L1Function, ns: Sequence[int],
         raise InvalidInputError(f"window sizes must be strictly increasing: {ns}")
     t0 = time.perf_counter()
     windows = [CubeWindow(kind, n, action.d) for n in ns]
-    h = _h(action, g, windows[-1])
-    lo, hi = windows[-1].axis_bounds()
-    ahead = -lo
-    runs = _walk(action, 0, h, hi - lo, ahead)
     series = StatSeries()
-    for window in windows:
-        lo, hi = window.axis_bounds()
-        pieces = _pieces(runs, lo, hi, ahead)
-        for axis in range(1, action.d):
-            pieces = _axis_pieces(action, axis, _gather(pieces), lo, hi)
+    for window, pieces in zip(windows, _sweep(action, g, windows)):
         a_n, support = _sum_pieces(
             pieces, window.size, f"a_n of g at n = {window.n} in space "
             f"{action.space.name!r}")

@@ -57,6 +57,9 @@ class TestCubeWindow:
             CubeWindow("diamond", 2, 1)
         with pytest.raises(InvalidInputError):
             CubeWindow.corner(0, 1)
+        with pytest.raises(InvalidInputError,
+                           match="^dimension must be >= 1, got 0$"):
+            CubeWindow.corner(1, 0)
 
     @pytest.mark.parametrize("kind", ["corner", "centered"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -126,6 +129,19 @@ class TestApply:
     def test_atom_outside_space(self, actions):
         with pytest.raises(DomainError):
             actions["C4"].apply(1, 99)
+
+    @pytest.mark.parametrize("name,t,message", [
+        ("TR1", True, "group elements are integer vectors"),
+        ("ST2", 3, "scalar group element 3 for a 2-dimensional action"),
+        ("ST2", (1, 2, 3), r"group element \(1, 2, 3\) has length 3, "
+                           "expected 2"),
+        ("ST2", (1, 1.0), r"group element \(1, 1.0\) has a non-int entry"),
+        ("ST2", (1, False), r"group element \(1, False\) has a non-int "
+                            "entry"),
+    ])
+    def test_malformed_group_element(self, actions, name, t, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            actions[name].apply(t, sample_atoms(actions[name])[0])
 
     def test_exploration_budget(self):
         act = zoo.build_fixture("TR1")
@@ -207,6 +223,11 @@ class TestCocycle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_a_radius_below_one_is_refused(self, actions, radius):
+        with pytest.raises(InvalidInputError, match="^radius must be >= 1$"):
+            check_cocycle(actions["E2"], radius)
 
     def test_exhaustive_on_two_atoms(self, actions):
         report = check_cocycle(actions["E2"], 2)
@@ -374,6 +395,12 @@ class TestDualApply:
         image = e2.dual_apply(1, g)
         assert image.to_dict() == {0: 10.0, 1: 1.5}
         assert image.norm == pytest.approx(13.0, rel=TOL)
+
+    def test_g_of_another_space_is_refused(self, actions):
+        g = L1Function.indicator(actions["E2"].space, [0])
+        with pytest.raises(DomainError, match=(
+                "^function is defined over a different space$")):
+            actions["C4"].dual_apply(1, g)
 
     def test_identity_operator(self, actions):
         c4 = actions["C4"]

@@ -446,6 +446,22 @@ class TestConfigFile:
         assert cli.main(["cocycle-check", "--action", "fixture:E2",
                          "--config", str(cfg)]) == 0
 
+    def test_a_config_that_is_not_an_object_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(["--action", "fixture:C4"]))
+        code, out, err = _main("hopf", "--config", str(cfg))
+        _assert_usage_error(code, out, err)
+        assert err == "error: config file must hold a JSON object\n"
+
+    def test_a_relative_out_lands_under_the_out_dir(self, tmp_path,
+                                                    monkeypatch):
+        argv = ("stat", "--action", "fixture:C4", "--g", "atom:0",
+                "--n", "4,8")
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+        assert _main(*argv, "--out", "series.csv") == (0, "", "")
+        assert (tmp_path / "series.csv").read_text() == (
+            "n,window,a_n,support,ms\n4,corner,1.0,4,0\n8,corner,0.5,4,0\n")
+
 
 DETERMINISM_CASES = [
     ("stat", "--action", "fixture:C4", "--g", "atom:0", "--n", "4,8,16"),
@@ -826,14 +842,38 @@ class TestMalformedInput:
         ("--region", "exhaustion:-1", ("krengel", "--action", "fixture:TR1")),
         ("--g", "exhaustion:1.5", ("stat", "--action", "fixture:TR1",
                                    "--n", "4")),
+        ("--g", "exhaustion:-1", ("stat", "--action", "fixture:TR1",
+                                  "--n", "4")),
         ("--A", "exhaustion:", ("duality-check", "--action", "fixture:TR1",
                                 "--t", "1", "--g", "exhaustion:2")),
-    ], ids=["region", "region-negative", "g", "A"])
+    ], ids=["region", "region-negative", "g", "g-negative", "A"])
     def test_a_bad_exhaustion_index_names_the_flag(self, flag, spec, argv):
         code, out, err = _main(*argv, flag, spec)
         _assert_usage_error(code, out, err)
         assert (f"error: {flag} {spec!r}: exhaustion:<m> takes an int m >= 0"
                 in err)
+
+    def test_an_unknown_g_spec_names_the_forms(self):
+        code, out, err = _main("stat", "--action", "fixture:TR1",
+                               "--g", "all", "--n", "4")
+        _assert_usage_error(code, out, err)
+        assert err == ("error: cannot parse function spec 'all'; use "
+                       "atom:<id>, ones, exhaustion:<m>, or @file.json\n")
+
+    @pytest.mark.parametrize("params, message", [
+        ("d=true", "dimension must be a positive int: True"),
+        ("d=FALSE", "dimension must be a positive int: False"),
+        # an x list with a part that is not an int stays one string
+        ("tau=1x0.5", "could not convert string to float: '1x0.5'"),
+        ("d", "parameter 'd' is not of the form key=value"),
+        ("d=2,tau", "parameter 'tau' is not of the form key=value"),
+    ], ids=["true", "false", "x-list", "no-equals", "no-equals-second"])
+    def test_params_are_typed_before_the_builder_sees_them(self, params,
+                                                           message):
+        code, out, err = _main("hopf", "--action", "zoo:translation",
+                               "--params", params)
+        _assert_usage_error(code, out, err)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag, spec, argv", [
         ("--region", "foo", ("krengel", "--action", "fixture:TR1")),

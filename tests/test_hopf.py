@@ -55,6 +55,11 @@ class TestOrbitExplore:
         record = orbit_explore(actions["ST2"], 0, 2)
         assert (0, 1) in record.stabilizer
 
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_a_radius_below_one_is_refused(self, actions, radius):
+        with pytest.raises(InvalidInputError, match="^radius must be >= 1$"):
+            orbit_explore(actions["TR1"], 0, radius)
+
     def test_visits_cover_the_window(self, actions):
         record = orbit_explore(actions["OD3"], "000", 3)
         assert len(record.visits) == 7
@@ -251,6 +256,13 @@ class TestVerifyEquivalence:
         assert report.passed
         assert report.equivariance_checked > 0
 
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_a_radius_below_one_is_refused(self, actions, radius):
+        tr = actions["TR1"]
+        form = krengel_normal_form(tr, [0], radius=2)
+        with pytest.raises(InvalidInputError, match="^radius must be >= 1$"):
+            verify_equivalence(tr, form, radius)
+
     def test_corrupted_table_entry_reported(self, actions):
         tr = actions["TR1"]
         form = krengel_normal_form(tr, range(-2, 3), radius=4)
@@ -325,6 +337,15 @@ class TestBuildTranslationAction:
         act = build_translation_action(W, 1)
         assert act.space.weight(("b", (17,))) == 2.0
 
+    @pytest.mark.parametrize("atom", [
+        "a", ("a",), ("a", (0,), 1), ("c", (0,)), ("a", 0), ("a", (0, 1)),
+        ("a", (True,)), ("a", (0.0,))])
+    def test_contains_only_pairs_over_the_base(self, atom):
+        W = make_space(["a", "b"], {"a": 1.0, "b": 2.0})
+        space = build_translation_action(W, 1).space
+        assert ("b", (-4,)) in space
+        assert atom not in space
+
     def test_invariant_measure(self):
         W = make_space(["a", "b"], {"a": 1.0, "b": 2.0})
         act = build_translation_action(W, 2)
@@ -352,6 +373,15 @@ class TestRoundTripIdentity:
                 r"^atom 2 has two keys \(w, t\) in the conjugacy table, "
                 r"\(0, \(-2,\)\) and \(0, \(2,\)\): Phi is not one-to-one$")):
             rotation.map_to_form(f)
+
+    def test_an_atom_outside_the_table_carries_no_function(self, actions):
+        tr = actions["TR1"]
+        form = krengel_normal_form(tr, [0], radius=2)
+        f = L1Function.indicator(tr.space, [0, 3])
+        with pytest.raises(InvalidInputError, match=(
+                "^support atom 3 lies outside the explored conjugacy table "
+                r"\(radius 2\)$")):
+            form.map_to_form(f)
 
     def test_limit_of_recovered_form_matches_stabilized_statistic(self, actions):
         tr = actions["TR1"]

@@ -24,7 +24,8 @@ from nsdyn.errors import (
 )
 from nsdyn.hopf import KrengelForm
 from nsdyn.maxstat import (
-    _axis_max,
+    _gather,
+    _sweep,
     conservativity_verdict,
     dissipative_limit,
     max_dual_function,
@@ -165,6 +166,13 @@ class TestDissipativeLimit:
         space = form.translation_action().space
         f = L1Function(space, {("w1", (0,)): 1.0, ("w2", (7,)): 3.0})
         assert dissipative_limit(form, f) == 7.0
+
+    def test_an_atom_that_is_not_a_pair_is_refused(self):
+        form = self._form({"w": 1.0})
+        f = L1Function.indicator(make_space([0], [1.0]), [0])
+        with pytest.raises(InvalidInputError, match=(
+                r"^atom 0 is not a \(base point, lattice vector\) pair$")):
+            dissipative_limit(form, f)
 
     def test_zero_function_rejected(self):
         form = self._form({"w": 1.0})
@@ -515,13 +523,16 @@ class TestSweepOracle:
         ([1e300, 1e300], [1.0, 0.5], [1, 2, 4]),
         # subnormal maxima split into their halves
         ([5e-324, 1.0], [1.0, 5e-324], [1, 2, 3]),
+        # two sliding maxima of 1e308 overflow fsum: finite_mean sums them
+        ([1e308, 1e-300, 1e-300], [1.0, 0.0, 0.0], [1, 2]),
     ])
     @pytest.mark.parametrize("kind", ["corner", "centered"])
     def test_wide_weights(self, weights, values, ns, kind):
-        space = make_space([0, 1], weights)
-        swap = make_action(space, [{0: 1, 1: 0}])
+        atoms = range(len(weights))
+        space = make_space(list(atoms), weights)
+        ring = make_action(space, [{a: (a + 1) % len(atoms) for a in atoms}])
         assert_sweep_matches_walks(
-            swap, L1Function(space, dict(zip([0, 1], values))), ns, kind)
+            ring, L1Function(space, dict(zip(atoms, values))), ns, kind)
 
     @pytest.mark.parametrize("value", [1e300, 5e-324, 2.0 ** -1060, 0.1])
     @pytest.mark.parametrize("kind", ["corner", "centered"])
@@ -557,12 +568,14 @@ class TestSegmentSweep:
            kind=st.sampled_from(["corner", "centered"]),
            n=st.integers(1, 50))
     def test_maxima_of_every_window(self, seq, stride, kind, n):
-        # TR1 steps s -> s + 1, so the atoms are the sequence positions;
-        # None is off the support, 0.0 a support atom whose value is zero
+        # TR1 steps s -> s + 1 and weighs each atom 1, so the atoms are the
+        # sequence positions and h = g * mu is f; None is off the support,
+        # and 0.0 an atom that g leaves out
         f = {i * stride: v for i, v in enumerate(seq) if v is not None}
         if not f:
             return
-        lo, hi = CubeWindow(kind, n, 1).axis_bounds()
+        window = CubeWindow(kind, n, 1)
+        lo, hi = window.axis_bounds()
         dense = [f.get(k, 0.0) for k in range(min(f), max(f) + 1)]
         pad = [0.0] * (hi - lo)
         padded = pad + dense + pad
@@ -572,7 +585,8 @@ class TestSegmentSweep:
             m = max(padded[i:i + width])
             if m > 0.0:
                 expected[min(f) - (hi - lo) + i - lo] = m
-        assert _axis_max(self.TR1, 0, f, lo, hi) == expected
+        g = L1Function(self.TR1.space, f)
+        assert _gather(next(_sweep(self.TR1, g, [window]))) == expected
 
 
 class TestWorkCounts:

@@ -347,10 +347,10 @@ def test_lazy_duality_check_walks_each_chain_once(step_counter):
     report = json.loads(out)
     assert (report["lhs"], report["rhs"]) == (899.0, 899.0)
     # phi_{-t} of g's 1681 atoms and phi_t of A's: per axis one step per
-    # atom, one per chain link and |t_i| - 2 more per chain of 41 atoms;
-    # one walk per atom took 2 * 1681 * 22 = 73964
-    assert step_counter[0] - 2 * build == (2 * (2 * 1681 + 41 * 8)
-                                           + 2 * (2 * 1681 + 41 * 10))
+    # atom and |t_i| - 1 more per chain of 41 atoms; one walk per atom
+    # took 2 * 1681 * 22 = 73964
+    assert step_counter[0] - 2 * build == (2 * (1681 + 41 * 9)
+                                           + 2 * (1681 + 41 * 11))
 
 
 def test_a_unit_duality_check_takes_the_per_atom_steps(step_counter):

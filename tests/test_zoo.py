@@ -224,6 +224,10 @@ class TestJsonInterfaces:
         with pytest.raises(InvalidInputError):
             jsonio.action_from_json({"atoms": [0, 1], "weights": [1.0],
                                      "generators": [[1, 0]]})
+        with pytest.raises(InvalidInputError, match=(
+                "^generator 0 lists 1 images for 2 atoms$")):
+            jsonio.action_from_json({"atoms": [0, 1], "weights": [1.0, 1.0],
+                                     "generators": [[1]]})
         with pytest.raises(InvalidInputError):
             jsonio.rects_from_json([{"a": 0.0, "b": 1.0}])
 
