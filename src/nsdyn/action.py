@@ -603,26 +603,10 @@ def _unit_misses(action: NsAction, atoms: list, cube: CubeWindow,
                 yield k + stride, axis, False, inv[b]
 
 
-def lattice_walk(action: NsAction, s, cube: CubeWindow):
-    """``(atoms, check_steps)``: the walk of the cube from s, as
-    :func:`iter_window_orbit` lists it, certified a lattice image.
-
-    The certificate is that no unit pair of the cube misses (see
-    :func:`_unit_misses`), on one budget.  None when a pair fails or a step
-    cannot be taken (budget, domain, KeyError).
-    """
-    try:
-        atoms = list(iter_window_orbit(action, s, cube))
-    except (ExplorationLimitError, DomainError, KeyError):
-        return None
-    checked = _certify_walk(action, atoms, cube)
-    return None if checked is None else (atoms, checked)
-
-
 def _certify_walk(action: NsAction, atoms: list, cube: CubeWindow):
-    """The check steps that certify a cube walk already taken, as
-    :func:`lattice_walk` certifies its own; None when a pair misses or a
-    step cannot be taken."""
+    """The check steps that certify a cube walk a lattice image: no unit
+    pair of the cube misses (see :func:`_unit_misses`), on one budget; None
+    when a pair misses or a step cannot be taken."""
     budget = _Budget(action.exploration_budget)
     try:
         if next(_unit_misses(action, atoms, cube, budget), None) is not None:

@@ -54,7 +54,6 @@ from .action import (
     _Budget,
     _certify_walk,
     iter_window_orbit,
-    lattice_walk,
     make_action,
 )
 from .errors import DomainError, ExplorationLimitError, InvalidInputError
@@ -146,12 +145,15 @@ def hopf_decompose(action: NsAction, radius: int,
     free; undetermined otherwise.  The centre is the seed, or an atom within
     the radius of it where the seed's walk shows that a cube there labels
     enough more atoms to pay for a second walk.  These are exactly the
-    labels of one :func:`orbit_explore` per atom.  The first cube that
-    cannot be walked, fails its check, or costs more than the per-atom
-    windows of the atoms it labels (counting the walk a re-centred cube
-    discarded) hands the rest of the call to one exploration per atom.  So
-    budget and domain errors are those of the per-atom rule, and the work
-    exceeds the per-atom rule's by at most about two cubes.
+    labels of one :func:`orbit_explore` per atom.  A running balance gains
+    (2 radius + 1)^d points per atom a cube labels and loses what each cube
+    spent, or the worst cube's (2d + 1)(4 radius + 1)^d where it failed.  A
+    seed takes its cube while the balance is not negative; otherwise, or
+    where its cube failed, it walks its own window, then takes its cube
+    after all only if that window holds enough other unlabelled atoms to
+    pay for the worst cube and the deficit.  So budget and domain errors
+    are those of the per-atom rule, and where every cube is certified the
+    work exceeds the per-atom rule's by at most about two cubes.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -168,74 +170,81 @@ def _walks(action: NsAction, radius: int, order: list):
     centered ``cube`` (its centre sits at size // 2).  The walk is a
     certified centered(2 radius) cube from :func:`_cube_walk`, seeded at
     the first unlabelled atom or re-centred on what is left to label, or
-    x's own window once the guard of :func:`hopf_decompose` hands over;
-    each holds x's radius window at k.  The guard charges a cube its walk,
-    its check and the walk it discarded.
+    the seed's own window; each holds x's radius window at k.  The balance
+    of :func:`hopf_decompose` chooses between them: each cube is charged
+    the worst cube up front and refunded what it did not spend.
     """
-    todo, cubes = set(order), True  # requested atoms not yet labelled
+    todo, balance = set(order), 0  # requested atoms not yet labelled
     window = CubeWindow.centered(radius, action.d)
     cube = CubeWindow.centered(2 * radius, action.d)
     inner = list(cube.positions(window))
     centre = cube.size // 2
+    worst = (2 * action.d + 1) * cube.size  # two walks and every check
     for s in order:
         if s not in todo:
             continue
-        if cubes:
+        walk = None
+        if balance >= 0:
+            balance -= worst
             walk = _cube_walk(action, s, cube, inner, todo)
-            cubes = walk is not None
-        if cubes:
+        if walk is None:  # s walks its own window, its per-atom label
+            rec = orbit_explore(action, s, radius)
+            todo.discard(s)
+            yield (s, _rule(action, s, rec.stabilizer, rec.free_in_window),
+                   (window, list(rec.visits.values())), window.size // 2)
+            need = max(worst, -balance)  # the worst cube and the deficit
+            # no count where all the atoms left could not pay
+            if len(todo) * len(inner) >= need and len(todo.intersection(
+                    rec.visits.values())) * len(inner) >= need:
+                balance -= worst
+                walk = _cube_walk(action, s, cube, inner, todo)
+        if walk is not None:
             atoms, spent = walk
             seed = atoms[centre]
             recur = {k for k, atom in enumerate(atoms) if atom == seed}
             recur.discard(centre)
             near = not recur.isdisjoint(inner)  # recurs within radius
-            labelled = 0
             for k in inner:
                 x = atoms[k]
                 if x in todo and x in action.space:
                     todo.discard(x)
-                    labelled += 1
+                    balance += len(inner)
                     yield (x, _rule(action, x, near, not recur),
                            (cube, atoms), k)
-            cubes = labelled * len(inner) >= len(atoms) + spent
+            balance += worst - len(atoms) - spent
             del atoms, walk  # keep no cube past its seed
-        if s in todo:
-            rec = orbit_explore(action, s, radius)
-            todo.discard(s)
-            yield (s, _rule(action, s, rec.stabilizer, rec.free_in_window),
-                   (window, list(rec.visits.values())), window.size // 2)
 
 
 def _cube_walk(action: NsAction, s, cube: CubeWindow, inner: list,
                todo: set):
     """``(atoms, spent)``: a certified walk of ``cube`` from s or from an
     atom of s's walk within the radius, and the steps the guard charges
-    beyond its own atoms (its check, and a discarded walk).  None hands the
-    call to per-atom windows.  This is the one switch of the cube route.
+    beyond its own atoms (its check, and a discarded walk); None when the
+    walk kept cannot be taken or fails its check.
 
     s's walk is taken first.  When its cube holds more of ``todo`` than its
     inner window, the window is moved to c in centered(r), the centre of
     the box of those positions, and the walk from a_c replaces s's where
-    the atoms it gains pay for a walk (gain * |inner| >= |cube|).  If that
-    walk or its certificate fails, s's own walk is certified instead.
+    the atoms it gains pay for a walk (gain * |inner| >= |cube|).  Only the
+    walk kept is certified.
     """
     try:
         atoms = list(iter_window_orbit(action, s, cube))
     except (ExplorationLimitError, DomainError, KeyError):
         return None
     here = len(todo.intersection(map(atoms.__getitem__, inner)))
-    probe = 0
+    probe, r, mid = 0, cube.n // 2, cube.size // 2
     if here < len(todo) and len(todo.intersection(atoms)) > here:
         held = [cube.vector(k) for k, a in enumerate(atoms) if a in todo]
-        r = cube.n // 2
-        c = tuple(max(-r, min(r, (min(x) + max(x)) // 2)) for x in zip(*held))
-        shift = cube.position(c) - cube.size // 2
-        gain = len(todo.intersection(atoms[k + shift] for k in inner)) - here
-        if gain * len(inner) >= len(atoms):
-            walk = lattice_walk(action, atoms[cube.size // 2 + shift], cube)
-            if walk is not None:
-                return walk[0], walk[1] + len(atoms)
+        c = [max(-r, min(r, (min(x) + max(x)) // 2)) for x in zip(*held)]
+        at = cube.position(c)  # the moved centre
+        moved = len(todo.intersection(atoms[k - mid + at] for k in inner))
+        if (moved - here) * len(inner) >= len(atoms):
             probe = len(atoms)
+            try:
+                atoms = list(iter_window_orbit(action, atoms[at], cube))
+            except (ExplorationLimitError, DomainError, KeyError):
+                return None
     checked = _certify_walk(action, atoms, cube)
     return None if checked is None else (atoms, checked + probe)
 

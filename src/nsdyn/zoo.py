@@ -90,9 +90,11 @@ def _rotations(cycles) -> tuple[list, list]:
 def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
     if N is None:
         raise InvalidInputError("cyclic builder needs N (an int or int list)")
-    sizes = [N] if _is_int(N) else list(N)
+    sizes = ([N] if _is_int(N) else list(N) if isinstance(N, (list, tuple))
+             else [])
     if not sizes or any(not _is_int(k) or k <= 0 for k in sizes):
-        raise InvalidInputError(f"cyclic sizes must be positive ints: {sizes}")
+        raise InvalidInputError(
+            f"cyclic N must be a positive int or a list of them: N={N!r}")
     label = name or f"cyclic({sizes})"
     if math.prod(sizes) > EXPLORATION_BUDGET:
         raise _too_large(label, math.prod(sizes))
@@ -175,6 +177,10 @@ def _build_translation(tau=None, d=1, name=None) -> NsAction:
         return _lattice_translation(d, label)
     if isinstance(tau, (list, tuple)):
         tau = {i: w for i, w in enumerate(tau)}
+    if not isinstance(tau, dict):
+        raise InvalidInputError(
+            f"tau must be a list of weights or a mapping of labels to "
+            f"weights: tau={tau!r}")
     if not tau:
         raise InvalidInputError("tau must name at least one base point")
     W = make_space(list(tau), tau, name=f"{label}-base")

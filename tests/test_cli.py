@@ -860,17 +860,25 @@ class TestMalformedInput:
         assert err == ("error: cannot parse function spec 'all'; use "
                        "atom:<id>, ones, exhaustion:<m>, or @file.json\n")
 
-    @pytest.mark.parametrize("params, message", [
-        ("d=true", "dimension must be a positive int: True"),
-        ("d=FALSE", "dimension must be a positive int: False"),
-        # an x list with a part that is not an int stays one string
-        ("tau=1x0.5", "could not convert string to float: '1x0.5'"),
-        ("d", "parameter 'd' is not of the form key=value"),
-        ("d=2,tau", "parameter 'tau' is not of the form key=value"),
-    ], ids=["true", "false", "x-list", "no-equals", "no-equals-second"])
-    def test_params_are_typed_before_the_builder_sees_them(self, params,
-                                                           message):
-        code, out, err = _main("hopf", "--action", "zoo:translation",
+    @pytest.mark.parametrize("builder, params, message", [
+        ("translation", "d=true", "dimension must be a positive int: True"),
+        ("translation", "d=FALSE", "dimension must be a positive int: False"),
+        # an x list with a part that is not an int stays one string, which
+        # the builder refuses by the parameter's name
+        ("translation", "tau=1x0.5", "tau must be a list of weights or a "
+         "mapping of labels to weights: tau='1x0.5'"),
+        ("translation", "d", "parameter 'd' is not of the form key=value"),
+        ("translation", "d=2,tau",
+         "parameter 'tau' is not of the form key=value"),
+        ("cyclic", "N=2x3.5",
+         "cyclic N must be a positive int or a list of them: N='2x3.5'"),
+        ("cyclic", "N=true",
+         "cyclic N must be a positive int or a list of them: N=True"),
+    ], ids=["true", "false", "x-list", "no-equals", "no-equals-second",
+            "cyclic-x-list", "cyclic-true"])
+    def test_params_are_typed_before_the_builder_sees_them(self, builder,
+                                                           params, message):
+        code, out, err = _main("hopf", "--action", f"zoo:{builder}",
                                "--params", params)
         _assert_usage_error(code, out, err)
         assert err == f"error: {message}\n"

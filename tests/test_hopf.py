@@ -18,7 +18,12 @@ from conftest import (
     walk_steps,
 )
 from nsdyn import hopf, zoo
-from nsdyn.action import CubeWindow, make_action
+from nsdyn.action import (
+    CubeWindow,
+    _certify_walk,
+    iter_window_orbit,
+    make_action,
+)
 from nsdyn.errors import (
     DomainError,
     ExplorationLimitError,
@@ -220,7 +225,8 @@ class TestKrengelNormalForm:
 
     def test_per_atom_fallback_matches_the_union_find_reference(self):
         # the first cube labels only the 9 region atoms of its orbit, so the
-        # cost guard hands the other three orbits to one window per atom
+        # balance falls below 0 and the other three orbits take one window
+        # per atom
         four = zoo.build(zoo.ZooSpec(
             "translation", {"tau": [1.0, 2.0, 3.0, 4.0], "d": 2}))
         region = four.space.exhaustion(1)
@@ -536,22 +542,31 @@ class TestCubeLabels:
         assert want.labels[(edge, 0)] == UNDETERMINED
         assert _labels(hopf_decompose(twisted, radius, atoms)) == _labels(want)
 
-    @pytest.mark.parametrize("radius", [2, 3, 4])
-    def test_a_tampered_cube_falls_back_to_the_per_atom_rule(self, radius):
-        # the unit shift of the integer line, except that one atom between
-        # r and 2r above the seed 10 steps back one place: the cube of the
-        # seed fails its check, windows through that atom collide, and the
-        # atom itself recurs after two steps
-        bad = 10 + radius + 1
+    @pytest.mark.parametrize("case, radius", [
+        ("step back", 2), ("step back", 3), ("step back", 4), ("wrap", 5)],
+        ids=["2", "3", "4", "wrap"])
+    def test_a_tampered_cube_falls_back_to_the_per_atom_rule(self, case,
+                                                             radius):
         line = zoo.build_fixture("TR1")
+        if case == "step back":
+            # the unit shift of the integer line, except that one atom
+            # between r and 2r above the seed 10 steps back one place: the
+            # cube of the seed fails its check, windows through that atom
+            # collide, and the atom itself recurs after two steps
+            bad, back = 10 + radius + 1, 10 + radius
+            atoms = range(10, 10 + 2 * radius + 2)
+            kinds = {CONSERVATIVE, DISSIPATIVE, UNDETERMINED}
+        else:
+            # r + 1 steps forward to 0: the cube of 0 recurs at r + 2 and
+            # fails its check, while the window of 0 never steps from r + 1
+            bad, back, atoms = radius + 1, 0, [0]
+            kinds = {DISSIPATIVE}
         tampered = make_action(
             line.space,
-            [(lambda x: x - 1 if x == bad else x + 1, lambda x: x - 1)],
+            [(lambda x: back if x == bad else x + 1, lambda x: x - 1)],
             name="tampered", free_orbits=True)
-        atoms = range(10, 10 + 2 * radius + 2)
         want = per_atom_hopf_decompose(tampered, radius, atoms)
-        assert set(want.labels.values()) == {
-            CONSERVATIVE, DISSIPATIVE, UNDETERMINED}
+        assert set(want.labels.values()) == kinds
         with mock.patch.object(hopf, "orbit_explore",
                                wraps=hopf.orbit_explore) as explore:
             got = hopf_decompose(tampered, radius, atoms)
@@ -568,10 +583,11 @@ class TestCubeLabels:
                            free_orbits=True)
 
     @pytest.mark.parametrize("extra", [[], ["ghost"]], ids=["labels", "error"])
-    def test_a_cube_moved_onto_a_foreign_atom_keeps_the_seed_cube(self, extra):
+    def test_a_cube_moved_onto_a_foreign_atom_leaves_the_seed_its_window(
+            self, extra):
         # the seed 0's cube [-10, 10] holds all five atoms, its window only
         # two, so the cube moves to 5, which is not in the space: its walk
-        # fails, and 0's own walk is certified and labels 0 and 1
+        # fails, and 0 walks its own window
         line = self._line(lambda a: type(a) is int and a != 5)
         atoms = [0, 1, 8, 9, 10] + extra
 
@@ -581,33 +597,42 @@ class TestCubeLabels:
             except DomainError as exc:
                 return str(exc)
 
-        with mock.patch.object(hopf, "lattice_walk",
-                               wraps=hopf.lattice_walk) as walk, \
+        with mock.patch.object(hopf, "_cube_walk",
+                               wraps=hopf._cube_walk) as cube, \
                 mock.patch.object(hopf, "orbit_explore",
                                   wraps=hopf.orbit_explore) as explore:
             got = outcome(hopf_decompose)
         assert got == outcome(per_atom_hopf_decompose)
         assert isinstance(got, list) == (not extra)
-        assert walk.call_args_list == [mock.call(line, 5, mock.ANY)]
-        # the cube labelled two atoms, which pays for neither the walk it
-        # kept nor the one it discarded: the others take their own windows
-        assert [c.args[1] for c in explore.call_args_list] == [8, 9, 10] + extra
+        assert [c.args[1] for c in cube.call_args_list] == [0]
+        # the failed cube is charged the worst cube, 3 * 21 points, which
+        # the four atoms left (4 * 11 points) cannot pay: each takes its
+        # own window
+        assert [c.args[1] for c in explore.call_args_list] == atoms
 
-    def test_a_moved_cube_that_fails_its_check_keeps_the_seed_cube(self):
+    def test_a_moved_cube_that_fails_its_check_leaves_the_seed_its_window(
+            self):
         # the shift steps back at 12: the cube moved to 5, [-5, 15], fails
-        # its check there, while the seed 0's cube [-10, 10] never steps
-        # forward from 12 and is certified
+        # its check there, while the window of every atom is the per-atom
+        # rule's, also where it steps back
         line = self._line(lambda a: type(a) is int,
                           lambda x: x - 1 if x == 12 else x + 1)
         atoms = [0, 1, 8, 9, 10]
         want = per_atom_hopf_decompose(line, 5, atoms)
         assert want.labels[0] == DISSIPATIVE
         assert want.labels[10] == UNDETERMINED
-        with mock.patch.object(hopf, "lattice_walk",
-                               wraps=hopf.lattice_walk) as walk:
+        cube = CubeWindow.centered(10, 1)
+        assert _certify_walk(line, list(iter_window_orbit(line, 0, cube)),
+                             cube) is not None
+        assert _certify_walk(line, list(iter_window_orbit(line, 5, cube)),
+                             cube) is None
+        with mock.patch.object(hopf, "_cube_walk",
+                               wraps=hopf._cube_walk) as walk, \
+                mock.patch.object(hopf, "orbit_explore",
+                                  wraps=hopf.orbit_explore) as explore:
             got = hopf_decompose(line, 5, atoms)
-        assert walk.call_args_list == [mock.call(line, 5, mock.ANY)]
-        assert hopf.lattice_walk(line, 5, CubeWindow.centered(10, 1)) is None
+        assert [c.args[1] for c in walk.call_args_list] == [0]
+        assert [c.args[1] for c in explore.call_args_list] == atoms
         assert _labels(got) == _labels(want)
 
     @pytest.mark.parametrize("radius", [1, 3])
@@ -627,7 +652,7 @@ class TestCubeLabels:
             got = _outcome(hopf_decompose, limited, radius)
             assert got == _outcome(per_atom_hopf_decompose, limited, radius)
             # the per-atom walk fits exactly when the budget covers it;
-            # a cube that does not fit only hands over to that walk
+            # a cube that does not fit leaves its seed to that walk
             assert isinstance(got, list) is (budget >= walk_r)
 
     @pytest.mark.parametrize("atoms", [[0, 1, "ghost"], [-0.5, 0, 3],

@@ -15,17 +15,18 @@ import io
 import json
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
-from itertools import chain
+from itertools import chain, product
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_NAMES,
     noncommuting_action,
     pairwise_check_cocycle,
+    per_atom_hopf_decompose,
     pairwise_verify_equivalence,
     recursive_window_orbit,
     sample_atoms,
@@ -37,9 +38,9 @@ from nsdyn import cli, hopf, jsonio, zoo
 from nsdyn.action import (
     CubeWindow,
     NsAction,
+    _certify_walk,
     check_cocycle,
     iter_window_orbit,
-    lattice_walk,
     make_action,
 )
 from nsdyn.errors import (
@@ -273,12 +274,11 @@ def test_lattice_walk_matches_the_brute_certificate(case, kind, n, edge,
     atoms = sample_atoms(action, 1)
     s = atoms[pick % len(atoms)]
     cube = CubeWindow(kind, n, action.d)
-    got = lattice_walk(action, s, cube)
+    walked = list(iter_window_orbit(action, s, cube))
+    steps = _certify_walk(action, walked, cube)
     accepted = brute_lattice_walk(action, s, cube) == []
-    assert (got is not None) is accepted
+    assert (steps is not None) is accepted
     if accepted:
-        walked, steps = got
-        assert walked == list(iter_window_orbit(action, s, cube))
         assert steps <= (2 * action.d - 1) * len(set(walked))
 
 
@@ -291,10 +291,13 @@ def test_lattice_walk_fails_closed_on_a_small_budget(budget, accepted):
     plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
     limited = make_action(plane.space, [(g.fwd, g.inv) for g in plane._gens],
                           name="plane", exploration_budget=budget)
-    got = lattice_walk(limited, (0, 0), CubeWindow.centered(1, 2))
-    assert (got is not None) is accepted
-    if accepted:
-        assert got[1] == 18
+    cube = CubeWindow.centered(1, 2)
+    if budget < walk_steps(1, 2):
+        with pytest.raises(ExplorationLimitError):
+            iter_window_orbit(limited, (0, 0), cube)
+        return
+    walked = list(iter_window_orbit(limited, (0, 0), cube))
+    assert _certify_walk(limited, walked, cube) == (18 if accepted else None)
 
 
 def _apply_form(action, radius):
@@ -787,7 +790,8 @@ def test_a_large_space_with_one_sample_walks_one_cube(step_counter):
     # the walk, then a forward and an inverse image per unit pair on axis 0
     # and an inverse image per unit pair on axis 1: 20 pairs on each axis
     assert step_counter[0] == walk_steps(2, 2) + 3 * 20 == 96
-    assert lattice_walk(grid, (0, 0), cube)[1] == 60
+    walked = list(iter_window_orbit(grid, (0, 0), cube))
+    assert _certify_walk(grid, walked, cube) == 60
     # from 656 samples on, whose cubes hold 16400 atoms, the commutation
     # pass runs over the tables, and then the first sample walks centered(2)
     # (a commutation pass of 4 steps per atom and a centered(2) walk per
@@ -824,8 +828,9 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
 
 
 # the three Krengel inputs of the benchmark's orbit-forms workload, and the
-# steps of their Hopf labels with cubes; the last falls back to per-atom
-# windows after its first cube
+# steps of their Hopf labels with cubes; in the last, after the first cube,
+# no window holds enough unlabelled atoms to pay for another (8 * 13^2 <
+# 5 * 25^2), so every other atom takes its own window
 KRENGEL_STEPS = [
     (("translation", {"d": 1}), 32, 128, 1280),
     (("translation", {"d": 2}), 2, 8, 4800),
@@ -914,6 +919,77 @@ def test_hopf_stops_at_a_cube_that_does_not_pay(step_counter):
     # of 21 points, so the other 19 atoms walk their own windows
     assert step_counter[0] == walk_steps(20, 1) + 40 + 19 * walk_steps(10, 1)
     assert step_counter[0] == 670
+
+
+def test_hopf_takes_a_cube_after_a_window_that_pays(step_counter):
+    tr = zoo.build(zoo.ZooSpec("translation", {"tau": [1.0, 2.0], "d": 2}))
+    patch = [(1, (x, y)) for x in range(-10, 11) for y in range(-10, 11)]
+    step_counter[0] = 0
+    hopf_decompose(tr, 10, patch)
+    assert step_counter[0] == 9960
+    step_counter[0] = 0
+    hopf_decompose(tr, 10, [(0, (0, 0))] + patch)
+    # the lone atom (0, (0, 0)) comes first, and its cube labels only
+    # itself, so the balance falls below 0; the corner (1, (-10, -10))
+    # walks its own window, whose 120 other atoms pay for the worst cube
+    # (120 * 21^2 >= 5 * 41^2), so it takes its cube after all, which
+    # moves to the centre and labels the rest (the first unpaid cube handed
+    # all 441 atoms to their own windows: 7440 + 441 * 660 = 298500)
+    assert step_counter[0] == (walk_steps(20, 2) + 3 * 40 * 41
+                               + walk_steps(10, 2) + 9960) == 18060
+
+
+def test_hopf_tries_two_cubes_on_a_budget_below_a_cube(step_counter):
+    # S_6 of the plane at r = 3 on a budget one step short of a centered(6)
+    # walk: every window fits and no cube does.  The first seed's cube fails
+    # and is charged the worst cube, 5 * 13^2 = 845 points; a later window
+    # with 18 other unlabelled atoms (18 * 7^2 >= 845) tries its cube, which
+    # fails too.  No window then holds more than 24 others (the rest of its
+    # seed's row and the three rows after it), and 24 * 49 < 2 * 845 (with
+    # windows paying for the worst cube alone, 101 cubes took 37519 steps)
+    plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
+    budget = walk_steps(6, 2) - 1
+    limited = make_action(plane.space, [(g.fwd, g.inv) for g in plane._gens],
+                          name="plane", free_orbits=True,
+                          exploration_budget=budget)
+    atoms = list(plane.space.exhaustion(6))
+    step_counter[0] = 0
+    with mock.patch.object(hopf, "_cube_walk",
+                           wraps=hopf._cube_walk) as cube:
+        got = hopf_decompose(limited, 3, atoms)
+    assert cube.call_count == 2
+    assert step_counter[0] == 169 * walk_steps(3, 2) + 2 * budget == 12670
+    assert got.labels == per_atom_hopf_decompose(limited, 3, atoms).labels
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(["TR1", "tau=1x2,d=2", "MIX"]),
+       radius=st.integers(1, 6), data=st.data())
+def test_hopf_steps_exceed_the_per_atom_rule_by_two_cubes_at_most(
+        step_counter, case, radius, data):
+    # 1-3 patches, each a box of atoms moved from an atom of S_1, 10r apart
+    # along the first axis, so that no cube holds two of them
+    action = (zoo.build_fixture(case) if case != "tau=1x2,d=2" else
+              zoo.build(zoo.ZooSpec("translation",
+                                    {"tau": [1.0, 2.0], "d": 2})))
+    base, d = sample_atoms(action, 1), action.d
+    atoms = set()
+    for i in range(data.draw(st.integers(1, 3), label="patches")):
+        s = base[data.draw(st.integers(0, len(base) - 1))]
+        corner = vec_add((10 * radius * i,) + (0,) * (d - 1), data.draw(
+            st.tuples(*[st.integers(-radius, radius)] * d)))
+        sides = data.draw(st.tuples(*[st.integers(1, 2 * radius + 1)] * d))
+        atoms.update(action.apply(vec_add(corner, u), s)
+                     for u in product(*map(range, sides)))
+    step_counter[0] = 0
+    got = hopf_decompose(action, radius, atoms)
+    steps, step_counter[0] = step_counter[0], 0
+    want = per_atom_hopf_decompose(action, radius, atoms)
+    assert got.labels == want.labels
+    # a worst cube: two walks of centered(2r) and every check step
+    worst = 2 * walk_steps(2 * radius, d) + (2 * d - 1) * (4 * radius + 1) ** d
+    assert steps <= step_counter[0] + 2 * worst
 
 
 def test_extension_stat_walks_each_end_once(step_counter):
