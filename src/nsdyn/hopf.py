@@ -148,12 +148,12 @@ def hopf_decompose(action: NsAction, radius: int,
     labels of one :func:`orbit_explore` per atom.  A running balance gains
     (2 radius + 1)^d points per atom a cube labels and loses what each cube
     spent, or the worst cube's (2d + 1)(4 radius + 1)^d where it failed.  A
-    seed takes its cube while the balance is not negative; otherwise, or
-    where its cube failed, it walks its own window, then takes its cube
-    after all only if that window holds enough other unlabelled atoms to
-    pay for the worst cube and the deficit.  So budget and domain errors
-    are those of the per-atom rule, and where every cube is certified the
-    work exceeds the per-atom rule's by at most about two cubes.
+    seed takes its cube while the balance is not negative, else walks its
+    own window and takes its cube after all if that window holds enough
+    other unlabelled atoms to pay for the worst cube and the deficit; a
+    seed whose cube failed walks its own window.  So budget and domain
+    errors are the per-atom rule's, and where every cube is certified the
+    work exceeds it by at most about two cubes.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -183,8 +183,8 @@ def _walks(action: NsAction, radius: int, order: list):
     for s in order:
         if s not in todo:
             continue
-        walk = None
-        if balance >= 0:
+        walk, tried = None, balance >= 0
+        if tried:
             balance -= worst
             walk = _cube_walk(action, s, cube, inner, todo)
         if walk is None:  # s walks its own window, its per-atom label
@@ -193,9 +193,9 @@ def _walks(action: NsAction, radius: int, order: list):
             yield (s, _rule(action, s, rec.stabilizer, rec.free_in_window),
                    (window, list(rec.visits.values())), window.size // 2)
             need = max(worst, -balance)  # the worst cube and the deficit
-            # no count where all the atoms left could not pay
-            if len(todo) * len(inner) >= need and len(todo.intersection(
-                    rec.visits.values())) * len(inner) >= need:
+            # no retry of a failed cube, no count where the rest cannot pay
+            if not tried and need <= len(todo) * len(inner) and need <= len(
+                    todo.intersection(rec.visits.values())) * len(inner):
                 balance -= worst
                 walk = _cube_walk(action, s, cube, inner, todo)
         if walk is not None:
@@ -220,7 +220,7 @@ def _cube_walk(action: NsAction, s, cube: CubeWindow, inner: list,
     """``(atoms, spent)``: a certified walk of ``cube`` from s or from an
     atom of s's walk within the radius, and the steps the guard charges
     beyond its own atoms (its check, and a discarded walk); None when the
-    walk kept cannot be taken or fails its check.
+    walk kept cannot be taken, fails its check or does not hold s.
 
     s's walk is taken first.  When its cube holds more of ``todo`` than its
     inner window, the window is moved to c in centered(r), the centre of
@@ -233,19 +233,19 @@ def _cube_walk(action: NsAction, s, cube: CubeWindow, inner: list,
     except (ExplorationLimitError, DomainError, KeyError):
         return None
     here = len(todo.intersection(map(atoms.__getitem__, inner)))
-    probe, r, mid = 0, cube.n // 2, cube.size // 2
+    probe, r, home = 0, cube.n // 2, cube.size // 2  # home: s's position
     if here < len(todo) and len(todo.intersection(atoms)) > here:
         held = [cube.vector(k) for k, a in enumerate(atoms) if a in todo]
         c = [max(-r, min(r, (min(x) + max(x)) // 2)) for x in zip(*held)]
         at = cube.position(c)  # the moved centre
-        moved = len(todo.intersection(atoms[k - mid + at] for k in inner))
+        moved = len(todo.intersection(atoms[k - home + at] for k in inner))
         if (moved - here) * len(inner) >= len(atoms):
-            probe = len(atoms)
+            probe, home = len(atoms), 2 * home - at  # -c from a_c
             try:
                 atoms = list(iter_window_orbit(action, atoms[at], cube))
             except (ExplorationLimitError, DomainError, KeyError):
                 return None
-    checked = _certify_walk(action, atoms, cube)
+    checked = _certify_walk(action, atoms, cube) if atoms[home] == s else None
     return None if checked is None else (atoms, checked + probe)
 
 

@@ -543,12 +543,20 @@ class TestCubeLabels:
         assert _labels(hopf_decompose(twisted, radius, atoms)) == _labels(want)
 
     @pytest.mark.parametrize("case, radius", [
-        ("step back", 2), ("step back", 3), ("step back", 4), ("wrap", 5)],
-        ids=["2", "3", "4", "wrap"])
+        ("step back", 2), ("step back", 3), ("step back", 4), ("wrap", 5),
+        ("bent inverse", 2)], ids=["2", "3", "4", "wrap", "bent inverse"])
     def test_a_tampered_cube_falls_back_to_the_per_atom_rule(self, case,
                                                              radius):
         line = zoo.build_fixture("TR1")
-        if case == "step back":
+        inverse = lambda x: x - 1
+        if case == "bent inverse":
+            # 110 steps forward to 11 and 11 back to 110: the cube of the
+            # seed 10 moves to 12, whose walk [108, 109, 110, 11, ..., 16]
+            # passes its check but does not hold 10, so 10 walks its window
+            bad, back, atoms = 110, 11, [10, 13, 14]
+            inverse = lambda x: bad if x == back else x - 1
+            kinds = {DISSIPATIVE}
+        elif case == "step back":
             # the unit shift of the integer line, except that one atom
             # between r and 2r above the seed 10 steps back one place: the
             # cube of the seed fails its check, windows through that atom
@@ -563,7 +571,7 @@ class TestCubeLabels:
             kinds = {DISSIPATIVE}
         tampered = make_action(
             line.space,
-            [(lambda x: back if x == bad else x + 1, lambda x: x - 1)],
+            [(lambda x: back if x == bad else x + 1, inverse)],
             name="tampered", free_orbits=True)
         want = per_atom_hopf_decompose(tampered, radius, atoms)
         assert set(want.labels.values()) == kinds

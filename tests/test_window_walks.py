@@ -939,27 +939,38 @@ def test_hopf_takes_a_cube_after_a_window_that_pays(step_counter):
                                + walk_steps(10, 2) + 9960) == 18060
 
 
-def test_hopf_tries_two_cubes_on_a_budget_below_a_cube(step_counter):
-    # S_6 of the plane at r = 3 on a budget one step short of a centered(6)
-    # walk: every window fits and no cube does.  The first seed's cube fails
-    # and is charged the worst cube, 5 * 13^2 = 845 points; a later window
-    # with 18 other unlabelled atoms (18 * 7^2 >= 845) tries its cube, which
-    # fails too.  No window then holds more than 24 others (the rest of its
-    # seed's row and the three rows after it), and 24 * 49 < 2 * 845 (with
-    # windows paying for the worst cube alone, 101 cubes took 37519 steps)
-    plane = zoo.build(zoo.ZooSpec("translation", {"d": 2}))
-    budget = walk_steps(6, 2) - 1
-    limited = make_action(plane.space, [(g.fwd, g.inv) for g in plane._gens],
-                          name="plane", free_orbits=True,
+@pytest.mark.parametrize("d, r, wanted, seeds, steps", [
+    (2, 3, 6, [(-6, -6), (-6, -5)], 12670),
+    (1, 10, range(0, 21), [0, 1], 748)], ids=["plane", "line"])
+def test_hopf_tries_two_cubes_on_a_budget_below_a_cube(step_counter, d, r,
+                                                       wanted, seeds,
+                                                       steps):
+    # a budget one step short of a centered(2r) walk: every window fits and
+    # no cube does.  The first seed's cube fails and is charged the worst
+    # cube, (2d + 1)(4r + 1)^d points, and the seed walks its window but
+    # tries no second cube.  On the plane (S_6 at r = 3) a later window
+    # with 18 other unlabelled atoms (18 * 7^2 >= 5 * 13^2 = 845) tries its
+    # cube, which fails too.  No window then holds more than 24 others (the
+    # rest of its seed's row and the three rows after it), and 24 * 49 <
+    # 2 * 845 (with windows paying for the worst cube alone, 101 cubes took
+    # 37519 steps).  On the line at r = 10 the next seed's window holds 10
+    # others, 10 * 21 >= 3 * 41 = 123; after its cube fails, no window
+    # holds the 12 others that 2 * 123 needs
+    space = zoo.build(zoo.ZooSpec("translation", {"d": d}))
+    budget = walk_steps(2 * r, d) - 1
+    limited = make_action(space.space, [(g.fwd, g.inv) for g in space._gens],
+                          name="lattice", free_orbits=True,
                           exploration_budget=budget)
-    atoms = list(plane.space.exhaustion(6))
+    atoms = (list(space.space.exhaustion(wanted))
+             if isinstance(wanted, int) else list(wanted))
     step_counter[0] = 0
     with mock.patch.object(hopf, "_cube_walk",
                            wraps=hopf._cube_walk) as cube:
-        got = hopf_decompose(limited, 3, atoms)
-    assert cube.call_count == 2
-    assert step_counter[0] == 169 * walk_steps(3, 2) + 2 * budget == 12670
-    assert got.labels == per_atom_hopf_decompose(limited, 3, atoms).labels
+        got = hopf_decompose(limited, r, atoms)
+    assert [c.args[1] for c in cube.call_args_list] == seeds
+    assert step_counter[0] == len(atoms) * walk_steps(r, d) + 2 * budget \
+        == steps
+    assert got.labels == per_atom_hopf_decompose(limited, r, atoms).labels
 
 
 @settings(max_examples=30, deadline=None,
