@@ -154,12 +154,25 @@ class CubeWindow:
                 for st in self.strides]
         return map(sum, product(*rows))
 
-    def unit_steps(self, axis: int) -> tuple[int, Iterator[range]]:
+    def unit_steps(self, axis: int, box=None) -> tuple[int, Iterator[range]]:
         """``(st, runs)``: the positions k in ``runs`` are those of the p
-        with p + e_axis in the window, and p + e_axis sits at k + st."""
+        with p + e_axis in the window, and p + e_axis sits at k + st.
+
+        ``box``, per axis the inclusive bounds (lo, hi) of a box of vectors
+        inside the window, keeps both p and p + e_axis in that box.  The
+        default, the whole window, takes one run per block of the axis and
+        builds no list: :func:`check_cocycle` asks for many small cubes."""
         st = self.strides[axis]
-        block = st * self.side
-        return st, (range(k, k + block - st) for k in range(0, self.size, block))
+        if box is None:
+            block = st * self.side
+            return st, (range(k, k + block - st)
+                        for k in range(0, self.size, block))
+        lo = self.axis_bounds()[0]
+        rows = [range((a - lo) * s, (b - lo - (i == axis)) * s + 1, s)
+                for i, ((a, b), s) in enumerate(zip(box, self.strides))]
+        last = rows.pop()  # stride 1: one run per row of the other axes
+        return st, (range(k + last.start, k + last.stop)
+                    for k in map(sum, product(*rows)))
 
     def check_dimension(self, d: int):
         """Refuse a window whose dimension is not the action's d."""
@@ -566,8 +579,9 @@ def iter_window_orbit(action: NsAction, s, window: CubeWindow, *,
 
 
 def _unit_misses(action: NsAction, atoms: list, cube: CubeWindow,
-                 budget: _Budget) -> Iterator[tuple]:
-    """The unit pairs of a cube walk whose step misses, one by one.
+                 budget: _Budget, box=None) -> Iterator[tuple]:
+    """The unit pairs of a cube walk whose step misses, one by one; with a
+    ``box`` (see :meth:`CubeWindow.unit_steps`), only the pairs inside it.
 
     Each pair p, p + e_i of the cube must have T_i a_p == a_{p+e_i} and
     T_i^{-1} a_{p+e_i} == a_p.  A miss is ``(k, axis, forward, image)``: the
@@ -580,7 +594,7 @@ def _unit_misses(action: NsAction, atoms: list, cube: CubeWindow,
     """
     step, last = action.step, action.d - 1
     for axis in range(action.d):
-        stride, runs = cube.unit_steps(axis)
+        stride, runs = cube.unit_steps(axis, box)
         fwd, inv = {}, {}
         for k in chain.from_iterable(runs):
             a, b = atoms[k], atoms[k + stride]
@@ -603,13 +617,15 @@ def _unit_misses(action: NsAction, atoms: list, cube: CubeWindow,
                 yield k + stride, axis, False, inv[b]
 
 
-def _certify_walk(action: NsAction, atoms: list, cube: CubeWindow):
-    """The check steps that certify a cube walk a lattice image: no unit
-    pair of the cube misses (see :func:`_unit_misses`), on one budget; None
-    when a pair misses or a step cannot be taken."""
+def _certify_walk(action: NsAction, atoms: list, cube: CubeWindow,
+                  box=None):
+    """The check steps that certify a cube walk, or the ``box`` of it, a
+    lattice image: no unit pair in it misses (see :func:`_unit_misses`), on
+    one budget; None when a pair misses or a step cannot be taken."""
     budget = _Budget(action.exploration_budget)
     try:
-        if next(_unit_misses(action, atoms, cube, budget), None) is not None:
+        if next(_unit_misses(action, atoms, cube, budget, box),
+                None) is not None:
             return None
     except (ExplorationLimitError, DomainError, KeyError):
         return None

@@ -13,14 +13,20 @@ from a finite window, so it must be declared by the builder of the action;
 absent a declaration the label stays undetermined at the given radius.
 
 The labels at radius r come from walks over the doubled cube
-C = centered(2r) from a centre s, giving atoms a_p = phi_p(s).  The walk is
-accepted only as a lattice image: T_i a_p == a_{p+e_i} and
-T_i^{-1} a_{p+e_i} == a_p for every p and p + e_i in C.  Then
-phi_t(a_p) = a_{p+t} along any axis-ordered path inside C, so for x = a_v
-with v in centered(r) the radius-r window of x is {a_{v+t}}, its stabilizer
-there is that of s, and it is collision-free exactly when no nonzero u in C
-has a_u == s.  Atoms a_v with |v| > r would need paths out to 4r, which no
-check covers, so each cube labels only the requested atoms within r of its
+C = centered(2r) from a centre c, giving atoms a_p = phi_p(c).  A cube
+labels the requested atoms a_v with v in centered(r), each at its first
+such v; their windows fill the box B = hull(those v) + centered(r), which
+lies inside C.  The walk is accepted only as a lattice image on B:
+T_i a_p == a_{p+e_i} and T_i^{-1} a_{p+e_i} == a_p for every p and p + e_i
+in B.  Then phi_t(a_p) = a_{p+t} along any axis-ordered path inside B, so
+the radius-r window of a labelled x = a_v is {a_{v+t}}.  The same steps
+carry a_{v+t} to a_{v'+t} for any two labelled v and v', so all labelled
+windows share their recurrences and collisions: a_{v+t} == a_{v+u} exactly
+when a_{v'+t} == a_{v'+u}.  One labelled window thus settles every label:
+each atom recurs at a nonzero t of its window exactly when that one does,
+and its window is collision-free exactly when that one is.  Nothing outside
+B is read, so nothing outside B is checked; atoms a_v with |v| > r would
+need windows beyond C, so each cube labels only the atoms within r of its
 centre.  A label is a property of the atom's own window, so it does not
 depend on which certified cube holds that window: the first unlabelled atom
 seeds a cube, which may be re-centred within r of it on the atoms still to
@@ -137,23 +143,25 @@ def hopf_decompose(action: NsAction, radius: int,
                    atoms: Iterable = None) -> HopfDecomposition:
     """Label atoms (all of a finite space, S_radius of a lazy one).
 
-    Each still-unlabeled atom, in sorted order, seeds one verified
-    centered(2 radius) cube (see the module docstring), which labels every
-    requested atom phi_v(c) with |v| <= radius around its centre c:
-    conservative when c recurs at a nonzero t in centered(radius);
-    dissipative when it recurs nowhere in the cube and the atom is declared
-    free; undetermined otherwise.  The centre is the seed, or an atom within
-    the radius of it where the seed's walk shows that a cube there labels
-    enough more atoms to pay for a second walk.  These are exactly the
-    labels of one :func:`orbit_explore` per atom.  A running balance gains
+    Each still-unlabeled atom, in sorted order, seeds one centered(2 radius)
+    cube walk (see the module docstring), which labels every requested atom
+    phi_v(c) with |v| <= radius around its centre c once the box their
+    windows fill is certified: conservative when one of those windows, and
+    so every one, recurs at a nonzero t; dissipative when it is
+    collision-free and the atom is declared free; undetermined otherwise.
+    The centre is the seed, or an atom within the radius of it where the
+    seed's walk shows that a cube there labels enough more atoms to pay for
+    a second walk.  These are exactly the labels of one
+    :func:`orbit_explore` per atom.  A running balance gains
     (2 radius + 1)^d points per atom a cube labels and loses what each cube
-    spent, or the worst cube's (2d + 1)(4 radius + 1)^d where it failed.  A
-    seed takes its cube while the balance is not negative, else walks its
-    own window and takes its cube after all if that window holds enough
-    other unlabelled atoms to pay for the worst cube and the deficit; a
-    seed whose cube failed walks its own window.  So budget and domain
-    errors are the per-atom rule's, and where every cube is certified the
-    work exceeds it by at most about two cubes.
+    spent (its walks and its box's check steps), or the worst cube's
+    (2d + 1)(4 radius + 1)^d where it failed.  A seed takes its cube while
+    the balance is not negative, else walks its own window and takes its
+    cube after all if that window holds enough other unlabelled atoms to pay
+    for the worst cube and the deficit; a seed whose cube failed walks its
+    own window.  So budget and domain errors are the per-atom rule's, and
+    where every cube is certified the work exceeds it by at most about two
+    cubes.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
@@ -168,17 +176,21 @@ def _walks(action: NsAction, radius: int, order: list):
     """Yield ``(x, label, (cube, atoms), k)`` once per atom x of ``order``:
     x is atoms[k] of the walk that labelled it, in the lex order of the
     centered ``cube`` (its centre sits at size // 2).  The walk is a
-    certified centered(2 radius) cube from :func:`_cube_walk`, seeded at
-    the first unlabelled atom or re-centred on what is left to label, or
-    the seed's own window; each holds x's radius window at k.  The balance
-    of :func:`hopf_decompose` chooses between them: each cube is charged
-    the worst cube up front and refunded what it did not spend.
+    centered(2 radius) cube from :func:`_cube_walk`, seeded at the first
+    unlabelled atom or re-centred on what is left to label and certified on
+    the box its labelled windows fill, or the seed's own window; each holds
+    x's radius window at k.  A cube's labels come from one of its labelled
+    windows (see the module docstring).  The balance of
+    :func:`hopf_decompose` chooses between them: each cube is charged the
+    worst cube up front and refunded what it did not spend, so a cube pays
+    for the check steps of its box only.
     """
     todo, balance = set(order), 0  # requested atoms not yet labelled
     window = CubeWindow.centered(radius, action.d)
     cube = CubeWindow.centered(2 * radius, action.d)
     inner = list(cube.positions(window))
-    centre = cube.size // 2
+    centre, n = cube.size // 2, window.side
+    starts = inner[::n]  # where the inner window's rows start
     worst = (2 * action.d + 1) * cube.size  # two walks and every check
     for s in order:
         if s not in todo:
@@ -199,34 +211,35 @@ def _walks(action: NsAction, radius: int, order: list):
                 balance -= worst
                 walk = _cube_walk(action, s, cube, inner, todo)
         if walk is not None:
-            atoms, spent = walk
-            seed = atoms[centre]
-            recur = {k for k, atom in enumerate(atoms) if atom == seed}
-            recur.discard(centre)
-            near = not recur.isdisjoint(inner)  # recurs within radius
-            for k in inner:
-                x = atoms[k]
-                if x in todo and x in action.space:
-                    todo.discard(x)
-                    balance += len(inner)
-                    yield (x, _rule(action, x, near, not recur),
-                           (cube, atoms), k)
+            atoms, spent, places = walk
+            x, k = next(iter(places.items()))  # its window settles all labels
+            ref = list(chain.from_iterable(  # the window's rows
+                atoms[j:j + n] for j in map((k - centre).__add__, starts)))
+            near = ref.count(x) > 1  # recurs within radius
+            free = len(set(ref)) == len(ref)
+            todo.difference_update(places)
+            balance += len(places) * len(inner)
+            for x, k in places.items():
+                yield x, _rule(action, x, near, free), (cube, atoms), k
             balance += worst - len(atoms) - spent
             del atoms, walk  # keep no cube past its seed
 
 
 def _cube_walk(action: NsAction, s, cube: CubeWindow, inner: list,
                todo: set):
-    """``(atoms, spent)``: a certified walk of ``cube`` from s or from an
-    atom of s's walk within the radius, and the steps the guard charges
-    beyond its own atoms (its check, and a discarded walk); None when the
-    walk kept cannot be taken, fails its check or does not hold s.
+    """``(atoms, spent, places)``: a walk of ``cube`` from s or from an
+    atom of s's walk within the radius; ``places``, each atom of ``todo``
+    and of the space in its inner window at its first position, in lex
+    order; and the steps the guard charges beyond the walk's own atoms (the
+    check, and a discarded walk).  None when the walk kept cannot be taken,
+    does not hold s or fails its check.
 
     s's walk is taken first.  When its cube holds more of ``todo`` than its
     inner window, the window is moved to c in centered(r), the centre of
     the box of those positions, and the walk from a_c replaces s's where
     the atoms it gains pay for a walk (gain * |inner| >= |cube|).  Only the
-    walk kept is certified.
+    walk kept is certified, and only on the box the windows of ``places``
+    fill: per axis, their hull padded by r.
     """
     try:
         atoms = list(iter_window_orbit(action, s, cube))
@@ -245,8 +258,18 @@ def _cube_walk(action: NsAction, s, cube: CubeWindow, inner: list,
                 atoms = list(iter_window_orbit(action, atoms[at], cube))
             except (ExplorationLimitError, DomainError, KeyError):
                 return None
-    checked = _certify_walk(action, atoms, cube) if atoms[home] == s else None
-    return None if checked is None else (atoms, checked + probe)
+    if atoms[home] != s:
+        return None
+    places, space = {}, action.space
+    for k in inner:
+        x = atoms[k]
+        if x not in places and x in todo and x in space:
+            places[x] = k
+    lo, side = -cube.n, cube.side  # per axis, the hull of places padded by r
+    box = [(min(c) + lo - r, max(c) + lo + r) for c in (
+        [k // st % side for k in places.values()] for st in cube.strides)]
+    checked = _certify_walk(action, atoms, cube, box)
+    return None if checked is None else (atoms, checked + probe, places)
 
 
 @dataclass
@@ -302,18 +325,20 @@ class KrengelForm:
                           truncation_error=f.truncation_error)
 
     def as_dict(self) -> dict:
+        # each w's sort key and JSON once, not once per table entry
+        ws = {w: (atom_key(w), atom_to_json(w))
+              for w in {w for w, _ in self.phi}.union(self.W.atoms)}
         return {
             "d": self.d,
             "radius": self.radius,
             "representatives": [
-                {"atom": atom_to_json(w), "tau": self.W.weight(w)}
+                {"atom": ws[w][1], "tau": self.W.weight(w)}
                 for w in self.W.atoms],
             "table": [
-                {"w": atom_to_json(w), "t": list(t),
-                 "atom": atom_to_json(img)}
+                {"w": ws[w][1], "t": list(t), "atom": atom_to_json(img)}
                 for (w, t), img in sorted(
                     self.phi.items(),
-                    key=lambda kv: (atom_key(kv[0][0]), kv[0][1]))],
+                    key=lambda kv: (ws[kv[0][0]][0], kv[0][1]))],
         }
 
 
@@ -474,7 +499,8 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
     _Budget(action.exploration_budget).spend(0, steps=2)
     for w in reps:
         atoms = [tables[w][t] for t in cube]
-        step = action.step if all(map(space.__contains__, atoms)) else guarded
+        member = list(map(space.__contains__, atoms))
+        step = action.step if all(member) else guarded
         for axis in range(action.d):
             stride, runs = cube.unit_steps(axis)
             for j in chain.from_iterable(runs):
@@ -485,13 +511,17 @@ def verify_equivalence(action: NsAction, form: KrengelForm,
                 got = step(axis, b, False)
                 if got != a:
                     fail(j + stride, -1, a, got)
-        for s, p in zip(window, cube.positions(window)):
-            try:
-                space.weight(atoms[p])
-                form.W.weight(w)
-            except DomainError as exc:
-                failures.append({"kind": "support", "w": atom_to_json(w),
-                                 "s": list(s), "error": str(exc)})
+        try:  # w is weighed once; a foreign atom's error comes first
+            form.W.weight(w)
+            base = None
+        except DomainError as exc:
+            base = exc
+        if base is not None or step is guarded:  # else every entry holds
+            for s, p in zip(window, cube.positions(window)):
+                error = base if member[p] else space._foreign(atoms[p])
+                if error is not None:
+                    failures.append({"kind": "support", "w": atom_to_json(w),
+                                     "s": list(s), "error": str(error)})
     seen = {}  # atom -> its first key in the whole table
     for key in ((w, t) for w in reps for t in full):
         first = seen.setdefault(form.phi[key], key)

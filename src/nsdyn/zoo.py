@@ -284,11 +284,12 @@ def _build_union(parts, name=None) -> NsAction:
         space = make_space(atoms=None, weights=weight, exhaustion=exhaustion,
                            contains=contains, name=f"{label}-space")
 
-    def lift(axis, forward):
+    def lift(axis, forward):  # one call of the part's map, not its step
+        on_a, on_b = (part._gens[axis][0 if forward else 1] for part in (a, b))
+
         def move(atom):
             tag, inner = atom
-            part = a if tag == 0 else b
-            return (tag, part.step(axis, inner, forward))
+            return (tag, (on_a if tag == 0 else on_b)(inner))
         return move
 
     gens = [(lift(i, True), lift(i, False)) for i in range(d)]

@@ -102,6 +102,22 @@ class TestCubeWindow:
             stride, runs = w.unit_steps(axis)
             assert [(k, k + stride) for run in runs for k in run] == want
 
+    @pytest.mark.parametrize("box", [
+        [(-2, 2)] * 3, [(-1, 2), (0, 0), (-2, 1)], [(1, 2), (-2, -1), (0, 2)]],
+        ids=["whole", "flat", "corner"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unit_steps_stay_inside_a_box(self, box, d):
+        w, box = CubeWindow.centered(2, d), box[:d]
+        inside = {p for p in w
+                  if all(a <= x <= b for x, (a, b) in zip(p, box))}
+        for axis in range(d):
+            e = tuple(int(i == axis) for i in range(d))
+            want = [(w.position(p), w.position(tuple(map(sum, zip(p, e)))))
+                    for p in w if p in inside
+                    and tuple(map(sum, zip(p, e))) in inside]
+            stride, runs = w.unit_steps(axis, box)
+            assert [(k, k + stride) for run in runs for k in run] == want
+
     def test_dimension_mismatch_names_both_dimensions(self):
         window = CubeWindow.corner(2, 2)
         with pytest.raises(InvalidInputError, match=(

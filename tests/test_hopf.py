@@ -565,8 +565,9 @@ class TestCubeLabels:
             atoms = range(10, 10 + 2 * radius + 2)
             kinds = {CONSERVATIVE, DISSIPATIVE, UNDETERMINED}
         else:
-            # r + 1 steps forward to 0: the cube of 0 recurs at r + 2 and
-            # fails its check, while the window of 0 never steps from r + 1
+            # r + 1 steps forward to 0: the cube of 0 recurs at r + 2, but
+            # that pair lies beyond the box the window of 0 needs, which
+            # never steps from r + 1: the cube passes on that box
             bad, back, atoms = radius + 1, 0, [0]
             kinds = {DISSIPATIVE}
         tampered = make_action(
@@ -579,7 +580,40 @@ class TestCubeLabels:
                                wraps=hopf.orbit_explore) as explore:
             got = hopf_decompose(tampered, radius, atoms)
         assert _labels(got) == _labels(want)
-        assert explore.call_count == len(atoms)
+        assert explore.call_count == (0 if case == "wrap" else len(atoms))
+
+    @pytest.mark.parametrize("bad, kinds, explored", [
+        ((5, 8), {DISSIPATIVE}, 0),
+        ((5, 7), {DISSIPATIVE, UNDETERMINED}, 2)],
+        ids=["outside the box", "inside the box"])
+    def test_a_fault_in_the_cube_counts_only_inside_the_box(self, bad, kinds,
+                                                             explored):
+        # the plane at r = 2, whose T_1 steps back at ``bad`` (off S_2,
+        # where validation looks); the atoms (5, 5) and (6, 6) need the box
+        # [3, 8]^2 of the seed's cube [1, 9]^2.  From (5, 8) the step back
+        # pairs (5, 8) with (5, 9), outside the box: the cube is kept.
+        # From (5, 7) it pairs (5, 7) with (5, 8), inside: the cube fails,
+        # and the window of (6, 6) collides there
+        plane = _cube_action("translation d=2")
+
+        def up(atom):
+            x, y = atom
+            return (x, y - 1) if atom == bad else (x, y + 1)
+
+        tampered = make_action(
+            plane.space, [(plane._gens[0].fwd, plane._gens[0].inv),
+                          (up, plane._gens[1].inv)],
+            name="tampered", free_orbits=True)
+        atoms = [(5, 5), (6, 6)]
+        want = per_atom_hopf_decompose(tampered, 2, atoms)
+        assert set(want.labels.values()) == kinds
+        with mock.patch.object(hopf, "_cube_walk",
+                               wraps=hopf._cube_walk) as cube, \
+                mock.patch.object(hopf, "orbit_explore",
+                                  wraps=hopf.orbit_explore) as explore:
+            got = hopf_decompose(tampered, 2, atoms)
+        assert _labels(got) == _labels(want)
+        assert (cube.call_count, explore.call_count) == (1, explored)
 
     @staticmethod
     def _line(contains, forward=lambda x: x + 1):

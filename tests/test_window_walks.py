@@ -14,7 +14,7 @@ pin the walk sizes in closed form.
 import io
 import json
 import sys
-from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, product
 from unittest import mock
 
@@ -533,6 +533,43 @@ def test_verify_equivalence_matches_pairwise_on_krengel_tables(edit):
     assert _verdict_matches_pairwise(tr, form, 4)["passed"] is (edit is None)
 
 
+def test_support_failures_keep_their_order_and_messages():
+    # a foreign atom in the table of the representative -2, and a full
+    # table for 7, which is no representative and holds a foreign atom too:
+    # each w's unit-pair failures, then its support failures, where the
+    # space's error comes before the base's
+    tr, form = _tr1_form(_ghost)
+    phi = dict(form.phi)
+    phi.update({(7, (t,)): 7 + t for t in range(-4, 5)})
+    phi[(7, (1,))] = "stray"
+    form = KrengelForm(W=form.W, d=1, radius=4, phi=phi)
+    report = verify_equivalence(tr, form, 2)
+    assert (report.equivariance_checked, report.support_checked) == (50, 10)
+
+    def unit_pairs(w, at, got):  # the four pairs through the foreign atom
+        s = 0 if w == -2 else 1  # where it sits
+        fault = {"error": f"atom {at!r} is not in the space of action 'TR1'"}
+        return [("equivariance", w, [s - 1], {"t": [1], "expected": at,
+                                              "got": got}),
+                ("equivariance", w, [s], {"t": [-1], **fault}),
+                ("equivariance", w, [s], {"t": [1], **fault}),
+                ("equivariance", w, [s + 1], {"t": [-1], "expected": at,
+                                              "got": got})]
+
+    def foreign(at):
+        return {"error": f"atom {at!r} is not in space 'TR1-space'"}
+
+    base = {"error": "atom 7 is not in space 'TR1-orbit-base'"}
+    want = (unit_pairs(-2, "ghost", -2)
+            + [("support", -2, [0], foreign("ghost"))]
+            + unit_pairs(7, "stray", 8)
+            + [("support", 7, [s], base) for s in (-2, -1, 0)]
+            + [("support", 7, [1], foreign("stray")),
+               ("support", 7, [2], base)])
+    assert report.failures == [{"kind": kind, "w": w, "s": s, **rest}
+                               for kind, w, s, rest in want]
+
+
 def test_a_representative_without_a_table_is_refused():
     # it was skipped, and the form passed on the other table alone
     tr, form = _tr1_form()
@@ -806,11 +843,13 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
     tr = zoo.build_fixture("TR1")
     step_counter[0] = 0
     form = krengel_normal_form(tr, tr.space.exhaustion(32), radius=128)
-    # the Hopf labels: one centered(256) cube from -32 and its 512 inverse
-    # checks; the table of the one representative -32 and every region
-    # atom's window are read off that cube (one window per region atom
-    # took 24960, a second walk of the table 1664)
-    assert step_counter[0] == walk_steps(256, 1) + 512 == 1280
+    # the Hopf labels: one centered(256) cube from -32, and the 320 inverse
+    # checks of the box [-160, 160] that the windows of the labelled atoms
+    # -32..32 cover; the table of the one representative -32 and every
+    # region atom's window are read off that box (the whole cube's 512
+    # checks took 1280, one window per region atom 24960, a second walk of
+    # the table 1664)
+    assert step_counter[0] == walk_steps(256, 1) + 320 == 1088
     step_counter[0] = 0
     verify_equivalence(tr, form, 128)
     # the full table is checked by its own 256 unit pairs over centered(128),
@@ -827,35 +866,46 @@ def test_krengel_and_verify_walk_each_atom_once(step_counter):
     assert step_counter[0] == 2 * 2 * 16 * 17 == 1088
 
 
-# the three Krengel inputs of the benchmark's orbit-forms workload, and the
-# steps of their Hopf labels with cubes; in the last, after the first cube,
-# no window holds enough unlabelled atoms to pay for another (8 * 13^2 <
-# 5 * 25^2), so every other atom takes its own window
+# the three Krengel inputs of the benchmark's orbit-forms workload, the
+# cubes their Hopf labels take and the steps of those labels.  Each cube
+# checks only the box hull(labelled) + centered(r): on the line [-160, 160]
+# (320 inverse checks); on the plane [-10, 10]^2 and, for each of the four
+# orbits of the last, [-7, 7]^2, whose n(n + 1) unit pairs per axis (n =
+# 20, 14) take a forward and an inverse check on axis 0 and an inverse
+# check on axis 1.  In the last a cube labels 9 atoms, and 9 * 13^2 >=
+# 25^2 + 630, so each orbit pays for its own (checking the whole cube,
+# 3 * 24 * 25 steps, left 27 atoms to their own windows: 9540 steps)
 KRENGEL_STEPS = [
-    (("translation", {"d": 1}), 32, 128, 1280),
-    (("translation", {"d": 2}), 2, 8, 4800),
-    (("translation", {"tau": [1.0, 2.0, 3.0, 4.0], "d": 2}), 1, 6, 9540),
+    (("translation", {"d": 1}), 32, 128, 1,
+     walk_steps(256, 1) + 320),  # 1088
+    (("translation", {"d": 2}), 2, 8, 1,
+     walk_steps(16, 2) + 3 * 20 * 21),  # 2892
+    (("translation", {"tau": [1.0, 2.0, 3.0, 4.0], "d": 2}), 1, 6, 4,
+     4 * (walk_steps(12, 2) + 3 * 14 * 15)),  # 6264
 ]
 
 
 @pytest.mark.parametrize("cubes", [True, False], ids=["cubes", "per-atom"])
-@pytest.mark.parametrize("spec, m, radius, steps", KRENGEL_STEPS,
+@pytest.mark.parametrize("spec, m, radius, taken, steps", KRENGEL_STEPS,
                          ids=["TR1", "translation d=2", "tau=1x2x3x4,d=2"])
 def test_krengel_takes_exactly_the_hopf_steps(step_counter, spec, m, radius,
-                                              steps, cubes):
+                                              taken, steps, cubes):
     action = zoo.build(zoo.ZooSpec(*spec))
     region = action.space.exhaustion(m)
-    off = mock.patch.object(hopf, "_cube_walk", return_value=None)
-    with nullcontext() if cubes else off:
+    with mock.patch.object(hopf, "_cube_walk", **(
+            {"wraps": hopf._cube_walk} if cubes else {"return_value": None})
+            ) as cube, mock.patch.object(hopf, "orbit_explore",
+                                         wraps=hopf.orbit_explore) as explore:
         step_counter[0] = 0
         hopf_decompose(action, radius, region)
         labels = step_counter[0]
+        calls = cube.call_count, explore.call_count
         step_counter[0] = 0
         krengel_normal_form(action, region, radius=radius)
     # the tables and the chain check read the Hopf walks: no step of their own
     assert step_counter[0] == labels
     if cubes:
-        assert labels == steps
+        assert (labels, calls) == (steps, (taken, 0))
     else:
         assert labels == len(region) * walk_steps(radius, action.d)
 
@@ -915,10 +965,11 @@ def test_hopf_stops_at_a_cube_that_does_not_pay(step_counter):
     step_counter[0] = 0
     hopf_decompose(tr, 10, [(w, (0,)) for w in range(20)])
     # every orbit holds one requested atom: the first cube labels only its
-    # seed, and its 41 points plus 40 inverse check steps exceed one window
-    # of 21 points, so the other 19 atoms walk their own windows
-    assert step_counter[0] == walk_steps(20, 1) + 40 + 19 * walk_steps(10, 1)
-    assert step_counter[0] == 670
+    # seed and checks only the seed's window, and its 41 points plus those
+    # 20 inverse check steps exceed one window of 21 points, so the other 19
+    # atoms walk their own windows (checking the whole cube took 670)
+    assert step_counter[0] == walk_steps(20, 1) + 20 + 19 * walk_steps(10, 1)
+    assert step_counter[0] == 650
 
 
 def test_hopf_takes_a_cube_after_a_window_that_pays(step_counter):
@@ -930,13 +981,15 @@ def test_hopf_takes_a_cube_after_a_window_that_pays(step_counter):
     step_counter[0] = 0
     hopf_decompose(tr, 10, [(0, (0, 0))] + patch)
     # the lone atom (0, (0, 0)) comes first, and its cube labels only
-    # itself, so the balance falls below 0; the corner (1, (-10, -10))
-    # walks its own window, whose 120 other atoms pay for the worst cube
-    # (120 * 21^2 >= 5 * 41^2), so it takes its cube after all, which
-    # moves to the centre and labels the rest (the first unpaid cube handed
-    # all 441 atoms to their own windows: 7440 + 441 * 660 = 298500)
-    assert step_counter[0] == (walk_steps(20, 2) + 3 * 40 * 41
-                               + walk_steps(10, 2) + 9960) == 18060
+    # itself: it checks the 20 * 21 unit pairs per axis of that atom's
+    # window, so the balance falls to 441 - 1681 - 1260 = -2500; the corner
+    # (1, (-10, -10)) walks its own window, whose 120 other atoms pay for
+    # the worst cube (120 * 21^2 >= 5 * 41^2), so it takes its cube after
+    # all, which moves to the centre and labels the rest (checking the lone
+    # atom's whole cube, 3 * 40 * 41 steps, took 18060; the first unpaid
+    # cube handed all 441 atoms to their own windows: 298500)
+    assert step_counter[0] == (walk_steps(20, 2) + 3 * 20 * 21
+                               + walk_steps(10, 2) + 9960) == 14400
 
 
 @pytest.mark.parametrize("d, r, wanted, seeds, steps", [
