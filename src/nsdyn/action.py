@@ -52,6 +52,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product, repeat, takewhile
 from operator import eq, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -111,16 +112,16 @@ class CubeWindow:
             return 0, self.n - 1
         return -self.n, self.n
 
-    @property
+    @cached_property
     def side(self) -> int:
         lo, hi = self.axis_bounds()
         return hi - lo + 1
 
-    @property
+    @cached_property
     def strides(self) -> tuple:
         return tuple(self.side ** k for k in reversed(range(self.d)))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.side ** self.d
 
@@ -131,16 +132,37 @@ class CubeWindow:
     def vector(self, k: int) -> tuple:
         """The k-th vector of the window in lex order."""
         lo, side = self.axis_bounds()[0], self.side
-        digits = []
-        for _ in range(self.d):
-            k, r = divmod(k, side)
-            digits.append(lo + r)
-        return tuple(reversed(digits))
+        return tuple(k // st % side + lo for st in self.strides)
 
     def position(self, t) -> int:
         """The lex position of the vector t: the inverse of :meth:`vector`."""
         lo = self.axis_bounds()[0]
         return sum((x - lo) * st for x, st in zip(t, self.strides))
+
+    def runs(self, box=None) -> Iterator[range]:
+        """The positions of a box (per axis inclusive bounds (a, b) inside
+        the window, the whole window by default) in lex order, as ranges
+        that run on through the trailing axes the box spans whole."""
+        lo, hi = self.axis_bounds()
+        box = box or [(lo, hi)] * self.d
+        j = len(box)  # the box spans the axes from j on whole
+        while j > 1 and box[j - 1] == (lo, hi):
+            j -= 1
+        *rows, last = [range((a - lo) * st, (b - lo) * st + 1, st)
+                       for (a, b), st in zip(box[:j], self.strides)]
+        return (range(k + last.start, k + last.stop + last.step - 1)
+                for k in map(sum, product(*rows)))
+
+    def hull(self, ks, pad: int = 0) -> list:
+        """Per axis (min - pad, max + pad) of the vectors at positions ks."""
+        lo, side = self.axis_bounds()[0], self.side
+        return [(min(c) + lo - pad, max(c) + lo + pad)
+                for c in ([k // st % side for k in ks] for st in self.strides)]
+
+    def read(self, walk: list, box) -> list:
+        """The entries at the positions of ``box`` (see :meth:`runs`) of a
+        walk listed in this window's lex order, in that order."""
+        return [a for run in self.runs(box) for a in walk[run.start:run.stop]]
 
     def positions(self, sub: "CubeWindow") -> Iterator[int]:
         """The positions of the vectors of ``sub``, in sub's lex order.
@@ -150,29 +172,16 @@ class CubeWindow:
         (lo, hi), (sub_lo, sub_hi) = self.axis_bounds(), sub.axis_bounds()
         if sub.d != self.d or not lo <= sub_lo <= sub_hi <= hi:
             raise InvalidInputError(f"{sub} does not lie inside {self}")
-        rows = [range((sub_lo - lo) * st, (sub_hi - lo) * st + 1, st)
-                for st in self.strides]
-        return map(sum, product(*rows))
+        return chain.from_iterable(self.runs([(sub_lo, sub_hi)] * self.d))
 
     def unit_steps(self, axis: int, box=None) -> tuple[int, Iterator[range]]:
         """``(st, runs)``: the positions k in ``runs`` are those of the p
         with p + e_axis in the window, and p + e_axis sits at k + st.
 
-        ``box``, per axis the inclusive bounds (lo, hi) of a box of vectors
-        inside the window, keeps both p and p + e_axis in that box.  The
-        default, the whole window, takes one run per block of the axis and
-        builds no list: :func:`check_cocycle` asks for many small cubes."""
-        st = self.strides[axis]
-        if box is None:
-            block = st * self.side
-            return st, (range(k, k + block - st)
-                        for k in range(0, self.size, block))
-        lo = self.axis_bounds()[0]
-        rows = [range((a - lo) * s, (b - lo - (i == axis)) * s + 1, s)
-                for i, ((a, b), s) in enumerate(zip(box, self.strides))]
-        last = rows.pop()  # stride 1: one run per row of the other axes
-        return st, (range(k + last.start, k + last.stop)
-                    for k in map(sum, product(*rows)))
+        ``box`` (see :meth:`runs`) keeps both p and p + e_axis in it."""
+        box = [(a, b - (i == axis)) for i, (a, b) in enumerate(
+            box or [self.axis_bounds()] * self.d)]
+        return self.strides[axis], self.runs(box)
 
     def check_dimension(self, d: int):
         """Refuse a window whose dimension is not the action's d."""
@@ -891,13 +900,15 @@ def check_duality(action: NsAction, t, g: L1Function, A: Iterable
     ``dual_t g`` itself, whose norm the caller can compare with that of g.
     Both sets of images are walked by generator chains and rings (see
     :func:`_images`): the pair, the image and any error are those of one
-    ``apply`` per atom, in fewer steps.  A zero g is refused first: the
-    check would pass having checked nothing.
+    ``apply`` per atom, in fewer steps.  A zero g, then an empty A, is
+    refused first: the check would pass having checked nothing.
     """
     if not g.support:
         raise DegenerateInputError(
             "duality check needs a function g with nonempty support")
     atoms = sort_atoms(set(A))
+    if not atoms:
+        raise DegenerateInputError("duality check needs a nonempty set A")
     for a in atoms:
         if a not in action.space:
             raise DomainError(f"set contains atom {a!r} outside the space")

@@ -48,14 +48,11 @@ def _parse_param_value(text: str):
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     if "x" in text:
         parts = text.split("x")
         try:

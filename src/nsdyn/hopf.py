@@ -175,22 +175,20 @@ def hopf_decompose(action: NsAction, radius: int,
 def _walks(action: NsAction, radius: int, order: list):
     """Yield ``(x, label, (cube, atoms), k)`` once per atom x of ``order``:
     x is atoms[k] of the walk that labelled it, in the lex order of the
-    centered ``cube`` (its centre sits at size // 2).  The walk is a
-    centered(2 radius) cube from :func:`_cube_walk`, seeded at the first
-    unlabelled atom or re-centred on what is left to label and certified on
-    the box its labelled windows fill, or the seed's own window; each holds
-    x's radius window at k.  A cube's labels come from one of its labelled
-    windows (see the module docstring).  The balance of
-    :func:`hopf_decompose` chooses between them: each cube is charged the
-    worst cube up front and refunded what it did not spend, so a cube pays
-    for the check steps of its box only.
+    centered ``cube``.  The walk is a centered(2 radius) cube from
+    :func:`_cube_walk`, seeded at the first unlabelled atom or re-centred
+    on what is left to label and certified on the box its labelled windows
+    fill, or the seed's own window; each holds x's radius window at k,
+    which ``cube.read(atoms, cube.hull([k], radius))`` reads.  A cube's labels
+    come from one of its labelled windows (see the module docstring).  The
+    balance of :func:`hopf_decompose` chooses between them: each cube is
+    charged the worst cube up front and refunded what it did not spend, so
+    a cube pays for the check steps of its box only.
     """
     todo, balance = set(order), 0  # requested atoms not yet labelled
     window = CubeWindow.centered(radius, action.d)
     cube = CubeWindow.centered(2 * radius, action.d)
     inner = list(cube.positions(window))
-    centre, n = cube.size // 2, window.side
-    starts = inner[::n]  # where the inner window's rows start
     worst = (2 * action.d + 1) * cube.size  # two walks and every check
     for s in order:
         if s not in todo:
@@ -203,7 +201,8 @@ def _walks(action: NsAction, radius: int, order: list):
             rec = orbit_explore(action, s, radius)
             todo.discard(s)
             yield (s, _rule(action, s, rec.stabilizer, rec.free_in_window),
-                   (window, list(rec.visits.values())), window.size // 2)
+                   (window, list(rec.visits.values())),
+                   window.position((0,) * action.d))
             need = max(worst, -balance)  # the worst cube and the deficit
             # no retry of a failed cube, no count where the rest cannot pay
             if not tried and need <= len(todo) * len(inner) and need <= len(
@@ -213,8 +212,7 @@ def _walks(action: NsAction, radius: int, order: list):
         if walk is not None:
             atoms, spent, places = walk
             x, k = next(iter(places.items()))  # its window settles all labels
-            ref = list(chain.from_iterable(  # the window's rows
-                atoms[j:j + n] for j in map((k - centre).__add__, starts)))
+            ref = cube.read(atoms, cube.hull([k], radius))
             near = ref.count(x) > 1  # recurs within radius
             free = len(set(ref)) == len(ref)
             todo.difference_update(places)
@@ -246,29 +244,26 @@ def _cube_walk(action: NsAction, s, cube: CubeWindow, inner: list,
     except (ExplorationLimitError, DomainError, KeyError):
         return None
     here = len(todo.intersection(map(atoms.__getitem__, inner)))
-    probe, r, home = 0, cube.n // 2, cube.size // 2  # home: s's position
+    probe, r, home = 0, cube.n // 2, cube.position((0,) * cube.d)
     if here < len(todo) and len(todo.intersection(atoms)) > here:
-        held = [cube.vector(k) for k, a in enumerate(atoms) if a in todo]
-        c = [max(-r, min(r, (min(x) + max(x)) // 2)) for x in zip(*held)]
+        c = [max(-r, min(r, (a + b) // 2)) for a, b in cube.hull(
+            [k for k, a in enumerate(atoms) if a in todo])]
         at = cube.position(c)  # the moved centre
-        moved = len(todo.intersection(atoms[k - home + at] for k in inner))
+        moved = len(todo.intersection(cube.read(atoms, cube.hull([at], r))))
         if (moved - here) * len(inner) >= len(atoms):
-            probe, home = len(atoms), 2 * home - at  # -c from a_c
+            probe, home = len(atoms), cube.position([-x for x in c])
             try:
                 atoms = list(iter_window_orbit(action, atoms[at], cube))
             except (ExplorationLimitError, DomainError, KeyError):
                 return None
-    if atoms[home] != s:
+    if atoms[home] != s:  # home: s's position, -c from a_c
         return None
     places, space = {}, action.space
     for k in inner:
         x = atoms[k]
         if x not in places and x in todo and x in space:
             places[x] = k
-    lo, side = -cube.n, cube.side  # per axis, the hull of places padded by r
-    box = [(min(c) + lo - r, max(c) + lo + r) for c in (
-        [k // st % side for k in places.values()] for st in cube.strides)]
-    checked = _certify_walk(action, atoms, cube, box)
+    checked = _certify_walk(action, atoms, cube, cube.hull(places.values(), r))
     return None if checked is None else (atoms, checked + probe, places)
 
 
@@ -381,9 +376,7 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
             continue
         reps.append(w)
         _, (cube, atoms), k = found[w]
-        shift = k - cube.size // 2  # from the walk's centre to w
-        for t, p in zip(window, cube.positions(window)):
-            img = atoms[shift + p]
+        for t, img in zip(window, cube.read(atoms, cube.hull([k], radius))):
             if img in seen:
                 other = seen[img]
                 raise InvalidInputError(

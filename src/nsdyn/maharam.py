@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Sequence
 
 from .action import (CubeWindow, NsAction, _images, _ratio_error,
@@ -224,15 +224,13 @@ def extension_series(ext: MaharamAction, ms: Sequence[int],
                           key=itemgetter(1), reverse=True)
         members = {id(s_m): set(s_m) for s_m in subsets.values()}
         tables = {(key, n): {} for key in members for n in ns}
-        # corner(n) is the n^(d-1) rows of n atoms from these starts on
-        starts = {n: [sum(map(mul, t, big.strides))
-                      for t in product(range(n), repeat=d - 1)] for n in ns}
+        runs = {n: list(big.runs([(0, n - 1)] * d)) for n in ns}
         for held in heaviest:
             walk = list(iter_window_orbit(base, held[0], big, inverse=True))
             for (key, n), best in tables.items():
                 if held[0] in members[key]:
-                    for b in starts[n]:
-                        for s in walk[b:b + n]:
+                    for run in runs[n]:
+                        for s in walk[run.start:run.stop]:
                             best.setdefault(s, held)
     except Exception:
         for cell in product(ms, ns):

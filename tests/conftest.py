@@ -31,13 +31,19 @@ from nsdyn.action import (
     iter_window_orbit,
     make_action,
 )
-from nsdyn.errors import ConstructionError, DomainError, InvalidInputError
+from nsdyn.errors import (
+    ConstructionError,
+    DegenerateInputError,
+    DomainError,
+    InvalidInputError,
+)
 from nsdyn.hopf import (
+    CONSERVATIVE,
     DISSIPATIVE,
+    UNDETERMINED,
     EquivalenceReport,
     HopfDecomposition,
     KrengelForm,
-    _rule,
     orbit_explore,
 )
 from nsdyn.space import (
@@ -142,6 +148,8 @@ def per_atom_dual_apply(action, t, g):
 def per_atom_check_duality(action, t, g, A):
     """``check_duality`` with one ``apply`` per atom of A and of g's support."""
     atoms = sorted(set(A), key=atom_key)
+    if not atoms:
+        raise DegenerateInputError("duality check needs a nonempty set A")
     for a in atoms:
         if a not in action.space:
             raise DomainError(f"set contains atom {a!r} outside the space")
@@ -265,10 +273,25 @@ def per_atom_hopf_decompose(action, radius, atoms=None):
         atoms = action.space.exhaustion(radius)
     result = HopfDecomposition(radius)
     for s in sorted(atoms, key=atom_key):
-        rec = orbit_explore(action, s, radius)
-        result.labels[s] = _rule(action, s, rec.stabilizer,
-                                 rec.free_in_window)
+        result.labels[s] = window_label(action, s,
+                                        orbit_explore(action, s, radius))
     return result
+
+
+def window_label(action, s, record):
+    """The rule of ``HopfDecomposition``, written out from its window.
+
+    s is conservative when the window holds a nonzero t with phi_t(s) == s;
+    dissipative when the window's atoms are all distinct and the action
+    declares s's orbit free; undetermined otherwise.
+    """
+    visits = record.visits
+    if any(atom == s for t, atom in visits.items() if any(t)):
+        return CONSERVATIVE
+    if (len(set(visits.values())) == len(visits)
+            and action.declared_free(s) is True):
+        return DISSIPATIVE
+    return UNDETERMINED
 
 
 def union_find_krengel_normal_form(action, region, *, radius=4):
@@ -307,7 +330,7 @@ def union_find_krengel_normal_form(action, region, *, radius=4):
 
     for s in region:
         record = orbit_explore(action, s, radius)
-        lbl = _rule(action, s, record.stabilizer, record.free_in_window)
+        lbl = window_label(action, s, record)
         if lbl != DISSIPATIVE:
             raise InvalidInputError(
                 f"region atom {s!r} is labeled {lbl}; the normal form only "

@@ -118,6 +118,48 @@ class TestCubeWindow:
             stride, runs = w.unit_steps(axis, box)
             assert [(k, k + stride) for run in runs for k in run] == want
 
+    @pytest.mark.parametrize("kind", ["corner", "centered"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_whole_window_is_one_run_and_one_per_block(self, kind, d):
+        # runs of the whole window span its trailing whole axes, so a unit
+        # step takes one run per block of its axis, not one per row
+        w = CubeWindow(kind, 3, d)
+        assert list(w.runs()) == [range(0, w.size)]
+        for axis in range(d):
+            stride, runs = w.unit_steps(axis)
+            block = stride * w.side
+            assert list(runs) == [range(k, k + block - stride)
+                                  for k in range(0, w.size, block)]
+            assert block * w.side ** axis == w.size
+
+    @pytest.mark.parametrize("box", [
+        [(-2, 2)] * 3, [(-1, 2), (0, 0), (-2, 1)], [(1, 2), (-2, 2), (-2, 2)],
+        [(-2, 2), (1, 0), (-2, 2)]],
+        ids=["whole", "flat", "trailing-whole", "empty"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_runs_list_a_box_in_lex_order(self, box, d):
+        w, box = CubeWindow.centered(2, d), box[:d]
+        want = [w.position(p) for p in w
+                if all(a <= x <= b for x, (a, b) in zip(p, box))]
+        runs = list(w.runs(box))
+        assert [k for run in runs for k in run] == want
+        assert w.read([w.vector(k) for k in range(w.size)], box) == [
+            w.vector(k) for k in want]
+        # a run goes on through the trailing axes the box spans whole
+        whole = len(box)
+        while whole > 1 and box[whole - 1] == (-2, 2):
+            whole -= 1
+        assert len(runs) == math.prod(b - a + 1 for a, b in box[:whole - 1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hull_is_the_padded_box_of_the_positions(self, d):
+        w = CubeWindow.centered(4, d)
+        vs = [(1, -2, 0)[:d], (-1, 0, 2)[:d], (0, 1, 1)[:d]]
+        for pad in (0, 2):
+            assert w.hull([w.position(v) for v in vs], pad) == [
+                (min(c) - pad, max(c) + pad) for c in zip(*vs)]
+        assert w.hull([w.position((3,) * d)], 1) == [(2, 4)] * d
+
     def test_dimension_mismatch_names_both_dimensions(self):
         window = CubeWindow.corner(2, 2)
         with pytest.raises(InvalidInputError, match=(
@@ -495,6 +537,16 @@ class TestDuality:
         c4 = actions["C4"]
         with pytest.raises(DegenerateInputError, match="nonempty support"):
             check_duality(c4, 1, L1Function(c4.space, values), [0, 9])
+
+    def test_an_empty_A_is_refused_before_any_walk(self, actions,
+                                                    step_counter):
+        # both sides would read 0 and pass having checked nothing
+        c4 = actions["C4"]
+        before = step_counter[0]
+        with pytest.raises(DegenerateInputError,
+                           match="^duality check needs a nonempty set A$"):
+            check_duality(c4, 1, L1Function.indicator(c4.space, [0]), [])
+        assert step_counter[0] == before
 
 
 class TestMakeActionValidation:

@@ -151,6 +151,15 @@ class TestDualityCheck:
         assert captured.err == ("error: duality check needs a function g "
                                 "with nonempty support\n")
 
+    def test_an_empty_A_is_a_usage_error(self, capsys):
+        # lhs = rhs = 0 would pass having checked nothing
+        assert cli.main(["duality-check", "--action", "fixture:C4",
+                         "--t", "1", "--g", "ones", "--A", "[]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: duality check needs a nonempty "
+                                "set A\n")
+
 
 class TestMaharamVerify:
     def test_odometer_passes(self):
@@ -689,6 +698,13 @@ def _with_t1(x):
                                   for e in _TR1_FORM["table"]]}
 
 
+def _type_error(call, *args) -> str:
+    """The text of the TypeError that ``call(*args)`` raises."""
+    with pytest.raises(TypeError) as info:
+        call(*args)
+    return str(info.value)
+
+
 def _assert_usage_error(code, out, err):
     assert code == 2
     assert out == ""
@@ -702,8 +718,14 @@ class TestMalformedInput:
         {"atoms": [0, 1], "weights": [1.0, 1.0], "generators": [5]},
         {"builder": "cyclic", "params": [1]},
         {"builder": ["cyclic"]},
+        {"builder": "translation", "params": {"tau": []}},
+        {"builder": "disjoint_union", "params": {"parts": [
+            {"builder": "translation", "params": {"d": 1}},
+            {"builder": "translation", "params": {"d": 2}}]}},
+        {"atoms": [0, 1], "weights": [1.0, 1.0], "generators": []},
     ], ids=["generators-number", "weight-null", "generator-number",
-            "params-array", "builder-array"])
+            "params-array", "builder-array", "tau-empty", "union-mixed-d",
+            "no-generators"])
     def test_action_document_of_the_wrong_shape(self, tmp_path, doc):
         path = tmp_path / "action.json"
         path.write_text(json.dumps(doc))
@@ -860,6 +882,13 @@ class TestMalformedInput:
         assert err == ("error: cannot parse function spec 'all'; use "
                        "atom:<id>, ones, exhaustion:<m>, or @file.json\n")
 
+    def test_ones_on_a_lazy_space_names_the_finite_form(self):
+        code, out, err = _main("stat", "--action", "fixture:TR1",
+                               "--g", "ones", "--n", "4")
+        _assert_usage_error(code, out, err)
+        assert err == ("error: 'ones' needs a finite space; use "
+                       "exhaustion:<m> instead\n")
+
     @pytest.mark.parametrize("builder, params, message", [
         ("translation", "d=true", "dimension must be a positive int: True"),
         ("translation", "d=FALSE", "dimension must be a positive int: False"),
@@ -874,8 +903,18 @@ class TestMalformedInput:
          "cyclic N must be a positive int or a list of them: N='2x3.5'"),
         ("cyclic", "N=true",
          "cyclic N must be a positive int or a list of them: N=True"),
+        ("odometer", "K=0,p=0.4",
+         "odometer depth K must be a positive int: 0"),
+        ("odometer", "K=2,p=0.4,d=0", "dimension must be a positive int: 0"),
+        # the builder's own TypeError, whose text is Python's
+        ("odometer", "K=2,p=1x2", "bad parameters for builder 'odometer': "
+         + _type_error(float, [1, 2])),
+        ("stabilizer", "d=0", "dimension must be a positive int: 0"),
+        ("stabilizer", "d=2,active=5",
+         "active axes (5,) must be indices below d=2"),
     ], ids=["true", "false", "x-list", "no-equals", "no-equals-second",
-            "cyclic-x-list", "cyclic-true"])
+            "cyclic-x-list", "cyclic-true", "odometer-K0", "odometer-d0",
+            "odometer-p-list", "stabilizer-d0", "stabilizer-active"])
     def test_params_are_typed_before_the_builder_sees_them(self, builder,
                                                            params, message):
         code, out, err = _main("hopf", "--action", f"zoo:{builder}",

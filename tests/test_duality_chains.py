@@ -22,7 +22,11 @@ from conftest import (
 )
 from nsdyn import jsonio, zoo
 from nsdyn.action import check_duality, make_action
-from nsdyn.errors import DomainError, ExplorationLimitError
+from nsdyn.errors import (
+    DegenerateInputError,
+    DomainError,
+    ExplorationLimitError,
+)
 from nsdyn.space import L1Function
 from test_tables import MANY_CYCLES
 from test_window_walks import (
@@ -67,7 +71,7 @@ def _outcome(check, *args):
     """The check's (lhs, rhs, dual image) or its error, exactly."""
     try:
         lhs, rhs, image = check(*args)
-    except (DomainError, ExplorationLimitError) as exc:
+    except (DegenerateInputError, DomainError, ExplorationLimitError) as exc:
         return type(exc), str(exc)
     return lhs, rhs, image.to_dict()
 

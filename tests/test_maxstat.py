@@ -523,8 +523,13 @@ class TestSweepOracle:
         ([1e300, 1e300], [1.0, 0.5], [1, 2, 4]),
         # subnormal maxima split into their halves
         ([5e-324, 1.0], [1.0, 5e-324], [1, 2, 3]),
-        # two sliding maxima of 1e308 overflow fsum: finite_mean sums them
+        # a chain: the walk stops after span empty sites, and its segment
+        # value 1e308 is above the split limit 2^996, so finite_mean sums
+        # its sites one by one; fsum does not overflow here
         ([1e308, 1e-300, 1e-300], [1.0, 0.0, 0.0], [1, 2]),
+        # a ring: at corner n = 2 two sliding maxima of 1e308 overflow fsum,
+        # and finite_mean sums them
+        ([1e308, 1e-300, 1e-300], [1.0, 1.0, 1.0], [1, 2]),
     ])
     @pytest.mark.parametrize("kind", ["corner", "centered"])
     def test_wide_weights(self, weights, values, ns, kind):
