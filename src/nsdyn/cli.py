@@ -447,21 +447,26 @@ _COMMANDS = {
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every subcommand with its help, but with its arguments only when
-    ``argv`` is None or holds its name (argparse picks a subcommand by its
-    exact name).  The terminal width is read once, not per formatter."""
+    """When the first word of ``argv`` is a command name, that subcommand
+    alone (argparse picks a subcommand by its exact name); its metavar keeps
+    every command on the top-level usage line that an unrecognized argument
+    prints.  Any other ``argv`` gets every subcommand.  The terminal width
+    is read once, not per formatter."""
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="nsdyn", formatter_class=formatter,
         description="Exact diagnostics for nonsingular Z^d-actions on "
                     "atomic measure spaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _handler, specs) in _COMMANDS.items():
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if named else None)
+    for name in [named] if named else _COMMANDS:
+        help_text, _handler, specs = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if argv is None or name in argv:
-            for flag, kwargs in _COMMON + specs:
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in _COMMON + specs:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -358,6 +358,8 @@ def krengel_normal_form(action: NsAction, region: Iterable, *,
     atom of one table lies within the radius of a region atom of another:
     the radius is then too small to separate or merge the orbits involved.
     """
+    if radius < 1:
+        raise InvalidInputError("radius must be >= 1")
     region = sort_atoms(set(region))
     space = action.space
     for s in region:

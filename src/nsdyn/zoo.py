@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain, product
 
@@ -109,10 +110,11 @@ def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
 def _build_odometer(K, p, d=1, name=None) -> NsAction:
     if not _is_int(K) or K < 1:
         raise InvalidInputError(f"odometer depth K must be a positive int: {K!r}")
-    p = float(p)
-    if not (0.0 < p < 1.0):
+    # a bool is an int, so 0 < True < 1 fails; a NaN fails the range too
+    if not (isinstance(p, numbers.Real) and 0.0 < float(p) < 1.0):
         raise InvalidInputError(
-            f"odometer parameter p={p} is invalid; need 0 < p < 1")
+            f"odometer p must be a number with 0 < p < 1: p={p!r}")
+    p = float(p)
     if not _is_int(d) or d < 1:
         raise InvalidInputError(f"dimension must be a positive int: {d!r}")
     label = name or f"odometer(K={K}, p={p}, d={d})"

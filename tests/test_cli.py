@@ -402,6 +402,13 @@ class TestKrengel:
         _assert_usage_error(code, out, err)
         assert "no table entry of the form lies within radius" in err
 
+    @pytest.mark.parametrize("radius", ["0", "-3"])
+    def test_a_radius_below_one_is_a_usage_error(self, radius):
+        code, out, err = _main("krengel", "--action", "fixture:TR1",
+                               "--region", "exhaustion:1", "--radius", radius)
+        _assert_usage_error(code, out, err)
+        assert err == "error: radius must be >= 1\n"
+
 
 class TestZooCommand:
     def test_list(self):
@@ -698,13 +705,6 @@ def _with_t1(x):
                                   for e in _TR1_FORM["table"]]}
 
 
-def _type_error(call, *args) -> str:
-    """The text of the TypeError that ``call(*args)`` raises."""
-    with pytest.raises(TypeError) as info:
-        call(*args)
-    return str(info.value)
-
-
 def _assert_usage_error(code, out, err):
     assert code == 2
     assert out == ""
@@ -906,15 +906,24 @@ class TestMalformedInput:
         ("odometer", "K=0,p=0.4",
          "odometer depth K must be a positive int: 0"),
         ("odometer", "K=2,p=0.4,d=0", "dimension must be a positive int: 0"),
-        # the builder's own TypeError, whose text is Python's
-        ("odometer", "K=2,p=1x2", "bad parameters for builder 'odometer': "
-         + _type_error(float, [1, 2])),
+        ("odometer", "K=2,p=1x2",
+         "odometer p must be a number with 0 < p < 1: p=[1, 2]"),
+        ("odometer", "K=2,p=abc",
+         "odometer p must be a number with 0 < p < 1: p='abc'"),
+        ("odometer", "K=2,p=true",
+         "odometer p must be a number with 0 < p < 1: p=True"),
+        ("odometer", "K=2,p=1.5",
+         "odometer p must be a number with 0 < p < 1: p=1.5"),
+        ("odometer", "K=2,p=nan",
+         "odometer p must be a number with 0 < p < 1: p=nan"),
         ("stabilizer", "d=0", "dimension must be a positive int: 0"),
         ("stabilizer", "d=2,active=5",
          "active axes (5,) must be indices below d=2"),
     ], ids=["true", "false", "x-list", "no-equals", "no-equals-second",
             "cyclic-x-list", "cyclic-true", "odometer-K0", "odometer-d0",
-            "odometer-p-list", "stabilizer-d0", "stabilizer-active"])
+            "odometer-p-list", "odometer-p-word", "odometer-p-true",
+            "odometer-p-above-one", "odometer-p-nan", "stabilizer-d0",
+            "stabilizer-active"])
     def test_params_are_typed_before_the_builder_sees_them(self, builder,
                                                            params, message):
         code, out, err = _main("hopf", "--action", f"zoo:{builder}",
@@ -1228,11 +1237,16 @@ class TestFuzzedDocuments:
             self.check(command, *action, *flags, "--config", path)
 
 
+_C4_HOPF = ["hopf", "--action", "fixture:C4", "--radius", "1"]
+
+
 def _refused_lines():
     """Command lines argparse answers itself: the top-level help, no
-    command, an unknown command, and per subcommand its help, an unknown
-    flag and a bad value for each option with a type or choices."""
-    lines = [["--help"], [], ["bogus"]]
+    command, an unknown command, a command after the top-level help or
+    after ``--``, a stray positional, and per subcommand its help, an
+    unknown flag and a bad value for each option with a type or choices."""
+    lines = [["--help"], [], ["bogus"], ["-h", "hopf"], ["--", *_C4_HOPF],
+             [*_C4_HOPF, "extra"]]
     for name, sub in _subparsers(cli.build_parser()).items():
         lines += [[name, "--help"], [name, "--no-such-flag"]]
         lines += [[name, a.option_strings[0], "x"] for a in sub._actions
@@ -1240,9 +1254,53 @@ def _refused_lines():
     return lines
 
 
+# one cheap command line per subcommand, each of which exits 0
+_CALLS = {
+    "stat": ["--action", "fixture:C4", "--g", "ones", "--n", "2"],
+    "verdict": ["--action", "fixture:C4", "--g", "ones", "--n", "2"],
+    "cocycle-check": ["--action", "fixture:C4", "--radius", "1"],
+    "duality-check": ["--action", "fixture:C4", "--t", "1", "--g", "ones",
+                      "--A", "[0]"],
+    "maharam-verify": ["--action", "fixture:C4", "--m", "1", "--n", "2"],
+    "hopf": ["--action", "fixture:TR1", "--radius", "4"],
+    "krengel": ["--action", "fixture:TR1", "--region", "[0]",
+                "--radius", "2"],
+    "zoo": ["list"],
+}
+
+# every command as the top-level usage line lists them
+_COMMAND_LIST = ("{stat,verdict,cocycle-check,duality-check,maharam-verify,"
+                 "hopf,krengel,zoo}")
+
+
+def _kept_parsers(monkeypatch):
+    """A list that gains each parser ``cli.build_parser`` returns."""
+    parsers, build = [], cli.build_parser
+
+    def kept(argv=None):
+        parsers.append(build(argv))
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "build_parser", kept)
+    return parsers
+
+
+def _counted_parsers(monkeypatch):
+    """A list that gains one entry per ``ArgumentParser`` constructed."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
 class TestParserBuild:
-    """``main`` builds only the arguments of the subcommand it parses, and
-    answers every command line as the parser of all subcommands does."""
+    """A call that names a command builds that subcommand alone; any other
+    builds every subcommand, and ``main`` answers every command line as
+    the parser of all subcommands does."""
 
     @pytest.mark.parametrize("argv", _refused_lines(),
                              ids=lambda argv: " ".join(argv) or "(none)")
@@ -1261,30 +1319,65 @@ class TestParserBuild:
         if "--help" in argv:  # the help is wrapped at each call's width
             assert answers["60"] != answers["200"]
 
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([*_C4_HOPF, "--no-such-flag"],
+         "unrecognized arguments: --no-such-flag"),
+        ([*_C4_HOPF, "extra"], "unrecognized arguments: extra"),
+    ], ids=["none", "bogus", "unknown-flag", "stray-positional"])
+    def test_the_top_level_refusals_list_every_command(self, argv, message,
+                                                       columns, monkeypatch):
+        # argparse's wrapping and choice lists vary by Python release; the
+        # command list and the error line are what the parser build decides
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = _main(*argv)
+        assert (code, out) == (2, "") and err.startswith("usage: nsdyn [-h]")
+        assert _COMMAND_LIST in err
+        assert err.endswith("\n") and err.splitlines()[-1].startswith(
+            f"nsdyn: error: {message}")
+
     def test_one_call_reads_the_width_once_and_builds_one_command(
             self, monkeypatch):
-        widths, parsers = [], []
-        read_width, build = shutil.get_terminal_size, cli.build_parser
+        widths, read_width = [], shutil.get_terminal_size
 
         def counted_width(*args):
             widths.append(args)
             return read_width(*args)
 
-        def kept_parser(argv=None):
-            parsers.append(build(argv))
-            return parsers[-1]
-
         monkeypatch.setattr(shutil, "get_terminal_size", counted_width)
-        monkeypatch.setattr(cli, "build_parser", kept_parser)
-        code, out, err = _main("hopf", "--action", "fixture:TR1",
-                               "--radius", "4")
+        parsers = _kept_parsers(monkeypatch)
+        code, out, err = _main("hopf", *_CALLS["hopf"])
         assert (code, err) == (0, "") and json.loads(out)["summary"]
         assert len(widths) == 1
         (parser,) = parsers
         assert {name: [a.dest for a in sub._actions]
                 for name, sub in _subparsers(parser).items()} == {
-            **{name: ["help"] for name in cli._COMMANDS},
             "hopf": ["help", "action", "params", "config", "out", "radius"]}
+
+    @pytest.mark.parametrize("name", list(_CALLS))
+    def test_a_call_that_names_a_command_builds_it_alone(self, name,
+                                                         monkeypatch):
+        full = _subparsers(cli.build_parser())[name]
+        parsers = _kept_parsers(monkeypatch)
+        built = _counted_parsers(monkeypatch)
+        code, out, err = _main(name, *_CALLS[name])
+        assert (code, err) == (0, "") and out
+        assert len(built) == 2
+        (parser,) = parsers
+        assert {n: [a.dest for a in sub._actions]
+                for n, sub in _subparsers(parser).items()} == {
+            name: [a.dest for a in full._actions]}
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"],
+                                      ["--", *_C4_HOPF]],
+                             ids=["none", "-h", "bogus", "--"])
+    def test_a_call_that_names_no_command_builds_every_one(self, argv,
+                                                           monkeypatch):
+        built = _counted_parsers(monkeypatch)
+        code, _, _ = _main(*argv)
+        assert code in (0, 2) and len(built) == 1 + len(cli._COMMANDS) == 9
 
     def test_no_argv_parses_sys_argv(self, monkeypatch):
         argv = ["hopf", "--action", "fixture:TR1", "--radius", "3"]

@@ -187,6 +187,11 @@ class TestKrengelNormalForm:
         assert form.representatives == (("w1", (-1,)), ("w2", (-1,)))
         assert [form.tau(w) for w in form.representatives] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("radius", [0, -3])
+    def test_a_radius_below_one_is_refused(self, actions, radius):
+        with pytest.raises(InvalidInputError, match="^radius must be >= 1$"):
+            krengel_normal_form(actions["TR1"], [0], radius=radius)
+
     def test_empty_region(self, actions):
         form = krengel_normal_form(actions["TR1"], [], radius=4)
         assert form.representatives == ()

@@ -1,6 +1,7 @@
 """Builders, declared ground truth, and the JSON interfaces."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,12 @@ class TestBuilders:
         od = zoo.build(zoo.ZooSpec("odometer", {"K": 3, "p": 0.4}))
         assert od.space.weight("000") == pytest.approx(0.216, rel=EXACT)
         assert od.rn_derivative(1, "000") == pytest.approx(2.0 / 3.0, rel=EXACT)
+
+    def test_odometer_takes_p_as_any_real_number(self):
+        exact = zoo.build(zoo.ZooSpec("odometer", {"K": 3, "p": Fraction(2, 5)}))
+        od = zoo.build(zoo.ZooSpec("odometer", {"K": 3, "p": 0.4}))
+        assert exact.name == od.name
+        assert exact.space.weight("010") == od.space.weight("010")
 
     def test_odometer_total_mass_is_one(self):
         for K in (2, 3, 5):
