@@ -20,17 +20,20 @@ the unit pairs (t, +-e_i), and a unit pair whose step misses is itself the
 violation, naming both atoms.  One pair loop evaluates every cube, walked
 or (after the pass) read from the image tables, one map per position.
 
-On a finite space, validation compiles the action from whole tables.  One
-map of each generator and one of its inverse over the atoms give
-atom-keyed image maps, and whole-table comparisons check that every image
+On a finite space, validation compiles the action from whole tables.  A
+dict that permutes the atoms gives both atom-keyed image maps from one
+read of each entry, inverse to each other by construction.  For a pair of
+maps, one map of each generator and one of its inverse over the atoms
+give the image maps, and whole-table comparisons check that every image
 is an atom, that both maps are injective and that each inverts the other.
-A single step is then a dict lookup.  Where a map raises or a comparison
-fails, a loop over the atoms, one sample at a time, names the fault; the
-same loop checks an action on a lazy space around S_2.  ``apply`` steps
-through the generators on every space.  Where many atoms need phi_t at
-once, each generator chain of those atoms is walked once, an atom's image
-one step past its predecessor's, and atoms that close a ring read theirs
-off it by index: about two steps per atom and axis whatever the size of t.
+A single step is then a dict lookup.  Where a read misses, a map raises or
+a comparison fails, a loop over the atoms, one sample at a time, names the
+fault; the same loop checks an action on a lazy space around S_2.
+``apply`` steps through the generators on every space.  Where many atoms
+need phi_t at once, each generator chain of those atoms is walked once, an
+atom's image one step past its predecessor's, and atoms that close a ring
+read theirs off it by index: about two steps per atom and axis whatever
+the size of t.
 
 On a purely atomic space the Radon-Nikodym derivative w_t = d(mu o phi_t)/dmu
 at an atom s is the weight ratio mu(phi_t(s)) / mu(s).  It is evaluated in
@@ -436,11 +439,21 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
     Validation samples every atom of a finite space (the exhaustion set S_2
     of a lazy one) and checks that each generator is a bijection with the
     declared inverse and that images stay inside the space with positive
-    weight (nonsingularity).  On a finite space it checks whole image
-    tables, which become the action's step maps.
+    weight (nonsingularity).  On a finite space a dict that permutes the
+    atoms becomes its image tables with one read per entry
+    (:func:`_permutation_tables`), and a pair's whole image tables are
+    checked (:func:`_image_tables`); either way the tables are the action's
+    step maps.
     """
-    gens = [_Generator.from_permutation(g) if isinstance(g, dict)
-            else _Generator(*g) for g in generators]
+    generators = list(generators)
+    tables = [_permutation_tables(g, space.atoms)
+              if space.finite and isinstance(g, dict) else None
+              for g in generators]
+    # a dict the tables refuse derives its inverse here, which names two
+    # atoms that share an image before any axis is validated
+    gens = [table or (_Generator.from_permutation(g) if isinstance(g, dict)
+                      else _Generator(*g))
+            for table, g in zip(tables, generators)]
     if not gens:
         raise ConstructionError("an action needs at least one generator")
     d = len(gens)
@@ -450,15 +463,19 @@ def make_action(space: AtomSpace, generators, *, name: str = "",
         flag = bool(free_orbits)
         free_fn = lambda atom: flag
     action = NsAction(space, d, tuple(gens), name, free_fn, exploration_budget)
-    _validate_action(action)
+    _validate_action(action, tables)
     return action
 
 
-def _validate_action(action: NsAction):
+def _validate_action(action: NsAction, tables: list):
+    """Check each axis that has no table yet; ``tables[axis]`` is the image
+    tables of a dict that permutes a finite space's atoms, or None."""
     space = action.space
     maps = []
     for axis, gen in enumerate(action._gens):
-        table = _image_tables(gen, space.atoms) if space.finite else None
+        table = tables[axis]
+        if table is None and space.finite:
+            table = _image_tables(gen, space.atoms)
         if table is None:
             table = _sample_maps(action, axis, space.exhaustion(2))
         maps.append(table)
@@ -467,8 +484,35 @@ def _validate_action(action: NsAction):
         action._gens = tuple(maps)
 
 
+def _permutation_tables(perm: dict, atoms: tuple):
+    """The image maps of a dict generator on a finite space, from the dict.
+
+    One read of each atom's entry gives the inverse table ``T a -> a``.
+    With n entries in the dict and n keys in the table, the atoms are the
+    dict's keys and T is injective on them.  Reading the inverse table at
+    each atom gives the forward table ``T^-1 b -> b``; the read succeeds
+    for every atom exactly when every image is an atom.  Both tables take
+    their values from ``atoms``, so a step gives the space's own atom
+    objects, and they invert each other by construction.
+
+    None when a read misses or a count falls short: then the dict goes
+    through :func:`_Generator.from_permutation`, :func:`_image_tables` and
+    :func:`_sample_maps`, which name the fault.
+    """
+    n = len(atoms)
+    try:
+        inverse = dict(zip(map(perm.__getitem__, atoms), atoms))
+        if not len(inverse) == n == len(perm):
+            return None
+        forward = dict(zip(map(inverse.__getitem__, atoms), atoms))
+    except Exception:   # any fault: the other routes raise it in their order
+        return None
+    return _Generator(forward.__getitem__, inverse.__getitem__)
+
+
 def _image_tables(gen: _Generator, atoms: tuple):
-    """A generator's image maps on a finite space, checked as whole tables.
+    """A pair generator's image maps on a finite space, checked as whole
+    tables.
 
     One ``map`` over the atoms per direction gives ``T^-1 a -> a`` (the
     forward table) and ``T a -> a`` (the inverse table), whose values are
@@ -476,7 +520,8 @@ def _image_tables(gen: _Generator, atoms: tuple):
     atom, so its keys are exactly the atoms: every image lies in the space
     and both maps are injective.  Reading the forward table at each atom
     gives the inverse table's keys in atom order, T(a), exactly when
-    T(T^-1 a) = a everywhere, and likewise T^-1(T a) = a.
+    T(T^-1 a) = a everywhere, and likewise T^-1(T a) = a.  A dict that
+    permutes the atoms never gets here (:func:`_permutation_tables`).
 
     None when a map raises or a check fails: then :func:`_sample_maps`
     runs the maps again, one sample at a time, and names the fault.

@@ -61,7 +61,7 @@ def _power(axes) -> list:
     """Product atoms: the factor's own for one axis, else tuples in lex order."""
     if len(axes) == 1:
         return list(axes[0])
-    return [tuple(a) for a in product(*axes)]
+    return list(product(*axes))
 
 
 def _rotations(cycles) -> tuple[list, list]:
@@ -108,6 +108,14 @@ def _build_cyclic(N=None, weights=None, name=None) -> NsAction:
 # nonsingular odometer, truncated at depth K with wrap-around
 
 def _build_odometer(K, p, d=1, name=None) -> NsAction:
+    """The binary odometer of depth K on each of d axes: atoms are words of
+    K bits (d-tuples of them), each bit weighing p if 1 and 1 - p if 0.
+
+    Each table is built once: the words and their weights by doubling, one
+    pass per digit, and the turns as one permutation dict per axis
+    (``_rotations``), which ``make_action`` tabulates from one read per
+    entry.
+    """
     if not _is_int(K) or K < 1:
         raise InvalidInputError(f"odometer depth K must be a positive int: {K!r}")
     # a bool is an int, so 0 < True < 1 fails; a NaN fails the range too
@@ -122,12 +130,26 @@ def _build_odometer(K, p, d=1, name=None) -> NsAction:
     if K * d >= EXPLORATION_BUDGET.bit_length():
         raise _too_large(label, f"2**{K * d}")
     # the words in counting order, least significant bit first: one step
-    # adds one with carry, and the all-ones word wraps around to zero
-    words = ["".join(b)[::-1] for b in product("01", repeat=K)]
-    word_weights = [math.prod(p if b == "1" else 1.0 - p for b in w)
-                    for w in words]
+    # adds one with carry, and the all-ones word wraps around to zero.
+    # Digit j doubles both lists, so a word's weight is multiplied left to
+    # right from the int 1, bit for bit the product math.prod takes
+    words, word_weights, q = [""], [1], 1.0 - p
+    for _ in range(K):
+        words = [w + "0" for w in words] + [w + "1" for w in words]
+        word_weights = ([x * q for x in word_weights]
+                        + [x * p for x in word_weights])
     atoms, turns = _rotations([words] * d)
     weight = dict(zip(atoms, map(math.prod, product(word_weights, repeat=d))))
+    if d > 1:
+        # handed over in sorted order, the tuples are one ascending run for
+        # make_space's sort: the words' sorted positions are the bit
+        # reversals of 0, 1, ..., lifted here to the product's positions
+        ranks, at = [0], [0]
+        for _ in range(K):
+            ranks = [2 * r for r in ranks] + [2 * r + 1 for r in ranks]
+        for _ in range(d):
+            at = [i * len(words) + r for i in at for r in ranks]
+        atoms = list(map(atoms.__getitem__, at))
     space = make_space(atoms, weight, name=f"{label}-space")
     return make_action(space, turns, name=label, free_orbits=False)
 
@@ -185,6 +207,15 @@ def _build_translation(tau=None, d=1, name=None) -> NsAction:
             f"weights: tau={tau!r}")
     if not tau:
         raise InvalidInputError("tau must name at least one base point")
+    for key, w in tau.items():
+        try:
+            ok = 0.0 < float(w) < math.inf   # a NaN fails too
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise InvalidInputError(
+                f"tau weights must be positive finite numbers: "
+                f"tau[{key!r}]={w!r}")
     W = make_space(list(tau), tau, name=f"{label}-base")
     return build_translation_action(W, d, name=label)
 

@@ -731,6 +731,22 @@ class TestMalformedInput:
         path.write_text(json.dumps(doc))
         _assert_usage_error(*_main("hopf", "--action", str(path)))
 
+    @pytest.mark.parametrize("tau, entry", [
+        (["x"], "tau[0]='x'"),
+        ([[1]], "tau[0]=[1]"),
+        ({"a": 1.0, "b": -2}, "tau['b']=-2"),
+    ], ids=["word", "list", "negative"])
+    def test_a_bad_tau_weight_is_refused_by_name(self, tmp_path, tau, entry):
+        # float() would answer a word or a list with its own text, which
+        # differs between Python versions
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps({"builder": "translation",
+                                    "params": {"tau": tau}}))
+        code, out, err = _main("hopf", "--action", str(path))
+        _assert_usage_error(code, out, err)
+        assert err == ("error: tau weights must be positive finite numbers: "
+                       f"{entry}\n")
+
     @pytest.mark.parametrize("doc", [
         [1, 2],
         {"representatives": [1], "table": [], "d": 1, "radius": 2},
@@ -896,6 +912,8 @@ class TestMalformedInput:
         # the builder refuses by the parameter's name
         ("translation", "tau=1x0.5", "tau must be a list of weights or a "
          "mapping of labels to weights: tau='1x0.5'"),
+        ("translation", "tau=1x0", "tau weights must be positive finite "
+         "numbers: tau[1]=0"),
         ("translation", "d", "parameter 'd' is not of the form key=value"),
         ("translation", "d=2,tau",
          "parameter 'tau' is not of the form key=value"),
@@ -919,8 +937,8 @@ class TestMalformedInput:
         ("stabilizer", "d=0", "dimension must be a positive int: 0"),
         ("stabilizer", "d=2,active=5",
          "active axes (5,) must be indices below d=2"),
-    ], ids=["true", "false", "x-list", "no-equals", "no-equals-second",
-            "cyclic-x-list", "cyclic-true", "odometer-K0", "odometer-d0",
+    ], ids=["true", "false", "x-list", "tau-zero", "no-equals",
+            "no-equals-second", "cyclic-x-list", "cyclic-true", "odometer-K0", "odometer-d0",
             "odometer-p-list", "odometer-p-word", "odometer-p-true",
             "odometer-p-above-one", "odometer-p-nan", "stabilizer-d0",
             "stabilizer-active"])

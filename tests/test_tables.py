@@ -8,8 +8,9 @@ fail at the same axis with the same message.  A finite space likewise
 keeps every weight, evaluated once per atom.  On every space a batch of
 images walks each generator chain once and reads a ring of its atoms by
 index, so a whole finite orbit costs one step per atom whatever t.
-Validation builds the tables from one map per direction and must accept,
-and refuse with the same text, what the per-sample loop does.  On a finite
+Validation builds the tables from one read of each entry of a dict, or
+one map per direction of a pair, and must accept, and refuse with the
+same text, what the per-sample loop does.  On a finite
 Z^d-action the cocycle check reads its samples' cubes from the tables: its
 report and its errors must be those of the walk route.
 """
@@ -185,6 +186,68 @@ def test_validation_runs_each_map_once_per_atom(step_counter):
     # one forward and one inverse image per atom, taken as whole tables
     assert calls == {"forward": 1024, "inverse": 1024}
     assert step_counter[0] == 0
+
+
+class _CountingPermutation(dict):
+    """A dict generator that counts the reads of its entries, by key or
+    through ``values``, ``items`` or iteration."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return dict.__getitem__(self, key)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return dict.__iter__(self)
+
+    def values(self):
+        self.reads += len(self)
+        return dict.values(self)
+
+    def items(self):
+        self.reads += len(self)
+        return dict.items(self)
+
+
+def test_a_dict_generator_is_tabled_from_one_read_per_entry(monkeypatch,
+                                                            step_counter):
+    n = 1024
+    space = make_space(range(n), 1.0)
+    checked = []
+    image_tables = action_module._image_tables
+    monkeypatch.setattr(action_module, "_image_tables",
+                        lambda gen, atoms: checked.append(gen)
+                        or image_tables(gen, atoms))
+    perm = _CountingPermutation({a: (a + 1) % n for a in range(n)})
+    action = make_action(space, [perm])
+    # each entry read once, the tables built from the dict: no whole-table
+    # comparison and no step
+    assert perm.reads == n
+    assert checked == []
+    assert step_counter[0] == 0
+    assert [action.step(0, a) for a in (0, n - 1)] == [1, 0]
+    assert [action.step(0, a, forward=False) for a in (0, 1)] == [n - 1, 0]
+    # a pair of callables still has its whole tables compared
+    inverse = {b: a for a, b in dict.items(perm)}
+    make_action(space, [(perm.__getitem__, inverse.__getitem__)])
+    assert len(checked) == 1
+
+
+def test_a_shared_image_is_named_before_an_earlier_axis_escapes():
+    # axis 0 maps atom 3 outside the space; axis 1 maps atoms 0 and 1 to 1.
+    # Deriving the dicts' inverses comes before validating any axis
+    atoms = list(range(4))
+    space = make_space(atoms, 1.0, name="drawn")
+    gens = [{0: 1, 1: 2, 2: 0, 3: 4}, {0: 1, 1: 1, 2: 2, 3: 3}]
+    error = _same_validation(space, gens)
+    assert str(error) == ("generator is not invertible: atoms 0 and 1 share "
+                          "the image 1")
+    # alone, the escaping axis is named by the sample loop
+    error = _same_validation(space, gens[:1])
+    assert str(error) == ("generator 0 of action 'drawn' is not defined "
+                          "around atom 3: the inverse has no image of 3")
 
 
 def _sha(text):

@@ -1,7 +1,9 @@
 """Builders, declared ground truth, and the JSON interfaces."""
 
 import json
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -63,6 +65,28 @@ class TestBuilders:
         square = zoo.build(zoo.ZooSpec("odometer", {"K": 2, "p": 0.3, "d": 2}))
         assert square.space.total_mass() == pytest.approx(1.0, rel=EXACT)
 
+    @pytest.mark.parametrize("p", [0.3, 0.4, 0.45, 1 / 3, Fraction(2, 5)],
+                             ids=["0.3", "0.4", "0.45", "third", "fraction"])
+    def test_odometer_weights_are_the_per_word_products_bit_for_bit(self, p):
+        # a word's weight is its bit weights multiplied left to right; a
+        # closed form such as p**ones * (1-p)**zeros rounds differently.
+        # d = 2 stops at K = 7: the budget refuses 4**10, and the pair
+        # weight is the product of the same two word weights
+        q = float(p)
+        for d, depths in ((1, range(1, 13)), (2, range(1, 8))):
+            for K in depths:
+                words = ["".join(b)[::-1] for b in product("01", repeat=K)]
+                weight = {w: math.prod(q if b == "1" else 1.0 - q for b in w)
+                          for w in words}
+                od = zoo.build(zoo.ZooSpec("odometer",
+                                           {"K": K, "p": p, "d": d}))
+                atoms = words if d == 1 else list(product(words, repeat=d))
+                assert list(od.space.atoms) == sorted(atoms)
+                for a in atoms:
+                    want = weight[a] if d == 1 else math.prod(
+                        map(weight.__getitem__, a))
+                    assert od.space.weight(a).hex() == want.hex(), (K, d, a)
+
     @pytest.mark.parametrize("K", range(1, 7))
     def test_odometer_steps_add_one_least_significant_bit_first(self, K):
         od = zoo.build(zoo.ZooSpec("odometer", {"K": K, "p": 0.3}))
@@ -114,6 +138,20 @@ class TestBuilders:
         assert hopf_decompose(union, 8).summary() == "conservative"
         assert check_cocycle(union, 2).passed
         assert zoo.ground_truth(spec).label == "conservative"
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, 0.0, None, 10 ** 400],
+                             ids=["nan", "inf", "zero", "none", "huge"])
+    def test_translation_refuses_a_bad_tau_weight_by_name(self, w):
+        with pytest.raises(InvalidInputError) as info:
+            zoo.build(zoo.ZooSpec("translation", {"tau": {"a": 1.0, "b": w}}))
+        assert str(info.value) == ("tau weights must be positive finite "
+                                   f"numbers: tau['b']={w!r}")
+
+    def test_translation_takes_tau_weights_that_float_takes(self):
+        tr = zoo.build(zoo.ZooSpec("translation",
+                                   {"tau": [True, "2.5", Fraction(1, 4)]}))
+        assert [tr.space.weight((w, (0,))) for w in range(3)] == [
+            1.0, 2.5, 0.25]
 
     def test_stabilizer_fixture_moves_one_axis(self):
         st2 = zoo.build_fixture("ST2")
